@@ -2,8 +2,9 @@
 
 Exit codes follow a fixed contract: 0 on success (for `verify`, success means
 the scan reached the expected conclusion), 1 on a domain error such as a bad
-mode name or an unparseable polynomial, 2 when the resolution engine exhausts
-its blow-up budget (the DELPEZZO_MAX_BLOWUPS environment variable raises it).
+mode name, an unparseable polynomial or a DELPEZZO_MAX_BLOWUPS value that is
+not a non-negative integer, 2 when the resolution engine exhausts its blow-up
+budget (that environment variable raises it).
 All rational output is lowest-terms p/q, every command is deterministic, and
 `--json` emits the same fields machine-readably.
 """
@@ -20,22 +21,28 @@ from .constraints import (NODAL_SUBCASES, SolveReport, SystemParseError,
 from .germs import GermParseError, InvalidGermError, parse_germ
 from .lattice import (C, SurfaceModel, enumerate_negative_curves,
                       incidence_graph, tritangent_triples)
-from .lct import blowup_lct, newton_lct
+from .lct import newton_lct, resolution_lct
 from .lemma_verify import (alpha1_report, canonical_nodal_survivor,
                            lemma31_scan, lemma51_scan)
 from .plane_config import (ConfigParseError, GeometryError, eckardt_points,
                            is_eckardt_on_cubic, load_config, load_cubic,
                            monomial_name, point, tangent_plane_restriction,
                            validate)
-from .resolution import DepthExceededError, resolve_germ
+from .resolution import (BlowupBudgetSettingError, DepthExceededError,
+                         resolve_germ)
 
 
 class _DepthAwareGroup(click.Group):
-    """Group whose commands turn a blown resolution budget into exit 2."""
+    """Group whose commands map resolution budget errors to exit codes.
+
+    A bad budget setting is a domain error (exit 1); a blown budget exits 2.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except BlowupBudgetSettingError as exc:
+            raise click.ClickException(str(exc))
         except DepthExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -152,8 +159,8 @@ def cmd_lct(germ_text, method, as_json):
                                 "exact": newton.exact,
                                 "witness": str(newton.witness)})
     if method in ("blowup", "both"):
-        blowup = blowup_lct(f)
         res = resolve_germ(f)
+        blowup = resolution_lct(res)
         chain = " ".join(f"({n.a},{n.b})" for n in res.nodes)
         lines.append(str(blowup))
         lines.append(f"nodes: {chain}" if res.nodes

@@ -619,7 +619,6 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
 # e.g. `2*mu + nu <= 3*m`; `m` is substituted numerically at load time.
 
 _REL_RE = re.compile(r"(<=|>=|<|>|=)")
-_TERM_RE = re.compile(r"^\s*$")
 
 
 class SystemParseError(ValueError):

@@ -9,8 +9,9 @@ that certificate holds.
 
 blowup_lct builds an embedded resolution by iterated point blow-ups and
 evaluates min(min_i 1/m_i, min_E (a_E + 1)/b_E) over the components through
-the origin and the exceptional divisors.  The two methods share no code, so
-agreement on nondegenerate germs is a meaningful cross-check.
+the origin and the exceptional divisors; resolution_lct does that evaluation
+alone, for a caller that already holds the resolution.  The two methods share
+no code, so agreement on nondegenerate germs is a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from typing import Optional, Union
 import sympy
 from sympy import QQ, Poly
 
-from .germs import CurveGerm, multiplicity
+from .germs import CurveGerm
 from .resolution import (Component, Resolution, ResolutionNode, resolve_germ)
 
 __all__ = [
     "NewtonFace", "NewtonPolygon", "LctReport", "newton_polygon",
-    "newton_lct", "blowup_lct", "multiplicity", "holder_product_bound",
+    "newton_lct", "blowup_lct", "resolution_lct", "holder_product_bound",
     "MultBoundsVerdict", "check_mult_bounds", "Lemma52Verdict",
     "check_lemma52",
 ]
@@ -131,7 +132,11 @@ def newton_lct(f: CurveGerm) -> LctReport:
 
 def blowup_lct(f: CurveGerm, max_blowups: Optional[int] = None) -> LctReport:
     """Threshold from an embedded resolution; always exact."""
-    res = resolve_germ(f, max_blowups)
+    return resolution_lct(resolve_germ(f, max_blowups))
+
+
+def resolution_lct(res: Resolution) -> LctReport:
+    """The blow-up threshold read off an existing resolution of the germ."""
     value = Fraction(1)
     witness: Union[ResolutionNode, Component, str] = "normal crossings cap"
     for comp in res.components:
@@ -196,7 +201,7 @@ def check_mult_bounds(f: CurveGerm) -> MultBoundsVerdict:
     """
     k = f.multiplicity
     res = resolve_germ(f)
-    value = blowup_lct(f).value
+    value = resolution_lct(res).value
     equality: Optional[EqualityCase] = None
     if value == Fraction(1, k):
         for comp in res.components:

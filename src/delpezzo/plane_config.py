@@ -124,9 +124,6 @@ def line_through(p: ProjPoint, q: ProjPoint) -> tuple[int, int, int]:
 
 
 # conic coefficient order: x^2, xy, xz, y^2, yz, z^2
-CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-
-
 def _conic_row(p: ProjPoint) -> list[int]:
     x, y, z = p
     return [x * x, x * y, x * z, y * y, y * z, z * z]

@@ -14,13 +14,31 @@ site into chart A (x, y) -> (x, x*y), which keeps the old {y=0} axis, and
 chart B (x, y) -> (x*y, y), which keeps the old {x=0} axis; the new
 exceptional divisor is {x=0} in chart A and {y=0} in chart B.
 
+Every site carries two transforms: g, the strict transform of the germ with
+its multiplicities (its order at the point feeds b_E), and g_red, the strict
+transform of the reduced germ (which decides where the curve is singular,
+tangent or absent).  The root g_red is the product of the distinct rational
+factors of the germ, and from then on g_red goes through exactly the same
+chart maps, translations and coefficient embeddings as g, divided by its own
+multiplicity.  In characteristic 0 this keeps g_red equal to the square-free
+part of g up to a nonzero constant, so no site ever recomputes it:
+
+  * a chart map is an isomorphism once x (or y) is inverted, and the
+    division leaves a polynomial not divisible by the new exceptional
+    coordinate, so the strict transform of a square-free curve is
+    square-free and distinct branches stay coprime;
+  * a translation y -> y + v0 is an automorphism;
+  * a square-free polynomial over K stays square-free over any extension
+    K2, because K has characteristic 0.
+
 Points needing further blow-ups are located along the new exceptional line
-only: multiple roots of the restriction of the reduced transform (tangency,
-singular point, or several branches), plus the chart origins when a triple
-intersection with an old axis occurs.  Roots that are irrational are handled
-by extending K; conjugate points yield identical (a, b) data, so one
-representative per irreducible factor is blown up and the cluster shares a
-single node.
+only: multiple roots of the restriction of g_red (tangency, singular point,
+or several branches), plus the chart origins when a triple intersection with
+an old axis occurs.  Those roots come from the monic gcd(r, r') of that
+restriction r, so the constant left free in g_red never shows.  Roots that
+are irrational are handled by extending K; conjugate points yield identical
+(a, b) data, so one representative per irreducible factor is blown up and the
+cluster shares a single node.
 
 K is always QQ or an absolute algebraic extension QQ(theta); towers that
 would arise from nested irrational centers are flattened back to absolute
@@ -57,10 +75,24 @@ class DepthExceededError(RuntimeError):
         self.limit = limit
 
 
+class BlowupBudgetSettingError(ValueError):
+    """Raised when the budget environment variable is not a count."""
+
+
 def blowup_limit(override: Optional[int] = None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get(MAX_BLOWUPS_ENV, DEFAULT_MAX_BLOWUPS))
+    raw = os.environ.get(MAX_BLOWUPS_ENV)
+    if raw is None:
+        return DEFAULT_MAX_BLOWUPS
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise BlowupBudgetSettingError(
+            f"{MAX_BLOWUPS_ENV} must be a non-negative integer, got {raw!r}")
+    return limit
 
 
 @dataclass(eq=False)
@@ -149,14 +181,6 @@ def _translate_y(g: dict, K, v0) -> dict:
     return {e: c for e, c in out.items() if c != K.zero}
 
 
-def _to_poly(g: dict, K) -> Poly:
-    return Poly.from_dict(g, _X, _Y, domain=K)
-
-
-def _sqf(g: dict, K) -> dict:
-    return _to_poly(g, K).sqf_part().rep.to_dict()
-
-
 def _restrict_to_x0(g: dict, K) -> Poly:
     """The univariate restriction g(0, v) along the new exceptional line."""
     d = {(j,): c for (i, j), c in g.items() if i == 0}
@@ -173,11 +197,6 @@ def _map_coeffs(g: dict, phi: Callable) -> dict:
 
 
 # -- field towers ------------------------------------------------------------
-
-def _field_minpoly(K) -> list:
-    """Descending QQ coefficient list of K's generator minimal polynomial."""
-    return K.mod.to_list()
-
 
 def _linear_root(factor: Poly, K):
     d = factor.rep.to_dict()
@@ -198,7 +217,7 @@ def _extend_field(K, q: Poly):
         K2 = QQ.algebraic_field(root)
         return K2, K2.convert, K2.from_sympy(root)
 
-    mod = _field_minpoly(K)                       # alpha's minpoly, descending
+    mod = K.mod.to_list()                  # alpha's minpoly, descending QQ list
     m_expr = sum(c * _T ** k for k, c in enumerate(reversed(mod)))
     # q with alpha written as t: coefficients are ANP with QQ lists
     q_tv: dict[tuple[int, int], object] = {}
@@ -251,12 +270,12 @@ class _Engine:
         self.count = 0
         self.nodes: list[ResolutionNode] = []
 
-    def blow_up(self, g: dict, K, xa: Optional[ResolutionNode],
+    def blow_up(self, g: dict, g_red: dict, K, xa: Optional[ResolutionNode],
                 ya: Optional[ResolutionNode], where: str) -> None:
         if self.count >= self.limit:
             raise DepthExceededError(self.limit)
         self.count += 1
-        m = _mult(g)
+        m, m_red = _mult(g), _mult(g_red)
         parents = tuple(p for p in (xa, ya) if p is not None)
         node = ResolutionNode(
             index=len(self.nodes) + 1,
@@ -266,15 +285,15 @@ class _Engine:
             site=where)
         self.nodes.append(node)
 
-        g_a = _chart_a(g, m)
+        g_a, g_a_red = _chart_a(g, m), _chart_a(g_red, m_red)
         g_b = _chart_b(g, m)
 
         # chart B: only its origin is new; visit when the curve passes through
         if (0, 0) not in g_b:
-            self.process(g_b, K, xa, node, where + " / chart B origin")
+            self.process(g_b, _chart_b(g_red, m_red), K, xa, node,
+                         where + " / chart B origin")
 
         # chart A: bad points along the new exceptional line {x = 0}
-        g_a_red = _sqf(g_a, K)
         r = _restrict_to_x0(g_a_red, K)
         assert not r.is_zero, "exceptional line cannot be a component"
         through_origin = (0, 0) not in g_a
@@ -287,40 +306,43 @@ class _Engine:
                     if v0 == K.zero:
                         origin_needed = True
                         continue
-                    h = _translate_y(g_a, K, v0)
-                    self.process(h, K, node, None,
+                    self.process(_translate_y(g_a, K, v0),
+                                 _translate_y(g_a_red, K, v0), K, node, None,
                                  where + f" / chart A at y={K.to_sympy(v0)}")
                 else:
                     K2, phi, gamma = _extend_field(K, q)
-                    h = _translate_y(_map_coeffs(g_a, phi), K2, gamma)
-                    self.process(h, K2, node, None,
-                                 where + f" / chart A at root of {q.as_expr()}")
+                    self.process(
+                        _translate_y(_map_coeffs(g_a, phi), K2, gamma),
+                        _translate_y(_map_coeffs(g_a_red, phi), K2, gamma),
+                        K2, node, None,
+                        where + f" / chart A at root of {q.as_expr()}")
         if origin_needed:
-            self.process(g_a, K, node, ya, where + " / chart A origin")
+            self.process(g_a, g_a_red, K, node, ya, where + " / chart A origin")
 
-    def process(self, g: dict, K, xa: Optional[ResolutionNode],
+    def process(self, g: dict, g_red: dict, K, xa: Optional[ResolutionNode],
                 ya: Optional[ResolutionNode], where: str) -> None:
         """Decide SNC at a site on at least one exceptional axis."""
-        g_red = _sqf(g, K)
         if (0, 0) in g_red:
             return   # curve misses the point; axes alone are normal crossings
         if xa is not None and ya is not None:
-            self.blow_up(g, K, xa, ya, where)   # curve + two axes: triple point
+            self.blow_up(g, g_red, K, xa, ya, where)   # curve + two axes
             return
         if _mult(g_red) >= 2:
-            self.blow_up(g, K, xa, ya, where)   # singular reduced transform
+            self.blow_up(g, g_red, K, xa, ya, where)   # singular reduced curve
             return
         # smooth reduced curve on one axis: transverse iff the linear part
         # involves the non-axis variable
         key = (0, 1) if xa is not None else (1, 0)
         if key not in g_red:
-            self.blow_up(g, K, xa, ya, where)   # tangent to the axis
+            self.blow_up(g, g_red, K, xa, ya, where)   # tangent to the axis
             return
 
 
-def _components_of(f: CurveGerm) -> tuple[Component, ...]:
+def _components_of(f: CurveGerm) -> tuple[tuple[Component, ...], dict]:
+    """The rational factors of f, and their product over QQ (f reduced)."""
     _c, factors = f.to_sympy().factor_list()
     out = []
+    reduced = Poly(1, _X, _Y, domain=QQ)
     for poly, mult in factors:
         terms = poly.rep.to_dict()
         coeffs = tuple((e, Fraction(c.numerator, c.denominator))
@@ -328,7 +350,8 @@ def _components_of(f: CurveGerm) -> tuple[Component, ...]:
         through = (0, 0) not in terms
         mult0 = min(i + j for i, j in terms) if through else 0
         out.append(Component(str(poly.as_expr()), coeffs, mult, mult0))
-    return tuple(out)
+        reduced *= poly
+    return tuple(out), reduced.rep.to_dict()
 
 
 def _snc_at_origin(components: tuple[Component, ...]) -> bool:
@@ -349,9 +372,9 @@ def _snc_at_origin(components: tuple[Component, ...]) -> bool:
 def resolve_germ(f: CurveGerm, max_blowups: Optional[int] = None) -> Resolution:
     """Resolve until the total transform is SNC near the origin fiber."""
     limit = blowup_limit(max_blowups)
-    components = _components_of(f)
+    components, g0_red = _components_of(f)
     engine = _Engine(limit)
     if not _snc_at_origin(components):
         g0 = {e: QQ.convert(c) for e, c in f.coeffs}
-        engine.blow_up(g0, QQ, None, None, "origin")
+        engine.blow_up(g0, g0_red, QQ, None, None, "origin")
     return Resolution(tuple(engine.nodes), components, engine.count)

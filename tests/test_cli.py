@@ -125,6 +125,16 @@ def test_lct_depth_budget_exit_code(runner, monkeypatch):
     assert "raise DELPEZZO_MAX_BLOWUPS to continue" in result.output
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_lct_invalid_depth_budget_is_a_domain_error(runner, monkeypatch, value):
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", value)
+    result = invoke(runner, "lct", "y^2 - x^3")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no raw traceback
+    assert result.output == ("Error: DELPEZZO_MAX_BLOWUPS must be a "
+                             f"non-negative integer, got {value!r}\n")
+
+
 def test_lct_json(runner):
     result = invoke(runner, "lct", "y^2 - x^3", "--json")
     data = json.loads(result.output)
