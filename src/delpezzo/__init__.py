@@ -11,7 +11,7 @@ boundary divisors.
 from .constraints import (ConstraintSystem, LinearConstraint, SolveReport,
                           VarBounds, encode_case2, encode_case3, encode_nodal,
                           nonnegative_combination, parse_system, solve)
-from .germs import CurveGerm, multiplicity, parse_germ
+from .germs import CurveGerm, parse_germ
 from .lattice import (C, E, F, H, L, MINUS_K, DivisorClass, SurfaceModel,
                       enumerate_negative_curves, incidence_graph, is_ample,
                       is_effective, third_line, tritangent_triples)
@@ -41,7 +41,7 @@ __all__ = [
     "encode_case3", "encode_nodal", "enumerate_negative_curves",
     "holder_product_bound", "incidence_graph", "is_ample",
     "is_eckardt_on_cubic", "is_effective", "lemma31_scan", "lemma51_scan",
-    "load_config", "load_cubic", "monomial_name", "multiplicity",
+    "load_config", "load_cubic", "monomial_name",
     "newton_lct", "newton_polygon", "nonnegative_combination", "parse_germ",
     "parse_system",
     "point", "resolve_germ", "solve", "tangent_plane_restriction",

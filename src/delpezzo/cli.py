@@ -26,8 +26,9 @@ from .lemma_verify import (alpha1_report, canonical_nodal_survivor,
                            lemma31_scan, lemma51_scan)
 from .plane_config import (ConfigParseError, GeometryError, eckardt_points,
                            is_eckardt_on_cubic, load_config, load_cubic,
-                           monomial_name, point, tangent_plane_restriction,
+                           point, tangent_plane_restriction,
                            validate)
+from .poly import monomial, to_text
 from .resolution import (BlowupBudgetSettingError, DepthExceededError,
                          resolve_germ)
 
@@ -183,20 +184,6 @@ def cmd_lct(germ_text, method, as_json):
 # eckardt
 
 
-def _ternary_str(terms):
-    parts = []
-    for expo in sorted(terms, reverse=True):
-        c = terms[expo]
-        name = monomial_name(expo, names=("s0", "s1", "s2"))
-        if c == 1:
-            parts.append(name)
-        elif c == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{c}*{name}")
-    return " + ".join(parts).replace("+ -", "- ")
-
-
 @cli.command("eckardt")
 @click.option("--config", "config_path", default=None, metavar="PATH",
               help="Six-point configuration file (blow-up model).")
@@ -238,11 +225,12 @@ def cmd_eckardt(config_path, cubic_path, point_text, as_json):
     except (GeometryError, ValueError, ZeroDivisionError) as exc:
         raise click.ClickException(str(exc))
     verdict = is_eckardt_on_cubic(f, p)
-    poly = _ternary_str(restricted)
+    section = to_text((monomial(e, ("s0", "s1", "s2")), c)
+                      for e, c in sorted(restricted.items(), reverse=True))
     lines = [f"cubic: {f}", f"point: {p}",
-             f"tangent plane section: {poly}",
+             f"tangent plane section: {section}",
              f"eckardt: {'true' if verdict else 'false'}"]
-    data = {"cubic": str(f), "point": str(p), "tangent_plane_section": poly,
+    data = {"cubic": str(f), "point": str(p), "tangent_plane_section": section,
             "eckardt": verdict}
     _emit(lines, data, as_json)
 

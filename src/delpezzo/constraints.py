@@ -12,6 +12,9 @@ integrality is checked post hoc on forced values of integer-flagged variables.
 The module also carries an exact Phase-I simplex used for "is this vector a
 non-negative combination of these generators" queries (effective-cone tests),
 where Fourier-Motzkin projection would blow up.
+
+`parse_system` reads systems from text with the shared parser of
+`delpezzo.poly` (degree cap 1); any error names its line.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
+
+from . import poly
 
 Q = Fraction
 
@@ -59,16 +64,8 @@ class LinearConstraint:
         return lhs == self.rhs
 
     def __str__(self):
-        if not self.coeffs:
-            lhs = "0"
-        else:
-            parts = []
-            for v in sorted(self.coeffs):
-                c = self.coeffs[v]
-                term = v if c == 1 else (f"-{v}" if c == -1 else f"{c}*{v}")
-                parts.append(term if not parts or term.startswith("-") else f"+ {term}")
-            lhs = " ".join(parts).replace("+ -", "- ")
-        return f"{lhs} {self.rel} {self.rhs}"
+        lhs = poly.to_text((v, self.coeffs[v]) for v in sorted(self.coeffs))
+        return f"{lhs or 0} {self.rel} {self.rhs}"
 
 
 def le(coeffs, rhs, tag=""):
@@ -237,13 +234,8 @@ def _pivot_apply(coeffs, const, var, pivot_coeffs, pivot_const, pivot_c):
     if not d:
         return coeffs, const
     f = d / pivot_c
-    out = {}
-    for v in set(coeffs) | set(pivot_coeffs):
-        if v == var:
-            continue
-        val = coeffs.get(v, Q(0)) - f * pivot_coeffs.get(v, Q(0))
-        if val != 0:
-            out[v] = val
+    # the coefficient of var cancels exactly, so add drops it
+    out = poly.add(coeffs, {v: -f * c for v, c in pivot_coeffs.items()})
     return out, const - f * pivot_const
 
 
@@ -272,13 +264,10 @@ def _eliminate(sys_: _Sys, var: str) -> Optional[_Sys]:
         else:
             rest.append((coeffs, strict, const))
     for (cu, su, bu, a), (cl, sl, bl, e) in itertools.product(uppers, lowers):
-        # a > 0, e < 0: multiply the upper row by -e and the lower by a
-        coeffs = {}
-        for v in set(cu) | set(cl):
-            val = -e * cu.get(v, Q(0)) + a * cl.get(v, Q(0))
-            if val != 0:
-                coeffs[v] = val
-        coeffs.pop(var, None)
+        # a > 0, e < 0: multiply the upper row by -e and the lower by a, so
+        # that var cancels exactly and add drops it
+        coeffs = poly.add({v: -e * c for v, c in cu.items()},
+                          {v: a * c for v, c in cl.items()})
         rest.append((coeffs, su or sl, -e * bu + a * bl))
     return _normalize((eqs, rest))
 
@@ -619,55 +608,23 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
 # e.g. `2*mu + nu <= 3*m`; `m` is substituted numerically at load time.
 
 _REL_RE = re.compile(r"(<=|>=|<|>|=)")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class SystemParseError(ValueError):
     pass
 
 
-def _parse_side(text: str, m: Optional[int]):
-    """Parse a linear expression into (coeffs, const)."""
-    coeffs: dict[str, Fraction] = {}
-    const = Q(0)
-    text = text.replace("-", "+-")
-    for raw in text.split("+"):
-        frag = raw.strip()
-        if not frag:
-            continue
-        sign = Q(1)
-        if frag.startswith("-"):
-            sign = Q(-1)
-            frag = frag[1:].strip()
-        value = Q(1)
-        name = None
-        for piece in frag.split("*"):
-            piece = piece.strip()
-            if not piece:
-                raise SystemParseError(f"empty factor in {raw!r}")
-            if re.fullmatch(r"\d+(/\d+)?", piece):
-                value *= Q(piece)
-            elif piece == "m":
-                if m is None:
-                    raise SystemParseError("m used but no value supplied")
-                value *= m
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", piece):
-                if name is not None:
-                    raise SystemParseError(f"two variables multiplied in {frag!r}")
-                name = piece
-            else:
-                raise SystemParseError(f"cannot parse factor {piece!r}")
-        if name is None:
-            const += sign * value
-        else:
-            coeffs[name] = coeffs.get(name, Q(0)) + sign * value
-    return coeffs, const
-
-
 def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
-    """Load a constraint system from the documented plain-text format."""
+    """Load a constraint system from the documented plain-text format.
+
+    Undeclared variables are declared in order of first appearance, which
+    fixes the elimination order of `solve`.  Every error names its line.
+    """
     variables: list[str] = []
     integer_vars: set[str] = set()
     pending: list[LinearConstraint] = []
+    constants = {} if m is None else {"m": m}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -684,12 +641,21 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
         if len(parts) != 3:
             raise SystemParseError(f"line {lineno}: expected one relation in {line!r}")
         lhs_text, rel, rhs_text = parts
-        lc, lk = _parse_side(lhs_text, m)
-        rc, rk = _parse_side(rhs_text, m)
-        coeffs = dict(lc)
-        for v, c in rc.items():
-            coeffs[v] = coeffs.get(v, Q(0)) - c
-        rhs = rk - lk
+        found = _NAME_RE.findall(line)
+        if m is None and "m" in found:
+            raise SystemParseError(f"line {lineno}: m used but no value supplied")
+        names = tuple(dict.fromkeys(n for n in found if n != "m"))
+        try:
+            left, right = (poly.parse(side, names, 1, constants)
+                           for side in (lhs_text, rhs_text))
+        except poly.PolyParseError as exc:
+            raise SystemParseError(f"line {lineno}: {exc}") from exc
+        diff = poly.add(left, {e: -c for e, c in right.items()})
+        # each exponent is a unit vector or zero; keep the variables in the
+        # order of first appearance, left side before right
+        linear = {e.index(1): c for e, c in diff.items() if any(e)}
+        coeffs = {names[i]: linear[i] for i in sorted(linear)}
+        rhs = -diff.get((0,) * len(names), Q(0))
         if rel in (">", ">="):
             coeffs = {v: -c for v, c in coeffs.items()}
             rhs = -rhs

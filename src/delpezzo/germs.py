@@ -1,9 +1,12 @@
 """Plane-curve germs at the origin with exact rational coefficients.
 
 A germ is a bivariate polynomial in (x, y) over Q with zero constant term,
-stored as an exponent dictionary.  Input syntax (shared with the command
-line): integer or rational coefficients, variables x and y, operators
-+ - * ^ and parentheses, e.g. ``y^2 - x^3`` or ``x*y*(x+y)``.
+stored as an exponent dictionary.  `parse_germ` reads the grammar of
+`delpezzo.poly.parse` over the names x and y (shared with the command line
+and with constraint files): integer literals, + - * ( ), `/` by a nonzero
+constant and `^` by a non-negative integer literal, e.g. ``y^2 - x^3``,
+``3/4*x*y`` or ``x*y*(x+y)``.  Germs of degree above MAX_GERM_DEGREE are
+refused before they are expanded.
 """
 
 from __future__ import annotations
@@ -12,14 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-import sympy
-from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
-                                        standard_transformations)
+from . import poly
 
 Q = Fraction
 
-_X, _Y = sympy.symbols("x y")
-_TRANSFORMS = standard_transformations + (convert_xor,)
+#: largest total degree the parser expands; every germ in the tests, demos
+#: and benchmark has degree at most 9
+MAX_GERM_DEGREE = 64
 
 
 class GermParseError(ValueError):
@@ -53,29 +55,6 @@ class CurveGerm:
     def from_dict(cls, d: Mapping[tuple[int, int], Union[int, Fraction]]) -> "CurveGerm":
         return cls(tuple((tuple(e), Q(c)) for e, c in d.items()))
 
-    @classmethod
-    def parse(cls, text: str) -> "CurveGerm":
-        try:
-            expr = parse_expr(text, local_dict={"x": _X, "y": _Y},
-                              transformations=_TRANSFORMS, evaluate=True)
-        except (SyntaxError, TypeError, sympy.SympifyError) as exc:
-            raise GermParseError(f"cannot parse {text!r}: {exc}") from exc
-        if expr.atoms(sympy.Float):
-            raise GermParseError("floating point literals are not allowed")
-        extra = expr.free_symbols - {_X, _Y}
-        if extra:
-            names = ", ".join(sorted(str(s) for s in extra))
-            raise GermParseError(f"only x and y are allowed; found {names}")
-        try:
-            poly = sympy.Poly(expr, _X, _Y, domain="QQ")
-        except sympy.PolynomialError as exc:
-            raise GermParseError(f"not a polynomial in x, y: {exc}") from exc
-        d = {e: Q(c.p, c.q) for e, c in zip(poly.monoms(), poly.coeffs())}
-        try:
-            return cls.from_dict(d)
-        except InvalidGermError as exc:
-            raise GermParseError(str(exc)) from exc
-
     # -- views -------------------------------------------------------------
 
     def terms(self) -> dict[tuple[int, int], Fraction]:
@@ -93,19 +72,13 @@ class CurveGerm:
         return max(i + j for (i, j), _ in self.coeffs)
 
     def evaluate(self, x0, y0) -> Fraction:
-        x0, y0 = Q(x0), Q(y0)
-        return sum((c * x0 ** i * y0 ** j for (i, j), c in self.coeffs), Q(0))
+        return poly.evaluate(self.terms(), (Q(x0), Q(y0)))
 
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other) -> "CurveGerm":
         if isinstance(other, CurveGerm):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), c1 in self.coeffs:
-                for (i2, j2), c2 in other.coeffs:
-                    key = (i1 + i2, j1 + j2)
-                    out[key] = out.get(key, Q(0)) + c1 * c2
-            return CurveGerm.from_dict(out)
+            return CurveGerm.from_dict(poly.mul(self.terms(), other.terms()))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -113,10 +86,7 @@ class CurveGerm:
     def __pow__(self, k: int) -> "CurveGerm":
         if not isinstance(k, int) or k < 1:
             raise ValueError("power must be a positive integer")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        return CurveGerm.from_dict(poly.power(self.terms(), k))
 
     def scale(self, c) -> "CurveGerm":
         c = Q(c)
@@ -129,58 +99,21 @@ class CurveGerm:
         a, b, c, d = Q(a), Q(b), Q(c), Q(d)
         if a * d - b * c == 0:
             raise ValueError("substitution matrix is singular")
-        xs = {(1, 0): a, (0, 1): b}
-        ys = {(1, 0): c, (0, 1): d}
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), coef in self.coeffs:
-            prod = {(0, 0): coef}
-            for base, e in ((xs, i), (ys, j)):
-                for _ in range(e):
-                    nxt: dict[tuple[int, int], Fraction] = {}
-                    for (p1, q1), c1 in prod.items():
-                        for (p2, q2), c2 in base.items():
-                            key = (p1 + p2, q1 + q2)
-                            nxt[key] = nxt.get(key, Q(0)) + c1 * c2
-                    prod = nxt
-            for key, val in prod.items():
-                out[key] = out.get(key, Q(0)) + val
-        return CurveGerm.from_dict(out)
-
-    # -- interop -----------------------------------------------------------
-
-    def to_sympy(self) -> sympy.Poly:
-        expr = sympy.Add(*(
-            sympy.Rational(c.numerator, c.denominator) * _X ** i * _Y ** j
-            for (i, j), c in self.coeffs))
-        return sympy.Poly(expr, _X, _Y, domain="QQ")
-
-    @classmethod
-    def from_sympy(cls, poly: sympy.Poly) -> "CurveGerm":
-        poly = sympy.Poly(poly, _X, _Y, domain="QQ")
-        return cls.from_dict(
-            {e: Q(c.p, c.q) for e, c in zip(poly.monoms(), poly.coeffs())})
+        return CurveGerm.from_dict(poly.substitute(
+            self.terms(), [{(1, 0): a, (0, 1): b}, {(1, 0): c, (0, 1): d}]))
 
     def __str__(self):
-        parts = []
-        for (i, j), c in sorted(self.coeffs,
-                                key=lambda t: (t[0][0] + t[0][1], -t[0][0])):
-            mono = "*".join(filter(None, (
-                "x" if i == 1 else f"x^{i}" if i else "",
-                "y" if j == 1 else f"y^{j}" if j else "")))
-            if not mono:
-                mono = "1"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return poly.to_text((poly.monomial(e, "xy"), c) for e, c in
+                            sorted(self.coeffs, key=lambda t: (sum(t[0]), -t[0][0])))
 
 
 def parse_germ(text: str) -> CurveGerm:
-    return CurveGerm.parse(text)
-
-
-def multiplicity(f: CurveGerm) -> int:
-    return f.multiplicity
+    """Parse a germ in x and y; GermParseError on any bad or over-budget text."""
+    try:
+        terms = poly.parse(text, ("x", "y"), MAX_GERM_DEGREE)
+    except poly.PolyParseError as exc:
+        raise GermParseError(f"cannot parse {text!r}: {exc}") from exc
+    try:
+        return CurveGerm.from_dict(terms)
+    except InvalidGermError as exc:
+        raise GermParseError(str(exc)) from exc

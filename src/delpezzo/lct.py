@@ -21,11 +21,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-import sympy
-from sympy import QQ, Poly
+from sympy import Poly
 
 from .germs import CurveGerm
-from .resolution import (Component, Resolution, ResolutionNode, resolve_germ)
+from .resolution import (Component, Resolution, ResolutionNode, _qq_poly,
+                         resolve_germ)
 
 __all__ = [
     "NewtonFace", "NewtonPolygon", "LctReport", "newton_polygon",
@@ -33,8 +33,6 @@ __all__ = [
     "MultBoundsVerdict", "check_mult_bounds", "Lemma52Verdict",
     "check_lemma52",
 ]
-
-_X, _Y = sympy.symbols("x y")
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,7 @@ def _face_poly(f: CurveGerm, face: NewtonFace) -> Poly:
              if face.normal[0] * i + face.normal[1] * j == face.level}
     i0 = min(i for i, _ in terms)
     j0 = min(j for _, j in terms)
-    stripped = {(i - i0, j - j0): QQ.convert(c) for (i, j), c in terms.items()}
-    return Poly.from_dict(stripped, _X, _Y, domain=QQ)
+    return _qq_poly({(i - i0, j - j0): c for (i, j), c in terms.items()})
 
 
 def newton_lct(f: CurveGerm) -> LctReport:
@@ -206,8 +203,8 @@ def check_mult_bounds(f: CurveGerm) -> MultBoundsVerdict:
     if value == Fraction(1, k):
         for comp in res.components:
             if comp.multiplicity == k and comp.mult_at_origin == 1:
-                h = comp.as_germ().to_sympy()
-                quot, rem = f.to_sympy().div(h ** k)
+                h = _qq_poly(dict(comp.coeffs))
+                quot, rem = _qq_poly(f.terms()).div(h ** k)
                 verified = rem.is_zero and quot.eval((0, 0)) != 0
                 equality = EqualityCase(str(comp.label),
                                         str(quot.as_expr()), verified)
@@ -236,15 +233,14 @@ def check_lemma52(k: int, h: CurveGerm) -> Lemma52Verdict:
     """Form f = x^(2k) y^k h and check c0(f) > 1/(3k) strictly.
 
     Preconditions: mult_0 h = k, and h divisible by neither coordinate
-    (checked by polynomial division).
+    (read off the support: a coordinate divides h when it divides every term).
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     if h.multiplicity != k:
         raise ValueError(f"mult_0 h = {h.multiplicity}, expected k = {k}")
-    hs = h.to_sympy()
-    for var in (_X, _Y):
-        if hs.rem(Poly(var, _X, _Y, domain=QQ)).is_zero:
+    for axis, var in enumerate("xy"):
+        if all(e[axis] for e in h.support()):
             raise ValueError(f"h divisible by coordinate {var}")
     f = CurveGerm.from_dict({(2 * k, k): 1}) * h
     value = blowup_lct(f).value

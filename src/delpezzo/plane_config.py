@@ -17,6 +17,7 @@ from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence, Union
 
+from . import poly
 from .lattice import SurfaceModel, enumerate_negative_curves, tritangent_triples
 
 Q = Fraction
@@ -341,29 +342,15 @@ def eckardt_points(config: SixPointConfig) -> list[EckardtRecord]:
 # ---------------------------------------------------------------------------
 # Explicit cubic forms in P^3.
 
-def _graded_lex_exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in _graded_lex_exponents(nvars - 1, degree - first):
-            out.append((first,) + rest)
-    return out
-
-
-CUBIC_MONOMIALS: tuple[tuple[int, int, int, int], ...] = tuple(
-    _graded_lex_exponents(4, 3))
+#: the exponents of (z0 + z1 + z2 + z3)^3 in graded-lex order
+CUBIC_MONOMIALS: tuple[tuple[int, int, int, int], ...] = tuple(sorted(
+    poly.power({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1}, 3),
+    reverse=True))
 assert len(CUBIC_MONOMIALS) == 20
 
 
 def monomial_name(expo: Sequence[int], names=("z0", "z1", "z2", "z3")) -> str:
-    parts = []
-    for n, e in zip(names, expo):
-        if e == 1:
-            parts.append(n)
-        elif e > 1:
-            parts.append(f"{n}^{e}")
-    return "*".join(parts) if parts else "1"
+    return poly.monomial(expo, names)
 
 
 @dataclass(frozen=True)
@@ -394,77 +381,14 @@ class CubicForm:
         return {e: c for e, c in zip(CUBIC_MONOMIALS, self.coeffs) if c}
 
     def evaluate(self, p: Sequence) -> Fraction:
-        vals = [Q(c) for c in p]
-        total = Q(0)
-        for expo, c in zip(CUBIC_MONOMIALS, self.coeffs):
-            if not c:
-                continue
-            term = c
-            for v, e in zip(vals, expo):
-                term *= v ** e
-            total += term
-        return total
+        return poly.evaluate(self.terms(), [Q(c) for c in p])
 
     def gradient(self, p: Sequence) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         vals = [Q(c) for c in p]
-        grad = [Q(0)] * 4
-        for expo, c in zip(CUBIC_MONOMIALS, self.coeffs):
-            if not c:
-                continue
-            for k in range(4):
-                if expo[k] == 0:
-                    continue
-                term = c * expo[k]
-                for idx, e in enumerate(expo):
-                    term *= vals[idx] ** (e - 1 if idx == k else e)
-                grad[k] += term
-        return tuple(grad)
+        return tuple(poly.evaluate(poly.diff(self.terms(), k), vals) for k in range(4))
 
     def __str__(self):
-        parts = []
-        for expo, c in zip(CUBIC_MONOMIALS, self.coeffs):
-            if not c:
-                continue
-            name = monomial_name(expo)
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        joined = " + ".join(parts)
-        return joined.replace("+ -", "- ")
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, Q(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _restrict_to_plane(f: CubicForm, basis: list[list[Fraction]]) -> dict:
-    """Ternary cubic f(s0*b0 + s1*b1 + s2*b2) as an exponent dict."""
-    # image of z_k is a linear form in s0, s1, s2
-    lin = []
-    for k in range(4):
-        form = {}
-        for s in range(3):
-            if basis[s][k]:
-                key = tuple(1 if t == s else 0 for t in range(3))
-                form[key] = basis[s][k]
-        lin.append(form)
-    result: dict = {}
-    for expo, c in f.terms().items():
-        prod = {(0, 0, 0): Q(1)}
-        for k, e in enumerate(expo):
-            for _ in range(e):
-                prod = _poly_mul(prod, lin[k])
-        for key, val in prod.items():
-            result[key] = result.get(key, Q(0)) + c * val
-    return {e: v for e, v in result.items() if v}
+        return poly.to_text((monomial_name(e), c) for e, c in self.terms().items())
 
 
 def tangent_plane_restriction(f: CubicForm, p: ProjPoint) -> dict:
@@ -495,7 +419,10 @@ def tangent_plane_restriction(f: CubicForm, p: ProjPoint) -> dict:
         vec[j] = -Q(grad[k], grad[j])
         basis.append(vec)
     assert len(basis) == 3
-    return _restrict_to_plane(f, basis)
+    # f(s0*b0 + s1*b1 + s2*b2): z_k becomes the form sum_s basis[s][k] * s_s
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return poly.substitute(f.terms(), [dict(zip(units, (b[k] for b in basis)))
+                                       for k in range(4)])
 
 
 def is_eckardt_on_cubic(f: CubicForm, p: ProjPoint) -> bool:

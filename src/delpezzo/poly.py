@@ -1,0 +1,197 @@
+"""Sparse polynomials over Q, and the one parser for polynomial text.
+
+A polynomial in n variables is a dict {exponent n-tuple: nonzero Fraction};
+the helpers never mutate their arguments.  `parse` reads the grammar
+
+    expr  := term (('+' | '-') term)*      term := unary (('*' | '/') unary)*
+    unary := ('+' | '-') unary | atom ['^' INTEGER]
+    atom  := INTEGER | NAME | '(' expr ')'
+
+where INTEGER is a run of ASCII digits, `/` divides by a nonzero constant
+only and `^` takes a non-negative integer literal only.  Nothing in the text
+is evaluated as code, and every product and power is checked against the
+caller's degree cap and MAX_COEFF_BITS before it is computed.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+from functools import reduce
+from math import prod
+from typing import Mapping, Optional, Sequence
+
+Poly = dict[tuple[int, ...], Fraction]
+
+#: bit-length cap on coefficients made by a product or power; without it a
+#: tower such as ((2^64)^64)^64 runs the interpreter out of memory
+MAX_COEFF_BITS = 4096
+
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|(\S))")
+
+
+class PolyParseError(ValueError):
+    """Text outside the grammar, or a product or power over budget."""
+
+
+def add(*polys: Poly) -> Poly:
+    out: Poly = {}
+    for p in polys:
+        for e, c in p.items():
+            out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+def mul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out[e] + ca * cb if e in out else ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def power(p: Poly, k: int) -> Poly:
+    """p^k for an integer k >= 1."""
+    return reduce(mul, [p] * k)
+
+
+def substitute(p: Poly, images: Sequence[Poly]) -> Poly:
+    """p with variable i replaced by the nonzero polynomial images[i].
+
+    Coefficients may come from any exact field whose zero is falsy.
+    """
+    zero = (0,) * len(next(iter(images[0])))
+    powers = [[None, image] for image in images]    # powers[i][e] = images[i]^e
+    terms = []
+    for expo, c in p.items():
+        term = {zero: c}
+        for i, e in enumerate(expo):
+            if e:
+                while len(powers[i]) <= e:
+                    powers[i].append(mul(powers[i][-1], images[i]))
+                term = mul(term, powers[i][e])
+        terms.append(term)
+    return add(*terms)
+
+
+def evaluate(p: Poly, point: Sequence[Fraction]) -> Fraction:
+    return sum((c * prod(v ** e for v, e in zip(point, expo))
+                for expo, c in p.items()), Fraction(0))
+
+
+def diff(p: Poly, k: int) -> Poly:
+    """The partial derivative of p by its k-th variable."""
+    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in p.items() if e[k]}
+
+
+def monomial(expo: Sequence[int], names: Sequence[str]) -> str:
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, expo) if e) or "1"
+
+
+def to_text(terms) -> str:
+    """(monomial, coefficient) pairs, in the order given, as text `parse` reads."""
+    return " + ".join(m if c == 1 else f"-{m}" if c == -1 else f"{c}*{m}"
+                      for m, c in terms).replace("+ -", "- ")
+
+
+def parse(text: str, names: Sequence[str], max_degree: int,
+          constants: Optional[Mapping[str, Fraction]] = None) -> Poly:
+    """Parse text into a polynomial in `names`, in that variable order.
+
+    A name in `constants` stands for its value.  Raises PolyParseError for
+    text outside the grammar, an unknown name, a division by zero or by a
+    non-constant, and a product or power over either budget.
+    """
+    tokens = []
+    for number, word, other in _TOKEN_RE.findall(text):
+        if other or word == "**":
+            raise PolyParseError(f"unexpected {other or word!r}"
+                                 + ("; write powers with '^'" if word else ""))
+        try:
+            tokens.append(int(number) if number else word)
+        except ValueError:           # over the interpreter's digit limit
+            raise PolyParseError("integer literal too long") from None
+    tokens = [None] + tokens[::-1]   # popped from the end; None marks the end
+    constants = constants or {}
+    zero = (0,) * len(names)
+    units = {name: tuple(int(j == i) for j in range(len(names)))
+             for i, name in enumerate(names)}
+
+    def take():
+        if tokens[-1] is None:
+            raise PolyParseError("unexpected end of input")
+        return tokens.pop()
+
+    def check(degree, bits):
+        if degree > max_degree:
+            raise PolyParseError(f"degree {degree} exceeds the cap of {max_degree}")
+        if bits > MAX_COEFF_BITS:
+            raise PolyParseError(f"coefficients exceed the cap of {MAX_COEFF_BITS} bits")
+
+    def expr():
+        parts = [term()]
+        while tokens[-1] in ("+", "-"):
+            parts.append(term())     # unary() reads the sign
+        return add(*parts)
+
+    def term():
+        p = unary()
+        while tokens[-1] in ("*", "/"):
+            op, q = take(), unary()
+            if op == "*":
+                check(_degree(p) + _degree(q), _bits(p) + _bits(q))
+                p = mul(p, q)
+            elif set(q) != {zero}:
+                raise PolyParseError("division by a non-constant" if q
+                                     else "division by zero")
+            else:
+                p = {e: c / q[zero] for e, c in p.items()}
+        return p
+
+    def unary():
+        if tokens[-1] in ("+", "-"):
+            sign, p = take(), unary()
+            return p if sign == "+" else {e: -c for e, c in p.items()}
+        p = atom()
+        if tokens[-1] != "^":
+            return p
+        take()
+        k = take()
+        if not isinstance(k, int):
+            raise PolyParseError(
+                f"exponent must be a non-negative integer literal, got {k!r}")
+        check(_degree(p) * k, max(_bits(p), 1) * k)
+        return power(p, k) if k else {zero: Fraction(1)}
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            p = expr()
+            if tokens.pop() != ")":
+                raise PolyParseError("missing ')'")
+            return p
+        if isinstance(tok, int) or tok in constants:
+            c = Fraction(constants.get(tok, tok))
+            return {zero: c} if c else {}
+        if tok in units:
+            return {units[tok]: Fraction(1)}
+        raise PolyParseError(f"unknown name {tok!r}" if tok[0].isalpha() or tok[0] == "_"
+                             else f"unexpected {tok!r}")
+
+    try:
+        p = expr()
+    except RecursionError:
+        raise PolyParseError("expression nested too deeply") from None
+    if tokens[-1] is not None:
+        raise PolyParseError(f"unexpected {tokens[-1]!r}")
+    return p
+
+
+def _degree(p: Poly) -> int:
+    return max((sum(e) for e in p), default=0)
+
+
+def _bits(p: Poly) -> int:
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in p.values()), default=0)

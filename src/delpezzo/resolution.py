@@ -50,12 +50,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Optional
 
 import sympy
 from sympy import QQ, CRootOf, Poly
 
+from . import poly
 from .germs import CurveGerm
 
 _X, _Y = sympy.symbols("x y")
@@ -134,11 +134,6 @@ class Component:
     def through_origin(self) -> bool:
         return self.mult_at_origin > 0
 
-    def as_germ(self) -> CurveGerm:
-        if not self.through_origin:
-            raise ValueError(f"component {self.label} does not pass through 0")
-        return CurveGerm(self.coeffs)
-
     def __str__(self):
         return f"component {self.label} with multiplicity {self.multiplicity}"
 
@@ -167,18 +162,8 @@ def _chart_b(g: dict, m: int) -> dict:
 
 
 def _translate_y(g: dict, K, v0) -> dict:
-    """g(x, y + v0) by binomial expansion in the domain K."""
-    out: dict = {}
-    powers = [K.one]
-    top = max(j for _, j in g)
-    for _ in range(top):
-        powers.append(powers[-1] * v0)
-    for (i, j), c in g.items():
-        for jj in range(j + 1):
-            key = (i, jj)
-            val = out.get(key, K.zero) + c * K.convert(comb(j, jj)) * powers[j - jj]
-            out[key] = val
-    return {e: c for e, c in out.items() if c != K.zero}
+    """g(x, y + v0) in the domain K."""
+    return poly.substitute(g, [{(1, 0): K.one}, {(0, 1): K.one, (0, 0): v0}])
 
 
 def _restrict_to_x0(g: dict, K) -> Poly:
@@ -338,19 +323,25 @@ class _Engine:
             return
 
 
+def _qq_poly(terms: dict) -> Poly:
+    """An exponent dict over Fraction as a sympy Poly in x, y over QQ."""
+    return Poly.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()},
+                          _X, _Y, domain=QQ)
+
+
 def _components_of(f: CurveGerm) -> tuple[tuple[Component, ...], dict]:
     """The rational factors of f, and their product over QQ (f reduced)."""
-    _c, factors = f.to_sympy().factor_list()
+    _c, factors = _qq_poly(f.terms()).factor_list()
     out = []
     reduced = Poly(1, _X, _Y, domain=QQ)
-    for poly, mult in factors:
-        terms = poly.rep.to_dict()
+    for factor, mult in factors:
+        terms = factor.rep.to_dict()
         coeffs = tuple((e, Fraction(c.numerator, c.denominator))
                        for e, c in terms.items())
         through = (0, 0) not in terms
         mult0 = min(i + j for i, j in terms) if through else 0
-        out.append(Component(str(poly.as_expr()), coeffs, mult, mult0))
-        reduced *= poly
+        out.append(Component(str(factor.as_expr()), coeffs, mult, mult0))
+        reduced *= factor
     return tuple(out), reduced.rep.to_dict()
 
 

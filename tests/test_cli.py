@@ -1,6 +1,7 @@
 """Command line surface: output formats, exit codes, JSON determinism."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -116,6 +117,24 @@ def test_lct_parse_error(runner):
     result = invoke(runner, "lct", "x+")
     assert result.exit_code == 1
     assert "cannot parse" in result.output
+
+
+def test_lct_input_is_never_run_as_code(runner):
+    result = invoke(runner, "lct",
+                    "__import__('sys').stdout.write('INJECTED\\n') and x")
+    assert result.exit_code == 1
+    assert "cannot parse" in result.output
+    # the error message quotes the input; the payload itself never prints
+    assert "INJECTED" not in result.output.splitlines()
+
+
+@pytest.mark.parametrize("germ", ["(x+y)^3000", "x^2000*y + y^3000"])
+def test_lct_degree_cap_fails_fast(runner, germ):
+    start = time.perf_counter()
+    result = invoke(runner, "lct", germ)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert "exceeds the cap of 64" in result.output
 
 
 def test_lct_depth_budget_exit_code(runner, monkeypatch):

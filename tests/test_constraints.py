@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from delpezzo.constraints import (ConstraintSystem, SystemParseError,
+from delpezzo.constraints import (NODAL_SUBCASES, ConstraintSystem,
+                                  SystemParseError,
                                   encode_case2, encode_case3, encode_nodal,
                                   eq, ge, gt, le, lt, nonnegative_combination,
                                   parse_system, solve)
@@ -310,5 +311,45 @@ def test_parse_system_rejects_bad_syntax():
         parse_system("var x\nx*y <= 1\n")
     with pytest.raises(SystemParseError):
         parse_system("var x\n0.5*x <= 1\n")
-    with pytest.raises(SystemParseError):
-        parse_system("x <= m\n")  # m used but no value supplied
+    with pytest.raises(SystemParseError, match="line 1: m used"):
+        parse_system("x <= m\n")
+
+
+@pytest.mark.parametrize("bad", ["x**2", "x^y", "x/y", "x/0", "x^-1", "0.5*x",
+                                 "x*x", "x*(y + 1)"])
+def test_parse_system_rejects_text_outside_the_grammar(bad):
+    with pytest.raises(SystemParseError, match="^line 3: "):
+        parse_system(f"var x\nvar y\n{bad} <= 1\n", m=2)
+
+
+def test_parse_system_reads_the_shared_grammar():
+    system = parse_system("2*(x + y) - x/2 <= m^2 - (1 + 1)\n", m=3)
+    [con] = system.constraints
+    assert con.coeffs == {"x": Q(3, 2), "y": 2} and con.rhs == 7
+
+
+def test_parse_system_orders_variables_by_first_appearance():
+    # left side before right; a variable whose coefficient cancels is skipped
+    system = parse_system("0*z + b - b + a <= c\nd >= a\n")
+    assert system.variables == ["a", "c", "d"]
+    assert list(system.constraints[1].coeffs) == ["d", "a"]
+
+
+def _encodings():
+    for m in (4, 6, 7):
+        for blowup in (True, False):
+            yield encode_case2(m, blowup)
+            yield encode_case3(m, blowup)
+        for subcase in (None,) + NODAL_SUBCASES:
+            yield encode_nodal(m, subcase)
+
+
+@pytest.mark.parametrize("system", list(_encodings()))
+def test_encodings_survive_a_text_round_trip(system):
+    text = "".join(f"int {v}\n" for v in system.variables)
+    text += "".join(f"{con}\n" for con in system.constraints)
+    parsed = parse_system(text)
+    assert parsed.variables == system.variables
+    assert parsed.integer_vars == system.integer_vars
+    assert [(c.coeffs, c.rel, c.rhs) for c in parsed.constraints] == \
+        [(c.coeffs, c.rel, c.rhs) for c in system.constraints]

@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import assume, given, strategies as st
+from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
+                                        standard_transformations)
 
-from delpezzo.germs import (CurveGerm, GermParseError, InvalidGermError,
-                            multiplicity, parse_germ)
+from delpezzo.germs import (MAX_GERM_DEGREE, CurveGerm, GermParseError,
+                            InvalidGermError, parse_germ)
+from delpezzo.resolution import _qq_poly
 
 exponents = st.tuples(st.integers(min_value=0, max_value=6),
                       st.integers(min_value=0, max_value=6)).filter(
@@ -37,6 +41,22 @@ def test_parse_rejects_garbage():
             parse_germ(bad)
 
 
+@pytest.mark.parametrize("bad", ["x**2", "x^y", "x/y", "x/0", "x^-1", "0.5*x",
+                                 "x^2^3", "x^(2)", "sqrt(4)*x", "x.diff(x)*y"])
+def test_parse_rejects_text_outside_the_grammar(bad):
+    with pytest.raises(GermParseError, match="cannot parse"):
+        parse_germ(bad)
+
+
+def test_parse_caps_the_degree():
+    assert parse_germ(f"x^{MAX_GERM_DEGREE}").degree() == MAX_GERM_DEGREE
+    assert parse_germ(f"(x + y)^{MAX_GERM_DEGREE}").multiplicity == MAX_GERM_DEGREE
+    for bad in (f"x^{MAX_GERM_DEGREE + 1}", f"x^32*y^{MAX_GERM_DEGREE - 31}",
+                "(x^8)^9", "(x + y)^3000"):
+        with pytest.raises(GermParseError, match=f"cap of {MAX_GERM_DEGREE}"):
+            parse_germ(bad)
+
+
 def test_parse_rejects_non_germs():
     with pytest.raises(GermParseError):
         parse_germ("1 + x")        # does not vanish at the origin
@@ -56,8 +76,8 @@ def test_from_dict_rejects_non_germs():
 
 
 def test_multiplicity_and_degree():
-    assert multiplicity(parse_germ("x^2*y^3")) == 5
-    assert multiplicity(parse_germ("x + y^4")) == 1
+    assert parse_germ("x^2*y^3").multiplicity == 5
+    assert parse_germ("x + y^4").multiplicity == 1
     assert parse_germ("x + y^4").degree() == 4
 
 
@@ -103,9 +123,53 @@ def test_str_parse_round_trip(f):
     assert parse_germ(str(f)) == f
 
 
+# Random text in the germ grammar, paired with a bound on the degree of every
+# product and power the parser meets while reading it.
+_leaves = st.one_of(st.sampled_from([("x", 1), ("y", 1)]),
+                    st.integers(0, 12).map(lambda n: (str(n), 0)))
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-"]), inner).map(
+            lambda t: (f"{t[0][0]} {t[1]} {t[2][0]}", max(t[0][1], t[2][1]))),
+        st.tuples(inner, inner).map(
+            lambda t: (f"{t[0][0]}*{t[1][0]}", t[0][1] + t[1][1])),
+        st.tuples(inner, st.integers(1, 9)).map(
+            lambda t: (f"{t[0][0]}/{t[1]}", t[0][1])),
+        st.tuples(inner, st.integers(0, 3)).map(
+            lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] * t[1])),
+        inner.map(lambda t: (f"-({t[0]})", t[1])),
+    )
+
+
+grammar_texts = st.recursive(_leaves, _extend, max_leaves=8)
+
+
+def _sympy_terms(text):
+    """Test-only oracle: sympy reads the same text as Python with ^ as **."""
+    x, y = sympy.symbols("x y")
+    expr = parse_expr(text, local_dict={"x": x, "y": y},
+                      transformations=standard_transformations + (convert_xor,))
+    poly = sympy.Poly(expr, x, y, domain="QQ")
+    return {e: Fraction(c.p, c.q) for e, c in zip(poly.monoms(), poly.coeffs()) if c}
+
+
+@given(grammar_texts)
+def test_parse_agrees_with_sympy_on_the_grammar(text_and_bound):
+    text, bound = text_and_bound
+    assume(bound <= 30)
+    expected = _sympy_terms(text)
+    if expected and (0, 0) not in expected:
+        assert parse_germ(text).terms() == expected
+    else:
+        with pytest.raises(GermParseError):
+            parse_germ(text)
+
+
 @given(germs)
 def test_sympy_round_trip(f):
-    assert CurveGerm.from_sympy(f.to_sympy()) == f
+    assert _qq_poly(f.terms()).as_dict() == f.terms()
 
 
 @given(germs, germs)

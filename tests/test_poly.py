@@ -1,0 +1,70 @@
+"""The shared polynomial core: helpers, budgets, and no code evaluation."""
+
+import pathlib
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+import delpezzo
+from delpezzo import poly
+
+SRC = pathlib.Path(delpezzo.__file__).parent
+
+exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
+polys = st.dictionaries(exponents, st.fractions(-5, 5).filter(bool), max_size=5)
+
+
+def test_no_source_file_evaluates_text():
+    # a method such as Poly.eval is fine; a builtin eval( or exec( call is not
+    pattern = re.compile(r"parse_expr|sympify|(?<![\w.])(eval|exec)\s*\(")
+    offenders = [path.name for path in sorted(SRC.glob("*.py"))
+                 if pattern.search(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
+@given(polys, st.integers(1, 5))
+def test_power_is_repeated_product(p, k):
+    expected = p
+    for _ in range(k - 1):
+        expected = poly.mul(expected, p)
+    assert poly.power(p, k) == expected
+
+
+@given(polys, polys)
+def test_substitute_matches_products_of_images(p, q):
+    # p(x + y, 2*x), checked against the same expansion by mul and add
+    images = [{(1, 0): Fraction(1), (0, 1): Fraction(1)}, {(1, 0): Fraction(2)}]
+    one = {(0, 0): Fraction(1)}
+    expected = poly.add(*(
+        poly.mul({(0, 0): c}, poly.mul(poly.power(images[0], i) if i else one,
+                                       poly.power(images[1], j) if j else one))
+        for (i, j), c in p.items()))
+    assert poly.substitute(p, images) == expected
+    assert poly.substitute(poly.add(p, q), images) == \
+        poly.add(poly.substitute(p, images), poly.substitute(q, images))
+
+
+def test_parse_honours_names_constants_and_precedence():
+    assert poly.parse("-x^2 + 2*-y/4 - (1)", ("x", "y"), 2) == {
+        (2, 0): -1, (0, 1): Fraction(-1, 2), (0, 0): -1}
+    assert poly.parse("k*a - a", ("a",), 1, {"k": 3}) == {(1,): 2}
+    assert poly.parse("0^0 + x - x", ("x",), 1) == {(0,): 1}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("((((2^64)^64)^64)^64)*x", "cap of 4096 bits"),
+    ("(" * 1000 + "x" + ")" * 1000, "nested too deeply"),
+    ("9" * 5000 + "*x", "too long"),
+    ("x y", "unexpected 'y'"),
+    ("(x", "missing ')'"),
+    ("x +", "end of input"),
+    ("x²", "unexpected '²'"),
+    ("x**2", "write powers with '^'"),
+    ("0^5000", "cap of 4096 bits"),
+    ("x + z", "unknown name 'z'"),
+])
+def test_parse_refuses_with_one_error_type(text, message):
+    with pytest.raises(poly.PolyParseError, match=re.escape(message)):
+        poly.parse(text, ("x", "y"), 64)
