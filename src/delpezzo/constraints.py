@@ -1,17 +1,26 @@
-"""Exact rational linear constraints and Fourier-Motzkin elimination.
+"""Exact rational linear algebra: Fourier-Motzkin elimination and pivoting.
 
 A constraint is  sum(coeff * var) REL constant  with REL one of <=, <, =.
-Internally everything is reduced to <=/< rows (equalities are split), and a
-variable is eliminated by combining every upper row with every lower row;
+A variable that appears in an equality is eliminated by pivoting on that
+equality; otherwise every upper row is combined with every lower row, and
 strictness propagates through combinations (strict + anything = strict).
-Per-variable bounds are read off the fully projected one-variable systems,
-with attainment flags so that a supremum can be told apart from a maximum.
-Forced values are variables whose attained lower and upper bounds coincide;
-integrality is checked post hoc on forced values of integer-flagged variables.
 
-The module also carries an exact Phase-I simplex used for "is this vector a
-non-negative combination of these generators" queries (effective-cone tests),
-where Fourier-Motzkin projection would blow up.
+`solve` eliminates the variables once, in declaration order, keeping the
+chain of systems: chain[k] has the first k variables eliminated, and the
+system is feasible iff chain[n] is.  The bounds of the k-th variable are read
+off chain[k] with the later variables projected away, with attainment flags
+so that a supremum can be told apart from a maximum.  The order matters: FM
+row growth depends on it, and every variable sees the same elimination
+sequence whatever else is asked.  Forced values are variables whose attained
+lower and upper bounds coincide; integrality is checked post hoc on forced
+values of integer-flagged variables.  The witness fixes one variable at a
+time in the same order; fixing var = value is the elimination of var by the
+equality var = value, which the pivot rule picks first.
+
+The dense section holds the one Gauss-Jordan pivot (`_pivot`), the right
+kernel built on it (conics through points) and the exact Phase-I simplex for
+"is this vector a non-negative combination of these generators" queries
+(effective-cone tests), where Fourier-Motzkin projection would blow up.
 
 `parse_system` reads systems from text with the shared parser of
 `delpezzo.poly` (degree cap 1); any error names its line.
@@ -20,10 +29,11 @@ where Fourier-Motzkin projection would blow up.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import poly
 
@@ -135,9 +145,6 @@ class SolveReport:
     def integrality_contradiction(self) -> bool:
         return any(not ok for ok in self.integrality.values())
 
-    def forced_value(self, var: str) -> Fraction:
-        return self.forced[var]
-
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin internals.  A system is a pair (eqs, ineqs):
@@ -164,9 +171,8 @@ def _rows_of(system: ConstraintSystem) -> _Sys:
 
 
 def _primitive_scale(coeffs: dict[str, Fraction]) -> Fraction:
-    denoms = [c.denominator for c in coeffs.values()]
-    nums = [c.numerator for c in coeffs.values()]
-    return Q(_lcm_list(denoms), _gcd_list(nums))
+    return Q(math.lcm(*(c.denominator for c in coeffs.values())),
+             math.gcd(*(c.numerator for c in coeffs.values())))
 
 
 def _normalize(sys_: _Sys) -> Optional[_Sys]:
@@ -210,22 +216,6 @@ def _stronger(new: tuple[bool, Fraction], old: tuple[bool, Fraction]) -> bool:
     if new[1] != old[1]:
         return new[1] < old[1]
     return new[0] and not old[0]
-
-
-def _gcd_list(xs):
-    from math import gcd
-    g = 0
-    for x in xs:
-        g = gcd(g, abs(x))
-    return g or 1
-
-
-def _lcm_list(xs):
-    from math import gcd
-    l = 1
-    for x in xs:
-        l = l * x // gcd(l, x)
-    return l
 
 
 def _pivot_apply(coeffs, const, var, pivot_coeffs, pivot_const, pivot_c):
@@ -316,27 +306,6 @@ def _bounds_from_univariate(sys_: _Sys, var: str) -> Optional[VarBounds]:
                      upper, upper is not None and upper_att)
 
 
-def _substitute(sys_: _Sys, var: str, value: Fraction) -> _Sys:
-    eqs, ineqs = sys_
-    new_eqs = []
-    for coeffs, const in eqs:
-        c = coeffs.get(var)
-        if c is None:
-            new_eqs.append((coeffs, const))
-        else:
-            new_eqs.append(({v: cc for v, cc in coeffs.items() if v != var},
-                            const - c * value))
-    new_ineqs = []
-    for coeffs, strict, const in ineqs:
-        c = coeffs.get(var)
-        if c is None:
-            new_ineqs.append((coeffs, strict, const))
-        else:
-            new_ineqs.append(({v: cc for v, cc in coeffs.items() if v != var},
-                              strict, const - c * value))
-    return new_eqs, new_ineqs
-
-
 def _pick(bounds: VarBounds) -> Fraction:
     lo, hi = bounds.lower, bounds.upper
     if lo is not None and hi is not None:
@@ -354,17 +323,16 @@ def _pick(bounds: VarBounds) -> Fraction:
 
 def solve(system: ConstraintSystem) -> SolveReport:
     """Exact feasibility, per-variable bounds, forced values, integrality."""
-    base = _rows_of(system)
     order = list(system.variables)
-
-    feasible = _project(base, order) is not None
-    if not feasible:
+    chain = [_normalize(_rows_of(system))]
+    for var in order:
+        chain.append(None if chain[-1] is None else _eliminate(chain[-1], var))
+    if chain[-1] is None:
         return SolveReport(False, {}, {}, {}, None)
 
     bounds: dict[str, VarBounds] = {}
-    for var in order:
-        others = [v for v in order if v != var]
-        projected = _project(base, others)
+    for k, var in enumerate(order):
+        projected = _project(chain[k], order[k + 1:])
         assert projected is not None, "projection of a feasible system is feasible"
         vb = _bounds_from_univariate(projected, var)
         assert vb is not None
@@ -377,32 +345,64 @@ def solve(system: ConstraintSystem) -> SolveReport:
         and vb.lower_attained and vb.upper_attained
     }
 
-    # rational witness by successive substitution
+    # rational witness: fix each variable in turn by pivoting on var = value
     witness: dict[str, Fraction] = {}
-    rows = _normalize(base)
-    for var in order:
-        others = [v for v in order if v not in witness and v != var]
-        projected = _project(rows, others)
+    rows = chain[0]
+    for k, var in enumerate(order):
+        projected = _project(rows, order[k + 1:])
         assert projected is not None
         vb = _bounds_from_univariate(projected, var)
         assert vb is not None
         value = forced.get(var, _pick(vb))
         witness[var] = value
-        rows = _normalize(_substitute(rows, var, value))
+        rows = _eliminate(([({var: Q(1)}, value)] + rows[0], rows[1]), var)
         assert rows is not None
     for con in system.constraints:
         assert con.evaluate(witness), f"witness violates {con}"
 
     integrality = {
         v: forced[v].denominator == 1
-        for v in system.integer_vars
-        if v in forced
+        for v in order
+        if v in system.integer_vars and v in forced
     }
     return SolveReport(True, bounds, forced, integrality, witness)
 
 
 # ---------------------------------------------------------------------------
-# Exact Phase-I simplex: is target a non-negative combination of generators?
+# Dense exact linear algebra over Fraction rows.
+
+def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
+    """Gauss-Jordan step in place: a 1 at rows[r][col], zeros elsewhere in col."""
+    rows[r] = [x / rows[r][col] for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f != 0:
+            rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+
+
+def _kernel(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of a small exact matrix."""
+    mat = [list(map(Q, row)) for row in rows]
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        _pivot(mat, r, col)
+        pivots.append(col)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [Q(0)] * width
+        vec[free] = Q(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -mat[i][free]
+        basis.append(vec)
+    return basis
+
 
 def nonnegative_combination(
     generators: Sequence[Sequence], target: Sequence
@@ -424,15 +424,12 @@ def nonnegative_combination(
     tab = [row[:] + [Q(1) if i == r else Q(0) for i in range(m)] + [b[r]]
            for r, row in enumerate(a)]
     basis = [n + r for r in range(m)]
-    # objective: minimize sum of artificials = sum of rows (since basis is artificial)
-    cost = [Q(0)] * (n + m + 1)
-    for r in range(m):
-        for cidx in range(n + m + 1):
-            cost[cidx] += tab[r][cidx]
-
     total = n + m
+    # last row: the objective, minimize the sum of the artificials; with an
+    # artificial basis it is the column sums, cleared by each pivot
+    tab.append([sum((row[j] for row in tab), Q(0)) for j in range(total + 1)])
     while True:
-        enter = next((j for j in range(total) if cost[j] > 0), None)
+        enter = next((j for j in range(total) if tab[m][j] > 0), None)
         if enter is None:
             break
         ratios = [(tab[r][total] / tab[r][enter], r)
@@ -440,18 +437,10 @@ def nonnegative_combination(
         if not ratios:
             break  # unbounded cannot happen in phase I; defensive
         _, piv = min(ratios, key=lambda p: (p[0], basis[p[1]]))
-        pivval = tab[piv][enter]
-        tab[piv] = [x / pivval for x in tab[piv]]
-        for r in range(m):
-            if r != piv and tab[r][enter] != 0:
-                f = tab[r][enter]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[piv])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[piv])]
+        _pivot(tab, piv, enter)
         basis[piv] = enter
 
-    if cost[total] != 0:
+    if tab[m][total] != 0:
         return None
     lam = [Q(0)] * n
     for r, bv in enumerate(basis):

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+
+from .constraints import nonnegative_combination
 
 
 class SurfaceModel(Enum):
@@ -105,6 +106,8 @@ def anticanonical() -> DivisorClass:
     return MINUS_K
 
 
+# The 27 lines: exactly the classes with D^2 = -1 and D.(-K) = 1 (the test
+# suite checks this table against a brute-force enumeration of the lattice).
 _SMOOTH_LABELS: list[tuple[str, DivisorClass]] = (
     [(f"E{i}", E(i)) for i in range(1, 7)]
     + [(f"L{i}{j}", L(i, j)) for i, j in itertools.combinations(range(1, 7), 2)]
@@ -121,22 +124,6 @@ _NODAL_LABELS: list[str] = (
 )
 
 
-@lru_cache(maxsize=None)
-def _smooth_curves() -> tuple[tuple[str, DivisorClass], ...]:
-    # Brute-force the lattice equations D^2 = -1, D.(-K) = 1.  Writing
-    # D = (a; b), Cauchy-Schwarz on sum(b) = 3a - 1, sum(b^2) = a^2 + 1
-    # gives (3a-1)^2 <= 6(a^2+1), so a in {0, 1, 2} and |b_i| <= 2.
-    found = set()
-    for a in range(0, 3):
-        for b in itertools.product(range(-2, 3), repeat=6):
-            d = DivisorClass(a, b)
-            if d.square() == -1 and d.degree() == 1:
-                found.add(d)
-    labeled = {cls: lab for lab, cls in _SMOOTH_LABELS}
-    assert found == set(labeled), "27-line enumeration must match the label scheme"
-    return tuple(_SMOOTH_LABELS)
-
-
 def enumerate_negative_curves(model: SurfaceModel) -> dict[str, DivisorClass]:
     """Labeled negative curves: the 27 lines (Smooth) or 21 lines plus C (Nodal).
 
@@ -144,7 +131,7 @@ def enumerate_negative_curves(model: SurfaceModel) -> dict[str, DivisorClass]:
     (L12, L13, L23, F4, F5, F6) contain C and decompose as C plus a (-1)-class,
     so they are not irreducible on the resolution.
     """
-    smooth = dict(_smooth_curves())
+    smooth = dict(_SMOOTH_LABELS)
     if model is SurfaceModel.SMOOTH:
         return smooth
     nodal = {lab: smooth[lab] for lab in _NODAL_LABELS}
@@ -191,7 +178,7 @@ def is_ample(d: DivisorClass) -> bool:
     """Nakai-Moishezon on the smooth cubic: d^2 > 0 and d.L > 0 for all 27 lines."""
     if d.square() <= 0:
         return False
-    return all(d.intersect(line) > 0 for _, line in _smooth_curves())
+    return all(d.intersect(line) > 0 for _, line in _SMOOTH_LABELS)
 
 
 def is_effective(d: DivisorClass, model: SurfaceModel = SurfaceModel.SMOOTH) -> bool:
@@ -200,7 +187,5 @@ def is_effective(d: DivisorClass, model: SurfaceModel = SurfaceModel.SMOOTH) -> 
     Exact rational LP feasibility: is d a non-negative combination of the 27
     lines (Smooth), or of the 21 lines plus C (Nodal)?
     """
-    from .constraints import nonnegative_combination
-
     generators = [c.coords() for c in enumerate_negative_curves(model).values()]
     return nonnegative_combination(generators, d.coords()) is not None

@@ -14,10 +14,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from . import poly
+from .constraints import _kernel
 from .lattice import SurfaceModel, enumerate_negative_curves, tritangent_triples
 
 Q = Fraction
@@ -46,10 +47,6 @@ class NotOnSurfaceError(GeometryError):
 
 class SingularPointError(GeometryError):
     pass
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -81,13 +78,9 @@ class ProjPoint:
 def _primitive(coords) -> tuple[int, ...]:
     """Scale a rational vector to primitive integers, first nonzero > 0."""
     fracs = [Q(c) for c in coords]
-    denom = 1
-    for f in fracs:
-        denom = _lcm(denom, f.denominator)
+    denom = lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v)
     if lead < 0:
@@ -145,35 +138,6 @@ def conic_polar(conic: Sequence[int], u: ProjPoint, v: ProjPoint) -> int:
             + 2 * f * u[2] * v[2])
 
 
-def _kernel(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of a small exact matrix."""
-    mat = [list(map(Q, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        mat[r] = [x / mat[r][col] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        vec = [Q(0)] * width
-        vec[free] = Q(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -mat[i][free]
-        basis.append(vec)
-    return basis
-
-
 def conic_through(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
                   p4: ProjPoint, p5: ProjPoint) -> tuple[int, ...]:
     """The unique conic through five points, as a primitive 6-vector.
@@ -182,7 +146,7 @@ def conic_through(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
     conditions (duplicate point or four on a line), with a witness.
     """
     pts = [p1, p2, p3, p4, p5]
-    basis = _kernel([[Q(v) for v in _conic_row(p)] for p in pts], 6)
+    basis = _kernel([_conic_row(p) for p in pts], 6)
     if len(basis) != 1:
         for i, j in combinations(range(5), 2):
             if pts[i] == pts[j]:
@@ -263,8 +227,7 @@ def validate(config: SixPointConfig) -> ValidationReport:
         elif not is_col and labels in expected:
             violations.append(Violation("not-collinear", labels))
     # all six on one conic iff the 6x6 coefficient matrix is singular
-    rows = [[Q(v) for v in _conic_row(p)] for p in pts]
-    if _kernel(rows, 6):
+    if _kernel([_conic_row(p) for p in pts], 6):
         violations.append(Violation("conconic", (1, 2, 3, 4, 5, 6)))
     return ValidationReport(config.mode, tuple(violations))
 

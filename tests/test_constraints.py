@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from delpezzo import constraints
 from delpezzo.constraints import (NODAL_SUBCASES, ConstraintSystem,
                                   SystemParseError,
                                   encode_case2, encode_case3, encode_nodal,
@@ -153,6 +154,30 @@ def test_encode_nodal_rejects_unknown_subcase():
         encode_nodal(6, "q_somewhere")
 
 
+@pytest.mark.parametrize("system, order", [
+    (encode_case2(4), ["mu", "d", "mult_s", "mult_omega", "mult_q"]),
+    (encode_case3(5), ["mu", "nu", "d", "e1", "e2", "e3", "mult_s", "mult_q"]),
+    (encode_nodal(5, "q_on_c"), ["mu", "nu", "mult_s", "mult_omega",
+                                 "c_omega", "l_omega", "d_omega"]),
+], ids=["case2", "case3", "nodal"])
+def test_integrality_follows_declaration_order(system, order):
+    assert list(solve(system).integrality) == order
+
+
+def test_solve_eliminates_along_one_chain(monkeypatch):
+    # n(n+1) eliminations for n variables: n along the chain, n(n-1)/2 to
+    # project the later variables away for the bounds, and n(n-1)/2 + n for
+    # the witness, each fixed value being one more elimination
+    calls = []
+    inner = constraints._eliminate
+    monkeypatch.setattr(constraints, "_eliminate",
+                        lambda sys_, var: calls.append(var) or inner(sys_, var))
+    system = encode_nodal(4, "q_on_c")
+    assert solve(system).feasible
+    assert len(system.variables) == 8
+    assert len(calls) == 72
+
+
 # -- random-grid oracle ----------------------------------------------------------
 
 BOX = 2
@@ -266,6 +291,15 @@ def test_nonnegative_combination_outside_cone():
 def test_nonnegative_combination_zero_target():
     lam = nonnegative_combination([(2, 3), (5, -1)], (0, 0))
     assert lam == [0, 0]
+
+
+def test_kernel_spans_the_null_space():
+    rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]]
+    basis = constraints._kernel(rows, 4)
+    assert basis == [[-1, -1, 1, 0], [-4, 0, 0, 1]]
+    for vec in basis:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    assert constraints._kernel([[1, 0], [0, 3]], 2) == []
 
 
 # -- parser ----------------------------------------------------------------------

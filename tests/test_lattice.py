@@ -77,6 +77,20 @@ def test_smooth_has_27_lines():
         assert cls.degree() == 1
 
 
+def test_label_table_is_the_lattice_enumeration():
+    # Brute-force the lattice equations D^2 = -1, D.(-K) = 1.  Writing
+    # D = (a; b), Cauchy-Schwarz on sum(b) = 3a - 1, sum(b^2) = a^2 + 1
+    # gives (3a-1)^2 <= 6(a^2+1), so a in {0, 1, 2} and |b_i| <= 2.
+    found = set()
+    for a in range(0, 3):
+        for b in itertools.product(range(-2, 3), repeat=6):
+            d = DivisorClass(a, b)
+            if d.square() == -1 and d.degree() == 1:
+                found.add(d)
+    assert len(found) == 27
+    assert found == set(SMOOTH.values())
+
+
 def test_each_line_meets_ten_others():
     graph = incidence_graph(SMOOTH)
     for lab in SMOOTH:
