@@ -18,9 +18,11 @@ time in the same order; fixing var = value is the elimination of var by the
 equality var = value, which the pivot rule picks first.
 
 The dense section holds the one Gauss-Jordan pivot (`_pivot`), the right
-kernel built on it (conics through points) and the exact Phase-I simplex for
-"is this vector a non-negative combination of these generators" queries
-(effective-cone tests), where Fourier-Motzkin projection would blow up.
+kernel built on it (conics through points), the exact Phase-I simplex that
+writes a vector as a non-negative combination of generators (a certificate of
+cone membership, where Fourier-Motzkin projection would blow up) and the
+double description of a cone's facets, which answers membership with integer
+dot products (effective-cone tests).
 
 `parse_system` reads systems from text with the shared parser of
 `delpezzo.poly` (degree cap 1); any error names its line.
@@ -404,6 +406,19 @@ def _kernel(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
     return basis
 
 
+def _primitive(coords) -> tuple[int, ...]:
+    """Scale a rational vector to primitive integers, first nonzero > 0."""
+    fracs = [Q(c) for c in coords]
+    denom = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * denom) for f in fracs]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
 def nonnegative_combination(
     generators: Sequence[Sequence], target: Sequence
 ) -> Optional[list[Fraction]]:
@@ -454,6 +469,59 @@ def nonnegative_combination(
             == _as_q(target[r])
     assert all(x >= 0 for x in lam)
     return lam
+
+
+def cone_facets(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Primitive integer normals of the facets of the cone the generators span.
+
+    The cone must be full-dimensional; x lies in it iff f.x >= 0 for every
+    returned f.  Double description (Fukuda-Prodon 1996): the normals are the
+    extreme rays of the dual cone {f : f.g >= 0 for all g}.  Start from the
+    simplicial dual of d independent generators, then add one generator at a
+    time, keeping the rays on its non-negative side and combining each
+    positive ray with each adjacent negative one.  Two rays are adjacent when
+    no third ray is tight on every generator they are both tight on.
+    """
+    gens = [tuple(g) for g in generators]
+    d = len(gens[0])
+    basis: list[int] = []
+    for i, g in enumerate(gens):
+        if len(_kernel([gens[j] for j in basis] + [g], d)) < d - len(basis):
+            basis.append(i)
+    if len(basis) < d:
+        raise ValueError("the generators do not span the space")
+    order = [gens[i] for i in basis] + [g for i, g in enumerate(gens) if i not in basis]
+    rays = []                        # (normal, bit set of the generators it is tight on)
+    for j in range(d):
+        others = order[:j] + order[j + 1:d]
+        f = _primitive(_kernel(others, d)[0])
+        if _dot(f, order[j]) < 0:
+            f = tuple(-x for x in f)
+        rays.append((f, ((1 << d) - 1) ^ (1 << j)))
+    for k in range(d, len(order)):
+        vals = [_dot(f, order[k]) for f, _ in rays]
+        masks = [tight for _, tight in rays]
+        kept = [(f, tight | (1 << k) if v == 0 else tight)
+                for (f, tight), v in zip(rays, vals) if v >= 0]
+        for (p, tp), vp in zip(rays, vals):
+            if vp <= 0:
+                continue
+            for (n, tn), vn in zip(rays, vals):
+                if vn >= 0:
+                    continue
+                common = tp & tn
+                if (common.bit_count() < d - 2
+                        or sum(t & common == common for t in masks) > 2):
+                    continue
+                f = [vp * y - vn * x for x, y in zip(p, n)]
+                div = math.gcd(*f)
+                kept.append((tuple(x // div for x in f), common | (1 << k)))
+        rays = kept
+    return sorted(f for f, _ in rays)
+
+
+def _dot(u: Sequence, v: Sequence):
+    return sum(x * y for x, y in zip(u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ on a common line and C = H - E1 - E2 - E3 is the (-2)-curve over the node
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .constraints import nonnegative_combination
+from .constraints import cone_facets
 
 
 class SurfaceModel(Enum):
@@ -181,11 +182,26 @@ def is_ample(d: DivisorClass) -> bool:
     return all(d.intersect(line) > 0 for _, line in _SMOOTH_LABELS)
 
 
+@functools.cache
+def effective_cone_facets(model: SurfaceModel) -> tuple[DivisorClass, ...]:
+    """The primitive classes F with F.D >= 0 cutting out the effective cone.
+
+    They generate the nef cone: on the smooth cubic the 27 conic classes
+    -K - L and the 72 classes with F^2 = 1, F.(-K) = 3.  Computed on first use
+    for each model, by double description over the negative curves, and kept.
+    """
+    curves = enumerate_negative_curves(model).values()
+    # F.D is the dot product of F's coordinates with (a; -b1..-b6) for D = (a; b)
+    normals = cone_facets([(d.a,) + tuple(-x for x in d.b) for d in curves])
+    return tuple(DivisorClass(f[0], f[1:]) for f in normals)
+
+
 def is_effective(d: DivisorClass, model: SurfaceModel = SurfaceModel.SMOOTH) -> bool:
     """Membership in the effective cone, generated by the negative curves.
 
-    Exact rational LP feasibility: is d a non-negative combination of the 27
-    lines (Smooth), or of the 21 lines plus C (Nodal)?
+    d is effective iff F.d >= 0 for every facet class F of
+    `effective_cone_facets(model)`: a few integer products per query.  The
+    exact simplex `constraints.nonnegative_combination` over the same curves
+    produces a certificate, and the tests use it as the oracle for this one.
     """
-    generators = [c.coords() for c in enumerate_negative_curves(model).values()]
-    return nonnegative_combination(generators, d.coords()) is not None
+    return all(f.intersect(d) >= 0 for f in effective_cone_facets(model))

@@ -14,11 +14,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from . import poly
-from .constraints import _kernel
+from .constraints import _kernel, _primitive
 from .lattice import SurfaceModel, enumerate_negative_curves, tritangent_triples
 
 Q = Fraction
@@ -73,19 +72,6 @@ class ProjPoint:
 
     def __getitem__(self, i):
         return self.coords[i]
-
-
-def _primitive(coords) -> tuple[int, ...]:
-    """Scale a rational vector to primitive integers, first nonzero > 0."""
-    fracs = [Q(c) for c in coords]
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
 
 
 def point(*coords) -> ProjPoint:

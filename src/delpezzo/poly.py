@@ -10,7 +10,9 @@ the helpers never mutate their arguments.  `parse` reads the grammar
 where INTEGER is a run of ASCII digits, `/` divides by a nonzero constant
 only and `^` takes a non-negative integer literal only.  Nothing in the text
 is evaluated as code, and every product and power is checked against the
-caller's degree cap and MAX_COEFF_BITS before it is computed.
+caller's degree cap and MAX_COEFF_BITS before it is computed; every product,
+each step of a power included, is also charged to the parse's budget of
+MAX_TERM_PRODUCTS.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ Poly = dict[tuple[int, ...], Fraction]
 #: bit-length cap on coefficients made by a product or power; without it a
 #: tower such as ((2^64)^64)^64 runs the interpreter out of memory
 MAX_COEFF_BITS = 4096
+#: cap on the term products (len(p) * len(q) per product) one parse may spend;
+#: (1+x+y)^24 spends about 7,800, and each costs a few microseconds
+MAX_TERM_PRODUCTS = 10_000
 
 _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|(\S))")
 
@@ -101,7 +106,8 @@ def parse(text: str, names: Sequence[str], max_degree: int,
 
     A name in `constants` stands for its value.  Raises PolyParseError for
     text outside the grammar, an unknown name, a division by zero or by a
-    non-constant, and a product or power over either budget.
+    non-constant, a product or power over the degree or bit budget, and a
+    parse that needs more than MAX_TERM_PRODUCTS term products.
     """
     tokens = []
     for number, word, other in _TOKEN_RE.findall(text):
@@ -117,6 +123,7 @@ def parse(text: str, names: Sequence[str], max_degree: int,
     zero = (0,) * len(names)
     units = {name: tuple(int(j == i) for j in range(len(names)))
              for i, name in enumerate(names)}
+    work = 0
 
     def take():
         if tokens[-1] is None:
@@ -128,6 +135,13 @@ def parse(text: str, names: Sequence[str], max_degree: int,
             raise PolyParseError(f"degree {degree} exceeds the cap of {max_degree}")
         if bits > MAX_COEFF_BITS:
             raise PolyParseError(f"coefficients exceed the cap of {MAX_COEFF_BITS} bits")
+
+    def product(p, q):
+        nonlocal work
+        work += len(p) * len(q)
+        if work > MAX_TERM_PRODUCTS:
+            raise PolyParseError(f"more than {MAX_TERM_PRODUCTS} term products")
+        return mul(p, q)
 
     def expr():
         parts = [term()]
@@ -141,7 +155,7 @@ def parse(text: str, names: Sequence[str], max_degree: int,
             op, q = take(), unary()
             if op == "*":
                 check(_degree(p) + _degree(q), _bits(p) + _bits(q))
-                p = mul(p, q)
+                p = product(p, q)
             elif set(q) != {zero}:
                 raise PolyParseError("division by a non-constant" if q
                                      else "division by zero")
@@ -162,7 +176,7 @@ def parse(text: str, names: Sequence[str], max_degree: int,
             raise PolyParseError(
                 f"exponent must be a non-negative integer literal, got {k!r}")
         check(_degree(p) * k, max(_bits(p), 1) * k)
-        return power(p, k) if k else {zero: Fraction(1)}
+        return reduce(product, [p] * k) if k else {zero: Fraction(1)}
 
     def atom():
         tok = take()

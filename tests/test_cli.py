@@ -137,6 +137,14 @@ def test_lct_degree_cap_fails_fast(runner, germ):
     assert "exceeds the cap of 64" in result.output
 
 
+def test_lct_term_product_budget_fails_fast(runner):
+    start = time.perf_counter()
+    result = invoke(runner, "lct", "(1+x+y)^64*x")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert "term products" in result.output
+
+
 def test_lct_depth_budget_exit_code(runner, monkeypatch):
     monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "1")
     result = invoke(runner, "lct", "y^2 - x^3", "--method", "blowup")

@@ -1,14 +1,19 @@
 """Picard lattice of the cubic surface: curves, incidences, cones."""
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from delpezzo.constraints import _kernel, nonnegative_combination
 from delpezzo.lattice import (C, E, F, H, L, MINUS_K, DivisorClass,
-                              SurfaceModel, enumerate_negative_curves,
-                              incidence_graph, is_ample, is_effective,
-                              third_line, tritangent_triples)
+                              SurfaceModel, effective_cone_facets,
+                              enumerate_negative_curves, incidence_graph,
+                              is_ample, is_effective, third_line,
+                              tritangent_triples)
+from delpezzo.lemma_verify import lemma51_scan
 
 SMOOTH = enumerate_negative_curves(SurfaceModel.SMOOTH)
 NODAL = enumerate_negative_curves(SurfaceModel.NODAL)
@@ -229,3 +234,70 @@ def test_nonnegative_line_combinations_are_effective(combo):
     for lab, k in combo:
         total = total + k * SMOOTH[lab]
     assert is_effective(total)
+
+
+# -- facets of the effective cone ----------------------------------------------
+
+def _simplex_says_effective(d, model):
+    gens = [c.coords() for c in enumerate_negative_curves(model).values()]
+    return nonnegative_combination(gens, d.coords()) is not None
+
+
+def test_facet_counts():
+    assert len(effective_cone_facets(SurfaceModel.SMOOTH)) == 99
+    assert len(effective_cone_facets(SurfaceModel.NODAL)) == 78
+
+
+def test_smooth_facets_are_the_conics_and_the_72_blow_down_classes():
+    # F^2 = 1, F.(-K) = 3 means sum(b) = 3a - 3 and sum(b^2) = a^2 - 1;
+    # Cauchy-Schwarz gives (3a-3)^2 <= 6(a^2-1), so a in 1..5.
+    blow_downs = set()
+    for a in range(1, 6):
+        r = math.isqrt(a * a - 1)
+        for head in itertools.product(range(-r, r + 1), repeat=5):
+            d = DivisorClass(a, head + (3 * a - 3 - sum(head),))
+            if d.square() == 1 and d.degree() == 3:
+                blow_downs.add(d)
+    conics = {MINUS_K - line for line in SMOOTH.values()}
+    assert len(blow_downs) == 72 and len(conics) == 27
+    assert set(effective_cone_facets(SurfaceModel.SMOOTH)) == blow_downs | conics
+
+
+@pytest.mark.parametrize("model", list(SurfaceModel))
+def test_facet_normals_are_primitive_and_supported_on_rank_6(model):
+    curves = list(enumerate_negative_curves(model).values())
+    for f in effective_cone_facets(model):
+        assert math.gcd(*f.coords()) == 1
+        assert all(f.intersect(c) >= 0 for c in curves)
+        tight = [c.coords() for c in curves if f.intersect(c) == 0]
+        assert len(_kernel(tight, 7)) == 1   # the tight curves have rank 6
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_facet_test_agrees_with_the_simplex_on_scan_residuals(m):
+    residuals = {r.candidate.residual for r in lemma51_scan(m).records}
+    for d in residuals:
+        assert is_effective(d, SurfaceModel.NODAL) == \
+            _simplex_says_effective(d, SurfaceModel.NODAL), d
+
+
+@pytest.mark.parametrize("model", list(SurfaceModel))
+def test_facet_test_agrees_with_the_simplex_on_random_classes(model):
+    # Half uniform classes, half sums of curves minus a curve, which land
+    # near the boundary of the cone on either side.
+    curves = list(enumerate_negative_curves(model).values())
+    rng = random.Random(20261018)
+    verdicts = []
+    for i in range(150):
+        if i % 2:
+            d = DivisorClass(rng.randint(-2, 6),
+                             tuple(rng.randint(-3, 3) for _ in range(6)))
+        else:
+            d = ZERO
+            for _ in range(rng.randint(1, 4)):
+                d = d + rng.randint(1, 3) * rng.choice(curves)
+            d = d - rng.randint(1, 2) * rng.choice(curves)
+        verdict = is_effective(d, model)
+        assert verdict == _simplex_says_effective(d, model), d
+        verdicts.append(verdict)
+    assert 30 <= sum(verdicts) <= 120    # both sides are exercised

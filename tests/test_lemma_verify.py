@@ -5,9 +5,15 @@ enumeration (which supports are even considered) and the order of the
 rejection tests, so any change to either shows up as a count diff.
 """
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from delpezzo.cli import cli
 
 from delpezzo.lattice import C, E, MINUS_K, SurfaceModel, is_ample
 from delpezzo.lemma_verify import (DEGREE_OVERFLOW, INTERSECTION_VIOLATION,
@@ -197,3 +203,37 @@ def test_alpha1_upper_bound_without_eckardt_points():
 def test_alpha1_rejects_nodal_configurations():
     with pytest.raises(ValueError):
         alpha1_report(FRAME_NODAL)
+
+
+# -- pinned reports --------------------------------------------------------------
+
+# Report digests, reason counts and survivor lines of the scans, and the bytes
+# of `delpezzo verify --lemma 5.1 --json`, as the simplex-based effectivity
+# test produced them.  Every reason, detail and survivor line enters the
+# digest, so no effectivity verdict can flip without failing here.
+PINNED = json.loads((Path(__file__).parent / "data" / "scan_reports.json").read_text())
+
+
+def _pinned_summary(verdict):
+    return {"sha256": hashlib.sha256(verdict.report().encode()).hexdigest(),
+            "candidates": len(verdict.records),
+            "counts_by_reason": dict(sorted(verdict.counts_by_reason().items())),
+            "survivors": [r.line() for r in verdict.survivors]}
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_lemma51_reports_are_pinned(m):
+    assert _pinned_summary(lemma51_scan(m)) == PINNED["lemma51"][str(m)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 10])
+def test_lemma31_reports_are_pinned(m):
+    assert _pinned_summary(lemma31_scan(m, Q(2, 3))) == PINNED["lemma31"][str(m)]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_verify_51_json_is_pinned(m):
+    out = CliRunner().invoke(cli, ["verify", "--lemma", "5.1", "--m", str(m), "--json"])
+    assert out.exit_code == 0
+    assert hashlib.sha256(out.output.encode()).hexdigest() == \
+        PINNED["cli_verify_51_json"][str(m)]

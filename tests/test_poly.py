@@ -1,7 +1,9 @@
 """The shared polynomial core: helpers, budgets, and no code evaluation."""
 
 import pathlib
+import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, strategies as st
 
 import delpezzo
 from delpezzo import poly
+from delpezzo.germs import parse_germ
+from germgen import random_germ
 
 SRC = pathlib.Path(delpezzo.__file__).parent
 
@@ -68,3 +72,27 @@ def test_parse_honours_names_constants_and_precedence():
 def test_parse_refuses_with_one_error_type(text, message):
     with pytest.raises(poly.PolyParseError, match=re.escape(message)):
         poly.parse(text, ("x", "y"), 64)
+
+
+@pytest.mark.parametrize("text", ["(1+x+y)^32*(1+x+y)^32*x", "(1+x+y)^64*x",
+                                  "(x+y)^64 + (x+y)^64 + (x+y)^64"])
+def test_term_product_budget_fails_fast(text):
+    # each spends seconds multiplying before any degree check would fire
+    start = time.perf_counter()
+    with pytest.raises(poly.PolyParseError, match="more than 10000 term products"):
+        poly.parse(text, ("x", "y"), 64)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_term_product_budget_counts_each_step_of_a_power():
+    assert len(poly.parse("(1+x+y)^24", ("x", "y"), 64)) == 325   # 7,797 products
+    with pytest.raises(poly.PolyParseError, match="term products"):
+        poly.parse("(1+x+y)^30", ("x", "y"), 64)              # 14,877
+
+
+def test_corpus_germs_parse_within_budget():
+    rng = random.Random(20260825)
+    for _ in range(200):
+        f = random_germ(rng)
+        assert parse_germ(str(f)) == f
+        assert parse_germ(f"({f})^3") == f ** 3
