@@ -165,14 +165,30 @@ def third_line(l1: DivisorClass, l2: DivisorClass) -> DivisorClass:
 
 
 def tritangent_triples(curves: dict[str, DivisorClass]) -> list[tuple[str, str, str]]:
-    """All unordered triples with sum -K and pairwise product 1."""
+    """All unordered triples with sum -K and pairwise product 1.
+
+    Listed in the order of `itertools.combinations(curves, 3)`, and computed
+    once per distinct curve table.
+    """
+    return list(_tritangent_triples(tuple(curves.items())))
+
+
+@functools.cache
+def _tritangent_triples(items: tuple[tuple[str, DivisorClass], ...]
+                        ) -> tuple[tuple[str, str, str], ...]:
+    # each meeting pair a, b closes only with the class -K - a - b
+    where: dict[DivisorClass, list[int]] = {}
+    for k, (_, d) in enumerate(items):
+        where.setdefault(d, []).append(k)
     triples = []
-    for (la, da), (lb, db), (lc, dc) in itertools.combinations(curves.items(), 3):
-        if da + db + dc != MINUS_K:
+    for (_, (la, da)), (j, (lb, db)) in itertools.combinations(enumerate(items), 2):
+        if da.intersect(db) != 1:
             continue
-        if da.intersect(db) == db.intersect(dc) == da.intersect(dc) == 1:
-            triples.append((la, lb, lc))
-    return triples
+        for k in where.get(MINUS_K - da - db, ()):
+            lc, dc = items[k]
+            if k > j and db.intersect(dc) == da.intersect(dc) == 1:
+                triples.append((la, lb, lc))
+    return tuple(triples)
 
 
 def is_ample(d: DivisorClass) -> bool:

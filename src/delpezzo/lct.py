@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
-
-from sympy import Poly
+from typing import TYPE_CHECKING, Optional, Union
 
 from .germs import CurveGerm
 from .resolution import (Component, Resolution, ResolutionNode, _qq_poly,
                          resolve_germ)
+
+if TYPE_CHECKING:
+    from sympy import Poly
 
 __all__ = [
     "NewtonFace", "NewtonPolygon", "LctReport", "newton_polygon",
@@ -206,7 +207,7 @@ def check_mult_bounds(f: CurveGerm) -> MultBoundsVerdict:
                 h = _qq_poly(dict(comp.coeffs))
                 quot, rem = _qq_poly(f.terms()).div(h ** k)
                 verified = rem.is_zero and quot.eval((0, 0)) != 0
-                equality = EqualityCase(str(comp.label),
+                equality = EqualityCase(comp.label,
                                         str(quot.as_expr()), verified)
                 break
     return MultBoundsVerdict(k, value, Fraction(1, k) <= value,

@@ -262,6 +262,7 @@ def eckardt_points(config: SixPointConfig) -> list[EckardtRecord]:
     if not report.ok:
         raise InvalidConfigError(report)
     curves = enumerate_negative_curves(config.mode)
+    conics: dict[int, tuple[int, ...]] = {}   # five triples share each conic
     records: list[EckardtRecord] = []
     for triple in tritangent_triples(curves):
         kinds = sorted((_label_kind(lbl), lbl) for lbl in triple)
@@ -275,7 +276,9 @@ def eckardt_points(config: SixPointConfig) -> list[EckardtRecord]:
         elif shapes == "EFL":
             (_, i), _ = kinds[0]
             (_, j), _ = kinds[1]
-            conic = _conic_avoiding(config, j)
+            if j not in conics:
+                conics[j] = _conic_avoiding(config, j)
+            conic = conics[j]
             pi, pj = config.point(i), config.point(j)
             assert conic_value(conic, pi) == 0
             if conic_polar(conic, pi, pj) == 0:

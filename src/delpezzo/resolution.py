@@ -43,24 +43,32 @@ cluster shares a single node.
 K is always QQ or an absolute algebraic extension QQ(theta); towers that
 would arise from nested irrational centers are flattened back to absolute
 fields with a primitive element found by resultants.
+
+sympy is imported on the first call that does polynomial algebra, not with
+this module, so the sympy-free commands never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
-
-import sympy
-from sympy import QQ, CRootOf, Poly
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import poly
 from .germs import CurveGerm
 
-_X, _Y = sympy.symbols("x y")
-_V = sympy.Symbol("v")
-_T, _Z = sympy.symbols("t z")
+if TYPE_CHECKING:
+    from sympy import Poly
+
+
+@functools.cache
+def _symbols(names: str):
+    """sympy.symbols(names), built (and sympy imported) on first use."""
+    import sympy
+    return sympy.symbols(names)
+
 
 DEFAULT_MAX_BLOWUPS = 64
 MAX_BLOWUPS_ENV = "DELPEZZO_MAX_BLOWUPS"
@@ -125,10 +133,14 @@ class ResolutionNode:
 class Component:
     """Irreducible rational factor of the germ, with multiplicity."""
 
-    label: str
     coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
     multiplicity: int
     mult_at_origin: int   # 0 when the component misses the origin
+
+    @property
+    def label(self) -> str:
+        """The factor as sympy prints it, built only when asked for."""
+        return str(_qq_poly(dict(self.coeffs)).as_expr())
 
     @property
     def through_origin(self) -> bool:
@@ -168,8 +180,9 @@ def _translate_y(g: dict, K, v0) -> dict:
 
 def _restrict_to_x0(g: dict, K) -> Poly:
     """The univariate restriction g(0, v) along the new exceptional line."""
+    from sympy import Poly
     d = {(j,): c for (i, j), c in g.items() if i == 0}
-    return Poly.from_dict(d, _V, domain=K)
+    return Poly.from_dict(d, _symbols("v"), domain=K)
 
 
 def _map_coeffs(g: dict, phi: Callable) -> dict:
@@ -197,6 +210,9 @@ def _extend_field(K, q: Poly):
     root of phi(q).  For K = QQ this is a plain algebraic field; otherwise a
     primitive element for the compositum is located by resultants.
     """
+    import sympy
+    from sympy import QQ, CRootOf, Poly
+    _T, _Z = _symbols("t z")
     if K == QQ:
         root = CRootOf(q.as_expr(), 0)
         K2 = QQ.algebraic_field(root)
@@ -284,7 +300,7 @@ class _Engine:
         through_origin = (0, 0) not in g_a
         origin_needed = ya is not None and through_origin
         if r.degree() >= 1:
-            bad = r.gcd(r.diff(_V))
+            bad = r.gcd(r.diff(_symbols("v")))
             for q, _m in bad.factor_list()[1]:
                 if q.degree() == 1:
                     v0 = _linear_root(q, K)
@@ -325,22 +341,24 @@ class _Engine:
 
 def _qq_poly(terms: dict) -> Poly:
     """An exponent dict over Fraction as a sympy Poly in x, y over QQ."""
+    from sympy import QQ, Poly
     return Poly.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()},
-                          _X, _Y, domain=QQ)
+                          *_symbols("x y"), domain=QQ)
 
 
 def _components_of(f: CurveGerm) -> tuple[tuple[Component, ...], dict]:
     """The rational factors of f, and their product over QQ (f reduced)."""
-    _c, factors = _qq_poly(f.terms()).factor_list()
+    f_qq = _qq_poly(f.terms())
+    _c, factors = f_qq.factor_list()
     out = []
-    reduced = Poly(1, _X, _Y, domain=QQ)
+    reduced = f_qq.one
     for factor, mult in factors:
         terms = factor.rep.to_dict()
         coeffs = tuple((e, Fraction(c.numerator, c.denominator))
                        for e, c in terms.items())
         through = (0, 0) not in terms
         mult0 = min(i + j for i, j in terms) if through else 0
-        out.append(Component(str(factor.as_expr()), coeffs, mult, mult0))
+        out.append(Component(coeffs, mult, mult0))
         reduced *= factor
     return tuple(out), reduced.rep.to_dict()
 
@@ -362,6 +380,7 @@ def _snc_at_origin(components: tuple[Component, ...]) -> bool:
 
 def resolve_germ(f: CurveGerm, max_blowups: Optional[int] = None) -> Resolution:
     """Resolve until the total transform is SNC near the origin fiber."""
+    from sympy import QQ
     limit = blowup_limit(max_blowups)
     components, g0_red = _components_of(f)
     engine = _Engine(limit)

@@ -139,6 +139,28 @@ def test_45_tritangent_triples():
     assert set(count.values()) == {5}
 
 
+def _brute_force_triples(curves):
+    """Every unordered triple with sum -K and pairwise products 1."""
+    return [(la, lb, lc)
+            for (la, da), (lb, db), (lc, dc) in itertools.combinations(curves.items(), 3)
+            if da + db + dc == MINUS_K
+            and da.intersect(db) == db.intersect(dc) == da.intersect(dc) == 1]
+
+
+@pytest.mark.parametrize("curves", [SMOOTH, NODAL], ids=["smooth", "nodal"])
+def test_tritangent_triples_match_the_brute_force(curves):
+    assert tritangent_triples(curves) == _brute_force_triples(curves)
+    # callers get their own list: changing it leaves the cached answer alone
+    tritangent_triples(curves).clear()
+    assert tritangent_triples(curves) == _brute_force_triples(curves)
+
+
+def test_tritangent_triples_keep_curves_with_equal_classes():
+    curves = {"a": E(1), "b": F(2), "c": L(1, 2), "c2": L(1, 2)}
+    assert tritangent_triples(curves) == _brute_force_triples(curves) == [
+        ("a", "b", "c"), ("a", "b", "c2")]
+
+
 def test_third_line_closes_each_triple():
     assert third_line(E(1), F(2)) == L(1, 2)
     assert third_line(L(1, 2), L(3, 4)) == L(5, 6)
