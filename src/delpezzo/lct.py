@@ -5,7 +5,9 @@ diagonal meets the boundary at (t0, t0) and the candidate is min(1, 1/t0).
 This is always an upper bound for the threshold (monomial valuations), and
 it is the exact value when every compact face polynomial is square-free
 away from the coordinate axes; the report's `exact` flag records whether
-that certificate holds.
+that certificate holds.  A face polynomial is y^(g*w1) * H(x^w2 / y^w1)
+for a univariate H of degree g with H(0) != 0, so the certificate is the
+univariate test gcd(H, H') = 1 on each face.
 
 blowup_lct builds an embedded resolution by iterated point blow-ups and
 evaluates min(min_i 1/m_i, min_E (a_E + 1)/b_E) over the components through
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .germs import CurveGerm
 from .resolution import (Component, Resolution, ResolutionNode, _qq_poly,
-                         resolve_germ)
+                         _symbols, resolve_germ)
 
 if TYPE_CHECKING:
     from sympy import Poly
@@ -96,12 +98,19 @@ def newton_polygon(f: CurveGerm) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull), tuple(faces), x_min, y_min)
 
 
-def _face_poly(f: CurveGerm, face: NewtonFace) -> Poly:
-    terms = {(i, j): c for (i, j), c in f.coeffs
-             if face.normal[0] * i + face.normal[1] * j == face.level}
-    i0 = min(i for i, _ in terms)
-    j0 = min(j for _, j in terms)
-    return _qq_poly({(i - i0, j - j0): c for (i, j), c in terms.items()})
+def _face_univariate(f: CurveGerm, face: NewtonFace) -> Poly:
+    """H(s) = sum_t c_t s^t with c_t the coefficient at the face's lattice
+    point (i1 + t*w2, j1 - t*w1), t = 0..g, for the primitive normal (w1, w2)."""
+    from sympy import QQ, Poly
+    terms = f.terms()
+    (i1, j1), (w1, w2) = face.start, face.normal
+    g = (face.end[0] - i1) // w2
+    coeffs = {}
+    for t in range(g + 1):
+        c = terms.get((i1 + t * w2, j1 - t * w1))
+        if c:
+            coeffs[(t,)] = QQ(c.numerator, c.denominator)
+    return Poly.from_dict(coeffs, _symbols("s"), domain=QQ)
 
 
 def newton_lct(f: CurveGerm) -> LctReport:
@@ -120,8 +129,10 @@ def newton_lct(f: CurveGerm) -> LctReport:
     assert t0 > 0
     exact = True
     for face in polygon.faces:
-        _, factors = _face_poly(f, face).sqf_list()
-        if any(mult > 1 for _, mult in factors):
+        # with w1, w2 coprime and r != 0, each x^w2 - r*y^w1 is square-free
+        # and distinct roots r give coprime binomials, so the face
+        # polynomial is square-free exactly when H is: one gcd(H, H')
+        if not _face_univariate(f, face).is_sqf:
             exact = False
             break
     value = min(Fraction(1), 1 / t0)

@@ -17,11 +17,12 @@ exceptional divisor is {x=0} in chart A and {y=0} in chart B.
 Every site carries two transforms: g, the strict transform of the germ with
 its multiplicities (its order at the point feeds b_E), and g_red, the strict
 transform of the reduced germ (which decides where the curve is singular,
-tangent or absent).  The root g_red is the product of the distinct rational
-factors of the germ, and from then on g_red goes through exactly the same
-chart maps, translations and coefficient embeddings as g, divided by its own
-multiplicity.  In characteristic 0 this keeps g_red equal to the square-free
-part of g up to a nonzero constant, so no site ever recomputes it:
+tangent or absent).  The root g_red is the product of the square-free parts
+p_i of the germ f = c * prod p_i^i (gcds only, no factoring), and from then
+on g_red goes through exactly the same chart maps, translations and
+coefficient embeddings as g, divided by its own multiplicity.  In
+characteristic 0 this keeps g_red equal to the square-free part of g up to a
+nonzero constant, so no site ever recomputes it:
 
   * a chart map is an isomorphism once x (or y) is inverted, and the
     division leaves a polynomial not divisible by the new exceptional
@@ -51,9 +52,11 @@ this module, so the sympy-free commands never load it.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import poly
@@ -131,7 +134,18 @@ class ResolutionNode:
 
 @dataclass(frozen=True)
 class Component:
-    """Irreducible rational factor of the germ, with multiplicity."""
+    """A rational factor of the germ f = c * prod p_i^i, with multiplicity i.
+
+    A square-free part p_i is split into its irreducible factors over QQ only
+    when an output reads them: when p_i passes through the origin and i >= 2
+    (the blow-up witness 1/i and the equality certificate of lct = 1/k), when
+    f is smooth at the origin (its certificate), and when p_i carries all of
+    the reduced germ's order 2 at the origin with a tangent cone that splits
+    into two distinct rational lines (two rational branches crossing
+    normally).  Every other part stays whole: one that misses the origin, or
+    one of order 1 there (a single smooth branch times a unit, with that
+    branch's tangent), or one that cannot pass the normal-crossings test.
+    """
 
     coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
     multiplicity: int
@@ -153,6 +167,8 @@ class Component:
 @dataclass(frozen=True)
 class Resolution:
     nodes: tuple[ResolutionNode, ...]
+    #: the germ's factors by multiplicity: irreducible where Component says
+    #: an output reads them, whole square-free parts elsewhere
     components: tuple[Component, ...]
     blowups: int
 
@@ -346,25 +362,57 @@ def _qq_poly(terms: dict) -> Poly:
                           *_symbols("x y"), domain=QQ)
 
 
+def _int_terms(p: Poly) -> dict:
+    return {e: int(c) for e, c in p.rep.to_dict().items()}
+
+
+def _order(terms: dict) -> int:
+    """Order at the origin, 0 when the polynomial misses it."""
+    return 0 if (0, 0) in terms else _mult(terms)
+
+
+def _splits_transversally(terms: dict) -> bool:
+    """Does the tangent cone a*x^2 + b*x*y + c*y^2 of an integer polynomial
+    of order 2 split into two distinct rational lines, b^2 - 4ac a nonzero
+    square?"""
+    a, b, c = (terms.get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
+    disc = b * b - 4 * a * c
+    return disc > 0 and isqrt(disc) ** 2 == disc
+
+
 def _components_of(f: CurveGerm) -> tuple[tuple[Component, ...], dict]:
-    """The rational factors of f, and their product over QQ (f reduced)."""
-    f_qq = _qq_poly(f.terms())
-    _c, factors = f_qq.factor_list()
+    """The components of f, and their reduced product over QQ.
+
+    f = c * prod p_i^i is the square-free decomposition, computed over ZZ
+    after clearing denominators (over QQ sympy converts to ZZ inside every
+    gcd), and the reduced germ is prod p_i.  A part
+    p_i is factored only where an output reads its irreducible factors (see
+    Component); the factors of one part keep sympy's factor_list order, which
+    is their order within multiplicity i in the factorization of f.
+    """
+    from sympy import ZZ, Poly
+    terms = f.terms()
+    scale = lcm(*(c.denominator for c in terms.values()))
+    _c, parts = Poly.from_dict({e: int(c * scale) for e, c in terms.items()},
+                               *_symbols("x y"), domain=ZZ).sqf_list()
+    part_terms = [_int_terms(part) for part, _i in parts]
+    reduced_order = sum(_order(t) for t in part_terms)
     out = []
-    reduced = f_qq.one
-    for factor, mult in factors:
-        terms = factor.rep.to_dict()
-        coeffs = tuple((e, Fraction(c.numerator, c.denominator))
-                       for e, c in terms.items())
-        through = (0, 0) not in terms
-        mult0 = min(i + j for i, j in terms) if through else 0
-        out.append(Component(coeffs, mult, mult0))
-        reduced *= factor
-    return tuple(out), reduced.rep.to_dict()
+    for (part, i), t in zip(parts, part_terms):
+        order = _order(t)
+        split = order and (i >= 2 or f.multiplicity == 1 or (
+            order == reduced_order == 2 and _splits_transversally(t)))
+        pieces = [_int_terms(q) for q, _ in part.factor_list()[1]] if split \
+            else [t]
+        out += [Component(tuple((e, Fraction(c)) for e, c in piece.items()),
+                          i, _order(piece)) for piece in pieces]
+    reduced = functools.reduce(operator.mul, (part for part, _i in parts))
+    return tuple(out), reduced.to_field().rep.to_dict()
 
 
 def _snc_at_origin(components: tuple[Component, ...]) -> bool:
-    """Normal crossings at 0 without any blow-up, judged over QQ factors."""
+    """Normal crossings at 0 without any blow-up, judged on the components;
+    the parts left whole cannot change the verdict (see Component)."""
     through = [c for c in components if c.through_origin]
     if any(c.mult_at_origin != 1 for c in through) or len(through) > 2:
         return False

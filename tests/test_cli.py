@@ -172,6 +172,19 @@ def test_lct_json(runner):
     assert by_method["newton"]["exact"] is True
 
 
+def test_lct_high_degree_square_free_germ_is_fast(runner):
+    # a full bivariate factorization of this germ takes minutes; the
+    # square-free split never factors it (reduced order 64 is never SNC)
+    start = time.perf_counter()
+    result = invoke(runner, "lct", "x^63*y + y^64", "--json")
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    by_method = {r["method"]: r for r in data["reports"]}
+    assert by_method["blowup"]["value"] == "1/32"
+    assert data["nodes"] == [[1, 64]]
+
+
 # -- verify --------------------------------------------------------------------
 
 def test_verify_smooth_scan(runner):
