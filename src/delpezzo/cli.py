@@ -26,8 +26,7 @@ from .lemma_verify import (alpha1_report, canonical_nodal_survivor,
                            lemma31_scan, lemma51_scan)
 from .plane_config import (ConfigParseError, GeometryError, eckardt_points,
                            is_eckardt_on_cubic, load_config, load_cubic,
-                           point, tangent_plane_restriction,
-                           validate)
+                           point, tangent_plane_restriction)
 from .poly import monomial, to_text
 from .resolution import (BlowupBudgetSettingError, DepthExceededError,
                          resolve_germ)
@@ -77,16 +76,12 @@ def _parse_fraction(text):
         raise click.ClickException(f"bad rational {text!r}")
 
 
-def _load_validated_config(path):
+def _load_config(path):
+    # eckardt_points validates it, raising a GeometryError when invalid
     try:
-        cfg = load_config(_read(path))
+        return load_config(_read(path))
     except (ConfigParseError, GeometryError) as exc:
         raise click.ClickException(str(exc))
-    report = validate(cfg)
-    if not report.ok:
-        raise click.ClickException("invalid configuration: "
-                                   + "; ".join(str(v) for v in report.violations))
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +192,7 @@ def cmd_eckardt(config_path, cubic_path, point_text, as_json):
     if config_path and (cubic_path or point_text):
         raise click.ClickException("--config excludes --cubic/--point")
     if config_path:
-        cfg = _load_validated_config(config_path)
+        cfg = _load_config(config_path)
         try:
             records = eckardt_points(cfg)
         except GeometryError as exc:
@@ -380,7 +375,7 @@ def cmd_solve(path, m, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def cmd_alpha(config_path, as_json):
     """Bound alpha_1 from the line catalogue of a smooth configuration."""
-    cfg = _load_validated_config(config_path)
+    cfg = _load_config(config_path)
     try:
         rep = alpha1_report(cfg)
     except (GeometryError, ValueError) as exc:

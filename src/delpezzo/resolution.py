@@ -4,8 +4,8 @@ The engine tracks, for every exceptional divisor E it creates, the
 
     a_E  discrepancy      (1 at a smooth ambient point, 1 + sum over the
                            exceptional divisors through the blown-up point)
-    b_E  vanishing order  (multiplicity of the full transformed germ at the
-                           point, plus the parents' orders)
+    b_E  vanishing order  (sum of i * mult(p) over the site's components,
+                           plus the parents' orders)
 
 of standard point-blow-up bookkeeping.  Work happens in local charts: a site
 is a germ in coordinates (x, y) over a field K, where either coordinate axis
@@ -14,32 +14,28 @@ site into chart A (x, y) -> (x, x*y), which keeps the old {y=0} axis, and
 chart B (x, y) -> (x*y, y), which keeps the old {x=0} axis; the new
 exceptional divisor is {x=0} in chart A and {y=0} in chart B.
 
-Every site carries two transforms: g, the strict transform of the germ with
-its multiplicities (its order at the point feeds b_E), and g_red, the strict
-transform of the reduced germ (which decides where the curve is singular,
-tangent or absent).  The root g_red is the product of the square-free parts
-p_i of the germ f = c * prod p_i^i (gcds only, no factoring), and from then
-on g_red goes through exactly the same chart maps, translations and
-coefficient embeddings as g, divided by its own multiplicity.  In
-characteristic 0 this keeps g_red equal to the square-free part of g up to a
-nonzero constant, so no site ever recomputes it:
+A site's state is the list of the germ's components through the point: the
+strict transform p of each factor of f = c * prod p^i, with its multiplicity
+i.  The root takes the components of the square-free decomposition (see
+Component); each site after that takes the strict transforms of its parent's
+components, and drops those that miss the point, which are units there.  In
+characteristic 0 the components stay square-free and pairwise coprime: a
+chart map is an isomorphism once x (or y) is inverted and the strict
+transform is not divisible by the new exceptional coordinate, a translation
+is an automorphism, and a square-free polynomial over K stays square-free
+over any extension of K.
 
-  * a chart map is an isomorphism once x (or y) is inverted, and the
-    division leaves a polynomial not divisible by the new exceptional
-    coordinate, so the strict transform of a square-free curve is
-    square-free and distinct branches stay coprime;
-  * a translation y -> y + v0 is an automorphism;
-  * a square-free polynomial over K stays square-free over any extension
-    K2, because K has characteristic 0.
-
-Points needing further blow-ups are located along the new exceptional line
-only: multiple roots of the restriction of g_red (tangency, singular point,
-or several branches), plus the chart origins when a triple intersection with
-an old axis occurs.  Those roots come from the monic gcd(r, r') of that
-restriction r, so the constant left free in g_red never shows.  Roots that
-are irrational are handled by extending K; conjugate points yield identical
-(a, b) data, so one representative per irreducible factor is blown up and the
-cluster shares a single node.
+One normal-crossings rule decides every site, the root included: blow up
+unless the components and exceptional axes through the point are at most
+two smooth branches with distinct tangents.  Points needing further
+blow-ups are located along the new exceptional line only: multiple roots of
+the product r of the components' restrictions to that line (tangency,
+singular point, or several branches), plus the chart origins when a triple
+intersection with an old axis occurs.  Those roots come from the monic
+gcd(r, r'), so no constant factor of r shows.  Roots that are irrational are
+handled by extending K; conjugate points yield identical (a, b) data, so one
+representative per irreducible factor is blown up and the cluster shares a
+single node.
 
 K is always QQ or an absolute algebraic extension QQ(theta); towers that
 would arise from nested irrational centers are flattened back to absolute
@@ -87,22 +83,26 @@ class DepthExceededError(RuntimeError):
 
 
 class BlowupBudgetSettingError(ValueError):
-    """Raised when the budget environment variable is not a count."""
+    """Raised when a blow-up budget is not a count."""
 
 
 def blowup_limit(override: Optional[int] = None) -> int:
+    """The budget: override when given, else the environment variable, else
+    DEFAULT_MAX_BLOWUPS.  Both sources pass the same check, so a bad budget
+    is never mistaken for an exhausted one."""
     if override is not None:
-        return override
-    raw = os.environ.get(MAX_BLOWUPS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_BLOWUPS
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = -1
-    if limit < 0:
+        name, raw, limit = "max_blowups", override, override
+    else:
+        name, raw = MAX_BLOWUPS_ENV, os.environ.get(MAX_BLOWUPS_ENV)
+        if raw is None:
+            return DEFAULT_MAX_BLOWUPS
+        try:
+            limit = int(raw)
+        except ValueError:
+            limit = None
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
         raise BlowupBudgetSettingError(
-            f"{MAX_BLOWUPS_ENV} must be a non-negative integer, got {raw!r}")
+            f"{name} must be a non-negative integer, got {raw!r}")
     return limit
 
 
@@ -167,8 +167,8 @@ class Component:
 @dataclass(frozen=True)
 class Resolution:
     nodes: tuple[ResolutionNode, ...]
-    #: the germ's factors by multiplicity: irreducible where Component says
-    #: an output reads them, whole square-free parts elsewhere
+    #: the germ's components, which seeded the root site: irreducible where
+    #: Component says an output reads them, whole square-free parts elsewhere
     components: tuple[Component, ...]
     blowups: int
 
@@ -287,34 +287,33 @@ class _Engine:
         self.count = 0
         self.nodes: list[ResolutionNode] = []
 
-    def blow_up(self, g: dict, g_red: dict, K, xa: Optional[ResolutionNode],
+    def blow_up(self, comps: list, K, xa: Optional[ResolutionNode],
                 ya: Optional[ResolutionNode], where: str) -> None:
         if self.count >= self.limit:
             raise DepthExceededError(self.limit)
         self.count += 1
-        m, m_red = _mult(g), _mult(g_red)
+        mults = [_mult(p) for p, _i in comps]
         parents = tuple(p for p in (xa, ya) if p is not None)
         node = ResolutionNode(
             index=len(self.nodes) + 1,
             a=1 + sum(p.a for p in parents),
-            b=m + sum(p.b for p in parents),
+            b=sum(i * m for (_p, i), m in zip(comps, mults))
+            + sum(p.b for p in parents),
             parents=parents,
             site=where)
         self.nodes.append(node)
 
-        g_a, g_a_red = _chart_a(g, m), _chart_a(g_red, m_red)
-        g_b = _chart_b(g, m)
+        comps_a = [(_chart_a(p, m), i) for (p, i), m in zip(comps, mults)]
+        comps_b = [(_chart_b(p, m), i) for (p, i), m in zip(comps, mults)]
 
-        # chart B: only its origin is new; visit when the curve passes through
-        if (0, 0) not in g_b:
-            self.process(g_b, _chart_b(g_red, m_red), K, xa, node,
-                         where + " / chart B origin")
+        # chart B: only its origin is new
+        self.process(comps_b, K, xa, node, where + " / chart B origin")
 
         # chart A: bad points along the new exceptional line {x = 0}
-        r = _restrict_to_x0(g_a_red, K)
+        r = functools.reduce(operator.mul,
+                             (_restrict_to_x0(p, K) for p, _i in comps_a))
         assert not r.is_zero, "exceptional line cannot be a component"
-        through_origin = (0, 0) not in g_a
-        origin_needed = ya is not None and through_origin
+        origin_needed = ya is not None
         if r.degree() >= 1:
             bad = r.gcd(r.diff(_symbols("v")))
             for q, _m in bad.factor_list()[1]:
@@ -323,36 +322,34 @@ class _Engine:
                     if v0 == K.zero:
                         origin_needed = True
                         continue
-                    self.process(_translate_y(g_a, K, v0),
-                                 _translate_y(g_a_red, K, v0), K, node, None,
+                    self.process([(_translate_y(p, K, v0), i)
+                                  for p, i in comps_a], K, node, None,
                                  where + f" / chart A at y={K.to_sympy(v0)}")
                 else:
                     K2, phi, gamma = _extend_field(K, q)
                     self.process(
-                        _translate_y(_map_coeffs(g_a, phi), K2, gamma),
-                        _translate_y(_map_coeffs(g_a_red, phi), K2, gamma),
-                        K2, node, None,
+                        [(_translate_y(_map_coeffs(p, phi), K2, gamma), i)
+                         for p, i in comps_a], K2, node, None,
                         where + f" / chart A at root of {q.as_expr()}")
         if origin_needed:
-            self.process(g_a, g_a_red, K, node, ya, where + " / chart A origin")
+            self.process(comps_a, K, node, ya, where + " / chart A origin")
 
-    def process(self, g: dict, g_red: dict, K, xa: Optional[ResolutionNode],
+    def process(self, comps: list, K, xa: Optional[ResolutionNode],
                 ya: Optional[ResolutionNode], where: str) -> None:
-        """Decide SNC at a site on at least one exceptional axis."""
-        if (0, 0) in g_red:
-            return   # curve misses the point; axes alone are normal crossings
-        if xa is not None and ya is not None:
-            self.blow_up(g, g_red, K, xa, ya, where)   # curve + two axes
+        """Blow up unless the components and exceptional axes through the
+        point are at most two smooth branches with distinct tangents."""
+        comps = [(p, i) for p, i in comps if (0, 0) not in p]   # drop units
+        if any(_mult(p) > 1 for p, _i in comps):
+            self.blow_up(comps, K, xa, ya, where)
             return
-        if _mult(g_red) >= 2:
-            self.blow_up(g, g_red, K, xa, ya, where)   # singular reduced curve
-            return
-        # smooth reduced curve on one axis: transverse iff the linear part
-        # involves the non-axis variable
-        key = (0, 1) if xa is not None else (1, 0)
-        if key not in g_red:
-            self.blow_up(g, g_red, K, xa, ya, where)   # tangent to the axis
-            return
+        # the branches' linear forms: the axis {x=0} is x, {y=0} is y
+        lines = [(p.get((1, 0), K.zero), p.get((0, 1), K.zero))
+                 for p, _i in comps]
+        lines += [(K.one, K.zero)] * (xa is not None) \
+            + [(K.zero, K.one)] * (ya is not None)
+        if len(lines) > 2 or (len(lines) == 2 and lines[0][0] * lines[1][1]
+                              == lines[0][1] * lines[1][0]):
+            self.blow_up(comps, K, xa, ya, where)
 
 
 def _qq_poly(terms: dict) -> Poly:
@@ -380,15 +377,15 @@ def _splits_transversally(terms: dict) -> bool:
     return disc > 0 and isqrt(disc) ** 2 == disc
 
 
-def _components_of(f: CurveGerm) -> tuple[tuple[Component, ...], dict]:
-    """The components of f, and their reduced product over QQ.
+def _components_of(f: CurveGerm) -> tuple[Component, ...]:
+    """The components of f, which also seed the root site of the engine.
 
     f = c * prod p_i^i is the square-free decomposition, computed over ZZ
     after clearing denominators (over QQ sympy converts to ZZ inside every
-    gcd), and the reduced germ is prod p_i.  A part
-    p_i is factored only where an output reads its irreducible factors (see
-    Component); the factors of one part keep sympy's factor_list order, which
-    is their order within multiplicity i in the factorization of f.
+    gcd).  A part p_i is factored only where an output reads its irreducible
+    factors (see Component); the factors of one part keep sympy's
+    factor_list order, which is their order within multiplicity i in the
+    factorization of f.
     """
     from sympy import ZZ, Poly
     terms = f.terms()
@@ -406,33 +403,16 @@ def _components_of(f: CurveGerm) -> tuple[tuple[Component, ...], dict]:
             else [t]
         out += [Component(tuple((e, Fraction(c)) for e, c in piece.items()),
                           i, _order(piece)) for piece in pieces]
-    reduced = functools.reduce(operator.mul, (part for part, _i in parts))
-    return tuple(out), reduced.to_field().rep.to_dict()
-
-
-def _snc_at_origin(components: tuple[Component, ...]) -> bool:
-    """Normal crossings at 0 without any blow-up, judged on the components;
-    the parts left whole cannot change the verdict (see Component)."""
-    through = [c for c in components if c.through_origin]
-    if any(c.mult_at_origin != 1 for c in through) or len(through) > 2:
-        return False
-    if len(through) == 2:
-        lins = []
-        for c in through:
-            t = dict(c.coeffs)
-            lins.append((t.get((1, 0), Fraction(0)), t.get((0, 1), Fraction(0))))
-        (a1, b1), (a2, b2) = lins
-        return a1 * b2 - a2 * b1 != 0   # proportional tangents need a blow-up
-    return True
+    return tuple(out)
 
 
 def resolve_germ(f: CurveGerm, max_blowups: Optional[int] = None) -> Resolution:
     """Resolve until the total transform is SNC near the origin fiber."""
     from sympy import QQ
     limit = blowup_limit(max_blowups)
-    components, g0_red = _components_of(f)
+    components = _components_of(f)
     engine = _Engine(limit)
-    if not _snc_at_origin(components):
-        g0 = {e: QQ.convert(c) for e, c in f.coeffs}
-        engine.blow_up(g0, g0_red, QQ, None, None, "origin")
+    engine.process([({e: QQ.convert(c) for e, c in comp.coeffs},
+                     comp.multiplicity) for comp in components],
+                   QQ, None, None, "origin")
     return Resolution(tuple(engine.nodes), components, engine.count)

@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from delpezzo.cli import cli
-from delpezzo.plane_config import CubicForm, dump_config, dump_cubic
+from delpezzo.plane_config import (CubicForm, InvalidConfigError, dump_config,
+                                   dump_cubic, load_config, validate)
 from delpezzo.lattice import SurfaceModel
 from delpezzo.plane_config import SixPointConfig, point
 
@@ -25,6 +26,11 @@ def invoke(runner, *args, **kw):
 FRAME_A_TEXT = dump_config(SixPointConfig(
     (point(1, 0, 0), point(0, 1, 0), point(0, 0, 1),
      point(1, 1, 1), point(1, 2, 3), point(1, 4, 9)), SurfaceModel.SMOOTH))
+
+# p1 repeated as p6
+DUPLICATE_TEXT = dump_config(SixPointConfig(
+    (point(1, 0, 0), point(0, 1, 0), point(0, 0, 1),
+     point(1, 1, 1), point(1, 2, 3), point(1, 0, 0)), SurfaceModel.SMOOTH))
 
 EX11_TEXT = dump_cubic(CubicForm.from_dict({
     (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1,
@@ -362,6 +368,19 @@ def test_alpha_json(runner, tmp_path):
     data = json.loads(result.output)
     assert data["value"] == "2/3"
     assert data["final"] is True
+
+
+@pytest.mark.parametrize("command", ["eckardt", "alpha"])
+def test_invalid_config_is_a_domain_error(runner, tmp_path, command):
+    path = tmp_path / "duplicate.cfg"
+    path.write_text(DUPLICATE_TEXT)
+    result = invoke(runner, command, "--config", str(path))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no raw traceback
+    expected = InvalidConfigError(validate(load_config(DUPLICATE_TEXT)))
+    assert result.output == f"Error: {expected}\n"
+    assert result.output.startswith(
+        "Error: configuration violates its mode invariants: duplicate points")
 
 
 # -- cross-cutting ---------------------------------------------------------------

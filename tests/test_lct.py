@@ -8,7 +8,8 @@ import pytest
 from delpezzo.germs import parse_germ
 from delpezzo.lct import (blowup_lct, check_lemma52, check_mult_bounds,
                           holder_product_bound, newton_lct, newton_polygon)
-from delpezzo.resolution import (DepthExceededError, ResolutionNode,
+from delpezzo.resolution import (BlowupBudgetSettingError,
+                                 DepthExceededError, ResolutionNode,
                                  resolve_germ)
 from germgen import random_germ, random_unimodular
 
@@ -101,6 +102,16 @@ def test_depth_budget_is_honored():
         resolve_germ(parse_germ("y^2 - x^3"), max_blowups=2)
     with pytest.raises(DepthExceededError):
         blowup_lct(parse_germ("y^2 - x^3"), max_blowups=1)
+
+
+@pytest.mark.parametrize("budget", [-1, True])
+def test_bad_depth_budget_argument_is_a_setting_error(budget):
+    # checked like the environment variable, before any blow-up
+    message = f"max_blowups must be a non-negative integer, got {budget!r}"
+    with pytest.raises(BlowupBudgetSettingError, match=message):
+        resolve_germ(parse_germ("x*y"), max_blowups=budget)
+    with pytest.raises(BlowupBudgetSettingError, match=message):
+        blowup_lct(parse_germ("y^2 - x^3"), max_blowups=budget)
 
 
 def test_depth_budget_env_override(monkeypatch):

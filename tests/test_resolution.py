@@ -1,8 +1,7 @@
-"""Resolution engine: the carried reduced transform, pinned node chains, one
-resolve per caller, the substituted conjugate-tangent families, and the
-square-free split of the germ against full factorization."""
+"""Resolution engine: the components carried from site to site, pinned node
+chains, one resolve per caller, the substituted conjugate-tangent families,
+and the square-free split of the germ against full factorization."""
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -28,33 +27,34 @@ FIELD_EXTENSION_GERM = "(y^2 - 2*x^2)^2 - x^7"
 CONJUGATE_CUBE = parse_germ("(y^3 - 2*x^3)^2 - x^7").compose_linear(1, 1, 1, 2)
 
 
-def _sqf_part_up_to_scalar(g, g_red, K):
-    """Is g_red the square-free part of g, up to a nonzero constant in K?"""
-    expected = Poly.from_dict(g, _X, _Y, domain=K).sqf_part().monic()
-    return Poly.from_dict(g_red, _X, _Y, domain=K).monic() == expected
-
-
-def test_carried_reduced_transform_is_the_square_free_part(monkeypatch):
-    # Poly.sqf_part of g at every site is the oracle for the carried g_red
+def test_carried_components_are_square_free_and_coprime(monkeypatch):
+    # sympy sqf_part and gcd over the site's field K are the oracle: every
+    # site's components are square-free and pairwise coprime, and every one
+    # the engine blows up on passes through the point
     sites = []
-    process = resolution._Engine.process
+    process, blow_up = resolution._Engine.process, resolution._Engine.blow_up
 
-    def checked(self, g, g_red, K, xa, ya, where):
-        assert _sqf_part_up_to_scalar(g, g_red, K), where
+    def checked_process(self, comps, K, xa, ya, where):
+        polys = [Poly.from_dict(p, _X, _Y, domain=K) for p, _i in comps]
+        for k, p in enumerate(polys):
+            assert p.sqf_part().monic() == p.monic(), where
+            assert all(p.gcd(q).is_ground for q in polys[k + 1:]), where
         sites.append(where)
-        return process(self, g, g_red, K, xa, ya, where)
+        return process(self, comps, K, xa, ya, where)
 
-    monkeypatch.setattr(resolution._Engine, "process", checked)
+    def checked_blow_up(self, comps, K, xa, ya, where):
+        assert comps and all((0, 0) not in p for p, _i in comps), where
+        return blow_up(self, comps, K, xa, ya, where)
+
+    monkeypatch.setattr(resolution._Engine, "process", checked_process)
+    monkeypatch.setattr(resolution._Engine, "blow_up", checked_blow_up)
     rng = random.Random(20260825)
     germs = [random_germ(rng) for _ in range(200)]
     germs.append(parse_germ(FIELD_EXTENSION_GERM))
     germs.append(parse_germ("(y - x)^2 - x^3"))   # tangent at y = 1 in chart A
-    # squares, where g and g_red differ and so do their multiplicities
+    # squares, whose components carry multiplicity 2
     germs += [f ** 2 for f in germs[-40:]]
     for f in germs:
-        _, g0_red = resolution._components_of(f)
-        g0 = {e: QQ.convert(c) for e, c in f.coeffs}
-        assert _sqf_part_up_to_scalar(g0, g0_red, QQ), str(f)
         resolve_germ(f)
     assert len(sites) > len(germs)
     assert any("at root of" in where for where in sites)
@@ -76,14 +76,30 @@ GOLDEN_CHAINS = [
         (4, 14, (1, 2),
          "origin / chart A at root of 6*v**3 + 6*v**2 - 1 / chart B origin"),
     ]),
+    # a squared component beside a line and a unit: b weighs mult by i
+    (parse_germ("(y^2 - x^3)^2*(y - x)*(1 + x)"), [
+        (1, 5, (), "origin"),
+        (2, 7, (1,), "origin / chart A origin"),
+        (4, 14, (1, 2), "origin / chart A origin / chart B origin"),
+    ]),
+    # multiplicities 2 and 3 through the origin, and a squared unit
+    (parse_germ("(y^2 - 2*x^3)^2*(y - x^2)^3*(1 + y)^2"), [
+        (1, 7, (), "origin"),
+        (2, 12, (1,), "origin / chart A origin"),
+        (4, 21, (1, 2), "origin / chart A origin / chart B origin"),
+    ]),
 ]
+
+
+def _chain(res):
+    return [(n.a, n.b, tuple(p.index for p in n.parents), n.site)
+            for n in res.nodes]
 
 
 @pytest.mark.parametrize("f, chain", GOLDEN_CHAINS)
 def test_node_chains_parents_and_sites(f, chain):
     res = resolve_germ(f)
-    assert [(n.a, n.b, tuple(p.index for p in n.parents), n.site)
-            for n in res.nodes] == chain
+    assert _chain(res) == chain
     assert res.blowups == len(chain)
 
 
@@ -184,25 +200,30 @@ def _split_corpus():
     return corpus + [f ** 2 for f in corpus] + products + named
 
 
+def _product(components, weighted):
+    out = Poly(1, _X, _Y, domain=QQ)
+    for comp in components:
+        out *= resolution._qq_poly(dict(comp.coeffs)) ** \
+            (comp.multiplicity if weighted else 1)
+    return out.monic()
+
+
 def test_square_free_split_matches_full_factorization(monkeypatch):
+    # the oracle seeds the engine with every irreducible factor of f
     faces = {True: 0, False: 0}
     for f in _split_corpus():
         res = resolve_germ(f)
-        oracle = dataclasses.replace(res, components=_full_components(f))
-        got = (resolution._snc_at_origin(res.components),
-               str(resolution_lct(res)), check_mult_bounds(f))
+        got = (_chain(res), res.blowups, str(resolution_lct(res)),
+               check_mult_bounds(f))
         with monkeypatch.context() as m:
-            m.setattr(lct_module, "resolve_germ",
-                      lambda g, max_blowups=None: oracle)
-            want = (resolution._snc_at_origin(oracle.components),
+            m.setattr(resolution, "_components_of", _full_components)
+            oracle = resolve_germ(f)
+            want = (_chain(oracle), oracle.blowups,
                     str(resolution_lct(oracle)), check_mult_bounds(f))
         assert got == want, str(f)
-        _, g_red = resolution._components_of(f)
-        reduced = Poly(1, _X, _Y, domain=QQ)
-        for comp in oracle.components:
-            reduced *= resolution._qq_poly(dict(comp.coeffs))
-        assert Poly.from_dict(g_red, _X, _Y, domain=QQ).monic() == \
-            reduced.monic(), str(f)
+        for weighted in (False, True):
+            assert _product(res.components, weighted) == \
+                _product(oracle.components, weighted), str(f)
         for face in newton_polygon(f).faces:
             square_free = _bivariate_face_is_square_free(f, face)
             assert lct_module._face_univariate(f, face).is_sqf == \
