@@ -5,17 +5,16 @@ A variable that appears in an equality is eliminated by pivoting on that
 equality; otherwise every upper row is combined with every lower row, and
 strictness propagates through combinations (strict + anything = strict).
 
-`solve` eliminates the variables once, in declaration order, keeping the
-chain of systems: chain[k] has the first k variables eliminated, and the
-system is feasible iff chain[n] is.  The bounds of the k-th variable are read
-off chain[k] with the later variables projected away, with attainment flags
-so that a supremum can be told apart from a maximum.  The order matters: FM
-row growth depends on it, and every variable sees the same elimination
-sequence whatever else is asked.  Forced values are variables whose attained
-lower and upper bounds coincide; integrality is checked post hoc on forced
-values of integer-flagged variables.  The witness fixes one variable at a
-time in the same order; fixing var = value is the elimination of var by the
-equality var = value, which the pivot rule picks first.
+`solve` reads every output off one chain: prefix[k] is the system with the
+variables after the k-th (declaration order) eliminated, last first.  It is
+feasible iff prefix[0] bounds the first variable.  The k-th variable's bounds
+are prefix[k]'s with the earlier variables projected away, with attainment
+flags so that a supremum can be told apart from a maximum; forced values are
+attained bounds that coincide, and integrality is checked on forced values of
+integer-flagged variables.  The witness pivots the earlier witness values into
+prefix[k] as var = value equalities and combines no rows: FM with strictness
+is an exact projection, so fixing the earlier variables commutes with
+projecting the later ones away.  FM row growth depends on the order.
 
 The dense section holds the one Gauss-Jordan pivot (`_pivot`), the right
 kernel built on it (conics through points), the exact Phase-I simplex that
@@ -108,6 +107,11 @@ class ConstraintSystem:
     constraints: list[LinearConstraint] = field(default_factory=list)
     integer_vars: set[str] = field(default_factory=set)
 
+    def __post_init__(self):
+        rows, self.constraints = self.constraints, []
+        for con in rows:
+            self.add(con)
+
     def add(self, constraint: LinearConstraint) -> None:
         unknown = set(constraint.coeffs) - set(self.variables)
         if unknown:
@@ -115,8 +119,7 @@ class ConstraintSystem:
         self.constraints.append(constraint)
 
     def copy(self) -> "ConstraintSystem":
-        return ConstraintSystem(list(self.variables),
-                                list(self.constraints),
+        return ConstraintSystem(list(self.variables), self.constraints,
                                 set(self.integer_vars))
 
 
@@ -326,19 +329,18 @@ def _pick(bounds: VarBounds) -> Fraction:
 def solve(system: ConstraintSystem) -> SolveReport:
     """Exact feasibility, per-variable bounds, forced values, integrality."""
     order = list(system.variables)
-    chain = [_normalize(_rows_of(system))]
-    for var in order:
-        chain.append(None if chain[-1] is None else _eliminate(chain[-1], var))
-    if chain[-1] is None:
+    # prefix[k] constrains order[:k + 1] only: the later variables are
+    # eliminated from the whole system, last declared first
+    prefix = [_normalize(_rows_of(system))]
+    for var in reversed(order[1:]):
+        prefix.insert(0, None if prefix[0] is None else _eliminate(prefix[0], var))
+    if prefix[0] is None or (
+            order and _bounds_from_univariate(prefix[0], order[0]) is None):
         return SolveReport(False, {}, {}, {}, None)
 
-    bounds: dict[str, VarBounds] = {}
-    for k, var in enumerate(order):
-        projected = _project(chain[k], order[k + 1:])
-        assert projected is not None, "projection of a feasible system is feasible"
-        vb = _bounds_from_univariate(projected, var)
-        assert vb is not None
-        bounds[var] = vb
+    bounds = {var: _bounds_from_univariate(_project(prefix[k], order[:k]), var)
+              for k, var in enumerate(order)}
+    assert None not in bounds.values(), "projection of a feasible system is feasible"
 
     forced = {
         v: vb.lower
@@ -347,18 +349,14 @@ def solve(system: ConstraintSystem) -> SolveReport:
         and vb.lower_attained and vb.upper_attained
     }
 
-    # rational witness: fix each variable in turn by pivoting on var = value
+    # rational witness: pivot the earlier values into prefix[k] as var = value
+    # equalities, which leaves a system in order[k] alone
     witness: dict[str, Fraction] = {}
-    rows = chain[0]
     for k, var in enumerate(order):
-        projected = _project(rows, order[k + 1:])
-        assert projected is not None
-        vb = _bounds_from_univariate(projected, var)
-        assert vb is not None
-        value = forced.get(var, _pick(vb))
-        witness[var] = value
-        rows = _eliminate(([({var: Q(1)}, value)] + rows[0], rows[1]), var)
-        assert rows is not None
+        eqs, ineqs = prefix[k]
+        fixed = [({v: Q(1)}, value) for v, value in witness.items()]
+        witness[var] = _pick(_bounds_from_univariate(
+            _project((fixed + eqs, ineqs), order[:k]), var))
     for con in system.constraints:
         assert con.evaluate(witness), f"witness violates {con}"
 
@@ -689,6 +687,9 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
         decl = re.fullmatch(r"(int|var)\s+([A-Za-z_][A-Za-z_0-9]*)", line)
         if decl:
             kind, name = decl.groups()
+            if name == "m":
+                raise SystemParseError(
+                    f"line {lineno}: m is a substituted constant, not a variable")
             if name not in variables:
                 variables.append(name)
             if kind == "int":
@@ -722,7 +723,4 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
         for v in con.coeffs:
             if v not in variables:
                 variables.append(v)
-    system = ConstraintSystem(variables, [], integer_vars)
-    for con in pending:
-        system.add(con)
-    return system
+    return ConstraintSystem(variables, pending, integer_vars)

@@ -285,6 +285,14 @@ def test_solve_file(runner, tmp_path):
     assert out[-1].startswith("witness: ")
 
 
+def test_solve_rejects_declaring_m(runner, tmp_path):
+    path = tmp_path / "system.txt"
+    path.write_text("int m\nm + x <= 3\nx >= 0\n")
+    result = invoke(runner, "solve", str(path), "--m", "2")
+    assert result.exit_code == 1
+    assert "line 1: m " in result.output
+
+
 def test_solve_missing_file(runner, tmp_path):
     result = invoke(runner, "solve", str(tmp_path / "absent.txt"))
     assert result.exit_code == 1

@@ -1,12 +1,17 @@
 """Fourier-Motzkin engine: frozen case systems, random-grid oracle, parser."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from delpezzo import constraints
+from delpezzo.cli import cli
 from delpezzo.constraints import (NODAL_SUBCASES, ConstraintSystem,
                                   SystemParseError,
                                   encode_case2, encode_case3, encode_nodal,
@@ -165,9 +170,9 @@ def test_integrality_follows_declaration_order(system, order):
 
 
 def test_solve_eliminates_along_one_chain(monkeypatch):
-    # n(n+1) eliminations for n variables: n along the chain, n(n-1)/2 to
-    # project the later variables away for the bounds, and n(n-1)/2 + n for
-    # the witness, each fixed value being one more elimination
+    # n - 1 eliminations along the prefix chain, n(n-1)/2 to project the
+    # earlier variables away for the bounds and n(n-1)/2 value pivots for the
+    # witness, which combine no rows: 63 for n = 8
     calls = []
     inner = constraints._eliminate
     monkeypatch.setattr(constraints, "_eliminate",
@@ -175,7 +180,7 @@ def test_solve_eliminates_along_one_chain(monkeypatch):
     system = encode_nodal(4, "q_on_c")
     assert solve(system).feasible
     assert len(system.variables) == 8
-    assert len(calls) == 72
+    assert len(calls) == 63
 
 
 # -- random-grid oracle ----------------------------------------------------------
@@ -263,6 +268,61 @@ def test_solve_ignores_redundant_consequences():
             assert rep1.bounds == rep2.bounds
 
 
+# -- pinned reports --------------------------------------------------------------
+
+# Every field of `solve`'s report, key order included, on seeded random
+# systems and edge systems, and the bytes of `delpezzo case --json`, as the
+# forward-chain solver produced them.  A rewrite of `solve` must leave these
+# unchanged.
+PINNED = json.loads((Path(__file__).parent / "data" / "solve_reports.json").read_text())
+
+CASE_ARGS = {"2": ["--id", "2"], "3": ["--id", "3"], "nodal": ["--id", "nodal"],
+             **{f"nodal {sub}": ["--id", "nodal", "--subcase", sub]
+                for sub in NODAL_SUBCASES}}
+
+
+def _pinned_random_system(rng):
+    names = [f"x{i}" for i in range(rng.randint(1, 5))]
+    s = ConstraintSystem(names, integer_vars={v for v in names if rng.random() < 0.5})
+    build = (le, le, lt, ge, gt, eq)
+    for _ in range(rng.randint(1, len(names) + 4)):
+        coeffs = {v: rng.randint(-3, 3)
+                  for v in rng.sample(names, rng.randint(1, len(names)))}
+        s.add(rng.choice(build)(coeffs, Q(rng.randint(-8, 12), rng.randint(1, 3))))
+    return s
+
+
+def _pinned_systems():
+    rng = random.Random(20261018)
+    yield from (_pinned_random_system(rng) for _ in range(240))
+    yield ConstraintSystem([])
+    yield ConstraintSystem([], [le({}, -1)])
+    yield ConstraintSystem(["x", "y"], [le({"x": 1}, 1), gt({"x": 1}, -2)])
+
+
+def _report_line(rep):
+    return repr((rep.feasible,
+                 [(v, str(b)) for v, b in rep.bounds.items()],
+                 [(v, str(x)) for v, x in rep.forced.items()],
+                 list(rep.integrality.items()),
+                 rep.witness and [(v, str(x)) for v, x in rep.witness.items()]))
+
+
+def test_solve_reports_are_pinned():
+    lines = [_report_line(solve(s)) for s in _pinned_systems()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert {"systems": len(lines), "sha256": digest} == PINNED["reports"]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@pytest.mark.parametrize("case", list(CASE_ARGS))
+def test_case_json_is_pinned(case, m):
+    out = CliRunner().invoke(cli, ["case", *CASE_ARGS[case], "--m", str(m), "--json"])
+    assert out.exit_code == 0
+    assert hashlib.sha256(out.output.encode()).hexdigest() == \
+        PINNED["case_json"][case][str(m)]
+
+
 def test_forced_values_absorb_resubstitution():
     rep1 = solve(encode_case3(6))
     pinned = encode_case3(6)
@@ -336,6 +396,17 @@ def test_parse_system_autodeclares_plain_variables():
     system = parse_system("var x\nx + y <= 1\n")
     assert system.variables == ["x", "y"]
     assert system.integer_vars == set()
+
+
+@pytest.mark.parametrize("kind", ["int", "var"])
+def test_parse_system_rejects_declaring_m(kind):
+    with pytest.raises(SystemParseError, match="^line 2: m "):
+        parse_system(f"var x\n{kind} m\nm + x <= 3\n", m=2)
+
+
+def test_constraint_system_checks_constructor_rows():
+    with pytest.raises(ValueError, match="undeclared variables: \\['y'\\]"):
+        ConstraintSystem(["x"], [le({"x": 1, "y": 1}, 1)])
 
 
 def test_parse_system_rejects_bad_syntax():

@@ -88,6 +88,21 @@ GOLDEN_CHAINS = [
         (2, 12, (1,), "origin / chart A origin"),
         (4, 21, (1, 2), "origin / chart A origin / chart B origin"),
     ]),
+    # x^8*F(x, y/x), F = h(x, v - sqrt2)*h(x, v + sqrt2), h = (w^2 - 3x^2)^2 - x^5:
+    # the second blow-up adjoins sqrt3 over QQ(sqrt2), a tower over K != QQ
+    (parse_germ(
+        "16*x^8 - 32*x^6*y^2 + 24*x^4*y^4 - 8*x^2*y^6 + y^8 - 96*x^10"
+        " + 48*x^8*y^2 + 24*x^6*y^4 - 12*x^4*y^6 + 216*x^12 + 72*x^10*y^2"
+        " + 54*x^8*y^4 - 8*x^13 - 24*x^11*y^2 - 2*x^9*y^4 - 216*x^14"
+        " - 108*x^12*y^2 + 24*x^15 + 12*x^13*y^2 + 81*x^16 - 18*x^17 + x^18"), [
+        (1, 8, (), "origin"),
+        (2, 12, (1,), "origin / chart A at root of v**2 - 2"),
+        (3, 13, (2,),
+         "origin / chart A at root of v**2 - 2 / chart A at root of v**2 - 3"),
+        (6, 26, (2, 3),
+         "origin / chart A at root of v**2 - 2 / chart A at root of v**2 - 3"
+         " / chart B origin"),
+    ]),
 ]
 
 
