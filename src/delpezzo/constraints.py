@@ -108,6 +108,9 @@ class ConstraintSystem:
     integer_vars: set[str] = field(default_factory=set)
 
     def __post_init__(self):
+        repeated = sorted({v for v in self.variables if self.variables.count(v) > 1})
+        if repeated:
+            raise ValueError(f"variables declared more than once: {repeated}")
         rows, self.constraints = self.constraints, []
         for con in rows:
             self.add(con)
@@ -615,7 +618,8 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
     Holder row mult_omega >= m/2 needed to pin nu = mult_omega = m/2.
     """
     if subcase is not None and subcase not in NODAL_SUBCASES:
-        raise ValueError(f"unknown subcase {subcase!r}")
+        raise ValueError(f"unknown subcase {subcase!r}; expected "
+                         + ", ".join(NODAL_SUBCASES))
     variables = ["mu", "nu", "mult_s", "mult_omega",
                  "c_omega", "l_omega", "d_omega"]
     if subcase is not None:

@@ -36,6 +36,10 @@ PROJECTION_DEGREE = "projection-degree"
 NEIGHBOR_COUNTING = "neighbor-counting"
 HALF_INTEGRAL = "half-integral"
 
+#: largest m `lemma31_scan` accepts: its records grow by about 40 per unit of
+#: m (40,689 at m = 1000, in about 2 s), so m = 20000 takes 41 s and 0.9 GB
+MAX_SCAN_M = 1000
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -228,10 +232,14 @@ def lemma31_scan(m: int, lam) -> CaseVerdict:
     Disconnected pairs are excluded outright: the locus is connected.
     Budget-infeasible shapes (anything involving a conic in a pair, and all
     larger supports) admit no coefficients at all and are not candidates.
+    Raises ValueError for m above MAX_SCAN_M before enumerating anything.
     """
     m = int(m)
     if m < 2:
         raise ValueError("m >= 2 required")
+    if m > MAX_SCAN_M:
+        raise ValueError(f"m <= {MAX_SCAN_M} required; the scan grows "
+                         "about 40 records per unit of m")
     lam = Fraction(lam)
     if not 0 < lam <= Fraction(2, 3):
         raise ValueError("threshold lam must lie in (0, 2/3]")

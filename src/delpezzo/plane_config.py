@@ -75,8 +75,9 @@ class ProjPoint:
 
 
 def point(*coords) -> ProjPoint:
-    """Build a ProjPoint from ints, Fractions or 'a/b' strings."""
-    return ProjPoint(tuple(Q(c) for c in coords))
+    """Build a ProjPoint from ints, Fractions or strings (`poly.rational`)."""
+    return ProjPoint(tuple(poly.rational(c) if isinstance(c, str) else Q(c)
+                           for c in coords))
 
 
 def _det3(p, q, r) -> int:
@@ -398,8 +399,8 @@ class ConfigParseError(ValueError):
 def load_config(text: str) -> SixPointConfig:
     """Parse the plain-text configuration format.
 
-    A `mode: smooth|nodal` header, then six lines `x y z` with integer or
-    `a/b` entries; `#` starts a comment.
+    A `mode: smooth|nodal` header, then six lines `x y z` of constants read
+    by `poly.rational` (`3`, `-1/2`, no decimals); `#` starts a comment.
     """
     mode: Optional[SurfaceModel] = None
     rows: list[ProjPoint] = []
@@ -422,7 +423,7 @@ def load_config(text: str) -> SixPointConfig:
                 f"line {lineno}: expected three coordinates, got {len(entries)}")
         try:
             rows.append(point(*entries))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigParseError(f"line {lineno}: {exc}") from exc
     if mode is None:
         raise ConfigParseError("missing `mode:` header")
@@ -438,7 +439,10 @@ def dump_config(config: SixPointConfig) -> str:
 
 
 def load_cubic(text: str) -> CubicForm:
-    """Parse the 20-line `monomial coefficient` cubic format (graded-lex)."""
+    """Parse the 20-line `monomial coefficient` cubic format (graded-lex).
+
+    Coefficients are constants read by `poly.rational`.
+    """
     body = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     body = [ln for ln in body if ln]
     if len(body) != 20:
@@ -453,9 +457,9 @@ def load_cubic(text: str) -> CubicForm:
             raise ConfigParseError(
                 f"expected monomial {monomial_name(expected)!r}, got {name!r}")
         try:
-            coeffs.append(Q(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigParseError(f"bad coefficient {value!r}") from exc
+            coeffs.append(poly.rational(value))
+        except poly.PolyParseError as exc:
+            raise ConfigParseError(f"bad coefficient {value!r}: {exc}") from exc
     return CubicForm(tuple(coeffs))
 
 

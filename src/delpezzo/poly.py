@@ -12,7 +12,8 @@ only and `^` takes a non-negative integer literal only.  Nothing in the text
 is evaluated as code, and every product and power is checked against the
 caller's degree cap and MAX_COEFF_BITS before it is computed; every product,
 each step of a power included, is also charged to the parse's budget of
-MAX_TERM_PRODUCTS.
+MAX_TERM_PRODUCTS.  `rational` reads a single constant of the grammar; every
+number the toolkit takes as text goes through it.
 """
 
 from __future__ import annotations
@@ -200,6 +201,15 @@ def parse(text: str, names: Sequence[str], max_degree: int,
     if tokens[-1] is not None:
         raise PolyParseError(f"unexpected {tokens[-1]!r}")
     return p
+
+
+def rational(text: str) -> Fraction:
+    """The constant `text` denotes in `parse`'s grammar, e.g. '-3', '1/2'.
+
+    Decimals and exponents are outside the grammar; raises PolyParseError
+    like `parse`, a division by zero included.
+    """
+    return parse(text, (), 0).get((), Fraction(0))
 
 
 def _degree(p: Poly) -> int:

@@ -1,11 +1,14 @@
 """Command line surface: output formats, exit codes, JSON determinism."""
 
+import importlib
 import json
+import pkgutil
 import time
 
 import pytest
 from click.testing import CliRunner
 
+import delpezzo
 from delpezzo.cli import cli
 from delpezzo.plane_config import (CubicForm, InvalidConfigError, dump_config,
                                    dump_cubic, load_config, validate)
@@ -230,6 +233,14 @@ def test_verify_unknown_lemma(runner):
     assert "unknown lemma id '9.9'" in result.output
 
 
+def test_verify_caps_m_fast(runner):
+    start = time.perf_counter()
+    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "1001")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: m <= 1000 required")
+
+
 def test_verify_json(runner):
     result = invoke(runner, "verify", "--lemma", "5.1", "--m", "4", "--json")
     data = json.loads(result.output)
@@ -266,6 +277,14 @@ def test_case_nodal_subcase(runner):
     assert out[0] == "case nodal (q_on_c), m=6"
     assert "mult_omega = 3" in out
     assert "0 <= mult_q <= 3" in out
+
+
+def test_case_unknown_subcase(runner):
+    result = invoke(runner, "case", "--id", "nodal", "--m", "6",
+                    "--subcase", "q_free_ish")
+    assert result.exit_code == 1
+    assert result.output == ("Error: unknown subcase 'q_free_ish'; "
+                             "expected q_free, q_on_l, q_on_c\n")
 
 
 def test_case_unknown_id(runner):
@@ -389,6 +408,76 @@ def test_invalid_config_is_a_domain_error(runner, tmp_path, command):
     assert result.output == f"Error: {expected}\n"
     assert result.output.startswith(
         "Error: configuration violates its mode invariants: duplicate points")
+
+
+# -- one input contract ----------------------------------------------------------
+# every number read from text goes through the polynomial grammar, and every
+# library error reaches exit 1 through the group's one handler
+
+@pytest.mark.parametrize("entry, message", [
+    ("0.5", "unexpected '.'"),
+    ("1e200000", "unexpected 'e200000'"),
+    ("1/0", "division by zero"),
+])
+def test_config_coordinates_use_the_polynomial_grammar(runner, tmp_path,
+                                                       entry, message):
+    path = tmp_path / "frame.cfg"
+    path.write_text(FRAME_A_TEXT.replace("\n1 2 3\n", f"\n{entry} 2 3\n"))
+    start = time.perf_counter()
+    result = invoke(runner, "eckardt", "--config", str(path))
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert result.output == f"Error: line 6: {message}\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0.5", "unexpected '.'"),
+    ("1e9", "unexpected 'e9'"),
+])
+def test_cubic_coefficients_use_the_polynomial_grammar(runner, tmp_path,
+                                                       value, message):
+    lines = EX11_TEXT.splitlines()
+    lines[-1] = lines[-1].split()[0] + " " + value
+    path = tmp_path / "surface.cubic"
+    path.write_text("\n".join(lines) + "\n")
+    result = invoke(runner, "eckardt", "--cubic", str(path),
+                    "--point", "1 0 0 0")
+    assert result.exit_code == 1
+    assert result.output == f"Error: bad coefficient {value!r}: {message}\n"
+
+
+def test_point_uses_the_polynomial_grammar(runner, tmp_path):
+    path = tmp_path / "surface.cubic"
+    path.write_text(EX11_TEXT)
+    result = invoke(runner, "eckardt", "--cubic", str(path),
+                    "--point", "1/0 1 0 0")
+    assert result.exit_code == 1
+    assert result.output == "Error: division by zero\n"
+
+
+@pytest.mark.parametrize("lam, message", [
+    ("0.5", "unexpected '.'"),
+    ("x", "unknown name 'x'"),
+])
+def test_lambda_uses_the_polynomial_grammar(runner, lam, message):
+    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2",
+                    "--lambda", lam)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {message}\n"
+
+
+def test_every_library_error_is_a_value_error():
+    # the group maps ValueError to exit 1; an error type outside it would
+    # reach the user as a traceback
+    errors = []
+    for info in pkgutil.iter_modules(delpezzo.__path__):
+        module = importlib.import_module(f"delpezzo.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__]
+    assert "PolyParseError" in {e.__name__ for e in errors}
+    assert [e.__name__ for e in errors
+            if not issubclass(e, ValueError)] == ["DepthExceededError"]
 
 
 # -- cross-cutting ---------------------------------------------------------------

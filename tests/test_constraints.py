@@ -409,6 +409,19 @@ def test_constraint_system_checks_constructor_rows():
         ConstraintSystem(["x"], [le({"x": 1, "y": 1}, 1)])
 
 
+def test_constraint_system_rejects_a_repeated_variable():
+    # solve would eliminate the second copy before reading the first's bounds
+    # and report -inf < x < inf, although the rows force 0 <= x <= 1
+    with pytest.raises(ValueError, match="declared more than once: \\['x'\\]"):
+        ConstraintSystem(["x", "y", "x"], [le({"x": 1}, 1), ge({"x": 1}, 0)])
+
+
+def test_encode_nodal_names_the_subcases_it_accepts():
+    with pytest.raises(ValueError, match="unknown subcase 'q_somewhere'; "
+                                         "expected q_free, q_on_l, q_on_c$"):
+        encode_nodal(6, "q_somewhere")
+
+
 def test_parse_system_rejects_bad_syntax():
     with pytest.raises(SystemParseError):
         parse_system("var x\nx ~ 1\n")

@@ -7,6 +7,7 @@ rejection tests, so any change to either shows up as a count diff.
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from delpezzo.cli import cli
 
 from delpezzo.lattice import C, E, MINUS_K, SurfaceModel, is_ample
 from delpezzo.lemma_verify import (DEGREE_OVERFLOW, INTERSECTION_VIOLATION,
-                                   NOT_AMPLE, PROJECTION_DEGREE,
+                                   MAX_SCAN_M, NOT_AMPLE, PROJECTION_DEGREE,
                                    alpha1_report, canonical_nodal_survivor,
                                    classify_smooth_candidate, decomposition,
                                    degree_budget_check, lemma31_scan,
@@ -61,6 +62,14 @@ def test_smooth_scan_rejects_bad_arguments():
         lemma31_scan(2, Q(3, 4))
     with pytest.raises(ValueError):
         lemma31_scan(2, Q(0))
+
+
+def test_smooth_scan_caps_m_before_enumerating():
+    # about 40 records per unit of m: m = 20000 would take 41 s and 0.9 GB
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"m <= {MAX_SCAN_M} required"):
+        lemma31_scan(MAX_SCAN_M + 1, Q(2, 3))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_classifier_enforces_the_coefficient_floor():

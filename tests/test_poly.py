@@ -57,6 +57,26 @@ def test_parse_honours_names_constants_and_precedence():
     assert poly.parse("0^0 + x - x", ("x",), 1) == {(0,): 1}
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("-1/2", Fraction(-1, 2)), ("+4/6", Fraction(2, 3)),
+    ("2^10", 1024), ("0", 0), (" 1 - 1/3 ", Fraction(2, 3)),
+])
+def test_rational_reads_a_constant_of_the_grammar(text, value):
+    assert poly.rational(text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0.5", "unexpected '.'"),
+    ("1e200000", "unexpected 'e200000'"),
+    ("1/0", "division by zero"),
+    ("x", "unknown name 'x'"),
+    ("", "end of input"),
+])
+def test_rational_refuses_decimals_exponents_and_names(text, message):
+    with pytest.raises(poly.PolyParseError, match=re.escape(message)):
+        poly.rational(text)
+
+
 @pytest.mark.parametrize("text, message", [
     ("((((2^64)^64)^64)^64)*x", "cap of 4096 bits"),
     ("(" * 1000 + "x" + ")" * 1000, "nested too deeply"),
