@@ -1,9 +1,12 @@
 """Exact rational linear algebra: Fourier-Motzkin elimination and pivoting.
 
 A constraint is  sum(coeff * var) REL constant  with REL one of <=, <, =.
-A variable that appears in an equality is eliminated by pivoting on that
-equality; otherwise every upper row is combined with every lower row, and
-strictness propagates through combinations (strict + anything = strict).
+Fourier-Motzkin works on primitive integer rows over the declaration order
+of the variables: each constraint is scaled to integers once, on entry, and
+Fractions appear only at the boundary (bounds, witness values).  A variable
+that appears in an equality is eliminated by pivoting on that equality;
+otherwise every upper row is combined with every lower row, and strictness
+propagates through combinations (strict + anything = strict).
 
 `solve` reads every output off one chain: prefix[k] is the system with the
 variables after the k-th (declaration order) eliminated, last first.  It is
@@ -155,122 +158,111 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin internals.  A system is a pair (eqs, ineqs):
-#   eqs:   (coeffs dict, const)          sum(c*x) = const
-#   ineqs: (coeffs dict, strict, const)  sum(c*x) <= const, or < when strict
-# A variable that appears in an equality is eliminated by Gaussian pivoting
-# (no row growth); genuine upper-times-lower FM combination is reserved for
+# Fourier-Motzkin internals.  A row is a primitive integer vector
+# (c_0, ..., c_n-1, b) over the declaration order of the system's variables,
+# standing for sum(c_i * x_i) REL b, and a system is a pair (eqs, ineqs):
+#   eqs:   row              REL is =
+#   ineqs: (row, strict)    REL is <=, or < when strict
+# Each constraint is scaled to integers once, on entry, and every later row
+# is an integer combination divided by the gcd of its entries.  Fractions
+# appear only at the boundary: reading the constraints, the bounds, `_pick`
+# and the witness values, fed back as the rows den*x_v = num.  A variable
+# that appears in an equality is eliminated by Gaussian pivoting (no row
+# growth); genuine upper-times-lower FM combination is reserved for
 # variables constrained by inequalities only.
 
-_Eq = tuple[dict[str, Fraction], Fraction]
-_Ineq = tuple[dict[str, Fraction], bool, Fraction]
-_Sys = tuple[list[_Eq], list[_Ineq]]
+_Row = tuple[int, ...]
+_Sys = tuple[list[_Row], list[tuple[_Row, bool]]]
 
 
 def _rows_of(system: ConstraintSystem) -> _Sys:
-    eqs: list[_Eq] = []
-    ineqs: list[_Ineq] = []
+    index = {v: i for i, v in enumerate(system.variables)}
+    eqs: list[_Row] = []
+    ineqs: list[tuple[_Row, bool]] = []
     for con in system.constraints:
+        scale = math.lcm(con.rhs.denominator,
+                         *(c.denominator for c in con.coeffs.values()))
+        row = [0] * len(index) + [int(con.rhs * scale)]
+        for v, c in con.coeffs.items():
+            row[index[v]] = int(c * scale)
         if con.rel == EQ:
-            eqs.append((dict(con.coeffs), con.rhs))
+            eqs.append(_reduced(row))
         else:
-            ineqs.append((dict(con.coeffs), con.rel == LT, con.rhs))
+            ineqs.append((_reduced(row), con.rel == LT))
     return eqs, ineqs
 
 
-def _primitive_scale(coeffs: dict[str, Fraction]) -> Fraction:
-    return Q(math.lcm(*(c.denominator for c in coeffs.values())),
-             math.gcd(*(c.numerator for c in coeffs.values())))
+def _reduced(row: list[int]) -> _Row:
+    """The row divided by the gcd of its entries, a primitive vector."""
+    g = math.gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 def _normalize(sys_: _Sys) -> Optional[_Sys]:
-    """Dedup rows; return None on a constant or equality contradiction."""
+    """Dedup rows; return None on a constant or equality contradiction.
+
+    A row is keyed by its primitive direction, its coefficients divided by
+    their gcd g, and stands for direction.x REL b/g.
+    """
     eqs, ineqs = sys_
-    eq_best: dict[tuple, Fraction] = {}
-    for coeffs, const in eqs:
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        if not coeffs:
-            if const != 0:
+    eq_best: dict[_Row, tuple[int, _Row]] = {}
+    for row in eqs:
+        g = math.gcd(*row[:-1])
+        if not g:
+            if row[-1]:
                 return None
             continue
-        scale = _primitive_scale(coeffs)
-        if coeffs[min(coeffs)] < 0:
-            scale = -scale
-        key = tuple(sorted((v, c * scale) for v, c in coeffs.items()))
-        prev = eq_best.get(key)
-        if prev is None:
-            eq_best[key] = const * scale
-        elif prev != const * scale:
+        if next(c for c in row if c) < 0:
+            g = -g
+        g0, row0 = eq_best.setdefault(tuple(c // g for c in row[:-1]), (g, row))
+        if row[-1] * g0 != row0[-1] * g:
             return None
-    best: dict[tuple, tuple[bool, Fraction]] = {}
-    for coeffs, strict, const in ineqs:
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        if not coeffs:
-            if const < 0 or (strict and const == 0):
+    best: dict[_Row, tuple[int, _Row, bool]] = {}
+    for row, strict in ineqs:
+        key = row[:-1]
+        g = math.gcd(*key)
+        if not g:
+            if row[-1] < 0 or (strict and row[-1] == 0):
                 return None
             continue
-        scale = _primitive_scale(coeffs)
-        key = tuple(sorted((v, c * scale) for v, c in coeffs.items()))
-        cand = (strict, const * scale)
+        if g > 1:
+            key = tuple(c // g for c in key)
         old = best.get(key)
-        if old is None or _stronger(cand, old):
-            best[key] = cand
-    return ([(dict(k), c) for k, c in eq_best.items()],
-            [(dict(k), s, c) for k, (s, c) in best.items()])
+        # for one direction the smaller b/g wins; ties: strict wins
+        if old is None or (row[-1] * old[0], not strict) < (old[1][-1] * g, not old[2]):
+            best[key] = (g, row, strict)
+    return ([row for _, row in eq_best.values()],
+            [(row, strict) for _, row, strict in best.values()])
 
 
-def _stronger(new: tuple[bool, Fraction], old: tuple[bool, Fraction]) -> bool:
-    # for identical coefficient vectors, smaller rhs wins; ties: strict wins
-    if new[1] != old[1]:
-        return new[1] < old[1]
-    return new[0] and not old[0]
-
-
-def _pivot_apply(coeffs, const, var, pivot_coeffs, pivot_const, pivot_c):
-    """Substitute var (solved from the pivot equality) into one row."""
-    d = coeffs.get(var)
-    if not d:
-        return coeffs, const
-    f = d / pivot_c
-    # the coefficient of var cancels exactly, so add drops it
-    out = poly.add(coeffs, {v: -f * c for v, c in pivot_coeffs.items()})
-    return out, const - f * pivot_const
-
-
-def _eliminate(sys_: _Sys, var: str) -> Optional[_Sys]:
+def _eliminate(sys_: _Sys, var: int) -> Optional[_Sys]:
     eqs, ineqs = sys_
-    pivot = next((i for i, (c, _) in enumerate(eqs) if c.get(var)), None)
+    pivot = next((i for i, row in enumerate(eqs) if row[var]), None)
     if pivot is not None:
-        pc, pconst = eqs[pivot]
-        c0 = pc[var]
-        new_eqs = [
-            _pivot_apply(c, k, var, pc, pconst, c0)
-            for i, (c, k) in enumerate(eqs) if i != pivot
-        ]
-        new_ineqs = []
-        for c, strict, k in ineqs:
-            nc, nk = _pivot_apply(c, k, var, pc, pconst, c0)
-            new_ineqs.append((nc, strict, nk))
-        return _normalize((new_eqs, new_ineqs))
+        prow = eqs[pivot]
+        p = prow[var]
+
+        def apply(row):
+            # |p|*row - sign(p)*d*pivot cancels var and keeps the row's sense
+            if not row[var]:
+                return row
+            f = -row[var] if p > 0 else row[var]
+            return _reduced([abs(p) * x + f * y for x, y in zip(row, prow)])
+
+        return _normalize(([apply(row) for i, row in enumerate(eqs) if i != pivot],
+                           [(apply(row), strict) for row, strict in ineqs]))
     uppers, lowers, rest = [], [], []
-    for coeffs, strict, const in ineqs:
-        c = coeffs.get(var, Q(0))
-        if c > 0:
-            uppers.append((coeffs, strict, const, c))
-        elif c < 0:
-            lowers.append((coeffs, strict, const, c))
-        else:
-            rest.append((coeffs, strict, const))
-    for (cu, su, bu, a), (cl, sl, bl, e) in itertools.product(uppers, lowers):
-        # a > 0, e < 0: multiply the upper row by -e and the lower by a, so
-        # that var cancels exactly and add drops it
-        coeffs = poly.add({v: -e * c for v, c in cu.items()},
-                          {v: a * c for v, c in cl.items()})
-        rest.append((coeffs, su or sl, -e * bu + a * bl))
+    for row, strict in ineqs:
+        side = uppers if row[var] > 0 else lowers if row[var] < 0 else rest
+        side.append((row, strict))
+    for (up, su), (lo, sl) in itertools.product(uppers, lowers):
+        # a = up[var] > 0, e = lo[var] < 0: -e*upper + a*lower cancels var
+        a, e = up[var], lo[var]
+        rest.append((_reduced([a * y - e * x for x, y in zip(up, lo)]), su or sl))
     return _normalize((eqs, rest))
 
 
-def _project(sys_: _Sys, eliminate: Sequence[str]) -> Optional[_Sys]:
+def _project(sys_: _Sys, eliminate: Sequence[int]) -> Optional[_Sys]:
     current = _normalize(sys_)
     for var in eliminate:
         if current is None:
@@ -279,22 +271,20 @@ def _project(sys_: _Sys, eliminate: Sequence[str]) -> Optional[_Sys]:
     return current
 
 
-def _bounds_from_univariate(sys_: _Sys, var: str) -> Optional[VarBounds]:
-    """Bounds for var from rows mentioning var alone. None = infeasible."""
+def _bounds_from_univariate(sys_: _Sys, var: int) -> Optional[VarBounds]:
+    """Bounds for variable no. var from rows in it alone. None = infeasible."""
     eqs, ineqs = sys_
-    rows = list(ineqs)
-    for coeffs, const in eqs:
-        rows.append((coeffs, False, const))
-        rows.append(({v: -c for v, c in coeffs.items()}, False, -const))
+    rows = [(row[var], row[-1], strict) for row, strict in ineqs]
+    for row in eqs:
+        rows += [(row[var], row[-1], False), (-row[var], -row[-1], False)]
     lower = upper = None
     lower_att = upper_att = True
-    for coeffs, strict, const in rows:
-        if not coeffs:
+    for c, const, strict in rows:
+        if not c:
             if const < 0 or (strict and const == 0):
                 return None
             continue
-        c = coeffs[var]
-        bound = const / c
+        bound = Q(const, c)
         if c > 0:
             if upper is None or bound < upper:
                 upper, upper_att = bound, not strict
@@ -335,13 +325,12 @@ def solve(system: ConstraintSystem) -> SolveReport:
     # prefix[k] constrains order[:k + 1] only: the later variables are
     # eliminated from the whole system, last declared first
     prefix = [_normalize(_rows_of(system))]
-    for var in reversed(order[1:]):
-        prefix.insert(0, None if prefix[0] is None else _eliminate(prefix[0], var))
-    if prefix[0] is None or (
-            order and _bounds_from_univariate(prefix[0], order[0]) is None):
+    for k in reversed(range(1, len(order))):
+        prefix.insert(0, None if prefix[0] is None else _eliminate(prefix[0], k))
+    if prefix[0] is None or (order and _bounds_from_univariate(prefix[0], 0) is None):
         return SolveReport(False, {}, {}, {}, None)
 
-    bounds = {var: _bounds_from_univariate(_project(prefix[k], order[:k]), var)
+    bounds = {var: _bounds_from_univariate(_project(prefix[k], range(k)), k)
               for k, var in enumerate(order)}
     assert None not in bounds.values(), "projection of a feasible system is feasible"
 
@@ -352,14 +341,15 @@ def solve(system: ConstraintSystem) -> SolveReport:
         and vb.lower_attained and vb.upper_attained
     }
 
-    # rational witness: pivot the earlier values into prefix[k] as var = value
-    # equalities, which leaves a system in order[k] alone
+    # rational witness: pivot the earlier values into prefix[k] as the rows
+    # den*var = num, which leaves a system in order[k] alone
     witness: dict[str, Fraction] = {}
     for k, var in enumerate(order):
         eqs, ineqs = prefix[k]
-        fixed = [({v: Q(1)}, value) for v, value in witness.items()]
+        fixed = [tuple(x.denominator if i == j else 0 for i in range(len(order)))
+                 + (x.numerator,) for j, x in enumerate(witness.values())]
         witness[var] = _pick(_bounds_from_univariate(
-            _project((fixed + eqs, ineqs), order[:k]), var))
+            _project((fixed + eqs, ineqs), range(k)), k))
     for con in system.constraints:
         assert con.evaluate(witness), f"witness violates {con}"
 

@@ -9,11 +9,13 @@ the helpers never mutate their arguments.  `parse` reads the grammar
 
 where INTEGER is a run of ASCII digits, `/` divides by a nonzero constant
 only and `^` takes a non-negative integer literal only.  Nothing in the text
-is evaluated as code, and every product and power is checked against the
-caller's degree cap and MAX_COEFF_BITS before it is computed; every product,
-each step of a power included, is also charged to the parse's budget of
-MAX_TERM_PRODUCTS.  `rational` reads a single constant of the grammar; every
-number the toolkit takes as text goes through it.
+is evaluated as code.  Every product and power is checked against the
+caller's degree cap before it is computed, and every product against
+MAX_COEFF_BITS; a power is refused before it is computed when even its
+smallest possible result is over MAX_COEFF_BITS, and after when the result
+is.  Every product, each step of a power included, is also charged to the
+parse's budget of MAX_TERM_PRODUCTS.  `rational` reads a single constant of
+the grammar; every number the toolkit takes as text goes through it.
 """
 
 from __future__ import annotations
@@ -176,8 +178,16 @@ def parse(text: str, names: Sequence[str], max_degree: int,
         if not isinstance(k, int):
             raise PolyParseError(
                 f"exponent must be a non-negative integer literal, got {k!r}")
-        check(_degree(p) * k, max(_bits(p), 1) * k)
-        return reduce(product, [p] * k) if k else {zero: Fraction(1)}
+        if not k:
+            return {zero: Fraction(1)}
+        # p^k holds the k-th powers of the coefficients at p's lex-first and
+        # lex-last exponents (vertices of its Newton polytope), so it has at
+        # least k*(b-1)+1 bits for their bit length b; a k over the cap is refused
+        ends = {e: p[e] for e in (min(p), max(p))} if p else {}
+        check(_degree(p) * k, k if k > MAX_COEFF_BITS else k * (_bits(ends) - 1) + 1)
+        p = reduce(product, [p] * k)
+        check(0, _bits(p))
+        return p
 
     def atom():
         tok = take()

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from delpezzo import constraints
 from delpezzo.cli import cli
 from delpezzo.constraints import (NODAL_SUBCASES, ConstraintSystem,
-                                  SystemParseError,
+                                  LinearConstraint, SystemParseError,
                                   encode_case2, encode_case3, encode_nodal,
                                   eq, ge, gt, le, lt, nonnegative_combination,
                                   parse_system, solve)
@@ -188,7 +188,14 @@ def test_solve_eliminates_along_one_chain(monkeypatch):
 BOX = 2
 
 
-def _random_system(rng):
+def _random_system(rng, den=1):
+    """Boxed random rows; den > 1 draws every coefficient and right-hand side
+    with a denominator in 1..den."""
+    def number(lo, hi):
+        if den == 1:
+            return rng.randint(lo, hi)
+        return Q(rng.randint(lo, hi), rng.randint(1, den))
+
     names = ["w", "x", "y", "z"][:rng.randint(1, 4)]
     s = ConstraintSystem(list(names))
     for v in names:  # box so grid enumeration is exhaustive
@@ -196,9 +203,9 @@ def _random_system(rng):
         s.add(le({v: 1}, BOX))
     build = {"le": le, "lt": lt, "eq": eq}
     for _ in range(rng.randint(1, 4)):
-        coeffs = {v: rng.randint(-3, 3) for v in names}
+        coeffs = {v: number(-3, 3) for v in names}
         kind = rng.choice(["le", "le", "lt", "eq"])
-        s.add(build[kind](coeffs, rng.randint(-3, 6)))
+        s.add(build[kind](coeffs, number(-3, 6)))
     return s
 
 
@@ -237,6 +244,65 @@ def test_fm_agrees_with_grid_enumeration():
         for pt in satisfying:
             assert _respects_bounds(rep, pt)
     assert infeasible_seen >= 3  # the sample exercises both outcomes
+
+
+def test_fm_agrees_with_grid_enumeration_on_rational_rows():
+    # every row is scaled to integers on entry by the lcm of its denominators
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(40):
+        system = _random_system(rng, den=3)
+        rep = solve(system)
+        satisfying = [pt for pt in _grid_points(system.variables, denom=3)
+                      if all(c.evaluate(pt) for c in system.constraints)]
+        outcomes.add(rep.feasible)
+        if not rep.feasible:
+            assert not satisfying
+            continue
+        assert all(con.evaluate(rep.witness) for con in system.constraints)
+        assert all(_respects_bounds(rep, pt) for pt in satisfying)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("rows, bounds", [
+    ([le({"x": 1}, 1), lt({"x": 2}, 2)], "-inf < _ < 1"),
+    ([lt({"x": 2}, 2), le({"x": 1}, 1)], "-inf < _ < 1"),
+    ([le({"x": Q(1, 3)}, Q(1, 3)), ge({"x": 6}, 6)], "1 <= _ <= 1"),
+    ([eq({"x": 1}, 1), eq({"x": 2}, 3)], None),
+    ([eq({"x": 1}, 1), eq({"x": -2}, -2)], "1 <= _ <= 1"),
+])
+def test_parallel_rows_compare_after_scaling(rows, bounds):
+    rep = solve(ConstraintSystem(["x"], rows))
+    assert (str(rep.bounds["x"]) if rep.feasible else None) == bounds
+
+
+def test_a_multiple_of_a_row_leaves_one_row():
+    system = ConstraintSystem(["x", "y"], [le({"x": 3, "y": 3}, 6),
+                                           le({"x": 1, "y": 1}, 2)])
+    eqs, ineqs = constraints._normalize(constraints._rows_of(system))
+    assert len(eqs) + len(ineqs) == 1
+
+
+def _scaled(system, rng):
+    """The system with every row multiplied by its own positive rational."""
+    rows = []
+    for con in system.constraints:
+        k = rng.choice((Q(7, 3), Q(10 ** 30, 11), Q(1, 6),
+                        Q(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))))
+        rows.append(LinearConstraint({v: k * c for v, c in con.coeffs.items()},
+                                     con.rel, k * con.rhs))
+    return ConstraintSystem(list(system.variables), rows, set(system.integer_vars))
+
+
+def test_solve_is_invariant_under_scaling_rows():
+    rng = random.Random(31)
+    systems = [_random_system(rng) for _ in range(30)]
+    systems += [encode_case3(m) for m in (4, 5, 6)]
+    systems += [encode_nodal(m, sub)
+                for m in (5, 6) for sub in (None,) + NODAL_SUBCASES]
+    for system in systems:
+        rep, scaled = solve(system), solve(_scaled(system, rng))
+        assert scaled == rep and _report_line(scaled) == _report_line(rep)
 
 
 def test_solve_is_order_independent():

@@ -71,10 +71,18 @@ def test_rational_reads_a_constant_of_the_grammar(text, value):
     ("1/0", "division by zero"),
     ("x", "unknown name 'x'"),
     ("", "end of input"),
+    ("2^4096", "cap of 4096 bits"),      # 4,097 bits, refused before computing
+    ("3^2600", "cap of 4096 bits"),      # 4,121 bits, refused once computed
 ])
 def test_rational_refuses_decimals_exponents_and_names(text, message):
     with pytest.raises(poly.PolyParseError, match=re.escape(message)):
         poly.rational(text)
+
+
+def test_a_power_is_charged_the_bits_of_its_result():
+    # one 3,001-bit number written as a power and as a product of powers
+    assert poly.rational("2^3000") == poly.rational("(2^1500)*(2^1500)") == 2 ** 3000
+    assert poly.rational("2^4095") == 2 ** 4095        # 4,096 bits, at the cap
 
 
 @pytest.mark.parametrize("text, message", [
