@@ -10,11 +10,10 @@ the helpers never mutate their arguments.  `parse` reads the grammar
 where INTEGER is a run of ASCII digits, `/` divides by a nonzero constant
 only and `^` takes a non-negative integer literal only.  Nothing in the text
 is evaluated as code.  Every product and power is checked against the
-caller's degree cap before it is computed, and every product against
-MAX_COEFF_BITS; a power is refused before it is computed when even its
-smallest possible result is over MAX_COEFF_BITS, and after when the result
-is.  Every product, each step of a power included, is also charged to the
-parse's budget of MAX_TERM_PRODUCTS.  `rational` reads a single constant of
+caller's degree cap before it is computed.  Every product is checked against
+MAX_COEFF_BITS before it is computed, and every step of a power once it is
+computed.  Every product, each step of a power included, is also charged to
+the parse's budget of MAX_TERM_PRODUCTS.  `rational` reads a single constant of
 the grammar; every number the toolkit takes as text goes through it.
 """
 
@@ -146,6 +145,10 @@ def parse(text: str, names: Sequence[str], max_degree: int,
             raise PolyParseError(f"more than {MAX_TERM_PRODUCTS} term products")
         return mul(p, q)
 
+    def capped(p):
+        check(0, _bits(p))
+        return p
+
     def expr():
         parts = [term()]
         while tokens[-1] in ("+", "-"):
@@ -180,14 +183,10 @@ def parse(text: str, names: Sequence[str], max_degree: int,
                 f"exponent must be a non-negative integer literal, got {k!r}")
         if not k:
             return {zero: Fraction(1)}
-        # p^k holds the k-th powers of the coefficients at p's lex-first and
-        # lex-last exponents (vertices of its Newton polytope), so it has at
-        # least k*(b-1)+1 bits for their bit length b; a k over the cap is refused
-        ends = {e: p[e] for e in (min(p), max(p))} if p else {}
-        check(_degree(p) * k, k if k > MAX_COEFF_BITS else k * (_bits(ends) - 1) + 1)
-        p = reduce(product, [p] * k)
-        check(0, _bits(p))
-        return p
+        # each step is checked once computed, so none outgrows the bit cap by
+        # more than p's own bits; a k over the cap (0^5000) is refused at once
+        check(_degree(p) * k, k if k > MAX_COEFF_BITS else 0)
+        return reduce(lambda a, b: capped(product(a, b)), [p] * k)
 
     def atom():
         tok = take()

@@ -71,8 +71,8 @@ def test_rational_reads_a_constant_of_the_grammar(text, value):
     ("1/0", "division by zero"),
     ("x", "unknown name 'x'"),
     ("", "end of input"),
-    ("2^4096", "cap of 4096 bits"),      # 4,097 bits, refused before computing
-    ("3^2600", "cap of 4096 bits"),      # 4,121 bits, refused once computed
+    ("2^4096", "cap of 4096 bits"),      # 4,097 bits
+    ("3^2600", "cap of 4096 bits"),      # 4,121 bits
 ])
 def test_rational_refuses_decimals_exponents_and_names(text, message):
     with pytest.raises(poly.PolyParseError, match=re.escape(message)):
@@ -109,6 +109,15 @@ def test_term_product_budget_fails_fast(text):
     start = time.perf_counter()
     with pytest.raises(poly.PolyParseError, match="more than 10000 term products"):
         poly.parse(text, ("x", "y"), 64)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_bit_cap_stops_a_power_at_the_step_that_exceeds_it():
+    # the end coefficients are 1; the middle one squares past the cap at the
+    # first step, long before the 32nd power would finish
+    start = time.perf_counter()
+    with pytest.raises(poly.PolyParseError, match="cap of 4096 bits"):
+        poly.parse("(x^2 + (2^4000/3^2500)*x*y + y^2)^32", ("x", "y"), 64)
     assert time.perf_counter() - start < 0.5
 
 
