@@ -1,12 +1,14 @@
 """Exact rational linear algebra: Fourier-Motzkin elimination and pivoting.
 
 A constraint is  sum(coeff * var) REL constant  with REL one of <=, <, =.
-Fourier-Motzkin works on primitive integer rows over the declaration order
-of the variables: each constraint is scaled to integers once, on entry, and
-Fractions appear only at the boundary (bounds, witness values).  A variable
-that appears in an equality is eliminated by pivoting on that equality;
-otherwise every upper row is combined with every lower row, and strictness
-propagates through combinations (strict + anything = strict).
+Everything here works on primitive integer rows, each scaled to integers
+once, on entry, with Fractions only at the boundary (bounds, witness values,
+kernel vectors, simplex coefficients).  Every elimination, Gauss-Jordan step,
+simplex pivot and double-description combination is one step, `_cancel`,
+which clears a column and leaves a positive multiple of the row it changes.
+A variable that appears in an equality is eliminated by pivoting on that
+equality; otherwise every upper row is combined with every lower row, and
+strictness propagates through combinations (strict + anything = strict).
 
 `solve` reads every output off one chain: prefix[k] is the system with the
 variables after the k-th (declaration order) eliminated, last first.  It is
@@ -14,17 +16,17 @@ feasible iff prefix[0] bounds the first variable.  The k-th variable's bounds
 are prefix[k]'s with the earlier variables projected away, with attainment
 flags so that a supremum can be told apart from a maximum; forced values are
 attained bounds that coincide, and integrality is checked on forced values of
-integer-flagged variables.  The witness pivots the earlier witness values into
-prefix[k] as var = value equalities and combines no rows: FM with strictness
-is an exact projection, so fixing the earlier variables commutes with
-projecting the later ones away.  FM row growth depends on the order.
+integer-flagged variables.  The witness substitutes the earlier witness
+values into prefix[k]'s rows and eliminates nothing: FM with strictness is an
+exact projection, so fixing the earlier variables commutes with projecting
+the later ones away.  FM row growth depends on the order.
 
-The dense section holds the one Gauss-Jordan pivot (`_pivot`), the right
-kernel built on it (conics through points), the exact Phase-I simplex that
-writes a vector as a non-negative combination of generators (a certificate of
-cone membership, where Fourier-Motzkin projection would blow up) and the
-double description of a cone's facets, which answers membership with integer
-dot products (effective-cone tests).
+The dense section holds the right kernel (conics through points, tangent
+planes), the exact Phase-I simplex that writes a vector as a non-negative
+combination of generators (a certificate of cone membership, where
+Fourier-Motzkin projection would blow up) and the double description of a
+cone's facets, which answers membership with integer dot products
+(effective-cone tests).
 
 `parse_system` reads systems from text with the shared parser of
 `delpezzo.poly` (degree cap 1); any error names its line.
@@ -50,7 +52,7 @@ EQ = "="
 
 def _as_q(x) -> Fraction:
     if isinstance(x, float):
-        raise TypeError("floating point is not allowed in constraint systems")
+        raise TypeError("floating point is not allowed in exact arithmetic")
     return Fraction(x)
 
 
@@ -163,11 +165,11 @@ class SolveReport:
 # standing for sum(c_i * x_i) REL b, and a system is a pair (eqs, ineqs):
 #   eqs:   row              REL is =
 #   ineqs: (row, strict)    REL is <=, or < when strict
-# Each constraint is scaled to integers once, on entry, and every later row
-# is an integer combination divided by the gcd of its entries.  Fractions
-# appear only at the boundary: reading the constraints, the bounds, `_pick`
-# and the witness values, fed back as the rows den*x_v = num.  A variable
-# that appears in an equality is eliminated by Gaussian pivoting (no row
+# Each constraint is scaled to integers once, on entry (`_integral`), and
+# every later row is a `_cancel` of two rows.  Fractions appear only at the
+# boundary: reading the constraints, the bounds and `_pick`; the witness
+# values go back in as numerators over their common denominator.  A variable
+# that appears in an equality is eliminated by pivoting on it (no row
 # growth); genuine upper-times-lower FM combination is reserved for
 # variables constrained by inequalities only.
 
@@ -176,19 +178,13 @@ _Sys = tuple[list[_Row], list[tuple[_Row, bool]]]
 
 
 def _rows_of(system: ConstraintSystem) -> _Sys:
-    index = {v: i for i, v in enumerate(system.variables)}
-    eqs: list[_Row] = []
-    ineqs: list[tuple[_Row, bool]] = []
+    eqs, ineqs = [], []
     for con in system.constraints:
-        scale = math.lcm(con.rhs.denominator,
-                         *(c.denominator for c in con.coeffs.values()))
-        row = [0] * len(index) + [int(con.rhs * scale)]
-        for v, c in con.coeffs.items():
-            row[index[v]] = int(c * scale)
+        row = _integral([con.coeffs.get(v, 0) for v in system.variables] + [con.rhs])
         if con.rel == EQ:
-            eqs.append(_reduced(row))
+            eqs.append(row)
         else:
-            ineqs.append((_reduced(row), con.rel == LT))
+            ineqs.append((row, con.rel == LT))
     return eqs, ineqs
 
 
@@ -196,6 +192,25 @@ def _reduced(row: list[int]) -> _Row:
     """The row divided by the gcd of its entries, a primitive vector."""
     g = math.gcd(*row)
     return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def _integral(coords: Sequence) -> _Row:
+    """Scale a vector of ints and Fractions to a primitive integer one, by a
+    positive factor."""
+    scale = math.lcm(*(c.denominator for c in coords))
+    return _reduced([c.numerator * (scale // c.denominator) for c in coords])
+
+
+def _cancel(row: _Row, prow: _Row, col: int) -> _Row:
+    """The one pivot step: |p|*row - sign(p)*row[col]*prow for p = prow[col],
+    made primitive.  It clears col and is a positive multiple of row plus a
+    multiple of prow, so the sense of an inequality row is kept."""
+    d, p = row[col], prow[col]
+    if not d:
+        return row
+    if p < 0:
+        d, p = -d, -p
+    return _reduced([p * x - d * y for x, y in zip(row, prow)])
 
 
 def _normalize(sys_: _Sys) -> Optional[_Sys]:
@@ -240,25 +255,16 @@ def _eliminate(sys_: _Sys, var: int) -> Optional[_Sys]:
     pivot = next((i for i, row in enumerate(eqs) if row[var]), None)
     if pivot is not None:
         prow = eqs[pivot]
-        p = prow[var]
-
-        def apply(row):
-            # |p|*row - sign(p)*d*pivot cancels var and keeps the row's sense
-            if not row[var]:
-                return row
-            f = -row[var] if p > 0 else row[var]
-            return _reduced([abs(p) * x + f * y for x, y in zip(row, prow)])
-
-        return _normalize(([apply(row) for i, row in enumerate(eqs) if i != pivot],
-                           [(apply(row), strict) for row, strict in ineqs]))
+        return _normalize(([_cancel(row, prow, var) for i, row in enumerate(eqs)
+                            if i != pivot],
+                           [(_cancel(row, prow, var), strict) for row, strict in ineqs]))
     uppers, lowers, rest = [], [], []
     for row, strict in ineqs:
         side = uppers if row[var] > 0 else lowers if row[var] < 0 else rest
         side.append((row, strict))
     for (up, su), (lo, sl) in itertools.product(uppers, lowers):
-        # a = up[var] > 0, e = lo[var] < 0: -e*upper + a*lower cancels var
-        a, e = up[var], lo[var]
-        rest.append((_reduced([a * y - e * x for x, y in zip(up, lo)]), su or sl))
+        # up[var] > 0, so the lower row is the one kept in sense
+        rest.append((_cancel(lo, up, var), su or sl))
     return _normalize((eqs, rest))
 
 
@@ -271,12 +277,19 @@ def _project(sys_: _Sys, eliminate: Sequence[int]) -> Optional[_Sys]:
     return current
 
 
-def _bounds_from_univariate(sys_: _Sys, var: int) -> Optional[VarBounds]:
-    """Bounds for variable no. var from rows in it alone. None = infeasible."""
+def _bounds_from_univariate(sys_: _Sys, var: int,
+                            values: Sequence[Fraction] = ()) -> Optional[VarBounds]:
+    """Bounds for variable no. var, the variables before it set to values
+    num_j/den over a common den: in integers, den*c_var*x REL den*b -
+    sum(c_j*num_j).  None = infeasible."""
+    den = math.lcm(*(x.denominator for x in values))
+    nums = [x.numerator * (den // x.denominator) for x in values]
     eqs, ineqs = sys_
-    rows = [(row[var], row[-1], strict) for row, strict in ineqs]
+    rows = [(den * row[var], den * row[-1] - _dot(row, nums), strict)
+            for row, strict in ineqs]
     for row in eqs:
-        rows += [(row[var], row[-1], False), (-row[var], -row[-1], False)]
+        c, const = den * row[var], den * row[-1] - _dot(row, nums)
+        rows += [(c, const, False), (-c, -const, False)]
     lower = upper = None
     lower_att = upper_att = True
     for c, const, strict in rows:
@@ -341,15 +354,11 @@ def solve(system: ConstraintSystem) -> SolveReport:
         and vb.lower_attained and vb.upper_attained
     }
 
-    # rational witness: pivot the earlier values into prefix[k] as the rows
-    # den*var = num, which leaves a system in order[k] alone
+    # rational witness: prefix[k] with the earlier values substituted
     witness: dict[str, Fraction] = {}
     for k, var in enumerate(order):
-        eqs, ineqs = prefix[k]
-        fixed = [tuple(x.denominator if i == j else 0 for i in range(len(order)))
-                 + (x.numerator,) for j, x in enumerate(witness.values())]
-        witness[var] = _pick(_bounds_from_univariate(
-            _project((fixed + eqs, ineqs), range(k)), k))
+        witness[var] = _pick(_bounds_from_univariate(prefix[k], k,
+                                                     list(witness.values())))
     for con in system.constraints:
         assert con.evaluate(witness), f"witness violates {con}"
 
@@ -362,24 +371,24 @@ def solve(system: ConstraintSystem) -> SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact linear algebra over Fraction rows.
+# Dense exact linear algebra on the same rows: every pivot is a `_cancel`, so
+# each row stays a positive multiple of its Gauss-Jordan counterpart.
 
-def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
-    """Gauss-Jordan step in place: a 1 at rows[r][col], zeros elsewhere in col."""
-    rows[r] = [x / rows[r][col] for x in rows[r]]
+def _pivot(rows: list[_Row], r: int, col: int) -> None:
+    """Clear col from every row but rows[r], in place."""
+    prow = rows[r]
     for i, row in enumerate(rows):
-        f = row[col]
-        if i != r and f != 0:
-            rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        if i != r:
+            rows[i] = _cancel(row, prow, col)
 
 
 def _kernel(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of a small exact matrix."""
-    mat = [list(map(Q, row)) for row in rows]
+    """Basis of the right kernel of a small exact matrix, 1 in each free column."""
+    mat = [_integral([_as_q(x) for x in row]) for row in rows]
     pivots: list[int] = []
     for col in range(width):
         r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
@@ -392,22 +401,15 @@ def _kernel(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
         vec = [Q(0)] * width
         vec[free] = Q(1)
         for i, col in enumerate(pivots):
-            vec[col] = -mat[i][free]
+            vec[col] = Q(-mat[i][free], mat[i][col])
         basis.append(vec)
     return basis
 
 
 def _primitive(coords) -> tuple[int, ...]:
     """Scale a rational vector to primitive integers, first nonzero > 0."""
-    fracs = [Q(c) for c in coords]
-    denom = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    ints = _integral([_as_q(c) for c in coords])
+    return ints if next(v for v in ints if v) > 0 else tuple(-v for v in ints)
 
 
 def nonnegative_combination(
@@ -416,33 +418,37 @@ def nonnegative_combination(
     """Solve sum(lam_i * generators[i]) = target with lam_i >= 0, exactly.
 
     Returns the coefficient list, or None when infeasible.  Phase-I simplex
-    with Bland's rule over Fraction; artificial variables only.
+    with Bland's rule; artificial variables only.  Each tableau row is a
+    positive multiple of its Fraction counterpart, which changes no sign and
+    no ratio b_r/a_r,enter, so the pivots and the solution are the same.
     """
-    m = len(target)
-    n = len(generators)
-    a = [[_as_q(g[r]) for g in generators] for r in range(m)]
-    b = [_as_q(t) for t in target]
-    for r in range(m):
-        if b[r] < 0:
-            a[r] = [-x for x in a[r]]
-            b[r] = -b[r]
-    # tableau columns: n structural + m artificial; artificial basis
-    tab = [row[:] + [Q(1) if i == r else Q(0) for i in range(m)] + [b[r]]
-           for r, row in enumerate(a)]
-    basis = [n + r for r in range(m)]
+    m, n = len(target), len(generators)
     total = n + m
+    # tableau columns: n structural + m artificial; artificial basis
+    rows = []
+    for r, t in enumerate(map(_as_q, target)):
+        sign = -1 if t < 0 else 1
+        rows.append([sign * _as_q(g[r]) for g in generators]
+                    + [int(i == r) for i in range(m)] + [sign * t])
     # last row: the objective, minimize the sum of the artificials; with an
     # artificial basis it is the column sums, cleared by each pivot
-    tab.append([sum((row[j] for row in tab), Q(0)) for j in range(total + 1)])
+    rows.append([sum(row[j] for row in rows) for j in range(total + 1)])
+    tab = [_integral(row) for row in rows]
+    basis = [n + r for r in range(m)]
     while True:
         enter = next((j for j in range(total) if tab[m][j] > 0), None)
         if enter is None:
             break
-        ratios = [(tab[r][total] / tab[r][enter], r)
-                  for r in range(m) if tab[r][enter] > 0]
-        if not ratios:
+        piv = None
+        for r in range(m):
+            # smallest ratio b_r/a_r over a_r > 0 (cross-multiplied), then
+            # the smallest basic variable
+            a = tab[r][enter]
+            if a > 0 and (piv is None or (tab[r][total] * tab[piv][enter], basis[r])
+                          < (tab[piv][total] * a, basis[piv])):
+                piv = r
+        if piv is None:
             break  # unbounded cannot happen in phase I; defensive
-        _, piv = min(ratios, key=lambda p: (p[0], basis[p[1]]))
         _pivot(tab, piv, enter)
         basis[piv] = enter
 
@@ -451,7 +457,7 @@ def nonnegative_combination(
     lam = [Q(0)] * n
     for r, bv in enumerate(basis):
         if bv < n:
-            lam[bv] = tab[r][total]
+            lam[bv] = Q(tab[r][total], tab[r][bv])
         elif tab[r][total] != 0:
             return None  # artificial stuck at positive level
     # exact re-substitution
@@ -504,9 +510,9 @@ def cone_facets(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                 if (common.bit_count() < d - 2
                         or sum(t & common == common for t in masks) > 2):
                     continue
-                f = [vp * y - vn * x for x, y in zip(p, n)]
-                div = math.gcd(*f)
-                kept.append((tuple(x // div for x in f), common | (1 << k)))
+                # vp*n - vn*p: the values on order[k] ride as a last column
+                f = _cancel(n + (vn,), p + (vp,), d)[:-1]
+                kept.append((f, common | (1 << k)))
         rays = kept
     return sorted(f for f, _ in rays)
 

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import poly
-from .constraints import _kernel, _primitive
+from .constraints import _as_q, _kernel, _primitive
 from .lattice import SurfaceModel, enumerate_negative_curves, tritangent_triples
 
 Q = Fraction
@@ -76,7 +76,7 @@ class ProjPoint:
 
 def point(*coords) -> ProjPoint:
     """Build a ProjPoint from ints, Fractions or strings (`poly.rational`)."""
-    return ProjPoint(tuple(poly.rational(c) if isinstance(c, str) else Q(c)
+    return ProjPoint(tuple(poly.rational(c) if isinstance(c, str) else _as_q(c)
                            for c in coords))
 
 
@@ -315,7 +315,7 @@ class CubicForm:
     def __post_init__(self):
         if len(self.coeffs) != 20:
             raise GeometryError("a quaternary cubic has 20 coefficients")
-        object.__setattr__(self, "coeffs", tuple(Q(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_as_q, self.coeffs)))
         if not any(self.coeffs):
             raise GeometryError("cubic form is identically zero")
 
@@ -327,17 +327,17 @@ class CubicForm:
             expo = tuple(expo)
             if expo not in lookup:
                 raise GeometryError(f"not a degree-3 exponent tuple: {expo}")
-            coeffs[lookup[expo]] += Q(c)
+            coeffs[lookup[expo]] += _as_q(c)
         return cls(tuple(coeffs))
 
     def terms(self) -> dict[tuple[int, int, int, int], Fraction]:
         return {e: c for e, c in zip(CUBIC_MONOMIALS, self.coeffs) if c}
 
     def evaluate(self, p: Sequence) -> Fraction:
-        return poly.evaluate(self.terms(), [Q(c) for c in p])
+        return poly.evaluate(self.terms(), list(map(_as_q, p)))
 
     def gradient(self, p: Sequence) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        vals = [Q(c) for c in p]
+        vals = list(map(_as_q, p))
         return tuple(poly.evaluate(poly.diff(self.terms(), k), vals) for k in range(4))
 
     def __str__(self):
@@ -360,18 +360,10 @@ def tangent_plane_restriction(f: CubicForm, p: ProjPoint) -> dict:
     if not any(grad):
         raise SingularPointError(f"{p} is a singular point of the surface")
     j = next(k for k in range(4) if grad[k])
-    # kernel basis e_k - (g_k/g_j) e_j for k != j; p has coordinate p_k
-    # along the k-th vector, so swap one with p where p_k != 0
+    # the kernel basis is e_k - (g_k/g_j) e_j for k != j; p has coordinate
+    # p_k along the k-th vector, so p replaces the first one with p_k != 0
     k0 = next(k for k in range(4) if k != j and p[k] != 0)
-    basis = [[Q(c) for c in p.coords]]
-    for k in range(4):
-        if k == j or k == k0:
-            continue
-        vec = [Q(0)] * 4
-        vec[k] = Q(1)
-        vec[j] = -Q(grad[k], grad[j])
-        basis.append(vec)
-    assert len(basis) == 3
+    basis = [list(p.coords)] + [v for v in _kernel([grad], 4) if not v[k0]]
     # f(s0*b0 + s1*b1 + s2*b2): z_k becomes the form sum_s basis[s][k] * s_s
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return poly.substitute(f.terms(), [dict(zip(units, (b[k] for b in basis)))

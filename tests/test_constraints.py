@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from click.testing import CliRunner
 
 from delpezzo import constraints
@@ -170,9 +171,9 @@ def test_integrality_follows_declaration_order(system, order):
 
 
 def test_solve_eliminates_along_one_chain(monkeypatch):
-    # n - 1 eliminations along the prefix chain, n(n-1)/2 to project the
-    # earlier variables away for the bounds and n(n-1)/2 value pivots for the
-    # witness, which combine no rows: 63 for n = 8
+    # n - 1 eliminations along the prefix chain and n(n-1)/2 to project the
+    # earlier variables away for the bounds; the witness substitutes values
+    # and eliminates nothing: 35 for n = 8
     calls = []
     inner = constraints._eliminate
     monkeypatch.setattr(constraints, "_eliminate",
@@ -180,7 +181,7 @@ def test_solve_eliminates_along_one_chain(monkeypatch):
     system = encode_nodal(4, "q_on_c")
     assert solve(system).feasible
     assert len(system.variables) == 8
-    assert len(calls) == 63
+    assert len(calls) == 35
 
 
 # -- random-grid oracle ----------------------------------------------------------
@@ -426,6 +427,92 @@ def test_kernel_spans_the_null_space():
     for vec in basis:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
     assert constraints._kernel([[1, 0], [0, 3]], 2) == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: constraints._kernel([[0.5, 1.0]], 2),
+    lambda: nonnegative_combination([(1, 0.5)], (1, 1)),
+    lambda: le({"x": 0.5}, 1),
+], ids=["kernel", "simplex", "constraint"])
+def test_exact_linear_algebra_refuses_floats(build):
+    with pytest.raises(TypeError, match="floating point"):
+        build()
+
+
+def _random_rational(rng, lo=-3, hi=3, den=3):
+    return Q(rng.randint(lo, hi), rng.randint(1, den))
+
+
+def _sym(x):
+    x = Q(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _random_matrix(rng):
+    """Rows of width 1..6, some all zero and some repeated or scaled copies."""
+    width = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * width)
+        elif kind < 0.35 and rows:
+            scale = _random_rational(rng, 1, 3)
+            rows.append([scale * x for x in rng.choice(rows)])
+        else:
+            rows.append([_random_rational(rng) for _ in range(width)])
+    return rows, width
+
+
+def test_kernel_agrees_with_sympy_nullspace():
+    # sympy's nullspace also puts a 1 in each free column of the reduced
+    # row echelon form, in increasing column order
+    rng = random.Random(20261018)
+    for _ in range(200):
+        rows, width = _random_matrix(rng)
+        mat = sympy.Matrix(len(rows), width, [_sym(x) for row in rows for x in row])
+        expected = [[Q(int(x.p), int(x.q)) for x in vec] for vec in mat.nullspace()]
+        assert constraints._kernel(rows, width) == expected, rows
+
+
+def _caratheodory(generators, target):
+    """Is target a non-negative combination of the generators?  By
+    Caratheodory it is one of some linearly independent subset, whose
+    coefficients are then unique; try every such subset."""
+    goal = sympy.Matrix([_sym(x) for x in target])
+    if not any(goal):
+        return True
+    for size in range(1, len(target) + 1):
+        for subset in itertools.combinations(generators, size):
+            cols = sympy.Matrix([[_sym(x) for x in g] for g in subset]).T
+            if cols.rank() < size:
+                continue
+            try:
+                lam, _ = cols.gauss_jordan_solve(goal)
+            except ValueError:        # target outside the span
+                continue
+            if all(x >= 0 for x in lam):
+                return True
+    return False
+
+
+def test_nonnegative_combination_agrees_with_caratheodory():
+    rng = random.Random(20261018)
+    feasible = 0
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        gens = [[_random_rational(rng) for _ in range(dim)]
+                for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.4:
+            target = [sum(c * g[r] for c, g in zip(
+                [rng.randint(0, 3) for _ in gens], gens)) for r in range(dim)]
+        else:
+            target = [_random_rational(rng, -4, 4) for _ in range(dim)]
+        lam = nonnegative_combination(gens, target)
+        assert (lam is not None) == _caratheodory(gens, target), (gens, target)
+        feasible += lam is not None
+    # both verdicts are well represented
+    assert 60 < feasible < 240
 
 
 # -- parser ----------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Six-point configurations, Eckardt detection, explicit cubic cone tests."""
 
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from delpezzo.cli import cli
 from delpezzo.lattice import SurfaceModel
-from delpezzo.plane_config import (ConfigParseError, CubicForm,
+from delpezzo.plane_config import (CUBIC_MONOMIALS, ConfigParseError, CubicForm,
                                    DegenerateConicError, GeometryError,
                                    InvalidConfigError, NotOnSurfaceError,
-                                   SingularPointError, SixPointConfig,
+                                   ProjPoint, SingularPointError, SixPointConfig,
                                    collinear, conic_through, conic_value,
                                    dump_config, dump_cubic, eckardt_points,
                                    is_eckardt_on_cubic, line_through,
@@ -51,6 +57,18 @@ def test_points_normalize_to_primitive_representatives():
     assert point(-1, 0, 2) == point(1, 0, -2)
     assert point("1/2", "1/3", 0) == point(3, 2, 0)
 
+
+@pytest.mark.parametrize("build", [
+    lambda: point(0.1, 1, 1),
+    lambda: ProjPoint((0.5, 1, 1)),
+    lambda: CubicForm((0.5,) + (0,) * 19),
+    lambda: CubicForm.from_dict({(3, 0, 0, 0): 1.0}),
+], ids=["point", "ProjPoint", "CubicForm", "from_dict"])
+def test_floats_are_refused(build):
+    # a float is a binary fraction, so point(0.1, 1, 1) would otherwise be
+    # (3602879701896397:36028797018963968:36028797018963968)
+    with pytest.raises(TypeError, match="floating point"):
+        build()
 
 def test_collinear_and_line_through():
     assert collinear(point(1, 0, 0), point(0, 1, 0), point(1, 1, 0))
@@ -150,18 +168,7 @@ def test_eckardt_triples_invariant_under_projectivities():
     rng = random.Random(5)
     base = {r.triple for r in eckardt_points(FRAME_A)}
     for _ in range(5):
-        while True:
-            mat = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-            det = (mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-                   - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-                   + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0]))
-            if det != 0:
-                break
-        moved = _config(*[
-            tuple(sum(mat[r][c] * p.coords[c] for c in range(3))
-                  for r in range(3))
-            for p in FRAME_A.points])
-        assert {r.triple for r in eckardt_points(moved)} == base
+        assert {r.triple for r in eckardt_points(_moved(FRAME_A, rng))} == base
 
 
 # -- explicit cubics and the cone test ----------------------------------------------
@@ -241,3 +248,148 @@ def test_cubic_parse_errors():
         load_cubic("\n".join(good[:-1] + ["z3^3 abc"]))
     with pytest.raises(ConfigParseError):
         load_cubic("\n".join(good[:-1] + ["z3^3 1/0"]))
+
+
+# -- pinned geometry -------------------------------------------------------------------
+
+# Digests of every geometry output that the exact kernel feeds: tangent-plane
+# sections, validation reports, conics through five points, Eckardt records and
+# the bytes of `delpezzo eckardt --json`, on seeded inputs.  A rewrite of the
+# linear algebra underneath must leave these unchanged.
+GEOMETRY_PINS = json.loads(
+    (Path(__file__).parent / "data" / "geometry_reports.json").read_text())
+
+
+def _digest(lines):
+    lines = list(lines)
+    return {"count": len(lines),
+            "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest()}
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the name and message of the GeometryError it raises."""
+    try:
+        return repr(fn(*args))
+    except GeometryError as exc:
+        return f"{type(exc).__name__}: {exc} {getattr(exc, 'witness', None)}"
+
+
+def _fermat_points(rng, count):
+    """Rational points of the Fermat cubic: permuted (a, -a, b, -b), and the
+    sporadic 3^3 + 4^3 + 5^3 = 6^3 and 1^3 + 12^3 = 9^3 + 10^3."""
+    seeds = [(3, 4, 5, -6), (1, 12, -9, -10)]
+    for i in range(count):
+        if i % 4 == 3:
+            coords = list(rng.choice(seeds))
+        else:
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            coords = [a, -a, b, -b] if a or b else [1, -1, 0, 0]
+        rng.shuffle(coords)
+        yield point(*coords)
+
+
+def _cubic_through(rng, p):
+    """A random cubic with rational coefficients, corrected to vanish at p."""
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(20)]
+    values = [math.prod(c ** k for c, k in zip(p, e)) for e in CUBIC_MONOMIALS]
+    i = next(i for i, v in enumerate(values) if v)
+    coeffs[i] -= CubicForm(tuple(coeffs)).evaluate(p) / values[i]
+    return CubicForm(tuple(coeffs))
+
+
+def _random_space_point(rng):
+    while True:
+        coords = [rng.randint(-3, 3) for _ in range(4)]
+        if any(coords):
+            return point(*coords)
+
+
+def _section_line(f, p):
+    return _outcome(lambda: [(e, str(c)) for e, c in
+                             tangent_plane_restriction(f, p).items()])
+
+
+def _moved(cfg, rng):
+    """cfg under a random invertible integer matrix."""
+    while True:
+        mat = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if _det(mat):
+            break
+    return SixPointConfig(tuple(
+        point(*(sum(mat[r][c] * p.coords[c] for c in range(3)) for r in range(3)))
+        for p in cfg.points), cfg.mode)
+
+
+def _det(mat):
+    return (mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
+            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
+            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0]))
+
+
+def _seeded_configs():
+    """Random small configurations, a quarter of them nodal (p3 on p1p2), and
+    projective images of the named frames, which carry Eckardt points."""
+    rng = random.Random(20261018)
+    frames = (FRAME_A, FRAME_B, FRAME_CONCURRENT, FRAME_PLAIN, FRAME_NODAL)
+    for i in range(120):
+        pts = []
+        while len(pts) < 6:
+            coords = [rng.randint(-3, 3) for _ in range(3)]
+            if i % 4 == 3 and len(pts) == 2:
+                a, b = rng.choice([(1, 1), (1, -1), (2, 1), (1, 3)])
+                coords = [a * x + b * y for x, y in zip(pts[0], pts[1])]
+            if any(coords):
+                pts.append(point(*coords))
+        yield SixPointConfig(tuple(pts), SurfaceModel.NODAL if i % 4 == 3
+                             else SurfaceModel.SMOOTH)
+    for i in range(40):
+        yield _moved(frames[i % len(frames)], rng)
+
+
+def test_tangent_plane_sections_are_pinned():
+    rng = random.Random(20261018)
+    fermat = [_section_line(FERMAT_CUBIC, p) for p in _fermat_points(rng, 200)]
+    sections = []
+    for _ in range(200):
+        p = _random_space_point(rng)
+        sections.append(_section_line(_cubic_through(rng, p), p))
+    assert _digest(fermat) == GEOMETRY_PINS["fermat_sections"]
+    assert _digest(sections) == GEOMETRY_PINS["random_sections"]
+
+
+def test_configuration_geometry_is_pinned():
+    configs = list(_seeded_configs())
+    reports = [_outcome(validate, cfg) for cfg in configs]
+    conics = [_outcome(conic_through, *cfg.points[s:s + 5])
+              for cfg in configs for s in (0, 1)]
+    records = [_outcome(lambda: [str(r) for r in eckardt_points(cfg)])
+               for cfg in configs]
+    assert _digest(reports) == GEOMETRY_PINS["validate"]
+    assert _digest(conics) == GEOMETRY_PINS["conic_through"]
+    assert _digest(records) == GEOMETRY_PINS["eckardt_points"]
+
+
+def test_eckardt_json_is_pinned(tmp_path):
+    runner = CliRunner()
+    rng = random.Random(20261018)
+    cubic_runs = [(EX11_CUBIC, point(1, 0, 0, 0))]
+    cubic_runs += [(FERMAT_CUBIC, p) for p in _fermat_points(rng, 6)]
+    for _ in range(8):
+        p = _random_space_point(rng)
+        cubic_runs.append((_cubic_through(rng, p), p))
+    outputs = []
+    for i, (f, p) in enumerate(cubic_runs):
+        path = tmp_path / f"{i}.cubic"
+        path.write_text(dump_cubic(f))
+        out = runner.invoke(cli, ["eckardt", "--cubic", str(path), "--point",
+                                  " ".join(map(str, p)), "--json"])
+        outputs.append(f"{out.exit_code} {out.output}")
+    configs = [cfg for cfg in _seeded_configs() if validate(cfg).ok]
+    config_outputs = []
+    for i, cfg in enumerate(configs[:30]):
+        path = tmp_path / f"{i}.cfg"
+        path.write_text(dump_config(cfg))
+        out = runner.invoke(cli, ["eckardt", "--config", str(path), "--json"])
+        config_outputs.append(f"{out.exit_code} {out.output}")
+    assert _digest(outputs) == GEOMETRY_PINS["eckardt_cubic_json"]
+    assert _digest(config_outputs) == GEOMETRY_PINS["eckardt_config_json"]
