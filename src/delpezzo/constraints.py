@@ -53,6 +53,9 @@ EQ = "="
 def _as_q(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in exact arithmetic")
+    if isinstance(x, str):
+        raise TypeError(f"text {x!r} is not a number here; "
+                        f"read it with poly.rational")
     return Fraction(x)
 
 
@@ -431,8 +434,10 @@ def nonnegative_combination(
         rows.append([sign * _as_q(g[r]) for g in generators]
                     + [int(i == r) for i in range(m)] + [sign * t])
     # last row: the objective, minimize the sum of the artificials; with an
-    # artificial basis it is the column sums, cleared by each pivot
-    rows.append([sum(row[j] for row in rows) for j in range(total + 1)])
+    # artificial basis its reduced costs are the structural column sums and
+    # 0 on the basic artificials, cleared by each pivot
+    rows.append([sum(row[j] for row in rows) for j in range(n)] + [0] * m
+                + [sum(row[total] for row in rows)])
     tab = [_integral(row) for row in rows]
     basis = [n + r for r in range(m)]
     while True:
@@ -458,8 +463,6 @@ def nonnegative_combination(
     for r, bv in enumerate(basis):
         if bv < n:
             lam[bv] = Q(tab[r][total], tab[r][bv])
-        elif tab[r][total] != 0:
-            return None  # artificial stuck at positive level
     # exact re-substitution
     for r in range(m):
         assert sum((lam[i] * _as_q(generators[i][r]) for i in range(n)), Q(0)) \

@@ -131,7 +131,10 @@ def newton_lct(f: CurveGerm) -> LctReport:
     for face in polygon.faces:
         # with w1, w2 coprime and r != 0, each x^w2 - r*y^w1 is square-free
         # and distinct roots r give coprime binomials, so the face
-        # polynomial is square-free exactly when H is: one gcd(H, H')
+        # polynomial is square-free exactly when H is: one gcd(H, H'); a
+        # face of lattice length 1 has a linear H, square-free without sympy
+        if face.end[0] - face.start[0] == face.normal[1]:
+            continue
         if not _face_univariate(f, face).is_sqf:
             exact = False
             break

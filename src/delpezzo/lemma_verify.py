@@ -22,7 +22,7 @@ from typing import Optional
 from .germs import parse_germ
 from .lattice import (C, MINUS_K, DivisorClass, SurfaceModel,
                       enumerate_negative_curves, is_ample, is_effective)
-from .lct import blowup_lct
+from .lct import newton_lct
 from .plane_config import SixPointConfig, eckardt_points
 
 #: Contradiction vocabulary.  Every reason is re-checkable from the recorded
@@ -317,11 +317,11 @@ def lemma51_scan(m: int) -> CaseVerdict:
         records.append(_scan_node_plus_line(m, lam, q, lines, lab))
     for (la, ca), (lb, cb) in itertools.combinations(lines.items(), 2):
         if ca.intersect(cb) >= 1:
-            records.append(_scan_line_pair(m, lam, q, lines, (la, ca), (lb, cb)))
+            records.append(_scan_line_pair(m, lam, q, (la, ca), (lb, cb)))
         touches = (ca.intersect(C) >= 1, cb.intersect(C) >= 1)
         connected = all(touches) or (any(touches) and ca.intersect(cb) >= 1)
         if connected:
-            records.append(_scan_node_plus_pair(m, lam, q, lines, (la, ca), (lb, cb)))
+            records.append(_scan_node_plus_pair(m, lam, q, (la, ca), (lb, cb)))
     return _verdict(f"nodal-model locus scan: m={m}, lam={lam}", records)
 
 
@@ -387,7 +387,7 @@ def _scan_node_plus_line(m, lam, q, lines, lab) -> ScanRecord:
                       f"each; impossible for every nu >= {q}")
 
 
-def _scan_line_pair(m, lam, q, lines, a, b) -> ScanRecord:
+def _scan_line_pair(m, lam, q, a, b) -> ScanRecord:
     (la, ca), (lb, cb) = a, b
     forced = Fraction(3 * m, 2)
     if forced.denominator != 1:
@@ -401,22 +401,12 @@ def _scan_line_pair(m, lam, q, lines, a, b) -> ScanRecord:
         return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                           f"Omega = -{m}K - {mu}*({la}+{lb}) = "
                           f"{cand.residual} is not effective")
-    # Effective of degree 0 means Omega = k*C; any line disjoint from C then
-    # sees m = L.Z = (3m/2)(L.C1 + L.C2), a multiple of 3m/2.
-    k = _node_multiple(cand.residual)
-    assert k is not None and k >= 0
-    for lab, d in sorted(lines.items()):
-        if d.intersect(C) != 0:
-            continue
-        seen = mu * (d.intersect(ca) + d.intersect(cb)) + k * d.intersect(C)
-        if seen != m:
-            return ScanRecord(cand, INTERSECTION_VIOLATION,
-                              f"{lab}.Z = {seen} but membership in |-{m}K| "
-                              f"demands {m}")
+    # Z = mu*(C1 + C2) + Omega is -mK by construction, so every line sees
+    # L.Z = m: no intersection test is left to fail
     return ScanRecord(cand, None, "all line intersections consistent")
 
 
-def _scan_node_plus_pair(m, lam, q, lines, a, b) -> ScanRecord:
+def _scan_node_plus_pair(m, lam, q, a, b) -> ScanRecord:
     (la, ca), (lb, cb) = a, b
     forced = Fraction(3 * m, 2)
     if forced.denominator != 1:
@@ -441,21 +431,8 @@ def _scan_node_plus_pair(m, lam, q, lines, a, b) -> ScanRecord:
         return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                           f"degree-0 residual avoiding C must vanish, got "
                           f"{cand.residual}")
-    for lab, d in sorted(lines.items()):
-        seen = mu * d.intersect(C) + nu * (d.intersect(ca) + d.intersect(cb))
-        if seen != m:
-            return ScanRecord(cand, INTERSECTION_VIOLATION,
-                              f"{lab}.Z = {seen} but membership in |-{m}K| "
-                              f"demands {m}")
+    # Z = -mK by construction here too, so every line sees L.Z = m
     return ScanRecord(cand, None, "all line intersections consistent")
-
-
-def _node_multiple(d: DivisorClass) -> Optional[int]:
-    """k with d = k*C, or None."""
-    for k in {d.a} | set(d.b[:3]):
-        if d == k * C:
-            return k
-    return None
 
 
 # -- alpha_1 from the line catalogue ------------------------------------------
@@ -483,21 +460,21 @@ def alpha1_report(config: SixPointConfig) -> Alpha1Report:
 
     A plane section through three concurrent lines has local model x*y*(x+y)
     at the triple point; a genuine triangle only has normal crossings, local
-    model x*y.  Both thresholds are computed by the resolution engine, not
-    quoted.
+    model x*y.  Both thresholds are read off the Newton polygon, not quoted;
+    both germs are nondegenerate, so the value is exact (no sympy needed).
     """
     if config.mode is not SurfaceModel.SMOOTH:
         raise ValueError("smooth-model configurations only")
     found = eckardt_points(config)
+    threshold = newton_lct(parse_germ("x*y*(x+y)" if found else "x*y"))
+    assert threshold.exact
     if found:
-        value = blowup_lct(parse_germ("x*y*(x+y)")).value
         rec = found[0]
         where = (rec.location if isinstance(rec.location, str)
                  else f"at {rec.location}")
-        return Alpha1Report(value=value, final=True,
+        return Alpha1Report(value=threshold.value, final=True,
                             witness=f"three concurrent lines "
                                     f"{{{', '.join(rec.triple)}}} {where}")
-    value = blowup_lct(parse_germ("x*y")).value
-    return Alpha1Report(value=value, final=False,
+    return Alpha1Report(value=threshold.value, final=False,
                         witness="triangles of coplanar lines only reach "
                                 "normal crossings")

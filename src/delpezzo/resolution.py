@@ -39,7 +39,7 @@ single node.
 
 K is always QQ or an absolute algebraic extension QQ(theta); towers that
 would arise from nested irrational centers are flattened back to absolute
-fields with a primitive element found by resultants.
+fields with Trager's square-free norm (see _extend_field).
 
 sympy is imported on the first call that does polynomial algebra, not with
 this module, so the sympy-free commands never load it.
@@ -212,10 +212,8 @@ def _map_coeffs(g: dict, phi: Callable) -> dict:
 
 # -- field towers ------------------------------------------------------------
 
-def _linear_root(factor: Poly, K):
-    d = factor.rep.to_dict()
-    c1 = d[(1,)]
-    c0 = d.get((0,), K.zero)
+def _linear_root(factor: Poly):
+    c1, c0 = factor.rep.to_list()
     return -c0 / c1
 
 
@@ -223,60 +221,38 @@ def _extend_field(K, q: Poly):
     """Adjoin a root of the irreducible q over K.
 
     Returns (K2, phi, gamma) with phi an embedding K -> K2 and gamma in K2 a
-    root of phi(q).  For K = QQ this is a plain algebraic field; otherwise a
-    primitive element for the compositum is located by resultants.
+    root of phi(q).  A tower over K = QQ(alpha) is flattened by Trager's
+    square-free norm: r = Norm(g) for g(v) = q(v - s*alpha) is square-free,
+    hence irreducible over QQ; K2 = QQ(delta) for a root delta of r, alpha
+    maps to the single root of gcd(minpoly_alpha(t), g(delta) with alpha
+    read as t), and gamma = delta - s*alpha.
     """
-    import sympy
     from sympy import QQ, CRootOf, Poly
-    _T, _Z = _symbols("t z")
+    from sympy.polys.sqfreetools import dup_sqf_norm
     if K == QQ:
         root = CRootOf(q.as_expr(), 0)
         K2 = QQ.algebraic_field(root)
         return K2, K2.convert, K2.from_sympy(root)
 
-    mod = K.mod.to_list()                  # alpha's minpoly, descending QQ list
-    m_expr = sum(c * _T ** k for k, c in enumerate(reversed(mod)))
-    # q with alpha written as t: coefficients are ANP with QQ lists
-    q_tv: dict[tuple[int, int], object] = {}
-    for (k,), c in q.rep.to_dict().items():
-        for power, cc in enumerate(reversed(c.to_list())):
-            if cc:
-                q_tv[(power, k)] = q_tv.get((power, k), 0) + cc
+    s, g, r = dup_sqf_norm(q.rep.to_list(), K)
+    K2, _, delta = _extend_field(QQ, Poly(r, _symbols("z"), domain=QQ))
 
-    def q_expr_in(vsym):
-        return sum(c * _T ** it * vsym ** iv for (it, iv), c in q_tv.items())
+    def in_t(c):   # c in K (or alpha's minpoly) with alpha written as t
+        return Poly([K2.convert(cc) for cc in c.to_list()], _symbols("t"), domain=K2)
 
-    s = 1
-    while True:
-        shifted = q_expr_in(_Z - s * _T)
-        r = sympy.resultant(m_expr, sympy.expand(shifted), _T)
-        rp = Poly(r, _Z, domain=QQ)
-        if rp.gcd(rp.diff(_Z)).degree() == 0:
-            break
-        s += 1
-        if s > 40:
-            raise RuntimeError("no square-free primitive-element resultant")
-    for factor, _ in rp.factor_list()[1]:
-        root = CRootOf(factor.as_expr(), 0)
-        K2 = QQ.algebraic_field(root)
-        delta = K2.from_sympy(root)
-        m_over = Poly(m_expr, _T, domain=K2)
-        for lin, _m in m_over.factor_list()[1]:
-            if lin.degree() != 1:
-                continue
-            alpha2 = _linear_root(lin, K2)
-            gamma2 = delta - K2.convert(s) * alpha2
-            value = K2.zero
-            for (it, iv), c in q_tv.items():
-                value += K2.convert(c) * alpha2 ** it * gamma2 ** iv
-            if value == K2.zero:
-                def phi(c, _a=alpha2, _K2=K2):
-                    acc = _K2.zero
-                    for cc in c.to_list():
-                        acc = acc * _a + _K2.convert(cc)
-                    return acc
-                return K2, phi, gamma2
-    raise RuntimeError("primitive element search failed")   # unreachable
+    g_delta = in_t(K.zero)
+    for c in g:
+        g_delta = g_delta.mul_ground(delta) + in_t(c)
+    common = in_t(K.mod).gcd(g_delta)
+    assert common.degree() == 1, "the norm of g is square-free"
+    alpha2 = _linear_root(common)
+
+    def phi(c):
+        acc = K2.zero
+        for cc in c.to_list():
+            acc = acc * alpha2 + K2.convert(cc)
+        return acc
+    return K2, phi, delta - K2.convert(s) * alpha2
 
 
 # -- the engine ---------------------------------------------------------------
@@ -318,7 +294,7 @@ class _Engine:
             bad = r.gcd(r.diff(_symbols("v")))
             for q, _m in bad.factor_list()[1]:
                 if q.degree() == 1:
-                    v0 = _linear_root(q, K)
+                    v0 = _linear_root(q)
                     if v0 == K.zero:
                         origin_needed = True
                         continue

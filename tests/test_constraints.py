@@ -18,6 +18,7 @@ from delpezzo.constraints import (NODAL_SUBCASES, ConstraintSystem,
                                   encode_case2, encode_case3, encode_nodal,
                                   eq, ge, gt, le, lt, nonnegative_combination,
                                   parse_system, solve)
+from delpezzo.plane_config import ProjPoint
 
 Q = Fraction
 
@@ -437,6 +438,41 @@ def test_kernel_spans_the_null_space():
 def test_exact_linear_algebra_refuses_floats(build):
     with pytest.raises(TypeError, match="floating point"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProjPoint(("0.1", 1, 1)),
+    lambda: constraints._kernel([["1e3", "0.5"]], 2),
+    lambda: le({"x": "2.5"}, "1e2"),
+], ids=["ProjPoint", "kernel", "constraint"])
+def test_exact_linear_algebra_refuses_text(build):
+    # Fraction would read decimals and exponents; text goes through
+    # poly.rational, whose grammar has neither
+    with pytest.raises(TypeError, match="poly.rational"):
+        build()
+
+
+def test_phase_one_never_enters_a_basic_column(monkeypatch):
+    # the cost row starts at 0 on the basic artificials, so Bland's rule
+    # never picks a column that is already basic (a no-op pivot)
+    basis = []
+    pivot = constraints._pivot
+
+    def recording(tab, r, col):
+        assert col not in basis
+        basis[r] = col
+        return pivot(tab, r, col)
+
+    monkeypatch.setattr(constraints, "_pivot", recording)
+    rng = random.Random(7)
+    for _ in range(100):
+        dim = rng.randint(1, 4)
+        gens = [[_random_rational(rng) for _ in range(dim)]
+                for _ in range(rng.randint(1, 6))]
+        target = [_random_rational(rng, -4, 4) for _ in range(dim)]
+        basis[:] = [len(gens) + r for r in range(dim)]
+        lam = nonnegative_combination(gens, target)
+        assert (lam is not None) == _caratheodory(gens, target)
 
 
 def _random_rational(rng, lo=-3, hi=3, den=3):

@@ -81,6 +81,16 @@ def test_eckardt_config_is_sympy_free(tmp_path):
     assert loaded == "sympy loaded: False"
 
 
+def test_alpha_config_is_sympy_free(tmp_path):
+    # both thresholds come from the Newton polygon, whose faces here have
+    # lattice length 1 and so need no square-free test
+    path = tmp_path / "generic.cfg"
+    path.write_text(GENERIC_CONFIG)
+    out, loaded = _delpezzo("alpha", "--config", str(path))
+    assert out.startswith("alpha_1 = 2/3 (exact;")
+    assert loaded == "sympy loaded: False"
+
+
 def test_lct_loads_sympy_on_first_use():
     out, loaded = _delpezzo("lct", "y^2 - x^3")
     assert "5/6" in out

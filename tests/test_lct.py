@@ -50,6 +50,29 @@ def test_newton_golden_values(text, value, exact, _):
         assert report.value >= value
 
 
+def test_newton_skips_the_square_free_test_on_faces_of_length_one(monkeypatch):
+    # a face of lattice length 1 has a linear H, square-free by itself; the
+    # exact flag matches the flag with every face tested
+    from delpezzo import lct as lct_module
+    tested = []
+    face_univariate = lct_module._face_univariate
+
+    def recording(f, face):
+        tested.append(face)
+        return face_univariate(f, face)
+
+    monkeypatch.setattr(lct_module, "_face_univariate", recording)
+    for text in ("x*y*(x + y)", "y^2 - x^3", "x*y"):
+        assert newton_lct(parse_germ(text)).exact
+    assert tested == []
+    rng = random.Random(4021)
+    for _ in range(100):
+        f = random_germ(rng)
+        every_face = all(face_univariate(f, face).is_sqf
+                         for face in newton_polygon(f).faces)
+        assert newton_lct(f).exact == every_face
+
+
 def test_newton_certificate_failure_is_a_strict_upper_bound():
     # (y - x)^2 is the canonical nondegeneracy counterexample: the polygon
     # face poly has a square factor and the polygon value 1 overshoots 1/2

@@ -15,8 +15,10 @@ import pytest
 from click.testing import CliRunner
 
 from delpezzo.cli import cli
+from delpezzo.germs import parse_germ
 
 from delpezzo.lattice import C, E, MINUS_K, SurfaceModel, is_ample
+from delpezzo.lct import blowup_lct
 from delpezzo.lemma_verify import (DEGREE_OVERFLOW, INTERSECTION_VIOLATION,
                                    MAX_SCAN_M, NOT_AMPLE, PROJECTION_DEGREE,
                                    alpha1_report, canonical_nodal_survivor,
@@ -207,6 +209,14 @@ def test_alpha1_upper_bound_without_eckardt_points():
     assert not report.final
     assert str(report) == ("alpha_1 <= 1 (upper bound only; triangles of "
                            "coplanar lines only reach normal crossings)")
+
+
+@pytest.mark.parametrize("config, germ", [
+    (FRAME_A, "x*y*(x+y)"), (FRAME_PLAIN, "x*y")])
+def test_alpha1_threshold_agrees_with_the_resolution(config, germ):
+    # alpha1_report reads the threshold off the Newton polygon; the
+    # blow-up resolution is the independent oracle
+    assert alpha1_report(config).value == blowup_lct(parse_germ(germ)).value
 
 
 def test_alpha1_rejects_nodal_configurations():

@@ -106,6 +106,39 @@ GOLDEN_CHAINS = [
 ]
 
 
+# Two irrational centers in a row, so the second field is a tower
+# QQ(sqrt2)(w) that resolve_germ flattens.  By hand, for
+# f = h^2 - x^13 with h = (y^2 - 2x^2)^2 - 3x^6 (no computer algebra):
+# - mult_0 f = 8 (h has order 4): E1 has a = 1, b = 8.
+# - Chart A, y -> x*y, divides f by x^8: f1 = ((y^2 - 2)^2 - 3x^2)^2 - x^5,
+#   which meets E1 = {x = 0} in (y^2 - 2)^4, at the conjugate points
+#   y = +-sqrt2.  At y = sqrt2 + u, (y^2 - 2)^2 = 8u^2 * unit, so f1 has
+#   order 4 there and E1 passes through: E2 has a = 1 + 1 = 2, b = 4 + 8 = 12.
+# - Chart A again, u -> x*u, divides f1 by x^4: f2 = (8u^2*unit - 3)^2 - x,
+#   which meets E2 = {x = 0} at the roots of 8u^2 - 3 over QQ(sqrt2).  There
+#   f2 is smooth and tangent to E2 (and E1 is not in this chart), so the two
+#   smooth branches share a tangent: E3 has a = 1 + 2 = 3, b = 1 + 12 = 13.
+# - After that blow-up, chart A misses the strict transform; chart B's origin
+#   holds it, E3 and E2, three smooth branches: E4 has a = 1 + 2 + 3 = 6,
+#   b = 1 + 12 + 13 = 26, and the divisor is then normal crossings.
+# - lct = min(1, (1+1)/8, (2+1)/12, (3+1)/13, (6+1)/26) = 1/4.
+NESTED_GERM = "((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13"
+NESTED_SITES = ["origin", "origin / chart A at root of v**2 - 2",
+                "origin / chart A at root of v**2 - 2"
+                " / chart A at root of v**2 - 3/8"]
+# + x^15 leaves f2 = (8u^2*unit - 3)^2 + x^3, a cusp (order 2) at those
+# roots: E3 = (3, 2 + 12), then a site at a nonzero point of the
+# flattened field, E4 = (1 + 3, 1 + 14), and E5 = (1 + 3 + 4, 1 + 14 + 15)
+NESTED_CUSP = "((y^2 - 2*x^2)^2 - 3*x^6)^2 + x^15"
+
+GOLDEN_CHAINS.append((parse_germ(NESTED_GERM), [
+    (1, 8, (), NESTED_SITES[0]),
+    (2, 12, (1,), NESTED_SITES[1]),
+    (3, 13, (2,), NESTED_SITES[2]),
+    (6, 26, (2, 3), NESTED_SITES[2] + " / chart B origin"),
+]))
+
+
 def _chain(res):
     return [(n.a, n.b, tuple(p.index for p in n.parents), n.site)
             for n in res.nodes]
@@ -160,6 +193,49 @@ def test_substituted_conjugate_families(text, matrix):
     elapsed = time.perf_counter() - start
     assert report.value == Fraction(1, 3)
     assert elapsed < 2.0
+
+
+def test_nested_cusp_has_sites_over_the_flattened_field():
+    res = resolve_germ(parse_germ(NESTED_CUSP))
+    assert [(a, b, parents) for a, b, parents, _ in _chain(res)] == [
+        (1, 8, ()), (2, 12, (1,)), (3, 14, (2,)), (4, 15, (3,)),
+        (8, 30, (3, 4))]
+    assert resolution_lct(res).value == Fraction(1, 4)
+    assert [n.site for n in res.nodes[:3]] == NESTED_SITES
+    assert res.nodes[3].site.startswith(NESTED_SITES[2] + " / chart A at y=")
+
+
+@pytest.mark.parametrize("text", [NESTED_GERM, NESTED_CUSP])
+@pytest.mark.parametrize("matrix", [(1, 1, 1, 2), (2, 1, 1, 1), (1, -1, 1, 0)])
+def test_nested_germs_are_coordinate_invariant(text, matrix):
+    f = parse_germ(text)
+    res = [resolve_germ(h) for h in (f, f.compose_linear(*matrix))]
+    assert sorted((n.a, n.b) for n in res[0].nodes) \
+        == sorted((n.a, n.b) for n in res[1].nodes)
+    assert resolution_lct(res[0]).value == resolution_lct(res[1]).value \
+        == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("q, shift", [
+    ("v**2 - 3/8", 1),                          # norm (v^2 - 3/8)^2 at s = 0
+    ("v**2 - 3/8 - sqrt(2)/8", 0),
+])
+def test_extend_field_flattens_a_tower(q, shift):
+    from sympy.polys.sqfreetools import dup_sqf_norm
+    v = sympy.Symbol("v")
+    K = QQ.algebraic_field(sympy.sqrt(2))
+    q = Poly(sympy.sympify(q), v, domain=K)
+    assert dup_sqf_norm(q.rep.to_list(), K)[0] == shift
+    K2, phi, gamma = resolution._extend_field(K, q)
+    assert K2.ext.minpoly.as_poly().degree() == 4
+    # phi sends alpha to a root of its minimal polynomial, and gamma is a
+    # root of phi(q)
+    alpha = phi(K.unit)
+    assert alpha * alpha == K2.convert(2)
+    value = K2.zero
+    for c in q.rep.to_list():
+        value = value * gamma + phi(c)
+    assert value == K2.zero
 
 
 # -- the square-free split against full factorization ------------------------
