@@ -41,6 +41,13 @@ K is always QQ or an absolute algebraic extension QQ(theta); towers that
 would arise from nested irrational centers are flattened back to absolute
 fields with Trager's square-free norm (see _extend_field).
 
+resolve_germ resolves each live germ once.  A germ's resolution depends on
+the germ alone, so the Resolution it returns is kept, keyed by the
+(frozen, hashable) CurveGerm, until that germ is garbage-collected: equal
+germs share one entry, and blowup_lct followed by check_mult_bounds on one
+germ runs the engine once.  Every node and component of a kept Resolution is
+frozen, so its callers cannot alter what the next caller reads.
+
 sympy is imported on the first call that does polynomial algebra, not with
 this module, so the sympy-free commands never load it.
 """
@@ -50,12 +57,12 @@ from __future__ import annotations
 import functools
 import operator
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 from typing import TYPE_CHECKING, Callable, Optional
 
-from . import poly
 from .germs import CurveGerm
 
 if TYPE_CHECKING:
@@ -106,7 +113,7 @@ def blowup_limit(override: Optional[int] = None) -> int:
     return limit
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ResolutionNode:
     """One exceptional divisor (a conjugate cluster shares one node)."""
 
@@ -190,8 +197,20 @@ def _chart_b(g: dict, m: int) -> dict:
 
 
 def _translate_y(g: dict, K, v0) -> dict:
-    """g(x, y + v0) in the domain K."""
-    return poly.substitute(g, [{(1, 0): K.one}, {(0, 1): K.one, (0, 0): v0}])
+    """g(x, y + v0) in the domain K, by the binomial expansion
+    c*x^i*y^j -> sum_t C(j, t) * v0^(j - t) * c*x^i*y^t."""
+    powers = [K.one]                    # powers[e] = v0^e
+    for _ in range(max(j for _i, j in g)):
+        powers.append(powers[-1] * v0)
+    rows = {}                           # rows[j][t] = C(j, t) * v0^(j - t)
+    out = {}
+    for (i, j), c in g.items():
+        if j not in rows:
+            rows[j] = [K.convert(comb(j, t)) * powers[j - t]
+                       for t in range(j + 1)]
+        for t, w in enumerate(rows[j]):
+            out[i, t] = out[i, t] + w * c if (i, t) in out else w * c
+    return {e: c for e, c in out.items() if c}
 
 
 def _restrict_to_x0(g: dict, K) -> Poly:
@@ -382,13 +401,32 @@ def _components_of(f: CurveGerm) -> tuple[Component, ...]:
     return tuple(out)
 
 
+#: the Resolution of every live germ resolve_germ has resolved; an entry goes
+#: when its germ is garbage-collected
+_resolved: "weakref.WeakKeyDictionary[CurveGerm, Resolution]" = \
+    weakref.WeakKeyDictionary()
+
+
 def resolve_germ(f: CurveGerm, max_blowups: Optional[int] = None) -> Resolution:
-    """Resolve until the total transform is SNC near the origin fiber."""
-    from sympy import QQ
+    """Resolve until the total transform is SNC near the origin fiber.
+
+    The engine runs once per live germ (see the module docstring); a later
+    call on f, or on a germ equal to it, returns the same Resolution.  The
+    budget means the same either way: it is checked on every call, and a
+    kept resolution that needed more blow-ups than it allows raises
+    DepthExceededError, as the engine does.  A run that raises keeps nothing.
+    """
     limit = blowup_limit(max_blowups)
-    components = _components_of(f)
-    engine = _Engine(limit)
-    engine.process([({e: QQ.convert(c) for e, c in comp.coeffs},
-                     comp.multiplicity) for comp in components],
-                   QQ, None, None, "origin")
-    return Resolution(tuple(engine.nodes), components, engine.count)
+    res = _resolved.get(f)
+    if res is None:
+        from sympy import QQ
+        components = _components_of(f)
+        engine = _Engine(limit)
+        engine.process([({e: QQ.convert(c) for e, c in comp.coeffs},
+                         comp.multiplicity) for comp in components],
+                       QQ, None, None, "origin")
+        res = _resolved[f] = Resolution(tuple(engine.nodes), components,
+                                        engine.count)
+    elif res.blowups > limit:
+        raise DepthExceededError(limit)
+    return res

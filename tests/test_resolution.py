@@ -1,9 +1,13 @@
 """Resolution engine: the components carried from site to site, pinned node
-chains, one resolve per caller, the substituted conjugate-tangent families,
-and the square-free split of the germ against full factorization."""
+chains, one resolve per caller and one per live germ, the substituted
+conjugate-tangent families, the Taylor shift against poly.substitute, and the
+square-free split of the germ against full factorization."""
 
+import dataclasses
+import gc
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,11 +17,12 @@ from sympy import QQ, Poly
 
 from delpezzo import cli as cli_module
 from delpezzo import lct as lct_module
-from delpezzo import resolution
-from delpezzo.germs import parse_germ
+from delpezzo import poly, resolution
+from delpezzo.germs import CurveGerm, parse_germ
 from delpezzo.lct import (blowup_lct, check_mult_bounds, newton_lct,
                           newton_polygon, resolution_lct)
-from delpezzo.resolution import resolve_germ
+from delpezzo.resolution import (BlowupBudgetSettingError, DepthExceededError,
+                                 resolve_germ)
 from germgen import random_germ
 
 _X, _Y = sympy.symbols("x y")
@@ -27,11 +32,20 @@ FIELD_EXTENSION_GERM = "(y^2 - 2*x^2)^2 - x^7"
 CONJUGATE_CUBE = parse_germ("(y^3 - 2*x^3)^2 - x^7").compose_linear(1, 1, 1, 2)
 
 
-def test_carried_components_are_square_free_and_coprime(monkeypatch):
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo for resolve_germ, so that no live germ of another test
+    (such as CONJUGATE_CUBE) answers for an equal germ of this one."""
+    fresh = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(resolution, "_resolved", fresh)
+    return fresh
+
+
+def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
     # sympy sqf_part and gcd over the site's field K are the oracle: every
     # site's components are square-free and pairwise coprime, and every one
     # the engine blows up on passes through the point
-    sites = []
+    sites, blown = [], []
     process, blow_up = resolution._Engine.process, resolution._Engine.blow_up
 
     def checked_process(self, comps, K, xa, ya, where):
@@ -44,6 +58,7 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch):
 
     def checked_blow_up(self, comps, K, xa, ya, where):
         assert comps and all((0, 0) not in p for p, _i in comps), where
+        blown.append(where)
         return blow_up(self, comps, K, xa, ya, where)
 
     monkeypatch.setattr(resolution._Engine, "process", checked_process)
@@ -54,8 +69,10 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch):
     germs.append(parse_germ("(y - x)^2 - x^3"))   # tangent at y = 1 in chart A
     # squares, whose components carry multiplicity 2
     germs += [f ** 2 for f in germs[-40:]]
-    for f in germs:
-        resolve_germ(f)
+    results = {f: resolve_germ(f) for f in germs}   # equal germs resolve once
+    # the hooks saw every distinct germ's root site and every blow-up
+    assert sites.count("origin") == len(results)
+    assert len(blown) == sum(res.blowups for res in results.values())
     assert len(sites) > len(germs)
     assert any("at root of" in where for where in sites)
 
@@ -163,6 +180,84 @@ def _count_resolves(monkeypatch, *modules):
     return calls
 
 
+# -- one resolution per live germ ---------------------------------------------
+
+def test_blowup_lct_then_check_mult_bounds_runs_the_engine_once(monkeypatch,
+                                                                memo):
+    blown = []
+    blow_up = resolution._Engine.blow_up
+
+    def counting(self, *args):
+        blown.append(args[-1])
+        return blow_up(self, *args)
+
+    monkeypatch.setattr(resolution._Engine, "blow_up", counting)
+    f = parse_germ(FIELD_EXTENSION_GERM)
+    blowup_lct(f)
+    check_mult_bounds(f)
+    both = len(blown)
+    memo.clear()
+    resolve_germ(f)
+    assert both == len(blown) - both == 4
+
+
+def test_equal_germs_share_one_resolution(memo):
+    f = parse_germ("y^2 - x^3")
+    g = CurveGerm.from_dict({(3, 0): -1, (0, 2): 1})
+    assert f is not g and f == g
+    assert resolve_germ(g) is resolve_germ(f)
+    assert len(memo) == 1
+
+
+def test_a_kept_resolution_keeps_the_budget(monkeypatch, memo):
+    f = parse_germ("y^2 - x^3")
+    with pytest.raises(DepthExceededError) as uncached:
+        resolve_germ(f, max_blowups=2)
+    assert len(memo) == 0   # a run that raises keeps nothing
+    res = resolve_germ(f)
+    assert res.blowups == 3 and len(memo) == 1
+    with pytest.raises(DepthExceededError) as cached:
+        resolve_germ(f, max_blowups=2)
+    assert str(cached.value) == str(uncached.value)
+    assert cached.value.limit == 2
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "2")
+    with pytest.raises(DepthExceededError) as from_env:
+        blowup_lct(f)
+    assert str(from_env.value) == str(uncached.value)
+    assert resolve_germ(f, max_blowups=3) is res
+
+
+@pytest.mark.parametrize("budget", [-1, True, 2.0])
+def test_a_bad_budget_is_refused_on_a_kept_germ(monkeypatch, memo, budget):
+    f = parse_germ("y^2 - x^3")
+    resolve_germ(f)
+    with pytest.raises(BlowupBudgetSettingError, match="max_blowups must be"):
+        resolve_germ(f, max_blowups=budget)
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "many")
+    with pytest.raises(BlowupBudgetSettingError,
+                       match="DELPEZZO_MAX_BLOWUPS must be"):
+        check_mult_bounds(f)
+
+
+def test_a_collected_germ_leaves_the_memo():
+    # the module's own memo; no other test holds a germ equal to this one
+    text = "(y^2 - x^3)*(y - x)*(y + 7*x)"
+    f = parse_germ(text)
+    resolve_germ(f)
+    assert parse_germ(text) in resolution._resolved
+    del f
+    gc.collect()
+    assert parse_germ(text) not in resolution._resolved
+
+
+def test_kept_nodes_are_frozen():
+    node = resolve_germ(parse_germ("y^2 - x^3")).nodes[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.a = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.site = "elsewhere"
+
+
 def test_check_mult_bounds_resolves_once(monkeypatch):
     calls = _count_resolves(monkeypatch, lct_module)
     verdict = check_mult_bounds(parse_germ("(y - x^2)^3"))
@@ -214,6 +309,28 @@ def test_nested_germs_are_coordinate_invariant(text, matrix):
         == sorted((n.a, n.b) for n in res[1].nodes)
     assert resolution_lct(res[0]).value == resolution_lct(res[1]).value \
         == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("field", [
+    QQ, QQ.algebraic_field(sympy.sqrt(2)),
+    QQ.algebraic_field(sympy.root(3, 3) + sympy.sqrt(2))])
+def test_translate_y_agrees_with_substitute(field):
+    # poly.substitute expands (y + v0)^j by repeated products: the oracle
+    rng = random.Random(20261018)
+    generator = field.one if field == QQ else field.unit
+    for _ in range(60):
+        def element():
+            value = field.zero
+            for _ in range(3):
+                value = value * generator + field.convert(rng.randint(-4, 4))
+            return value
+        g = {(rng.randint(0, 4), rng.randint(0, 7)): element()
+             for _ in range(rng.randint(1, 9))}
+        g = {e: c for e, c in g.items() if c} or {(1, 1): field.one}
+        for v0 in (element(), field.zero):
+            want = poly.substitute(
+                g, [{(1, 0): field.one}, {(0, 1): field.one, (0, 0): v0}])
+            assert resolution._translate_y(g, field, v0) == want
 
 
 @pytest.mark.parametrize("q, shift", [
@@ -306,11 +423,16 @@ def test_square_free_split_matches_full_factorization(monkeypatch):
         res = resolve_germ(f)
         got = (_chain(res), res.blowups, str(resolution_lct(res)),
                check_mult_bounds(f))
+        oracle_calls = []
         with monkeypatch.context() as m:
-            m.setattr(resolution, "_components_of", _full_components)
+            # an empty memo, or f's kept resolution would answer for the oracle
+            m.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
+            m.setattr(resolution, "_components_of",
+                      lambda g: oracle_calls.append(g) or _full_components(g))
             oracle = resolve_germ(f)
             want = (_chain(oracle), oracle.blowups,
                     str(resolution_lct(oracle)), check_mult_bounds(f))
+        assert oracle_calls == [f]
         assert got == want, str(f)
         for weighted in (False, True):
             assert _product(res.components, weighted) == \
@@ -341,7 +463,7 @@ def _count_bivariate(monkeypatch, method):
     ("y^3 - x^5", 0),         # square-free, reduced order 3
     ("y^2 - x^2 - x^3", 1),   # order 2 with rational tangents: factored
 ])
-def test_only_parts_an_output_reads_are_factored(monkeypatch, text,
+def test_only_parts_an_output_reads_are_factored(monkeypatch, memo, text,
                                                  factorizations):
     f = parse_germ(text)
     factor_calls = _count_bivariate(monkeypatch, "factor_list")
