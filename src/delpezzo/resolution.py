@@ -37,9 +37,10 @@ handled by extending K; conjugate points yield identical (a, b) data, so one
 representative per irreducible factor is blown up and the cluster shares a
 single node.
 
-K is always QQ or an absolute algebraic extension QQ(theta); towers that
-would arise from nested irrational centers are flattened back to absolute
-fields with Trager's square-free norm (see _extend_field).
+K is always QQ or an absolute algebraic extension QQ(theta), built from the
+irreducible polynomial in hand, so no minimal polynomial is recomputed;
+towers that would arise from nested irrational centers are flattened back
+to absolute fields with Trager's square-free norm (see _extend_field).
 
 resolve_germ resolves each live germ once.  A germ's resolution depends on
 the germ alone, so the Resolution it returns is kept, keyed by the
@@ -237,21 +238,25 @@ def _linear_root(factor: Poly):
 
 
 def _extend_field(K, q: Poly):
-    """Adjoin a root of the irreducible q over K.
+    """Adjoin a root of q, which must be irreducible over K.
 
     Returns (K2, phi, gamma) with phi an embedding K -> K2 and gamma in K2 a
-    root of phi(q).  A tower over K = QQ(alpha) is flattened by Trager's
-    square-free norm: r = Norm(g) for g(v) = q(v - s*alpha) is square-free,
-    hence irreducible over QQ; K2 = QQ(delta) for a root delta of r, alpha
-    maps to the single root of gcd(minpoly_alpha(t), g(delta) with alpha
-    read as t), and gamma = delta - s*alpha.
+    root of phi(q).  Over QQ, q is scaled to the primitive integer form with
+    positive leading coefficient that sympy's minimal_polynomial returns, so
+    K2 = QQ.algebraic_field((q, root)), its modulus and gamma = K2.unit equal
+    sympy's own QQ.algebraic_field(root), with no minimal-polynomial search.
+    A tower over K = QQ(alpha) is flattened by Trager's square-free norm:
+    r = Norm(g) for g(v) = q(v - s*alpha) is square-free, hence irreducible
+    over QQ; K2 = QQ(delta) for a root delta of r, alpha maps to the single
+    root of gcd(minpoly_alpha(t), g(delta) with alpha read as t), and
+    gamma = delta - s*alpha.
     """
     from sympy import QQ, CRootOf, Poly
     from sympy.polys.sqfreetools import dup_sqf_norm
     if K == QQ:
-        root = CRootOf(q.as_expr(), 0)
-        K2 = QQ.algebraic_field(root)
-        return K2, K2.convert, K2.from_sympy(root)
+        q = q.monic().clear_denoms()[1]     # primitive over ZZ, LC > 0
+        K2 = QQ.algebraic_field((q, CRootOf(q.as_expr(), 0)))
+        return K2, K2.convert, K2.unit
 
     s, g, r = dup_sqf_norm(q.rep.to_list(), K)
     K2, _, delta = _extend_field(QQ, Poly(r, _symbols("z"), domain=QQ))

@@ -355,6 +355,66 @@ def test_extend_field_flattens_a_tower(q, shift):
     assert value == K2.zero
 
 
+def _irreducible_corpus():
+    """Polynomials irreducible over QQ: 200 seeded ones of degree 2 to 4
+    with rational coefficients (denominators, non-unit and negative leading
+    coefficients), then the norms r of the two flattened towers above."""
+    from sympy.polys.sqfreetools import dup_sqf_norm
+    v = sympy.Symbol("v")
+    rng = random.Random(20261018)
+    corpus = []
+    while len(corpus) < 200:
+        coeffs = [QQ(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(rng.randint(2, 4) + 1)]
+        if coeffs[0] and coeffs[-1]:
+            q = Poly(coeffs, v, domain=QQ)
+            if q.is_irreducible:
+                corpus.append(q)
+    K = QQ.algebraic_field(sympy.sqrt(2))
+    for text in ("v**2 - 3/8", "v**2 - 3/8 - sqrt(2)/8"):
+        q = Poly(sympy.sympify(text), v, domain=K)
+        r = dup_sqf_norm(q.rep.to_list(), K)[2]
+        corpus.append(Poly(r, sympy.Symbol("z"), domain=QQ))
+    return corpus
+
+
+def test_extend_field_over_qq_is_sympys_own_field():
+    # the oracle: sympy builds the field from the root, searching for its
+    # minimal polynomial, and expresses the root in it
+    corpus = _irreducible_corpus()
+    assert any(q.LC() < 0 for q in corpus)
+    assert any(q.LC().denominator > 1 for q in corpus)
+    assert {q.degree() for q in corpus} == {2, 3, 4}
+    for q in corpus:
+        root = sympy.CRootOf(q.as_expr(), 0)
+        K = QQ.algebraic_field(root)
+        K2, phi, gamma = resolution._extend_field(QQ, q)
+        assert K2 == K, q
+        assert K2.mod == K.mod, q
+        assert gamma == K.from_sympy(root), q
+        assert phi(QQ(3, 4)) == K.convert(QQ(3, 4))
+
+
+def test_resolution_runs_no_minimal_polynomial_search(monkeypatch, memo):
+    # every field is built from the polynomial the engine holds: sympy's
+    # primitive_element and minimal_polynomial are never called
+    import importlib
+    calls = []
+    for name in ("subfield", "minpoly"):
+        module = importlib.import_module("sympy.polys.numberfields." + name)
+        for attr in ("primitive_element", "minimal_polynomial"):
+            if hasattr(module, attr):
+                def counted(*args, _f=getattr(module, attr), _a=attr, **kw):
+                    calls.append(_a)
+                    return _f(*args, **kw)
+                monkeypatch.setattr(module, attr, counted)
+    for text in ("(y^2 - 2*x^2)^2 - x^5", "(y^3 - 2*x^3)^2 - x^7",
+                 NESTED_CUSP):
+        res = resolve_germ(parse_germ(text))
+        assert any("chart A at root of" in n.site for n in res.nodes), text
+    assert calls == []
+
+
 # -- the square-free split against full factorization ------------------------
 
 def _full_components(f):
