@@ -22,7 +22,7 @@ import click
 from .constraints import (SolveReport, encode_case2, encode_case3,
                           encode_nodal, parse_system, solve)
 from .germs import parse_germ
-from .lattice import (C, SurfaceModel, enumerate_negative_curves,
+from .lattice import (SurfaceModel, enumerate_negative_curves,
                       incidence_graph, tritangent_triples)
 from .lct import newton_lct, resolution_lct
 from .lemma_verify import (alpha1_report, canonical_nodal_survivor,
@@ -88,8 +88,7 @@ def cmd_lines(mode, as_json):
     curves = enumerate_negative_curves(model)
     graph = incidence_graph(curves)
     nodal = model is SurfaceModel.NODAL
-    adjacent = [lab for lab, cls in curves.items()
-                if lab != "C" and cls.intersect(C) == 1] if nodal else []
+    adjacent = list(graph["C"]) if nodal else []
     lines = ["one-node cubic: 21 lines and the (-2)-curve C" if nodal
              else "smooth cubic: 27 lines"]
     rows = []
@@ -117,7 +116,7 @@ def cmd_lines(mode, as_json):
 # lct
 
 
-@cli.command("lct")
+@cli.command("lct", context_settings={"ignore_unknown_options": True})
 @click.argument("germ_text", metavar="GERM")
 @click.option("--method", default="both", show_default=True, metavar="METHOD",
               help="newton, blowup, or both.")

@@ -13,13 +13,14 @@ strictness propagates through combinations (strict + anything = strict).
 `solve` reads every output off one chain: prefix[k] is the system with the
 variables after the k-th (declaration order) eliminated, last first.  It is
 feasible iff prefix[0] bounds the first variable.  The k-th variable's bounds
-are prefix[k]'s with the earlier variables projected away, with attainment
-flags so that a supremum can be told apart from a maximum; forced values are
-attained bounds that coincide, and integrality is checked on forced values of
-integer-flagged variables.  The witness substitutes the earlier witness
-values into prefix[k]'s rows and eliminates nothing: FM with strictness is an
-exact projection, so fixing the earlier variables commutes with projecting
-the later ones away.  FM row growth depends on the order.
+are prefix[k]'s with the earlier variables projected away, read through
+`_normalize`, with attainment flags so that a supremum can be told apart from
+a maximum; forced values are attained bounds that coincide, and integrality
+is checked on forced values of integer-flagged variables.  The witness
+substitutes the earlier witness values into prefix[k]'s rows and eliminates
+nothing: FM with strictness is an exact projection, so fixing the earlier
+variables commutes with projecting the later ones away.  FM row growth
+depends on the order.
 
 The dense section holds the right kernel (conics through points, tangent
 planes), the exact Phase-I simplex that writes a vector as a non-negative
@@ -170,11 +171,11 @@ class SolveReport:
 #   ineqs: (row, strict)    REL is <=, or < when strict
 # Each constraint is scaled to integers once, on entry (`_integral`), and
 # every later row is a `_cancel` of two rows.  Fractions appear only at the
-# boundary: reading the constraints, the bounds and `_pick`; the witness
-# values go back in as numerators over their common denominator.  A variable
-# that appears in an equality is eliminated by pivoting on it (no row
-# growth); genuine upper-times-lower FM combination is reserved for
-# variables constrained by inequalities only.
+# boundary: reading the constraints, the bounds (kept by `_normalize`, like
+# every step's rows) and `_pick`; the witness values go back in as numerators
+# over their common denominator.  A variable that appears in an equality is
+# eliminated by pivoting on it (no row growth); genuine upper-times-lower FM
+# combination is reserved for variables constrained by inequalities only.
 
 _Row = tuple[int, ...]
 _Sys = tuple[list[_Row], list[tuple[_Row, bool]]]
@@ -284,40 +285,31 @@ def _bounds_from_univariate(sys_: _Sys, var: int,
                             values: Sequence[Fraction] = ()) -> Optional[VarBounds]:
     """Bounds for variable no. var, the variables before it set to values
     num_j/den over a common den: in integers, den*c_var*x REL den*b -
-    sum(c_j*num_j).  None = infeasible."""
+    sum(c_j*num_j), each equality as two <= rows.  `_normalize` keeps the
+    tightest row with c_var < 0 (lower) and with c_var > 0 (upper) and tests
+    the constant rows.  None = infeasible."""
     den = math.lcm(*(x.denominator for x in values))
     nums = [x.numerator * (den // x.denominator) for x in values]
     eqs, ineqs = sys_
-    rows = [(den * row[var], den * row[-1] - _dot(row, nums), strict)
+    rows = [((den * row[var], den * row[-1] - _dot(row, nums)), strict)
             for row, strict in ineqs]
     for row in eqs:
         c, const = den * row[var], den * row[-1] - _dot(row, nums)
-        rows += [(c, const, False), (-c, -const, False)]
+        rows += [((c, const), False), ((-c, -const), False)]
+    kept = _normalize(([], rows))
+    if kept is None:
+        return None
     lower = upper = None
-    lower_att = upper_att = True
-    for c, const, strict in rows:
-        if not c:
-            if const < 0 or (strict and const == 0):
-                return None
-            continue
-        bound = Q(const, c)
+    lower_att = upper_att = False
+    for (c, const), strict in kept[1]:
         if c > 0:
-            if upper is None or bound < upper:
-                upper, upper_att = bound, not strict
-            elif bound == upper and strict:
-                upper_att = False
+            upper, upper_att = Q(const, c), not strict
         else:
-            if lower is None or bound > lower:
-                lower, lower_att = bound, not strict
-            elif bound == lower and strict:
-                lower_att = False
-    if lower is not None and upper is not None:
-        if lower > upper:
-            return None
-        if lower == upper and not (lower_att and upper_att):
-            return None
-    return VarBounds(lower, lower is not None and lower_att,
-                     upper, upper is not None and upper_att)
+            lower, lower_att = Q(const, c), not strict
+    if lower is not None and upper is not None and (
+            lower > upper or lower == upper and not (lower_att and upper_att)):
+        return None
+    return VarBounds(lower, lower_att, upper, upper_att)
 
 
 def _pick(bounds: VarBounds) -> Fraction:
@@ -666,6 +658,7 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
 # e.g. `2*mu + nu <= 3*m`; `m` is substituted numerically at load time.
 
 _REL_RE = re.compile(r"(<=|>=|<|>|=)")
+_BUILDERS = {"<=": le, "<": lt, "=": eq, ">=": ge, ">": gt}
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -717,11 +710,7 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
         linear = {e.index(1): c for e, c in diff.items() if any(e)}
         coeffs = {names[i]: linear[i] for i in sorted(linear)}
         rhs = -diff.get((0,) * len(names), Q(0))
-        if rel in (">", ">="):
-            coeffs = {v: -c for v, c in coeffs.items()}
-            rhs = -rhs
-            rel = LT if rel == ">" else LE
-        pending.append(LinearConstraint(coeffs, rel, rhs, tag=f"line {lineno}"))
+        pending.append(_BUILDERS[rel](coeffs, rhs, tag=f"line {lineno}"))
     for con in pending:
         for v in con.coeffs:
             if v not in variables:

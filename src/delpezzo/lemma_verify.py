@@ -15,6 +15,7 @@ so accumulation order never matters.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -150,10 +151,6 @@ def _verdict(label: str, records) -> CaseVerdict:
     return CaseVerdict(label=label, records=tuple(sorted(records, key=key)))
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 # -- smooth model -------------------------------------------------------------
 
 def _conic_classes(lines: dict[str, DivisorClass]) -> dict[str, DivisorClass]:
@@ -244,7 +241,7 @@ def lemma31_scan(m: int, lam) -> CaseVerdict:
     if not 0 < lam <= Fraction(2, 3):
         raise ValueError("threshold lam must lie in (0, 2/3]")
 
-    q = _ceil(Fraction(m) / lam)
+    q = math.ceil(Fraction(m) / lam)
     budget = 3 * m
     assert budget // q <= 2  # the floor alone caps the support size
 
@@ -303,7 +300,7 @@ def lemma51_scan(m: int) -> CaseVerdict:
     if m < 2:
         raise ValueError("m >= 2 required")
     lam = Fraction(2, 3)
-    q = _ceil(Fraction(3 * m, 2))
+    q = math.ceil(Fraction(3 * m, 2))
     budget = 3 * m
     curves = enumerate_negative_curves(SurfaceModel.NODAL)
     lines = {lab: cls for lab, cls in curves.items() if lab != "C"}

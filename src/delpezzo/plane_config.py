@@ -231,20 +231,6 @@ class EckardtRecord:
         return "{" + ", ".join(self.triple) + "} at " + str(self.location)
 
 
-_LINE_LABEL = re.compile(r"L(\d)(\d)")
-
-
-def _label_kind(label: str):
-    if label.startswith("E"):
-        return "E", int(label[1])
-    if label.startswith("F"):
-        return "F", int(label[1])
-    m = _LINE_LABEL.fullmatch(label)
-    if not m:
-        raise GeometryError(f"unrecognized curve label {label!r}")
-    return "L", (int(m.group(1)), int(m.group(2)))
-
-
 def _conic_avoiding(config: SixPointConfig, j: int) -> tuple[int, ...]:
     pts = [config.point(k) for k in range(1, 7) if k != j]
     return conic_through(*pts)
@@ -266,17 +252,17 @@ def eckardt_points(config: SixPointConfig) -> list[EckardtRecord]:
     conics: dict[int, tuple[int, ...]] = {}   # five triples share each conic
     records: list[EckardtRecord] = []
     for triple in tritangent_triples(curves):
-        kinds = sorted((_label_kind(lbl), lbl) for lbl in triple)
-        shapes = "".join(k for (k, _), _ in kinds)
-        if shapes == "LLL":
-            lines = [line_through(config.point(i), config.point(j))
-                     for (_, (i, j)), _ in kinds]
+        # by degree a: E_i has b_i = -1, L_ij has b_i = b_j = 1, F_j has b_j = 0
+        members = sorted((curves[lbl] for lbl in triple), key=lambda d: d.a)
+        shape = tuple(d.a for d in members)
+        if shape == (1, 1, 1):
+            lines = [line_through(*(config.point(k) for k, x in enumerate(d.b, 1)
+                                    if x == 1)) for d in members]
             if _det3(*lines) == 0:
                 meet = ProjPoint(_cross(lines[0], lines[1]))
                 records.append(EckardtRecord(tuple(sorted(triple)), meet))
-        elif shapes == "EFL":
-            (_, i), _ = kinds[0]
-            (_, j), _ = kinds[1]
+        elif shape == (0, 1, 2):
+            i, j = members[0].b.index(-1) + 1, members[2].b.index(0) + 1
             if j not in conics:
                 conics[j] = _conic_avoiding(config, j)
             conic = conics[j]
@@ -287,7 +273,7 @@ def eckardt_points(config: SixPointConfig) -> list[EckardtRecord]:
                 records.append(EckardtRecord(tuple(sorted(triple)),
                                              f"infinitely near p{i}"))
         else:
-            raise AssertionError(f"impossible tritangent shape {shapes}")
+            raise AssertionError(f"impossible tritangent shape {shape}")
     records.sort(key=lambda r: r.triple)
     return records
 

@@ -284,14 +284,12 @@ def _extend_field(K, q: Poly):
 class _Engine:
     def __init__(self, limit: int):
         self.limit = limit
-        self.count = 0
         self.nodes: list[ResolutionNode] = []
 
     def blow_up(self, comps: list, K, xa: Optional[ResolutionNode],
                 ya: Optional[ResolutionNode], where: str) -> None:
-        if self.count >= self.limit:
+        if len(self.nodes) >= self.limit:
             raise DepthExceededError(self.limit)
-        self.count += 1
         mults = [_mult(p) for p, _i in comps]
         parents = tuple(p for p in (xa, ya) if p is not None)
         node = ResolutionNode(
@@ -431,7 +429,7 @@ def resolve_germ(f: CurveGerm, max_blowups: Optional[int] = None) -> Resolution:
                          comp.multiplicity) for comp in components],
                        QQ, None, None, "origin")
         res = _resolved[f] = Resolution(tuple(engine.nodes), components,
-                                        engine.count)
+                                        len(engine.nodes))
     elif res.blowups > limit:
         raise DepthExceededError(limit)
     return res

@@ -181,6 +181,40 @@ def test_lct_json(runner):
     assert by_method["newton"]["exact"] is True
 
 
+def test_lct_germ_may_start_with_a_minus_sign(runner):
+    result = invoke(runner, "lct", "-y^2 + x^3", "--json")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["germ"] == "-y^2 + x^3"
+    assert [r["value"] for r in data["reports"]] == ["5/6", "5/6"]
+    # the same bytes as with the option list closed by --
+    assert result.output == invoke(runner, "lct", "--json", "--",
+                                   "-y^2 + x^3").output
+    newton = invoke(runner, "lct", "--method", "newton", "-y^2 + x^3")
+    assert newton.exit_code == 0
+    assert "lct = 5/6 (newton, exact;" in newton.output
+
+
+# (y^2 - 2*x^2)^3 - x^7 under x -> x - y, y -> x: three-fold conjugate
+# tangents over QQ(sqrt2), lct 1/3
+SUBSTITUTED_CONJUGATE = (
+    "-8*y^6 + 48*x*y^5 - 108*x^2*y^4 + 112*x^3*y^3 - 54*x^4*y^2 + 12*x^5*y"
+    " - x^6 + y^7 - 7*x*y^6 + 21*x^2*y^5 - 35*x^3*y^4 + 35*x^4*y^3"
+    " - 21*x^5*y^2 + 7*x^6*y - x^7")
+
+
+def test_lct_substituted_conjugate_germ_with_a_leading_minus(runner):
+    result = invoke(runner, "lct", SUBSTITUTED_CONJUGATE, "--method", "blowup")
+    assert result.exit_code == 0
+    assert "lct = 1/3 (blowup, exact;" in result.output
+
+
+def test_lct_unknown_option_is_read_as_a_germ(runner):
+    result = invoke(runner, "lct", "--bogus")
+    assert result.exit_code == 1
+    assert "cannot parse '--bogus'" in result.output
+
+
 def test_lct_high_degree_square_free_germ_is_fast(runner):
     # a full bivariate factorization of this germ takes minutes; the
     # square-free split never factors it (reduced order 64 is never SNC)

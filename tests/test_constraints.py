@@ -285,6 +285,49 @@ def test_a_multiple_of_a_row_leaves_one_row():
     assert len(eqs) + len(ineqs) == 1
 
 
+# c*x REL b as (c, b, REL), and the bounds `_bounds_from_univariate` reads
+READER_CASES = [
+    ([(1, 1, "<="), (1, 1, "<")], "-inf < _ < 1"),
+    ([(1, 1, "<"), (1, 1, "<=")], "-inf < _ < 1"),
+    ([(2, 2, "<="), (1, 1, "<")], "-inf < _ < 1"),     # the strict row wins
+    ([(1, 1, "<"), (2, 2, "<=")], "-inf < _ < 1"),
+    ([(-2, -2, "<="), (-1, -1, "<")], "1 < _ < inf"),
+    ([(1, 1, "="), (1, 1, "<")], None),
+    ([(-1, -1, "<="), (2, 2, "<=")], "1 <= _ <= 1"),   # forced
+    ([(3, 2, "=")], "2/3 <= _ <= 2/3"),
+    ([(-1, -1, "<"), (1, 1, "<=")], None),
+    ([(-1, 0, "<="), (1, -1, "<=")], None),
+    ([(0, 0, "<")], None),                             # 0 < 0
+    ([(0, -1, "<=")], None),
+    ([(0, 0, "<=")], "-inf < _ < inf"),
+]
+
+
+def _univariate(rows, fixed):
+    """The rows over (x,), or over (y, x) with y to be fixed at 1/2: then
+    c*x REL b is written 2*y + 2c*x REL 2b + 1, a constant row for c = 0."""
+    eqs, ineqs = [], []
+    for c, b, rel in rows:
+        row = (2, 2 * c, 2 * b + 1) if fixed else (c, b)
+        if rel == "=":
+            eqs.append(row)
+        else:
+            ineqs.append((row, rel == "<"))
+    return eqs, ineqs
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("rows, bounds", READER_CASES)
+def test_bounds_reader_keeps_the_tightest_row(rows, bounds, fixed):
+    sys_ = _univariate(rows, fixed)
+    got = (constraints._bounds_from_univariate(sys_, 1, [Q(1, 2)]) if fixed
+           else constraints._bounds_from_univariate(sys_, 0))
+    assert (None if got is None else str(got)) == bounds
+    if got is not None:
+        assert got.lower_attained <= (got.lower is not None)
+        assert got.upper_attained <= (got.upper is not None)
+
+
 def _scaled(system, rng):
     """The system with every row multiplied by its own positive rational."""
     rows = []

@@ -11,7 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 from delpezzo.cli import cli
-from delpezzo.lattice import SurfaceModel
+from delpezzo.lattice import (SurfaceModel, enumerate_negative_curves,
+                              tritangent_triples)
 from delpezzo.plane_config import (CUBIC_MONOMIALS, ConfigParseError, CubicForm,
                                    DegenerateConicError, GeometryError,
                                    InvalidConfigError, NotOnSurfaceError,
@@ -160,6 +161,34 @@ def test_eckardt_points_reject_invalid_configs():
                   (1, 1, 1), (1, 2, 3), (1, 4, 9))
     with pytest.raises(InvalidConfigError):
         eckardt_points(bad)
+
+
+@pytest.mark.parametrize("model, shapes", [
+    (SurfaceModel.SMOOTH, {(1, 1, 1): 15, (0, 1, 2): 30}),
+    (SurfaceModel.NODAL, {(1, 1, 1): 6, (0, 1, 2): 9}),
+])
+def test_tritangent_triples_decode_from_their_classes(model, shapes):
+    # eckardt_points reads kinds and point indices off the classes (a; b):
+    # a = 0 is E_i with b_i = -1, a = 1 is L_ij with b_i = b_j = 1, a = 2 is
+    # F_j with b_j = 0; a tritangent plane is {L, L, L} or {E_i, L_ij, F_j}
+    curves = enumerate_negative_curves(model)
+    seen = {}
+    for triple in tritangent_triples(curves):
+        members = sorted(triple, key=lambda lbl: curves[lbl].a)
+        shape = tuple(curves[lbl].a for lbl in members)
+        seen[shape] = seen.get(shape, 0) + 1
+        for lbl in members:
+            b = curves[lbl].b
+            if curves[lbl].a == 1:
+                assert lbl == "L" + "".join(str(k + 1) for k in range(6)
+                                            if b[k] == 1)
+            else:
+                value = -1 if curves[lbl].a == 0 else 0
+                assert [k for k in range(6) if b[k] == value] == [int(lbl[1]) - 1]
+        if shape == (0, 1, 2):
+            e, line, f = members
+            assert line == "L" + "".join(sorted(e[1] + f[1]))
+    assert seen == shapes
 
 
 def test_eckardt_triples_invariant_under_projectivities():
