@@ -240,14 +240,20 @@ def _pinned_summary(verdict):
             "survivors": [r.line() for r in verdict.survivors]}
 
 
-@pytest.mark.parametrize("m", range(2, 13))
+@pytest.mark.parametrize("m", range(2, 18))
 def test_lemma51_reports_are_pinned(m):
     assert _pinned_summary(lemma51_scan(m)) == PINNED["lemma51"][str(m)]
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 7, 10])
+@pytest.mark.parametrize("m", range(2, 18))
 def test_lemma31_reports_are_pinned(m):
     assert _pinned_summary(lemma31_scan(m, Q(2, 3))) == PINNED["lemma31"][str(m)]
+
+
+@pytest.mark.parametrize("lam", ["1/2", "3/5"])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_lemma31_reports_below_two_thirds_are_pinned(m, lam):
+    assert _pinned_summary(lemma31_scan(m, Q(lam))) == PINNED["lemma31_lam"][lam][str(m)]
 
 
 @pytest.mark.parametrize("m", range(2, 13))
