@@ -4,7 +4,9 @@ Exit codes follow a fixed contract: 0 on success (for `verify`, success means
 the scan reached the expected conclusion), 1 on a domain error such as a bad
 mode name, an unparseable polynomial or a DELPEZZO_MAX_BLOWUPS value that is
 not a non-negative integer, 2 when the resolution engine exhausts its blow-up
-budget (that environment variable raises it).
+budget (that environment variable raises it), and 64 (EX_USAGE in sysexits.h)
+on a usage error such as a missing argument, an extra argument or an unknown
+option.
 Every domain error the library raises is a ValueError, and the group maps it
 to exit 1 with its message in one place; no command catches one.  Every
 number read from text (configuration coordinates, cubic coefficients,
@@ -32,17 +34,31 @@ from .plane_config import (eckardt_points, is_eckardt_on_cubic, load_config,
 from .poly import monomial, rational, to_text
 from .resolution import DepthExceededError, resolve_germ
 
+#: exit code of a command-line usage error (sysexits.h)
+EX_USAGE = 64
+
 
 class _DepthAwareGroup(click.Group):
     """Group that maps the library's errors to exit codes, for every command.
 
     A domain error (every one the library raises is a ValueError) exits 1
-    with its message; a blown blow-up budget exits 2.
+    with its message; a blown blow-up budget exits 2; a usage error, whether
+    the group's own or a subcommand's, exits EX_USAGE instead of click's 2.
     """
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EX_USAGE
+            raise
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EX_USAGE
+            raise
         except ValueError as exc:
             raise click.ClickException(str(exc))
         except DepthExceededError as exc:

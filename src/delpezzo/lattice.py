@@ -15,6 +15,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 
 from .constraints import cone_facets
 
@@ -38,36 +40,63 @@ class DivisorClass:
         object.__setattr__(self, "a", int(self.a))
 
     def intersect(self, other: "DivisorClass") -> int:
-        return self.a * other.a - sum(x * y for x, y in zip(self.b, other.b))
+        x, y = self.b, other.b
+        return (self.a * other.a - x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
+                - x[3] * y[3] - x[4] * y[4] - x[5] * y[5])
 
     def square(self) -> int:
         return self.intersect(self)
 
     def degree(self) -> int:
-        """Anticanonical degree D.(-K)."""
-        return self.intersect(MINUS_K)
+        """Anticanonical degree D.(-K) = 3a - sum(b)."""
+        return 3 * self.a - sum(self.b)
 
     def coords(self) -> tuple[int, ...]:
         return (self.a,) + self.b
 
+    # The arithmetic below combines already-validated ints, so it builds its
+    # results with _class and skips __post_init__.
+
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a + other.a,
-                            tuple(x + y for x, y in zip(self.b, other.b)))
+        x, y = self.b, other.b
+        return _class(self.a + other.a,
+                      (x[0] + y[0], x[1] + y[1], x[2] + y[2],
+                       x[3] + y[3], x[4] + y[4], x[5] + y[5]))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a - other.a,
-                            tuple(x - y for x, y in zip(self.b, other.b)))
+        x, y = self.b, other.b
+        return _class(self.a - other.a,
+                      (x[0] - y[0], x[1] - y[1], x[2] - y[2],
+                       x[3] - y[3], x[4] - y[4], x[5] - y[5]))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, tuple(-x for x in self.b))
+        x = self.b
+        return _class(-self.a, (-x[0], -x[1], -x[2], -x[3], -x[4], -x[5]))
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(k * self.a, tuple(k * x for x in self.b))
+        x = self.b
+        if not isinstance(k, int):
+            # e.g. a Fraction: the constructor truncates the products to int
+            return DivisorClass(k * self.a, tuple(k * v for v in x))
+        return _class(k * self.a, (k * x[0], k * x[1], k * x[2],
+                                   k * x[3], k * x[4], k * x[5]))
 
     __mul__ = __rmul__
 
     def __str__(self):
         return f"({self.a}; {','.join(str(x) for x in self.b)})"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _class(a: int, b: tuple[int, ...]) -> DivisorClass:
+    """DivisorClass from an int and a 6-tuple of ints, without re-validating."""
+    d = _new(DivisorClass)
+    _set(d, "a", a)
+    _set(d, "b", b)
+    return d
 
 
 def _unit(i: int) -> tuple[int, ...]:
@@ -76,6 +105,7 @@ def _unit(i: int) -> tuple[int, ...]:
     return tuple(v)
 
 
+ZERO = DivisorClass(0, (0, 0, 0, 0, 0, 0))
 H = DivisorClass(1, (0, 0, 0, 0, 0, 0))
 MINUS_K = DivisorClass(3, (1, 1, 1, 1, 1, 1))
 #: (-2)-curve over the node in Nodal mode: the line through p1, p2, p3.
@@ -130,16 +160,22 @@ def enumerate_negative_curves(model: SurfaceModel) -> dict[str, DivisorClass]:
 
     In Nodal mode the smooth solutions with D.C < 0 are dropped: those classes
     (L12, L13, L23, F4, F5, F6) contain C and decompose as C plus a (-1)-class,
-    so they are not irreducible on the resolution.
+    so they are not irreducible on the resolution.  Each call returns a fresh
+    dict; the table behind it is built and checked once per model.
     """
-    smooth = dict(_SMOOTH_LABELS)
+    return dict(_curve_table(model))
+
+
+@functools.cache
+def _curve_table(model: SurfaceModel) -> tuple[tuple[str, DivisorClass], ...]:
     if model is SurfaceModel.SMOOTH:
-        return smooth
+        return tuple(_SMOOTH_LABELS)
+    smooth = dict(_SMOOTH_LABELS)
     nodal = {lab: smooth[lab] for lab in _NODAL_LABELS}
     assert all(d.intersect(C) >= 0 for d in nodal.values())
     assert len([lab for lab, d in smooth.items() if d.intersect(C) >= 0]) == 21
     nodal["C"] = C
-    return nodal
+    return tuple(nodal.items())
 
 
 def incidence_graph(curves: dict[str, DivisorClass]) -> dict[str, dict[str, int]]:
@@ -152,6 +188,16 @@ def incidence_graph(curves: dict[str, DivisorClass]) -> dict[str, dict[str, int]
             if other != lab and d.intersect(e) > 0
         }
     return graph
+
+
+@functools.cache
+def curve_incidences(model: SurfaceModel) -> Mapping[str, Mapping[str, int]]:
+    """`incidence_graph` of the model's negative curves, read-only.
+
+    Computed on first use for each model, and kept.
+    """
+    graph = incidence_graph(enumerate_negative_curves(model))
+    return MappingProxyType({lab: MappingProxyType(met) for lab, met in graph.items()})
 
 
 def third_line(l1: DivisorClass, l2: DivisorClass) -> DivisorClass:

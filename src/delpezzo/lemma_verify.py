@@ -14,6 +14,7 @@ so accumulation order never matters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,8 +22,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .germs import parse_germ
-from .lattice import (C, MINUS_K, DivisorClass, SurfaceModel,
-                      enumerate_negative_curves, is_ample, is_effective)
+from .lattice import (C, MINUS_K, ZERO, DivisorClass, SurfaceModel,
+                      curve_incidences, enumerate_negative_curves, is_ample,
+                      is_effective)
 from .lct import newton_lct
 from .plane_config import SixPointConfig, eckardt_points
 
@@ -38,7 +40,8 @@ NEIGHBOR_COUNTING = "neighbor-counting"
 HALF_INTEGRAL = "half-integral"
 
 #: largest m `lemma31_scan` accepts: its records grow by about 40 per unit of
-#: m (40,689 at m = 1000, in about 2 s), so m = 20000 takes 41 s and 0.9 GB
+#: m (40,689 at m = 1000, in 0.45 s), so m = 20000 takes 14 s and 0.9 GB
+#: (best of 3 runs on a 2-core x86_64 VM)
 MAX_SCAN_M = 1000
 
 
@@ -63,7 +66,7 @@ class Decomposition:
         return {lab: mu for lab, _, mu in self.parts}
 
     def locus_class(self) -> DivisorClass:
-        total = DivisorClass(0, (0,) * 6)
+        total = ZERO
         for _, cls, mu in self.parts:
             total = total + mu * cls
         return total
@@ -89,10 +92,15 @@ def decomposition(m: int, lam, parts) -> Decomposition:
         if mu < 0:
             raise ValueError("locus coefficients must be non-negative")
         norm.append((str(lab), cls, mu))
-    residual = m * MINUS_K
-    for _, cls, mu in norm:
+    return _decompose(m, lam, tuple(norm), m * MINUS_K)
+
+
+def _decompose(m: int, lam: Fraction, parts, target: DivisorClass) -> Decomposition:
+    # parts are already normalised and target is m * MINUS_K
+    residual = target
+    for _, cls, mu in parts:
         residual = residual - mu * cls
-    return Decomposition(m=m, lam=lam, parts=tuple(norm), residual=residual)
+    return Decomposition(m, lam, parts, residual)
 
 
 def degree_budget_check(candidate: Decomposition) -> bool:
@@ -153,16 +161,23 @@ def _verdict(label: str, records) -> CaseVerdict:
 
 # -- smooth model -------------------------------------------------------------
 
-def _conic_classes(lines: dict[str, DivisorClass]) -> dict[str, DivisorClass]:
-    """The 27 classes -K - L: square 0, anticanonical degree 2.
+@functools.cache
+def _smooth_pool() -> tuple[tuple, tuple]:
+    """The smooth scan's (label, class, degree) components, and the pairs that meet.
 
-    These are the lattice proxies for irreducible degree-2 curves (conic
-    pencil members), completing the line classes as candidate locus
-    components of degree <= 2.
+    The components are the 27 lines and the 27 classes -K - L: square 0,
+    anticanonical degree 2.  These are the lattice proxies for irreducible
+    degree-2 curves (conic pencil members), completing the line classes as
+    candidate locus components of degree <= 2.  Built once.
     """
+    lines = enumerate_negative_curves(SurfaceModel.SMOOTH)
     conics = {f"-K-{lab}": MINUS_K - cls for lab, cls in lines.items()}
     assert all(c.square() == 0 and c.degree() == 2 for c in conics.values())
-    return conics
+    pool = tuple((lab, cls, cls.degree())
+                 for lab, cls in itertools.chain(lines.items(), conics.items()))
+    meeting = tuple((a, b) for a, b in itertools.combinations(pool, 2)
+                    if a[1].intersect(b[1]) >= 1)
+    return pool, meeting
 
 
 def classify_smooth_candidate(cand: Decomposition) -> ScanRecord:
@@ -172,19 +187,25 @@ def classify_smooth_candidate(cand: Decomposition) -> ScanRecord:
     lines, or one conic class) the ampleness of the locus class, which would
     have to equal the ample -mK; for a single line the degree-2 projection
     bound 2*mu <= 3m and then the 10-neighbour count against what the
-    residual intersection number affords.
+    residual intersection number affords.  A single-line candidate that
+    reaches the count must be one of the 27 lines.
     """
     m, lam = cand.m, cand.lam
-    floor = Fraction(m) / lam
-    if any(mu < floor for _, _, mu in cand.parts):
-        raise ValueError(f"locus coefficients must be >= m/lam = {floor}")
+    if any(mu * lam.numerator < m * lam.denominator for _, _, mu in cand.parts):
+        raise ValueError(f"locus coefficients must be >= m/lam = {Fraction(m) / lam}")
+    return _classify_smooth(cand, tuple(cls.degree() for _, cls, _ in cand.parts))
+
+
+def _classify_smooth(cand: Decomposition, degrees: tuple[int, ...]) -> ScanRecord:
+    # cand meets the coefficient floor; degrees are those of its parts
+    m = cand.m
     budget = 3 * m
-    spent = sum(mu * cls.degree() for _, cls, mu in cand.parts)
+    spent = sum(mu * deg for (_, _, mu), deg in zip(cand.parts, degrees))
     if spent > budget:
         return ScanRecord(cand, DEGREE_OVERFLOW,
                           f"locus degree {spent} exceeds the budget Z.(-K) = {budget}")
 
-    if len(cand.parts) == 2 or cand.parts[0][1].degree() == 2:
+    if len(cand.parts) == 2 or degrees[0] == 2:
         # Budget is exhausted exactly (coefficients >= 3m/2, degrees sum to 2),
         # so the residual is empty and the locus class must be -mK itself.
         assert spent == budget and cand.residual.degree() == 0
@@ -195,7 +216,7 @@ def classify_smooth_candidate(cand: Decomposition) -> ScanRecord:
                               f"empty residual forces Z = -{m}K, ample; but "
                               f"({shape}) scaled has square {z.square()} and "
                               f"fails Nakai-Moishezon")
-        if cand.residual != DivisorClass(0, (0,) * 6):
+        if cand.residual != ZERO:
             return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                               "degree-0 residual is a nonzero class")
         return ScanRecord(cand, None, "locus class is ample")
@@ -208,8 +229,9 @@ def classify_smooth_candidate(cand: Decomposition) -> ScanRecord:
     # 2*mu = 3m exactly.  Every line meeting C1 must sit in the residual with
     # coefficient >= m/2 (from m = L.Z >= mu - kappa_L), but C1.Omega = m + mu
     # affords only (m + mu)/(m/2) of them.
-    smooth = enumerate_negative_curves(SurfaceModel.SMOOTH)
-    neighbors = sorted(o for o, d in smooth.items() if o != lab and cls.intersect(d) > 0)
+    neighbors = curve_incidences(SurfaceModel.SMOOTH).get(lab)
+    if neighbors is None or enumerate_negative_curves(SurfaceModel.SMOOTH)[lab] != cls:
+        raise ValueError(f"{lab} = {cls} is not one of the 27 lines")
     afford = Fraction(m + mu, 1) / Fraction(m, 2)
     if len(neighbors) > afford:
         return ScanRecord(cand, NEIGHBOR_COUNTING,
@@ -245,28 +267,26 @@ def lemma31_scan(m: int, lam) -> CaseVerdict:
     budget = 3 * m
     assert budget // q <= 2  # the floor alone caps the support size
 
-    lines = enumerate_negative_curves(SurfaceModel.SMOOTH)
-    pool = {lab: cls for lab, cls in lines.items()}
-    pool.update(_conic_classes(lines))
+    pool, meeting = _smooth_pool()
+    target = m * MINUS_K
 
+    # every candidate below has mu >= q >= m/lam, the classifier's floor
     records = []
-    for lab, cls in pool.items():
-        deg = cls.degree()
+    for lab, cls, deg in pool:
         if deg * q > budget:
             continue
         for mu in range(q, budget // deg + 1):
-            records.append(classify_smooth_candidate(
-                decomposition(m, lam, [(lab, cls, mu)])))
-    for (la, ca), (lb, cb) in itertools.combinations(pool.items(), 2):
-        if ca.intersect(cb) < 1:
-            continue  # connectedness
-        if q * (ca.degree() + cb.degree()) > budget:
+            records.append(_classify_smooth(
+                _decompose(m, lam, ((lab, cls, mu),), target), (deg,)))
+    for (la, ca, da), (lb, cb, db) in meeting:  # the locus is connected
+        if q * (da + db) > budget:
             continue
-        for mu1 in range(q, (budget - q * cb.degree()) // ca.degree() + 1):
-            rest = budget - mu1 * ca.degree()
-            for mu2 in range(q, rest // cb.degree() + 1):
-                records.append(classify_smooth_candidate(
-                    decomposition(m, lam, [(la, ca, mu1), (lb, cb, mu2)])))
+        for mu1 in range(q, (budget - q * db) // da + 1):
+            rest = budget - mu1 * da
+            for mu2 in range(q, rest // db + 1):
+                records.append(_classify_smooth(
+                    _decompose(m, lam, ((la, ca, mu1), (lb, cb, mu2)), target),
+                    (da, db)))
     return _verdict(f"smooth-model locus scan: m={m}, lam={lam}", records)
 
 
@@ -276,12 +296,15 @@ def canonical_nodal_survivor(m: int) -> Decomposition:
     """The unique even-m decomposition (3m/2)C + (m/2)(E1+E2+E3+L45+L46+L56)."""
     if m % 2:
         raise ValueError("only even m admits the survivor")
-    curves = enumerate_negative_curves(SurfaceModel.NODAL)
-    adjacent = sorted(lab for lab, cls in curves.items()
-                      if lab != "C" and cls.intersect(C) == 1)
     cand = decomposition(m, Fraction(2, 3), [("C", C, 3 * m // 2)])
-    support = tuple((lab, Fraction(m, 2)) for lab in adjacent)
+    support = tuple((lab, Fraction(m, 2)) for lab in _node_adjacent())
     return Decomposition(cand.m, cand.lam, cand.parts, cand.residual, support)
+
+
+def _node_adjacent() -> list[str]:
+    """The lines meeting C once, sorted by label."""
+    return sorted(lab for lab, k in curve_incidences(SurfaceModel.NODAL)["C"].items()
+                  if k == 1)
 
 
 def lemma51_scan(m: int) -> CaseVerdict:
@@ -301,24 +324,33 @@ def lemma51_scan(m: int) -> CaseVerdict:
         raise ValueError("m >= 2 required")
     lam = Fraction(2, 3)
     q = math.ceil(Fraction(3 * m, 2))
-    budget = 3 * m
-    curves = enumerate_negative_curves(SurfaceModel.NODAL)
-    lines = {lab: cls for lab, cls in curves.items() if lab != "C"}
-    adjacent = sorted(lab for lab, cls in lines.items() if cls.intersect(C) == 1)
+    target = m * MINUS_K
+    graph = curve_incidences(SurfaceModel.NODAL)
+    lines = enumerate_negative_curves(SurfaceModel.NODAL)
+    del lines["C"]
+    adjacent = _node_adjacent()
     assert len(adjacent) == 6
 
+    # graph[a] holds the curves meeting a, with their (positive) products
     records = [_scan_node_alone(m, lam, q, lines, adjacent)]
     for lab, cls in lines.items():
-        records.append(_scan_single_line(m, lam, q, lines, lab, cls))
+        met = graph[lab]
+        meets_node = met.get("C", 0)
+        records.append(_scan_single_line(m, lam, q, target, (lab, cls),
+                                         len(met) - (meets_node > 0), meets_node))
     for lab in adjacent:
-        records.append(_scan_node_plus_line(m, lam, q, lines, lab))
+        near = [o for o in graph[lab] if o != "C"]
+        assert all("C" not in graph[o] for o in near)
+        records.append(_scan_node_plus_line(m, lam, q, target, (lab, lines[lab]),
+                                            len(near)))
     for (la, ca), (lb, cb) in itertools.combinations(lines.items(), 2):
-        if ca.intersect(cb) >= 1:
-            records.append(_scan_line_pair(m, lam, q, (la, ca), (lb, cb)))
-        touches = (ca.intersect(C) >= 1, cb.intersect(C) >= 1)
-        connected = all(touches) or (any(touches) and ca.intersect(cb) >= 1)
-        if connected:
-            records.append(_scan_node_plus_pair(m, lam, q, (la, ca), (lb, cb)))
+        meet = lb in graph[la]
+        if meet:
+            records.append(_scan_line_pair(m, lam, q, target, (la, ca), (lb, cb)))
+        na, nb = graph[la].get("C", 0), graph[lb].get("C", 0)
+        if (na and nb) or ((na or nb) and meet):  # connected
+            records.append(_scan_node_plus_pair(m, lam, q, target, (la, ca), (lb, cb),
+                                                na + nb))
     return _verdict(f"nodal-model locus scan: m={m}, lam={lam}", records)
 
 
@@ -334,7 +366,7 @@ def _scan_node_alone(m, lam, q, lines, adjacent) -> ScanRecord:
                           f"exactly 3m/2 = {forced}, not an integer")
     mu = int(forced)
     cand = canonical_nodal_survivor(m)
-    six = DivisorClass(0, (0,) * 6)
+    six = ZERO
     for lab in adjacent:
         six = six + lines[lab]
     if 2 * cand.residual != m * six:
@@ -349,13 +381,12 @@ def _scan_node_alone(m, lam, q, lines, adjacent) -> ScanRecord:
                       f"({'+'.join(adjacent)}), an identity in the lattice")
 
 
-def _scan_single_line(m, lam, q, lines, lab, cls) -> ScanRecord:
-    # C1.Omega = m + mu must cover n forced neighbours at mu - m each, plus
+def _scan_single_line(m, lam, q, target, line, n, meets_node) -> ScanRecord:
+    # C1.Omega = m + mu must cover its n line neighbours at mu - m each, plus
     # mu/2 on C when C1 meets C (from 0 = C.Z = mu - 2*kappa_C + ...).  With
     # mu >= 3m/2 the load always exceeds the cover.
-    cand = decomposition(m, lam, [(lab, cls, q)])
-    n = sum(1 for o, d in lines.items() if o != lab and cls.intersect(d) > 0)
-    meets_node = cls.intersect(C)
+    lab, cls = line
+    cand = _decompose(m, lam, ((lab, cls, q),), target)
     # cover >= load reduces to mu*(2n - 2 + meets_node) <= 2m(n + 1); check at
     # the floor, where the left side is smallest.
     lhs = q * (2 * n - 2 + meets_node)
@@ -367,33 +398,30 @@ def _scan_single_line(m, lam, q, lines, lab, cls) -> ScanRecord:
                       f"at >= {q - m} each{node_part}; worse for larger mu")
 
 
-def _scan_node_plus_line(m, lam, q, lines, lab) -> ScanRecord:
-    # Residual degree 3m - nu must cover the 5 line-neighbours of C1 (all
+def _scan_node_plus_line(m, lam, q, target, line, n) -> ScanRecord:
+    # Residual degree 3m - nu must cover the n = 5 line neighbours of C1 (all
     # disjoint from C) at nu - m each: 3m - nu >= 5(nu - m) fails for every
     # nu >= 3m/2.
-    cls = lines[lab]
-    cand = decomposition(m, lam, [("C", C, q), (lab, cls, q)])
-    neighbors = sorted(o for o, d in lines.items() if o != lab and cls.intersect(d) > 0)
-    assert all(lines[o].intersect(C) == 0 for o in neighbors)
-    n = len(neighbors)
+    lab, cls = line
+    cand = _decompose(m, lam, (("C", C, q), (lab, cls, q)), target)
     # 3m - nu >= n(nu - m) fails at nu = q and keeps failing above it.
     assert q * (n + 1) > m * (n + 3), "node-plus-line budget must fail at the floor"
     return ScanRecord(cand, INTERSECTION_VIOLATION,
                       f"residual degree {3 * m} - nu must cover "
-                      f"{len(neighbors)} forced neighbours of {lab} at nu - m "
+                      f"{n} forced neighbours of {lab} at nu - m "
                       f"each; impossible for every nu >= {q}")
 
 
-def _scan_line_pair(m, lam, q, a, b) -> ScanRecord:
+def _scan_line_pair(m, lam, q, target, a, b) -> ScanRecord:
     (la, ca), (lb, cb) = a, b
     forced = Fraction(3 * m, 2)
     if forced.denominator != 1:
-        cand = decomposition(m, lam, [(la, ca, q), (lb, cb, q)])
+        cand = _decompose(m, lam, ((la, ca, q), (lb, cb, q)), target)
         return ScanRecord(cand, HALF_INTEGRAL,
                           f"the degree budget pins both coefficients to "
                           f"3m/2 = {forced}, not an integer")
     mu = int(forced)
-    cand = decomposition(m, lam, [(la, ca, mu), (lb, cb, mu)])
+    cand = _decompose(m, lam, ((la, ca, mu), (lb, cb, mu)), target)
     if not cand.residual_is_effective(SurfaceModel.NODAL):
         return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                           f"Omega = -{m}K - {mu}*({la}+{lb}) = "
@@ -403,28 +431,27 @@ def _scan_line_pair(m, lam, q, a, b) -> ScanRecord:
     return ScanRecord(cand, None, "all line intersections consistent")
 
 
-def _scan_node_plus_pair(m, lam, q, a, b) -> ScanRecord:
+def _scan_node_plus_pair(m, lam, q, target, a, b, s) -> ScanRecord:
+    # s = C.C1 + C.C2
     (la, ca), (lb, cb) = a, b
     forced = Fraction(3 * m, 2)
     if forced.denominator != 1:
-        cand = decomposition(m, lam,
-                             [("C", C, q), (la, ca, q), (lb, cb, q)])
+        cand = _decompose(m, lam, (("C", C, q), (la, ca, q), (lb, cb, q)), target)
         return ScanRecord(cand, HALF_INTEGRAL,
                           f"the degree budget pins the line coefficients to "
                           f"3m/2 = {forced}, not an integer")
     nu = int(forced)
     # 0 = C.Z pins the C-coefficient: 2*mu = nu*(C.C1 + C.C2).
-    s = C.intersect(ca) + C.intersect(cb)
     mu_forced = Fraction(nu * s, 2)
     if mu_forced.denominator != 1 or mu_forced < q:
-        cand = decomposition(m, lam, [("C", C, q), (la, ca, nu), (lb, cb, nu)])
+        cand = _decompose(m, lam, (("C", C, q), (la, ca, nu), (lb, cb, nu)), target)
         return ScanRecord(cand, INTERSECTION_VIOLATION,
                           f"C.Z = 0 forces the C-coefficient to {mu_forced}, "
                           f"incompatible with the floor {q}")
     mu = int(mu_forced)
-    cand = decomposition(m, lam, [("C", C, mu), (la, ca, nu), (lb, cb, nu)])
+    cand = _decompose(m, lam, (("C", C, mu), (la, ca, nu), (lb, cb, nu)), target)
     # The residual has degree 0 and may not contain C, so it must vanish.
-    if cand.residual != DivisorClass(0, (0,) * 6):
+    if cand.residual != ZERO:
         return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                           f"degree-0 residual avoiding C must vanish, got "
                           f"{cand.residual}")

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import delpezzo
-from delpezzo.cli import cli
+from delpezzo.cli import EX_USAGE, cli
 from delpezzo.plane_config import (CubicForm, InvalidConfigError, dump_config,
                                    dump_cubic, load_config, validate)
 from delpezzo.lattice import SurfaceModel
@@ -159,6 +159,19 @@ def test_lct_depth_budget_exit_code(runner, monkeypatch):
     result = invoke(runner, "lct", "y^2 - x^3", "--method", "blowup")
     assert result.exit_code == 2
     assert "raise DELPEZZO_MAX_BLOWUPS to continue" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["lct"], "Missing argument 'GERM'"),
+    (["lct", "y^2 - x^3", "x"], "Got unexpected extra argument"),
+    (["lines", "--bogus"], "--bogus"),
+    (["--bogus"], "--bogus"),
+])
+def test_usage_errors_exit_ex_usage(runner, args, message):
+    # 64 (EX_USAGE), apart from the 2 of an exhausted blow-up budget
+    result = invoke(runner, *args)
+    assert result.exit_code == EX_USAGE == 64
+    assert message in result.output
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])

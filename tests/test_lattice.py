@@ -3,13 +3,15 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo.constraints import _kernel, nonnegative_combination
 from delpezzo.lattice import (C, E, F, H, L, MINUS_K, DivisorClass,
-                              SurfaceModel, effective_cone_facets,
+                              SurfaceModel, curve_incidences,
+                              effective_cone_facets,
                               enumerate_negative_curves, incidence_graph,
                               is_ample, is_effective, third_line,
                               tritangent_triples)
@@ -62,6 +64,51 @@ def test_scaling(d, k):
 @given(classes)
 def test_degree_is_pairing_with_minus_k(d):
     assert d.degree() == d.intersect(MINUS_K)
+
+
+def _naive_intersect(d1, d2):
+    return d1.a * d2.a - sum(x * y for x, y in zip(d1.b, d2.b))
+
+
+def _public(a, b):
+    # the reference result, built and validated by the public constructor
+    return DivisorClass(a, tuple(b))
+
+
+def test_arithmetic_kernel_matches_the_naive_formulas():
+    rng = random.Random(20)
+    draw = lambda: DivisorClass(rng.randint(-20, 20),
+                                tuple(rng.randint(-20, 20) for _ in range(6)))
+    pool = [draw() for _ in range(2000)]
+    for d1, d2 in zip(pool, pool[1:] + pool[:1]):
+        k = rng.randint(-20, 20)
+        assert d1.intersect(d2) == _naive_intersect(d1, d2)
+        assert d1.square() == _naive_intersect(d1, d1)
+        assert d1.degree() == _naive_intersect(d1, MINUS_K)
+        results = [
+            (d1 + d2, _public(d1.a + d2.a, (x + y for x, y in zip(d1.b, d2.b)))),
+            (d1 - d2, _public(d1.a - d2.a, (x - y for x, y in zip(d1.b, d2.b)))),
+            (-d1, _public(-d1.a, (-x for x in d1.b))),
+            (k * d1, _public(k * d1.a, (k * x for x in d1.b))),
+            (d1 * k, _public(k * d1.a, (k * x for x in d1.b))),
+        ]
+        for got, want in results:
+            assert got == want and hash(got) == hash(want)
+            assert type(got.a) is int and type(got.b) is tuple and len(got.b) == 6
+            assert all(type(x) is int for x in got.b)
+
+
+def test_constructor_validates_and_coerces():
+    with pytest.raises(ValueError, match="length 6"):
+        DivisorClass(1, (0, 0, 0, 0, 0))
+    d = DivisorClass(True, (1.0, False, 2, 3, 4, 5))
+    assert d == DivisorClass(1, (1, 0, 2, 3, 4, 5))
+    assert type(d.a) is int and all(type(x) is int for x in d.b)
+
+
+def test_non_integer_multiplier_truncates_through_the_constructor():
+    assert Fraction(1, 2) * MINUS_K == DivisorClass(1, (0,) * 6)
+    assert MINUS_K * Fraction(7, 3) == DivisorClass(7, (2,) * 6)
 
 
 def test_class_str():
@@ -211,6 +258,20 @@ def test_smooth_lines_dropped_from_nodal_model_split_off_c():
     assert SMOOTH["F4"] == C + NODAL["L56"]
     assert SMOOTH["F5"] == C + NODAL["L46"]
     assert SMOOTH["F6"] == C + NODAL["L45"]
+
+
+@pytest.mark.parametrize("model", list(SurfaceModel))
+def test_curve_incidences_are_kept_read_only_copies(model):
+    assert curve_incidences(model) == incidence_graph(enumerate_negative_curves(model))
+    assert curve_incidences(model) is curve_incidences(model)
+    with pytest.raises(TypeError):
+        curve_incidences(model)["E1"] = {}
+    with pytest.raises(TypeError):
+        curve_incidences(model)["E1"]["E2"] = 1
+    # the curve table behind enumerate_negative_curves is a copy too
+    curves = enumerate_negative_curves(model)
+    del curves["E1"]
+    assert "E1" in enumerate_negative_curves(model)
 
 
 # -- ampleness and effectivity -------------------------------------------------

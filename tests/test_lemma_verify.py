@@ -88,6 +88,15 @@ def test_classifier_flags_degree_overflow():
     assert "exceeds the budget" in rec.detail
 
 
+@pytest.mark.parametrize("label, cls", [("X", E(1)), ("E1", E(2))])
+def test_classifier_neighbour_count_needs_one_of_the_27_lines(label, cls):
+    # 2*mu = 3m: a single part reaches the count of the lines it meets
+    assert classify_smooth_candidate(
+        decomposition(2, Q(2, 3), [("E1", E(1), 3)])).reason == "neighbor-counting"
+    with pytest.raises(ValueError, match="not one of the 27 lines"):
+        classify_smooth_candidate(decomposition(2, Q(2, 3), [(label, cls, 3)]))
+
+
 def test_degree_budget_check():
     good = decomposition(2, Q(2, 3), [("E1", E(1), 3)])
     assert degree_budget_check(good)
