@@ -24,8 +24,8 @@ import click
 from .constraints import (SolveReport, encode_case2, encode_case3,
                           encode_nodal, parse_system, solve)
 from .germs import parse_germ
-from .lattice import (SurfaceModel, enumerate_negative_curves,
-                      incidence_graph, tritangent_triples)
+from .lattice import (SurfaceModel, curve_incidences,
+                      enumerate_negative_curves, tritangent_triples)
 from .lct import newton_lct, resolution_lct
 from .lemma_verify import (alpha1_report, canonical_nodal_survivor,
                            lemma31_scan, lemma51_scan)
@@ -102,7 +102,7 @@ def cmd_lines(mode, as_json):
             f"unknown mode {mode!r}; expected smooth or nodal")
     model = SurfaceModel(mode)
     curves = enumerate_negative_curves(model)
-    graph = incidence_graph(curves)
+    graph = curve_incidences(model)
     nodal = model is SurfaceModel.NODAL
     adjacent = list(graph["C"]) if nodal else []
     lines = ["one-node cubic: 21 lines and the (-2)-curve C" if nodal

@@ -525,7 +525,7 @@ def _dot(u: Sequence, v: Sequence):
 # mult_q   multiplicity at the blown-up point Q of the residual
 # e1,e2,e3 pairing slacks of the three lines through p
 
-def encode_case2(m: int, include_blowup: bool = True) -> ConstraintSystem:
+def encode_case2(m: int) -> ConstraintSystem:
     """Case of a conic D through p: Z = mu*D + Omega, three lines off D.
 
     Base rows: log-terminality mult_s > 3m/2, the line pairing m >= mult_s -
@@ -546,16 +546,15 @@ def encode_case2(m: int, include_blowup: bool = True) -> ConstraintSystem:
              tag="mult additivity mult_s = mu*d + mult_omega (d = 1)"))
     s.add(ge({"mu": 1}, 0, tag="effectivity"))
     s.add(ge({"mult_omega": 1}, 0, tag="effectivity"))
-    if include_blowup:
-        s.add(ge({"mult_q": 1, "mult_s": 1}, 3 * m,
-                 tag="log-terminality at Q after blow-up"))
-        s.add(le({"mult_q": 1, "mult_omega": -1}, 0,
-                 tag="mult_Q Omega-bar <= mult_p Omega"))
-        s.add(ge({"mult_q": 1}, 0, tag="effectivity"))
+    s.add(ge({"mult_q": 1, "mult_s": 1}, 3 * m,
+             tag="log-terminality at Q after blow-up"))
+    s.add(le({"mult_q": 1, "mult_omega": -1}, 0,
+             tag="mult_Q Omega-bar <= mult_p Omega"))
+    s.add(ge({"mult_q": 1}, 0, tag="effectivity"))
     return s
 
 
-def encode_case3(m: int, include_blowup: bool = True) -> ConstraintSystem:
+def encode_case3(m: int) -> ConstraintSystem:
     """Case of three lines through p: Z = mu*L1 + nu*L2 + D + Omega', D = mult d.
 
     Pairing rows m = -mu + nu + e1 (e1 >= d), m = mu - nu + e2 (e2 >= d),
@@ -580,12 +579,11 @@ def encode_case3(m: int, include_blowup: bool = True) -> ConstraintSystem:
     s.add(gt({"mult_s": 1}, Q(3 * m, 2), tag="log-terminality at p"))
     for v in ("mu", "nu", "d"):
         s.add(ge({v: 1}, 0, tag="effectivity"))
-    if include_blowup:
-        s.add(le({"mult_q": 1, "d": -1}, 0, tag="Q on the strict transform of D"))
-        s.add(ge({"mult_q": 1, "d": 1}, 2 * m, tag="reduced blow-up inequality"))
-        s.add(ge({"mult_q": 1, "mult_s": 1}, 3 * m,
-                 tag="log-terminality at Q after blow-up"))
-        s.add(ge({"mult_q": 1}, 0, tag="effectivity"))
+    s.add(le({"mult_q": 1, "d": -1}, 0, tag="Q on the strict transform of D"))
+    s.add(ge({"mult_q": 1, "d": 1}, 2 * m, tag="reduced blow-up inequality"))
+    s.add(ge({"mult_q": 1, "mult_s": 1}, 3 * m,
+             tag="log-terminality at Q after blow-up"))
+    s.add(ge({"mult_q": 1}, 0, tag="effectivity"))
     return s
 
 

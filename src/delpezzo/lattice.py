@@ -36,8 +36,12 @@ class DivisorClass:
     def __post_init__(self):
         if len(self.b) != 6:
             raise ValueError("b must have length 6")
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        object.__setattr__(self, "a", int(self.a))
+        a, b = int(self.a), tuple(int(x) for x in self.b)
+        if a != self.a or b != tuple(self.b):
+            raise ValueError(f"coordinates must be integers, got "
+                             f"a={self.a!r}, b={tuple(self.b)!r}")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", a)
 
     def intersect(self, other: "DivisorClass") -> int:
         x, y = self.b, other.b
@@ -74,10 +78,9 @@ class DivisorClass:
         return _class(-self.a, (-x[0], -x[1], -x[2], -x[3], -x[4], -x[5]))
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        x = self.b
         if not isinstance(k, int):
-            # e.g. a Fraction: the constructor truncates the products to int
-            return DivisorClass(k * self.a, tuple(k * v for v in x))
+            return NotImplemented
+        x = self.b
         return _class(k * self.a, (k * x[0], k * x[1], k * x[2],
                                    k * x[3], k * x[4], k * x[5]))
 
@@ -131,10 +134,6 @@ def F(i: int) -> DivisorClass:
     if not 1 <= i <= 6:
         raise ValueError("index out of range")
     return DivisorClass(2, tuple(1 - x for x in _unit(i)))
-
-
-def anticanonical() -> DivisorClass:
-    return MINUS_K
 
 
 # The 27 lines: exactly the classes with D^2 = -1 and D.(-K) = 1 (the test

@@ -142,9 +142,9 @@ def newton_lct(f: CurveGerm) -> LctReport:
     return LctReport(value, "newton", witness, exact)
 
 
-def blowup_lct(f: CurveGerm, max_blowups: Optional[int] = None) -> LctReport:
+def blowup_lct(f: CurveGerm) -> LctReport:
     """Threshold from an embedded resolution; always exact."""
-    return resolution_lct(resolve_germ(f, max_blowups))
+    return resolution_lct(resolve_germ(f))
 
 
 def resolution_lct(res: Resolution) -> LctReport:

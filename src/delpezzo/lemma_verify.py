@@ -61,10 +61,6 @@ class Decomposition:
     residual: DivisorClass
     residual_support: Optional[tuple[tuple[str, Fraction], ...]] = None
 
-    @property
-    def coefficients(self) -> dict[str, int]:
-        return {lab: mu for lab, _, mu in self.parts}
-
     def locus_class(self) -> DivisorClass:
         total = ZERO
         for _, cls, mu in self.parts:

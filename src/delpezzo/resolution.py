@@ -94,24 +94,21 @@ class BlowupBudgetSettingError(ValueError):
     """Raised when a blow-up budget is not a count."""
 
 
-def blowup_limit(override: Optional[int] = None) -> int:
-    """The budget: override when given, else the environment variable, else
-    DEFAULT_MAX_BLOWUPS.  Both sources pass the same check, so a bad budget
-    is never mistaken for an exhausted one."""
-    if override is not None:
-        name, raw, limit = "max_blowups", override, override
-    else:
-        name, raw = MAX_BLOWUPS_ENV, os.environ.get(MAX_BLOWUPS_ENV)
-        if raw is None:
-            return DEFAULT_MAX_BLOWUPS
-        try:
-            limit = int(raw)
-        except ValueError:
-            limit = None
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-        raise BlowupBudgetSettingError(
-            f"{name} must be a non-negative integer, got {raw!r}")
-    return limit
+def blowup_limit() -> int:
+    """The budget: the environment variable, else DEFAULT_MAX_BLOWUPS.  A
+    value that is not a count raises, so a bad budget is never mistaken for
+    an exhausted one."""
+    raw = os.environ.get(MAX_BLOWUPS_ENV)
+    if raw is None:
+        return DEFAULT_MAX_BLOWUPS
+    try:
+        limit = int(raw)
+        if limit >= 0:
+            return limit
+    except ValueError:
+        pass
+    raise BlowupBudgetSettingError(
+        f"{MAX_BLOWUPS_ENV} must be a non-negative integer, got {raw!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +407,7 @@ _resolved: "weakref.WeakKeyDictionary[CurveGerm, Resolution]" = \
     weakref.WeakKeyDictionary()
 
 
-def resolve_germ(f: CurveGerm, max_blowups: Optional[int] = None) -> Resolution:
+def resolve_germ(f: CurveGerm) -> Resolution:
     """Resolve until the total transform is SNC near the origin fiber.
 
     The engine runs once per live germ (see the module docstring); a later
@@ -419,7 +416,7 @@ def resolve_germ(f: CurveGerm, max_blowups: Optional[int] = None) -> Resolution:
     kept resolution that needed more blow-ups than it allows raises
     DepthExceededError, as the engine does.  A run that raises keeps nothing.
     """
-    limit = blowup_limit(max_blowups)
+    limit = blowup_limit()
     res = _resolved.get(f)
     if res is None:
         from sympy import QQ

@@ -106,9 +106,26 @@ def test_constructor_validates_and_coerces():
     assert type(d.a) is int and all(type(x) is int for x in d.b)
 
 
-def test_non_integer_multiplier_truncates_through_the_constructor():
-    assert Fraction(1, 2) * MINUS_K == DivisorClass(1, (0,) * 6)
-    assert MINUS_K * Fraction(7, 3) == DivisorClass(7, (2,) * 6)
+@pytest.mark.parametrize("a, b", [
+    (0, (1.5, 0, 0, 0, 0, 0)),
+    (0, (Fraction(1, 2), 0, 0, 0, 0, 0)),
+    (Fraction(7, 3), (0,) * 6),
+    ("3", (0,) * 6),
+    (0, (0, 0, 0, 0, 0, "1")),
+])
+def test_constructor_refuses_non_integer_coordinates(a, b):
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        DivisorClass(a, b)
+
+
+def test_non_integer_multiplier_raises_type_error():
+    for k in (Fraction(1, 2), Fraction(7, 3), Fraction(2), 2.0):
+        with pytest.raises(TypeError):
+            k * MINUS_K
+        with pytest.raises(TypeError):
+            MINUS_K * k
+    assert 2 * MINUS_K == MINUS_K * 2 == DivisorClass(6, (2,) * 6)
+    assert True * MINUS_K == MINUS_K and MINUS_K * False == ZERO
 
 
 def test_class_str():

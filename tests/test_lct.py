@@ -120,21 +120,25 @@ def test_report_formatting():
     assert "face" in str(newton_lct(parse_germ("y^2 - x^3")))
 
 
-def test_depth_budget_is_honored():
+def test_depth_budget_is_honored(monkeypatch):
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "2")
     with pytest.raises(DepthExceededError):
-        resolve_germ(parse_germ("y^2 - x^3"), max_blowups=2)
+        resolve_germ(parse_germ("y^2 - x^3"))
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "1")
     with pytest.raises(DepthExceededError):
-        blowup_lct(parse_germ("y^2 - x^3"), max_blowups=1)
+        blowup_lct(parse_germ("y^2 - x^3"))
 
 
-@pytest.mark.parametrize("budget", [-1, True])
-def test_bad_depth_budget_argument_is_a_setting_error(budget):
-    # checked like the environment variable, before any blow-up
-    message = f"max_blowups must be a non-negative integer, got {budget!r}"
+@pytest.mark.parametrize("budget", ["-1", "2.0", "many"])
+def test_bad_depth_budget_is_a_setting_error(monkeypatch, budget):
+    # checked before any blow-up, even on a germ that needs none
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", budget)
+    message = (f"DELPEZZO_MAX_BLOWUPS must be a non-negative integer, "
+               f"got {budget!r}")
     with pytest.raises(BlowupBudgetSettingError, match=message):
-        resolve_germ(parse_germ("x*y"), max_blowups=budget)
+        resolve_germ(parse_germ("x*y"))
     with pytest.raises(BlowupBudgetSettingError, match=message):
-        blowup_lct(parse_germ("y^2 - x^3"), max_blowups=budget)
+        blowup_lct(parse_germ("y^2 - x^3"))
 
 
 def test_depth_budget_env_override(monkeypatch):

@@ -171,9 +171,9 @@ def test_node_chains_parents_and_sites(f, chain):
 def _count_resolves(monkeypatch, *modules):
     calls = []
 
-    def counting(f, max_blowups=None):
+    def counting(f):
         calls.append(f)
-        return resolve_germ(f, max_blowups)
+        return resolve_germ(f)
 
     for module in modules:
         monkeypatch.setattr(module, "resolve_germ", counting)
@@ -211,31 +211,34 @@ def test_equal_germs_share_one_resolution(memo):
 
 def test_a_kept_resolution_keeps_the_budget(monkeypatch, memo):
     f = parse_germ("y^2 - x^3")
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "2")
     with pytest.raises(DepthExceededError) as uncached:
-        resolve_germ(f, max_blowups=2)
+        resolve_germ(f)
     assert len(memo) == 0   # a run that raises keeps nothing
+    monkeypatch.delenv("DELPEZZO_MAX_BLOWUPS")
     res = resolve_germ(f)
     assert res.blowups == 3 and len(memo) == 1
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "2")
     with pytest.raises(DepthExceededError) as cached:
-        resolve_germ(f, max_blowups=2)
+        resolve_germ(f)
     assert str(cached.value) == str(uncached.value)
     assert cached.value.limit == 2
-    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "2")
-    with pytest.raises(DepthExceededError) as from_env:
+    with pytest.raises(DepthExceededError) as from_lct:
         blowup_lct(f)
-    assert str(from_env.value) == str(uncached.value)
-    assert resolve_germ(f, max_blowups=3) is res
+    assert str(from_lct.value) == str(uncached.value)
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "3")
+    assert resolve_germ(f) is res
 
 
-@pytest.mark.parametrize("budget", [-1, True, 2.0])
+@pytest.mark.parametrize("budget", ["-1", "2.0", "many"])
 def test_a_bad_budget_is_refused_on_a_kept_germ(monkeypatch, memo, budget):
     f = parse_germ("y^2 - x^3")
     resolve_germ(f)
-    with pytest.raises(BlowupBudgetSettingError, match="max_blowups must be"):
-        resolve_germ(f, max_blowups=budget)
-    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "many")
-    with pytest.raises(BlowupBudgetSettingError,
-                       match="DELPEZZO_MAX_BLOWUPS must be"):
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", budget)
+    message = "DELPEZZO_MAX_BLOWUPS must be"
+    with pytest.raises(BlowupBudgetSettingError, match=message):
+        resolve_germ(f)
+    with pytest.raises(BlowupBudgetSettingError, match=message):
         check_mult_bounds(f)
 
 
