@@ -44,20 +44,9 @@ from typing import Mapping, Optional, Sequence
 
 from . import poly
 
-Q = Fraction
-
 LE = "<="
 LT = "<"
 EQ = "="
-
-
-def _as_q(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating point is not allowed in exact arithmetic")
-    if isinstance(x, str):
-        raise TypeError(f"text {x!r} is not a number here; "
-                        f"read it with poly.rational")
-    return Fraction(x)
 
 
 @dataclass
@@ -72,11 +61,11 @@ class LinearConstraint:
     def __post_init__(self):
         if self.rel not in (LE, LT, EQ):
             raise ValueError(f"relation must be one of <=, <, =; got {self.rel!r}")
-        self.coeffs = {v: _as_q(c) for v, c in self.coeffs.items() if c != 0}
-        self.rhs = _as_q(self.rhs)
+        self.coeffs = {v: q for v, c in self.coeffs.items() if (q := poly.exact(c))}
+        self.rhs = poly.exact(self.rhs)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> bool:
-        lhs = sum((c * point[v] for v, c in self.coeffs.items()), Q(0))
+        lhs = sum((c * point[v] for v, c in self.coeffs.items()), Fraction(0))
         if self.rel == LE:
             return lhs <= self.rhs
         if self.rel == LT:
@@ -101,13 +90,13 @@ def eq(coeffs, rhs, tag=""):
 
 
 def ge(coeffs, rhs, tag=""):
-    return LinearConstraint({v: -_as_q(c) for v, c in dict(coeffs).items()}, LE,
-                            -_as_q(rhs), tag)
+    return LinearConstraint({v: -poly.exact(c) for v, c in dict(coeffs).items()}, LE,
+                            -poly.exact(rhs), tag)
 
 
 def gt(coeffs, rhs, tag=""):
-    return LinearConstraint({v: -_as_q(c) for v, c in dict(coeffs).items()}, LT,
-                            -_as_q(rhs), tag)
+    return LinearConstraint({v: -poly.exact(c) for v, c in dict(coeffs).items()}, LT,
+                            -poly.exact(rhs), tag)
 
 
 @dataclass
@@ -120,15 +109,17 @@ class ConstraintSystem:
         repeated = sorted({v for v in self.variables if self.variables.count(v) > 1})
         if repeated:
             raise ValueError(f"variables declared more than once: {repeated}")
-        rows, self.constraints = self.constraints, []
-        for con in rows:
-            self.add(con)
+        self._declared(self.integer_vars, *(con.coeffs for con in self.constraints))
+        self.constraints = list(self.constraints)
 
     def add(self, constraint: LinearConstraint) -> None:
-        unknown = set(constraint.coeffs) - set(self.variables)
+        self._declared(constraint.coeffs)
+        self.constraints.append(constraint)
+
+    def _declared(self, *names) -> None:
+        unknown = set().union(*names) - set(self.variables)
         if unknown:
             raise ValueError(f"undeclared variables: {sorted(unknown)}")
-        self.constraints.append(constraint)
 
     def copy(self) -> "ConstraintSystem":
         return ConstraintSystem(list(self.variables), self.constraints,
@@ -303,9 +294,9 @@ def _bounds_from_univariate(sys_: _Sys, var: int,
     lower_att = upper_att = False
     for (c, const), strict in kept[1]:
         if c > 0:
-            upper, upper_att = Q(const, c), not strict
+            upper, upper_att = Fraction(const, c), not strict
         else:
-            lower, lower_att = Q(const, c), not strict
+            lower, lower_att = Fraction(const, c), not strict
     if lower is not None and upper is not None and (
             lower > upper or lower == upper and not (lower_att and upper_att)):
         return None
@@ -324,7 +315,7 @@ def _pick(bounds: VarBounds) -> Fraction:
         return lo if bounds.lower_attained else lo + 1
     if hi is not None:
         return hi if bounds.upper_attained else hi - 1
-    return Q(0)
+    return Fraction(0)
 
 
 def solve(system: ConstraintSystem) -> SolveReport:
@@ -379,7 +370,7 @@ def _pivot(rows: list[_Row], r: int, col: int) -> None:
 
 def _kernel(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
     """Basis of the right kernel of a small exact matrix, 1 in each free column."""
-    mat = [_integral([_as_q(x) for x in row]) for row in rows]
+    mat = [_integral([poly.exact(x) for x in row]) for row in rows]
     pivots: list[int] = []
     for col in range(width):
         r = len(pivots)
@@ -393,17 +384,17 @@ def _kernel(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
     for free in range(width):
         if free in pivots:
             continue
-        vec = [Q(0)] * width
-        vec[free] = Q(1)
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
         for i, col in enumerate(pivots):
-            vec[col] = Q(-mat[i][free], mat[i][col])
+            vec[col] = Fraction(-mat[i][free], mat[i][col])
         basis.append(vec)
     return basis
 
 
 def _primitive(coords) -> tuple[int, ...]:
     """Scale a rational vector to primitive integers, first nonzero > 0."""
-    ints = _integral([_as_q(c) for c in coords])
+    ints = _integral([poly.exact(c) for c in coords])
     return ints if next(v for v in ints if v) > 0 else tuple(-v for v in ints)
 
 
@@ -421,9 +412,9 @@ def nonnegative_combination(
     total = n + m
     # tableau columns: n structural + m artificial; artificial basis
     rows = []
-    for r, t in enumerate(map(_as_q, target)):
+    for r, t in enumerate(map(poly.exact, target)):
         sign = -1 if t < 0 else 1
-        rows.append([sign * _as_q(g[r]) for g in generators]
+        rows.append([sign * poly.exact(g[r]) for g in generators]
                     + [int(i == r) for i in range(m)] + [sign * t])
     # last row: the objective, minimize the sum of the artificials; with an
     # artificial basis its reduced costs are the structural column sums and
@@ -451,14 +442,14 @@ def nonnegative_combination(
 
     if tab[m][total] != 0:
         return None
-    lam = [Q(0)] * n
+    lam = [Fraction(0)] * n
     for r, bv in enumerate(basis):
         if bv < n:
-            lam[bv] = Q(tab[r][total], tab[r][bv])
+            lam[bv] = Fraction(tab[r][total], tab[r][bv])
     # exact re-substitution
     for r in range(m):
-        assert sum((lam[i] * _as_q(generators[i][r]) for i in range(n)), Q(0)) \
-            == _as_q(target[r])
+        assert sum(lam[i] * poly.exact(generators[i][r]) for i in range(n)) \
+            == poly.exact(target[r])
     assert all(x >= 0 for x in lam)
     return lam
 
@@ -538,7 +529,7 @@ def encode_case2(m: int) -> ConstraintSystem:
         variables=["mu", "d", "mult_s", "mult_omega", "mult_q"],
         integer_vars={"mu", "d", "mult_s", "mult_omega", "mult_q"},
     )
-    s.add(gt({"mult_s": 1}, Q(3 * m, 2), tag="log-terminality at p"))
+    s.add(gt({"mult_s": 1}, Fraction(3 * m, 2), tag="log-terminality at p"))
     s.add(le({"mult_s": 1, "mu": -2}, m, tag="line pairing L.Z = m"))
     s.add(le({"mult_s": 1, "mu": 1}, 2 * m, tag="conic pairing D.Z = 2m"))
     s.add(eq({"d": 1}, 1, tag="D smooth at p"))
@@ -576,7 +567,7 @@ def encode_case3(m: int) -> ConstraintSystem:
     s.add(ge({"e3": 1}, 0, tag="effectivity"))
     s.add(eq({"mult_s": 1, "mu": -1, "nu": -1, "d": -1}, 0,
              tag="mult additivity at p"))
-    s.add(gt({"mult_s": 1}, Q(3 * m, 2), tag="log-terminality at p"))
+    s.add(gt({"mult_s": 1}, Fraction(3 * m, 2), tag="log-terminality at p"))
     for v in ("mu", "nu", "d"):
         s.add(ge({v: 1}, 0, tag="effectivity"))
     s.add(le({"mult_q": 1, "d": -1}, 0, tag="Q on the strict transform of D"))
@@ -623,7 +614,7 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
                  tag=f"{v} bounds mult_p Omega (curve through p)"))
     s.add(eq({"mult_s": 1, "mu": -1, "nu": -1, "mult_omega": -1}, 0,
              tag="mult additivity at p"))
-    s.add(gt({"mult_s": 1}, Q(3 * m, 2), tag="log-terminality at p"))
+    s.add(gt({"mult_s": 1}, Fraction(3 * m, 2), tag="log-terminality at p"))
     for v in ("mu", "nu", "mult_omega"):
         s.add(ge({v: 1}, 0, tag="effectivity"))
     s.add(le({"mu": 1}, m, tag="plane pushforward multiplicity"))
@@ -647,7 +638,7 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
                  tag="log-terminality at Q (C-bar through Q)"))
         s.add(ge({"c_omega": 1, "mult_omega": -1, "mult_s": 1}, 3 * m,
                  tag="fubini slice through C"))
-        s.add(ge({"mult_omega": 1}, Q(m, 2), tag="holder"))
+        s.add(ge({"mult_omega": 1}, Fraction(m, 2), tag="holder"))
     return s
 
 
@@ -707,7 +698,7 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
         # order of first appearance, left side before right
         linear = {e.index(1): c for e, c in diff.items() if any(e)}
         coeffs = {names[i]: linear[i] for i in sorted(linear)}
-        rhs = -diff.get((0,) * len(names), Q(0))
+        rhs = -diff.get((0,) * len(names), Fraction(0))
         pending.append(_BUILDERS[rel](coeffs, rhs, tag=f"line {lineno}"))
     for con in pending:
         for v in con.coeffs:

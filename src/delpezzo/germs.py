@@ -11,13 +11,12 @@ refused before they are expanded.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
 from . import poly
-
-Q = Fraction
 
 #: largest total degree the parser expands; every germ in the tests, demos
 #: and benchmark has degree at most 9
@@ -40,7 +39,8 @@ class CurveGerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(sorted(
-            ((e, Q(c)) for e, c in self.coeffs if c),
+            (((operator.index(i), operator.index(j)), q)
+             for (i, j), c in self.coeffs if (q := poly.exact(c))),
             key=lambda t: (t[0][0] + t[0][1], t[0]))))
         if not self.coeffs:
             raise InvalidGermError("germ is identically zero")
@@ -53,7 +53,7 @@ class CurveGerm:
 
     @classmethod
     def from_dict(cls, d: Mapping[tuple[int, int], Union[int, Fraction]]) -> "CurveGerm":
-        return cls(tuple((tuple(e), Q(c)) for e, c in d.items()))
+        return cls(tuple(d.items()))
 
     # -- views -------------------------------------------------------------
 
@@ -72,7 +72,7 @@ class CurveGerm:
         return max(i + j for (i, j), _ in self.coeffs)
 
     def evaluate(self, x0, y0) -> Fraction:
-        return poly.evaluate(self.terms(), (Q(x0), Q(y0)))
+        return poly.evaluate(self.terms(), (poly.exact(x0), poly.exact(y0)))
 
     # -- algebra -----------------------------------------------------------
 
@@ -89,14 +89,14 @@ class CurveGerm:
         return CurveGerm.from_dict(poly.power(self.terms(), k))
 
     def scale(self, c) -> "CurveGerm":
-        c = Q(c)
+        c = poly.exact(c)
         if c == 0:
             raise InvalidGermError("scaling by zero gives the zero germ")
         return CurveGerm(tuple((e, c * v) for e, v in self.coeffs))
 
     def compose_linear(self, a, b, c, d) -> "CurveGerm":
         """f(a*x + b*y, c*x + d*y); the matrix [[a, b], [c, d]] must be invertible."""
-        a, b, c, d = Q(a), Q(b), Q(c), Q(d)
+        a, b, c, d = map(poly.exact, (a, b, c, d))
         if a * d - b * c == 0:
             raise ValueError("substitution matrix is singular")
         return CurveGerm.from_dict(poly.substitute(

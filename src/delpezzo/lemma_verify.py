@@ -17,10 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import poly
 from .germs import parse_germ
 from .lattice import (C, MINUS_K, ZERO, DivisorClass, SurfaceModel,
                       curve_incidences, enumerate_negative_curves, is_ample,
@@ -80,15 +82,11 @@ class Decomposition:
 
 def decomposition(m: int, lam, parts) -> Decomposition:
     """Build a Decomposition, computing the residual from the lattice identity."""
-    m = int(m)
-    lam = Fraction(lam)
-    norm = []
-    for lab, cls, mu in parts:
-        mu = int(mu)
-        if mu < 0:
-            raise ValueError("locus coefficients must be non-negative")
-        norm.append((str(lab), cls, mu))
-    return _decompose(m, lam, tuple(norm), m * MINUS_K)
+    m, lam = operator.index(m), poly.exact(lam)
+    parts = tuple((str(lab), cls, operator.index(mu)) for lab, cls, mu in parts)
+    if any(mu < 0 for _, _, mu in parts):
+        raise ValueError("locus coefficients must be non-negative")
+    return _decompose(m, lam, parts, m * MINUS_K)
 
 
 def _decompose(m: int, lam: Fraction, parts, target: DivisorClass) -> Decomposition:
@@ -247,15 +245,16 @@ def lemma31_scan(m: int, lam) -> CaseVerdict:
     Disconnected pairs are excluded outright: the locus is connected.
     Budget-infeasible shapes (anything involving a conic in a pair, and all
     larger supports) admit no coefficients at all and are not candidates.
-    Raises ValueError for m above MAX_SCAN_M before enumerating anything.
+    m is an int and lam an exact rational (`poly.exact`); raises ValueError
+    for m above MAX_SCAN_M before enumerating anything.
     """
-    m = int(m)
+    m = operator.index(m)
     if m < 2:
         raise ValueError("m >= 2 required")
     if m > MAX_SCAN_M:
         raise ValueError(f"m <= {MAX_SCAN_M} required; the scan grows "
                          "about 40 records per unit of m")
-    lam = Fraction(lam)
+    lam = poly.exact(lam)
     if not 0 < lam <= Fraction(2, 3):
         raise ValueError("threshold lam must lie in (0, 2/3]")
 
@@ -313,9 +312,9 @@ def lemma51_scan(m: int) -> CaseVerdict:
     For even m the shape {C} survives with Z = (3m/2)C + (m/2)(E1+E2+E3+
     L45+L46+L56), verified as an exact lattice identity; everything else
     records a contradiction, and for odd m nothing survives (the forced
-    coefficients are half-integral).
+    coefficients are half-integral).  m is an int.
     """
-    m = int(m)
+    m = operator.index(m)
     if m < 2:
         raise ValueError("m >= 2 required")
     lam = Fraction(2, 3)

@@ -17,10 +17,8 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import poly
-from .constraints import _as_q, _kernel, _primitive
+from .constraints import _kernel, _primitive
 from .lattice import SurfaceModel, enumerate_negative_curves, tritangent_triples
-
-Q = Fraction
 
 
 class GeometryError(ValueError):
@@ -76,7 +74,7 @@ class ProjPoint:
 
 def point(*coords) -> ProjPoint:
     """Build a ProjPoint from ints, Fractions or strings (`poly.rational`)."""
-    return ProjPoint(tuple(poly.rational(c) if isinstance(c, str) else _as_q(c)
+    return ProjPoint(tuple(poly.rational(c) if isinstance(c, str) else poly.exact(c)
                            for c in coords))
 
 
@@ -301,29 +299,29 @@ class CubicForm:
     def __post_init__(self):
         if len(self.coeffs) != 20:
             raise GeometryError("a quaternary cubic has 20 coefficients")
-        object.__setattr__(self, "coeffs", tuple(map(_as_q, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(poly.exact, self.coeffs)))
         if not any(self.coeffs):
             raise GeometryError("cubic form is identically zero")
 
     @classmethod
     def from_dict(cls, terms: dict) -> "CubicForm":
         lookup = {expo: idx for idx, expo in enumerate(CUBIC_MONOMIALS)}
-        coeffs = [Q(0)] * 20
+        coeffs = [Fraction(0)] * 20
         for expo, c in terms.items():
             expo = tuple(expo)
             if expo not in lookup:
                 raise GeometryError(f"not a degree-3 exponent tuple: {expo}")
-            coeffs[lookup[expo]] += _as_q(c)
+            coeffs[lookup[expo]] += poly.exact(c)
         return cls(tuple(coeffs))
 
     def terms(self) -> dict[tuple[int, int, int, int], Fraction]:
         return {e: c for e, c in zip(CUBIC_MONOMIALS, self.coeffs) if c}
 
     def evaluate(self, p: Sequence) -> Fraction:
-        return poly.evaluate(self.terms(), list(map(_as_q, p)))
+        return poly.evaluate(self.terms(), list(map(poly.exact, p)))
 
     def gradient(self, p: Sequence) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        vals = list(map(_as_q, p))
+        vals = list(map(poly.exact, p))
         return tuple(poly.evaluate(poly.diff(self.terms(), k), vals) for k in range(4))
 
     def __str__(self):

@@ -14,7 +14,8 @@ caller's degree cap before it is computed.  Every product is checked against
 MAX_COEFF_BITS before it is computed, and every step of a power once it is
 computed.  Every product, each step of a power included, is also charged to
 the parse's budget of MAX_TERM_PRODUCTS.  `rational` reads a single constant of
-the grammar; every number the toolkit takes as text goes through it.
+the grammar; every number the toolkit takes as text goes through it, and
+every other rational through `exact`, which refuses floats and text.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def parse(text: str, names: Sequence[str], max_degree: int,
                 raise PolyParseError("missing ')'")
             return p
         if isinstance(tok, int) or tok in constants:
-            c = Fraction(constants.get(tok, tok))
+            c = exact(constants.get(tok, tok))
             return {zero: c} if c else {}
         if tok in units:
             return {units[tok]: Fraction(1)}
@@ -210,6 +211,16 @@ def parse(text: str, names: Sequence[str], max_degree: int,
     if tokens[-1] is not None:
         raise PolyParseError(f"unexpected {tokens[-1]!r}")
     return p
+
+
+def exact(x) -> Fraction:
+    """x as a Fraction; refuses floats, and text, which `rational` reads."""
+    if isinstance(x, float):
+        raise TypeError("floating point is not allowed in exact arithmetic")
+    if isinstance(x, str):
+        raise TypeError(f"text {x!r} is not a number here; "
+                        f"read it with poly.rational")
+    return Fraction(x)
 
 
 def rational(text: str) -> Fraction:

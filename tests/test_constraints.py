@@ -481,7 +481,9 @@ def test_kernel_spans_the_null_space():
     lambda: constraints._kernel([[0.5, 1.0]], 2),
     lambda: nonnegative_combination([(1, 0.5)], (1, 1)),
     lambda: le({"x": 0.5}, 1),
-], ids=["kernel", "simplex", "constraint"])
+    lambda: le({"x": 0.0, "y": 1}, 1),
+    lambda: parse_system("x <= m", m=0.1),
+], ids=["kernel", "simplex", "constraint", "zero-coefficient", "system-constant"])
 def test_exact_linear_algebra_refuses_floats(build):
     with pytest.raises(TypeError, match="floating point"):
         build()
@@ -491,7 +493,8 @@ def test_exact_linear_algebra_refuses_floats(build):
     lambda: ProjPoint(("0.1", 1, 1)),
     lambda: constraints._kernel([["1e3", "0.5"]], 2),
     lambda: le({"x": "2.5"}, "1e2"),
-], ids=["ProjPoint", "kernel", "constraint"])
+    lambda: parse_system("x <= m", m="1e3"),
+], ids=["ProjPoint", "kernel", "constraint", "system-constant"])
 def test_exact_linear_algebra_refuses_text(build):
     # Fraction would read decimals and exponents; text goes through
     # poly.rational, whose grammar has neither
@@ -643,6 +646,13 @@ def test_parse_system_rejects_declaring_m(kind):
 def test_constraint_system_checks_constructor_rows():
     with pytest.raises(ValueError, match="undeclared variables: \\['y'\\]"):
         ConstraintSystem(["x"], [le({"x": 1, "y": 1}, 1)])
+
+
+def test_constraint_system_checks_integer_flags():
+    # an undeclared flag would be ignored: x = 1/2 with no integrality
+    # contradiction, where the flag was meant for x
+    with pytest.raises(ValueError, match="undeclared variables: \\['X'\\]"):
+        ConstraintSystem(["x"], [eq({"x": 2}, 1)], {"X"})
 
 
 def test_constraint_system_rejects_a_repeated_variable():

@@ -75,6 +75,25 @@ def test_from_dict_rejects_non_germs():
         CurveGerm.from_dict({(1, 0): Fraction(0)})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda f: CurveGerm.from_dict({(0, 2): 0.1, (3, 0): -1}), "floating point"),
+    (lambda f: CurveGerm.from_dict({(0, 2): "1e3", (3, 0): -1}), "poly.rational"),
+    (lambda f: CurveGerm.from_dict({(0, 2): 1, (1, 1): 0.0, (3, 0): -1}),
+     "floating point"),
+    (lambda f: CurveGerm.from_dict({(0, 2): 1, (1.5, 0): -1}), "as an integer"),
+    (lambda f: CurveGerm.from_dict({(0, 2): 1, (3.0, 0): -1}), "as an integer"),
+    (lambda f: f.scale(0.5), "floating point"),
+    (lambda f: f.compose_linear(0.5, 0, 0, 1), "floating point"),
+    (lambda f: f.evaluate(0.1, 0), "floating point"),
+], ids=["coefficient", "text-coefficient", "zero-coefficient", "exponent",
+        "integral-float-exponent", "scale", "compose_linear", "evaluate"])
+def test_germs_refuse_inexact_numbers(build, message):
+    # the germs would hold 0.1's binary value, read 1e3 or x^1.5, or drop a
+    # float zero unchecked
+    with pytest.raises(TypeError, match=message):
+        build(parse_germ("y^2 - x^3"))
+
+
 def test_multiplicity_and_degree():
     assert parse_germ("x^2*y^3").multiplicity == 5
     assert parse_germ("x + y^4").multiplicity == 1

@@ -66,6 +66,22 @@ def test_smooth_scan_rejects_bad_arguments():
         lemma31_scan(2, Q(0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: lemma31_scan(4.9, Q(2, 3)), "as an integer"),
+    (lambda: lemma31_scan(4, 0.6), "floating point"),
+    (lambda: lemma31_scan(4, "2/3"), "poly.rational"),
+    (lambda: lemma51_scan(3.7), "as an integer"),
+    (lambda: decomposition(2, Q(2, 3), [("E1", E(1), 8.9)]), "as an integer"),
+    (lambda: canonical_nodal_survivor(4.0), "as an integer"),
+], ids=["lemma31-m", "lemma31-float-lam", "lemma31-text-lam", "lemma51-m",
+        "decomposition-mu", "nodal-survivor-m"])
+def test_scans_refuse_inexact_levels_and_thresholds(call, message):
+    # int() would truncate 4.9 to 4 and Fraction() would read 0.6's binary
+    # value or the text "2/3", each scanning a case nobody asked for
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
 def test_smooth_scan_caps_m_before_enumerating():
     # about 40 records per unit of m: m = 20000 would take 41 s and 0.9 GB
     start = time.perf_counter()

@@ -79,6 +79,17 @@ def test_rational_refuses_decimals_exponents_and_names(text, message):
         poly.rational(text)
 
 
+@pytest.mark.parametrize("x, message", [
+    (0.5, "floating point"), (0.0, "floating point"), (float("inf"), "floating point"),
+    ("1/2", "read it with poly.rational"), ("1e3", "read it with poly.rational"),
+])
+def test_exact_takes_rationals_and_refuses_floats_and_text(x, message):
+    for good in (3, True, Fraction(-2, 3)):
+        assert poly.exact(good) == good and type(poly.exact(good)) is Fraction
+    with pytest.raises(TypeError, match=message):
+        poly.exact(x)
+
+
 def test_a_power_is_charged_the_bits_of_its_result():
     # one 3,001-bit number written as a power and as a product of powers
     assert poly.rational("2^3000") == poly.rational("(2^1500)*(2^1500)") == 2 ** 3000
