@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -525,6 +526,7 @@ def encode_case2(m: int) -> ConstraintSystem:
     the infinitely near point Q): mult_q + mult_s >= 3m and mult_q <=
     mult_omega.
     """
+    m = operator.index(m)
     s = ConstraintSystem(
         variables=["mu", "d", "mult_s", "mult_omega", "mult_q"],
         integer_vars={"mu", "d", "mult_s", "mult_omega", "mult_q"},
@@ -555,6 +557,7 @@ def encode_case3(m: int) -> ConstraintSystem:
     inequality mult_q + mult_s >= 3m it was reduced from; the reduced form
     alone fixes only d = m, while the pair forces mu = nu = m/2.
     """
+    m = operator.index(m)
     s = ConstraintSystem(
         variables=["mu", "nu", "d", "e1", "e2", "e3", "mult_s", "mult_q"],
         integer_vars={"mu", "nu", "d", "e1", "e2", "e3", "mult_s", "mult_q"},
@@ -597,6 +600,7 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
     carry the slice (Fubini) inequality of their curve, and q_on_c also the
     Holder row mult_omega >= m/2 needed to pin nu = mult_omega = m/2.
     """
+    m = operator.index(m)
     if subcase is not None and subcase not in NODAL_SUBCASES:
         raise ValueError(f"unknown subcase {subcase!r}; expected "
                          + ", ".join(NODAL_SUBCASES))
@@ -646,9 +650,8 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
 # Textual system format:  `int mu` declarations, one constraint per line,
 # e.g. `2*mu + nu <= 3*m`; `m` is substituted numerically at load time.
 
-_REL_RE = re.compile(r"(<=|>=|<|>|=)")
+_DECL_RE = re.compile(r"(int|var)\s+([A-Za-z_][A-Za-z_0-9]*)")
 _BUILDERS = {"<=": le, "<": lt, "=": eq, ">=": ge, ">": gt}
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class SystemParseError(ValueError):
@@ -669,7 +672,7 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        decl = re.fullmatch(r"(int|var)\s+([A-Za-z_][A-Za-z_0-9]*)", line)
+        decl = _DECL_RE.fullmatch(line)
         if decl:
             kind, name = decl.groups()
             if name == "m":
@@ -680,17 +683,21 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
             if kind == "int":
                 integer_vars.add(name)
             continue
-        parts = _REL_RE.split(line)
-        if len(parts) != 3:
+        # one token pass: the relation, the names and both sides come off it
+        tokens, refused = poly._lex(line)
+        rels = [i for i in refused if tokens[i] in _BUILDERS]
+        if len(rels) != 1:
             raise SystemParseError(f"line {lineno}: expected one relation in {line!r}")
-        lhs_text, rel, rhs_text = parts
-        found = _NAME_RE.findall(line)
-        if m is None and "m" in found:
+        [r] = rels
+        if m is None and "m" in tokens:
             raise SystemParseError(f"line {lineno}: m used but no value supplied")
-        names = tuple(dict.fromkeys(n for n in found if n != "m"))
+        names = tuple(dict.fromkeys(t for t in tokens if type(t) is str
+                                    and t.isidentifier() and t != "m"))
         try:
-            left, right = (poly.parse(side, names, 1, constants)
-                           for side in (lhs_text, rhs_text))
+            left = poly._parse(tokens[:r], [i for i in refused if i < r], names, 1,
+                               constants)
+            right = poly._parse(tokens[r + 1:], [i - r - 1 for i in refused if i > r],
+                                names, 1, constants)
         except poly.PolyParseError as exc:
             raise SystemParseError(f"line {lineno}: {exc}") from exc
         diff = poly.add(left, {e: -c for e, c in right.items()})
@@ -698,8 +705,8 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
         # order of first appearance, left side before right
         linear = {e.index(1): c for e, c in diff.items() if any(e)}
         coeffs = {names[i]: linear[i] for i in sorted(linear)}
-        rhs = -diff.get((0,) * len(names), Fraction(0))
-        pending.append(_BUILDERS[rel](coeffs, rhs, tag=f"line {lineno}"))
+        rhs = -diff.get((0,) * len(names), 0)
+        pending.append(_BUILDERS[tokens[r]](coeffs, rhs, tag=f"line {lineno}"))
     for con in pending:
         for v in con.coeffs:
             if v not in variables:

@@ -11,18 +11,22 @@ where INTEGER is a run of ASCII digits, `/` divides by a nonzero constant
 only and `^` takes a non-negative integer literal only.  Nothing in the text
 is evaluated as code.  Every product and power is checked against the
 caller's degree cap before it is computed.  Every product is checked against
-MAX_COEFF_BITS before it is computed, and every step of a power once it is
-computed.  Every product, each step of a power included, is also charged to
-the parse's budget of MAX_TERM_PRODUCTS.  `rational` reads a single constant of
+MAX_COEFF_BITS before it is computed.  A power of several terms is a loop of
+products, each step checked once computed; a power of one term is one `**`,
+refused beforehand when a lower bound on its bits passes the cap and checked
+once computed otherwise, so the same texts pass as under the loop.  Every
+product, and each of the k - 1 steps of a k-th power, is also charged to the
+parse's budget of MAX_TERM_PRODUCTS.  `rational` reads a single constant of
 the grammar; every number the toolkit takes as text goes through it, and
 every other rational through `exact`, which refuses floats and text.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 from typing import Mapping, Optional, Sequence
 
@@ -35,7 +39,8 @@ MAX_COEFF_BITS = 4096
 #: (1+x+y)^24 spends about 7,800, and each costs a few microseconds
 MAX_TERM_PRODUCTS = 10_000
 
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|(\S))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|([<>]=?|=)|(\S))")
 
 
 class PolyParseError(ValueError):
@@ -112,20 +117,53 @@ def parse(text: str, names: Sequence[str], max_degree: int,
     non-constant, a product or power over the degree or bit budget, and a
     parse that needs more than MAX_TERM_PRODUCTS term products.
     """
-    tokens = []
-    for number, word, other in _TOKEN_RE.findall(text):
-        if other or word == "**":
-            raise PolyParseError(f"unexpected {other or word!r}"
-                                 + ("; write powers with '^'" if word else ""))
-        try:
-            tokens.append(int(number) if number else word)
-        except ValueError:           # over the interpreter's digit limit
-            raise PolyParseError("integer literal too long") from None
+    p = _parse(*_lex(text), names, max_degree, constants)
+    return {e: c if type(c) is Fraction else Fraction(c) for e, c in p.items()}
+
+
+def _lex(text: str) -> tuple[list, list[int]]:
+    """The tokens of text, and the indices of those `_parse` refuses.
+
+    Those are the relations, which only `constraints.parse_system` reads,
+    and the tokens outside the grammar, each kept as the PolyParseError it
+    raises so that each side of a relation reports its own first one.
+    """
+    tokens: list = []
+    refused: list[int] = []
+    for number, word, relation, other in _TOKEN_RE.findall(text):
+        if number:
+            try:
+                tokens.append(int(number))
+                continue
+            except ValueError:       # over the interpreter's digit limit
+                tok = PolyParseError("integer literal too long")
+        elif word and word != "**":
+            tokens.append(word)
+            continue
+        else:
+            tok = relation or PolyParseError(
+                f"unexpected {other or word!r}" + ("; write powers with '^'" if word else ""))
+        refused.append(len(tokens))
+        tokens.append(tok)
+    return tokens, refused
+
+
+def _parse(tokens: list, refused: Sequence[int], names: Sequence[str], max_degree: int,
+           constants: Optional[Mapping[str, Fraction]] = None) -> Poly:
+    """`parse` on `_lex`'s tokens, with int coefficients where no `/` made a Fraction.
+
+    `refused` indexes the tokens `_lex` refused; the first is raised before
+    anything is parsed.  Inside, a monomial is one (exponent, coefficient)
+    pair and any other polynomial a dict, so a run of monomial factors such
+    as 3/4*x^2*y^3 needs no `mul`; one-term values are charged the budgets
+    of the one-term dicts they stand for.
+    """
+    if refused:
+        tok = tokens[refused[0]]
+        raise tok if isinstance(tok, PolyParseError) else PolyParseError(f"unexpected {tok[0]!r}")
     tokens = [None] + tokens[::-1]   # popped from the end; None marks the end
     constants = constants or {}
-    zero = (0,) * len(names)
-    units = {name: tuple(int(j == i) for j in range(len(names)))
-             for i, name in enumerate(names)}
+    zero, units = _units(tuple(names))
     work = 0
 
     def take():
@@ -139,11 +177,14 @@ def parse(text: str, names: Sequence[str], max_degree: int,
         if bits > MAX_COEFF_BITS:
             raise PolyParseError(f"coefficients exceed the cap of {MAX_COEFF_BITS} bits")
 
-    def product(p, q):
+    def charge(products):
         nonlocal work
-        work += len(p) * len(q)
+        work += products
         if work > MAX_TERM_PRODUCTS:
             raise PolyParseError(f"more than {MAX_TERM_PRODUCTS} term products")
+
+    def product(p, q):
+        charge(len(p) * len(q))
         return mul(p, q)
 
     def capped(p):
@@ -154,26 +195,37 @@ def parse(text: str, names: Sequence[str], max_degree: int,
         parts = [term()]
         while tokens[-1] in ("+", "-"):
             parts.append(term())     # unary() reads the sign
-        return add(*parts)
+        if len(parts) == 1:
+            return parts[0]
+        p = add(*map(_poly, parts))
+        return next(iter(p.items())) if len(p) == 1 else p
 
     def term():
         p = unary()
         while tokens[-1] in ("*", "/"):
             op, q = take(), unary()
-            if op == "*":
+            if op == "/":
+                if type(q) is not tuple or q[0] != zero:
+                    raise PolyParseError("division by a non-constant" if q
+                                         else "division by zero")
+                p = (p[0], Fraction(p[1], q[1])) if type(p) is tuple else \
+                    {e: Fraction(c, q[1]) for e, c in p.items()}
+            elif type(p) is tuple and type(q) is tuple:
+                check(sum(p[0]) + sum(q[0]), _bit_length(p[1]) + _bit_length(q[1]))
+                charge(1)
+                p = tuple(map(operator.add, p[0], q[0])), p[1] * q[1]
+            else:
+                p, q = _poly(p), _poly(q)
                 check(_degree(p) + _degree(q), _bits(p) + _bits(q))
                 p = product(p, q)
-            elif set(q) != {zero}:
-                raise PolyParseError("division by a non-constant" if q
-                                     else "division by zero")
-            else:
-                p = {e: c / q[zero] for e, c in p.items()}
         return p
 
     def unary():
         if tokens[-1] in ("+", "-"):
             sign, p = take(), unary()
-            return p if sign == "+" else {e: -c for e, c in p.items()}
+            if sign == "+":
+                return p
+            return (p[0], -p[1]) if type(p) is tuple else {e: -c for e, c in p.items()}
         p = atom()
         if tokens[-1] != "^":
             return p
@@ -183,11 +235,27 @@ def parse(text: str, names: Sequence[str], max_degree: int,
             raise PolyParseError(
                 f"exponent must be a non-negative integer literal, got {k!r}")
         if not k:
-            return {zero: Fraction(1)}
-        # each step is checked once computed, so none outgrows the bit cap by
-        # more than p's own bits; a k over the cap (0^5000) is refused at once
-        check(_degree(p) * k, k if k > MAX_COEFF_BITS else 0)
-        return reduce(lambda a, b: capped(product(a, b)), [p] * k)
+            return zero, 1
+        if type(p) is dict:
+            # each step is checked once computed, so none outgrows the bit cap
+            # by more than p's own bits; a k over the cap (0^5000) is refused
+            # at once
+            check(_degree(p) * k, k if k > MAX_COEFF_BITS else 0)
+            return reduce(lambda a, b: capped(product(a, b)), [p] * k)
+        expo, c = p
+        check(sum(expo) * k, k if k > MAX_COEFF_BITS else 0)
+        # one `**` charged the k - 1 steps of the loop above.  Those steps
+        # stop at the budget's last power, c^last, and since |numerator| and
+        # denominator only grow, the bit cap fails at a step before it iff
+        # it fails at c^last; at least last*(bits(c) - 1) + 1 bits, so that
+        # bound refuses before c^last is computed
+        last = min(k, MAX_TERM_PRODUCTS - work + 1)
+        if last > 1:
+            check(0, last * (_bit_length(c) - 1) + 1)
+            c **= last
+            check(0, _bit_length(c))
+        charge(k - 1)
+        return tuple(i * k for i in expo), c
 
     def atom():
         tok = take()
@@ -196,11 +264,13 @@ def parse(text: str, names: Sequence[str], max_degree: int,
             if tokens.pop() != ")":
                 raise PolyParseError("missing ')'")
             return p
-        if isinstance(tok, int) or tok in constants:
-            c = exact(constants.get(tok, tok))
-            return {zero: c} if c else {}
+        if isinstance(tok, int):
+            return (zero, tok) if tok else {}
+        if tok in constants:
+            c = exact(constants[tok])
+            return (zero, c.numerator if c.denominator == 1 else c) if c else {}
         if tok in units:
-            return {units[tok]: Fraction(1)}
+            return units[tok], 1
         raise PolyParseError(f"unknown name {tok!r}" if tok[0].isalpha() or tok[0] == "_"
                              else f"unexpected {tok!r}")
 
@@ -210,7 +280,7 @@ def parse(text: str, names: Sequence[str], max_degree: int,
         raise PolyParseError("expression nested too deeply") from None
     if tokens[-1] is not None:
         raise PolyParseError(f"unexpected {tokens[-1]!r}")
-    return p
+    return _poly(p)
 
 
 def exact(x) -> Fraction:
@@ -232,10 +302,26 @@ def rational(text: str) -> Fraction:
     return parse(text, (), 0).get((), Fraction(0))
 
 
+@lru_cache(maxsize=64)
+def _units(names: tuple[str, ...]) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
+    """The zero exponent over `names` and each name's unit exponent."""
+    return (0,) * len(names), {name: tuple(int(j == i) for j in range(len(names)))
+                               for i, name in enumerate(names)}
+
+
+def _poly(p) -> Poly:
+    """A value of `_parse` as a dict: an (exponent, coefficient) pair becomes one term."""
+    return {p[0]: p[1]} if type(p) is tuple else p
+
+
 def _degree(p: Poly) -> int:
     return max((sum(e) for e in p), default=0)
 
 
 def _bits(p: Poly) -> int:
-    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                for c in p.values()), default=0)
+    return max(map(_bit_length, p.values()), default=0)
+
+
+def _bit_length(c) -> int:
+    """The larger bit length of an int's or Fraction's numerator and denominator."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length())

@@ -662,6 +662,17 @@ def test_constraint_system_rejects_a_repeated_variable():
         ConstraintSystem(["x", "y", "x"], [le({"x": 1}, 1), ge({"x": 1}, 0)])
 
 
+@pytest.mark.parametrize("encode", [encode_case2, encode_case3,
+                                    lambda m: encode_nodal(m, "q_on_c")],
+                         ids=["case2", "case3", "nodal"])
+@pytest.mark.parametrize("m", [Fraction(9, 2), 4.5, "4"], ids=["fraction", "float", "text"])
+def test_encodings_take_an_integer_level(encode, m):
+    # m is the paper's integer level: a system for m = 9/2 would be solved,
+    # and reported feasible, as if it meant something
+    with pytest.raises(TypeError):
+        encode(m)
+
+
 def test_encode_nodal_names_the_subcases_it_accepts():
     with pytest.raises(ValueError, match="unknown subcase 'q_somewhere'; "
                                          "expected q_free, q_on_l, q_on_c$"):

@@ -13,6 +13,7 @@ import delpezzo
 from delpezzo import poly
 from delpezzo.germs import parse_germ
 from germgen import random_germ
+import poly_oracle
 
 SRC = pathlib.Path(delpezzo.__file__).parent
 
@@ -107,10 +108,23 @@ def test_a_power_is_charged_the_bits_of_its_result():
     ("x**2", "write powers with '^'"),
     ("0^5000", "cap of 4096 bits"),
     ("x + z", "unknown name 'z'"),
+    # the edges of each budget on a run of monomial factors
+    ("2^4096*x", "cap of 4096 bits"),        # the power itself has 4,097 bits
+    ("2^4095*x", "cap of 4096 bits"),        # 4,096 + 1 bits charged to the product
+    ("x*(3/2)^2584", "cap of 4096 bits"),    # 4,096 bits, plus 1 for x's coefficient
+    ("x*(3/2)^2585", "cap of 4096 bits"),    # the power itself has 4,098 bits
+    ("x^32*y^33", "degree 65 exceeds the cap of 64"),
+    ("1^4096 + 1^4096 + 1^1812", "more than 10000 term products"),
+    # both budgets trip inside the last power: the step loop reached 3^1811,
+    # which has 2,871 bits, and met the term-product budget at its next step ...
+    ("1^4096 + 1^4096 + 3^4000", "more than 10000 term products"),
+    # ... and the bit cap at 3^2585, before the budget's 3^3907
+    ("1^4096 + 1^2000 + 3^4000", "cap of 4096 bits"),
 ])
 def test_parse_refuses_with_one_error_type(text, message):
-    with pytest.raises(poly.PolyParseError, match=re.escape(message)):
-        poly.parse(text, ("x", "y"), 64)
+    for parser in (poly.parse, poly_oracle.parse):
+        with pytest.raises(poly.PolyParseError, match=re.escape(message)):
+            parser(text, ("x", "y"), 64)
 
 
 @pytest.mark.parametrize("text", ["(1+x+y)^32*(1+x+y)^32*x", "(1+x+y)^64*x",
@@ -144,3 +158,95 @@ def test_corpus_germs_parse_within_budget():
         f = random_germ(rng)
         assert parse_germ(str(f)) == f
         assert parse_germ(f"({f})^3") == f ** 3
+
+
+# -- parse against the recursive oracle ---------------------------------------
+
+def _grammar_text(rng, depth=0):
+    """A seeded string of the grammar, now and then with a bad token."""
+    def atom():
+        r = rng.random()
+        if r < 0.2 and depth < 2:
+            return f"({_grammar_text(rng, depth + 1)})"
+        if r < 0.55:
+            return rng.choice(["x", "y", "x", "y", "k"])
+        if r < 0.6:
+            return rng.choice(["0", "1", "2" * rng.randint(1, 40)])
+        return str(rng.randint(1, 12))
+
+    def power():
+        text = atom()
+        r = rng.random()
+        if r < 0.55:
+            return text
+        if r < 0.97:
+            return f"{text}^{rng.randint(0, 6)}"
+        # past the degree cap on names, past the bit cap on constants
+        return f"{text}^{rng.choice([33, 65, 1300, 2600, 4096, 4097])}"
+
+    def unary():
+        return rng.choice(["", "", "", "-", "+", "--"]) + power()
+
+    def term():
+        text = unary()
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            if rng.random() < 0.25:     # mostly by a constant, as text does
+                text += "/" + (unary() if rng.random() < 0.2 else str(rng.randint(1, 9)))
+            else:
+                text += "*" + unary()
+        return text
+
+    text = term()
+    for _ in range(rng.choice([0, 1, 2])):
+        text += rng.choice([" + ", " - "]) + term()
+    if depth == 0 and rng.random() < 0.08:
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + rng.choice(["**", "0.5", "²", "<=", ")", "(", "^x", "^"]) \
+            + text[cut:]
+    return text
+
+
+def _budget_text(rng):
+    """A text spending the degree, bit or term-product budget near its edge."""
+    n = rng.randint(0, 40)
+    return rng.choice([
+        f"2^{4080 + n}*x", f"x*(3/2)^{2570 + n}", f"(2^{2030 + n})*(2^{2030 + n})*y",
+        f"x^{20 + n}*y^{20 + n}", f"(x*y)^{n}", f"3/4*x^2*y^{50 + n}",
+        f"1^4096 + 1^4096 + 1^{1790 + n}", f"1^4096 + 1^{1980 + n} + 3^4000",
+        f"1^4096 + 1^4096 + 5^{1790 + n}", f"(1+x+y)^{20 + n // 4}",
+        f"(1+x+y)^24 + 1^{2190 + n}", f"(1+x+y)^24*2^{1000 + 10 * n}",
+        f"x*(x + y)^{n}*(2^{100 * n}/3)^{n}", f"(2^4095/(1/3))^{1 + n % 3}*x^0",
+    ])
+
+
+def _outcome(parser, text, names, max_degree, constants):
+    try:
+        return parser(text, names, max_degree, constants)
+    except poly.PolyParseError as exc:
+        return f"PolyParseError: {exc}"
+
+
+def test_parse_agrees_with_the_recursive_oracle():
+    rng = random.Random(20261019)
+    texts = [_grammar_text(rng) for _ in range(2000)] + [_budget_text(rng) for _ in range(100)]
+    refused = 0
+    for text in texts:
+        names, max_degree = rng.choice([(("x", "y"), 64), (("x", "y"), 3), (("y", "x"), 64),
+                                        (("x",), 64), (("x", "y", "k"), 64)])
+        constants = rng.choice([None, {"k": Fraction(3, 2)}, {"k": 4}])
+        got = _outcome(poly.parse, text, names, max_degree, constants)
+        assert got == _outcome(poly_oracle.parse, text, names, max_degree, constants), text
+        if isinstance(got, str):
+            refused += 1
+        else:
+            assert all(type(c) is Fraction for c in got.values()), text
+    # both outcomes are well represented
+    assert min(refused, len(texts) - refused) > 500
+
+
+def test_monomial_path_reaches_each_budget_exactly():
+    assert poly.parse("2^4094*x", ("x", "y"), 64) == {(1, 0): 2 ** 4094}
+    assert poly.parse("x*(3/2)^2583", ("x", "y"), 64) == {(1, 0): Fraction(3, 2) ** 2583}
+    assert poly.parse("x^32*y^32", ("x", "y"), 64) == {(32, 32): 1}
+    # 4,095 + 4,095 + 1,810 = 10,000 term products, one power step each
+    assert poly.parse("1^4096 + 1^4096 + 1^1811", ("x", "y"), 64) == {(0, 0): 3}
