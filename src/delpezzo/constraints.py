@@ -526,7 +526,8 @@ def encode_case2(m: int) -> ConstraintSystem:
     the infinitely near point Q): mult_q + mult_s >= 3m and mult_q <=
     mult_omega.
     """
-    m = operator.index(m)
+    if (m := operator.index(m)) < 1:
+        raise ValueError("m must be >= 1")
     s = ConstraintSystem(
         variables=["mu", "d", "mult_s", "mult_omega", "mult_q"],
         integer_vars={"mu", "d", "mult_s", "mult_omega", "mult_q"},
@@ -557,7 +558,8 @@ def encode_case3(m: int) -> ConstraintSystem:
     inequality mult_q + mult_s >= 3m it was reduced from; the reduced form
     alone fixes only d = m, while the pair forces mu = nu = m/2.
     """
-    m = operator.index(m)
+    if (m := operator.index(m)) < 1:
+        raise ValueError("m must be >= 1")
     s = ConstraintSystem(
         variables=["mu", "nu", "d", "e1", "e2", "e3", "mult_s", "mult_q"],
         integer_vars={"mu", "nu", "d", "e1", "e2", "e3", "mult_s", "mult_q"},
@@ -600,7 +602,8 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
     carry the slice (Fubini) inequality of their curve, and q_on_c also the
     Holder row mult_omega >= m/2 needed to pin nu = mult_omega = m/2.
     """
-    m = operator.index(m)
+    if (m := operator.index(m)) < 1:
+        raise ValueError("m must be >= 1")
     if subcase is not None and subcase not in NODAL_SUBCASES:
         raise ValueError(f"unknown subcase {subcase!r}; expected "
                          + ", ".join(NODAL_SUBCASES))

@@ -285,6 +285,8 @@ def _parse(tokens: list, refused: Sequence[int], names: Sequence[str], max_degre
 
 def exact(x) -> Fraction:
     """x as a Fraction; refuses floats, and text, which `rational` reads."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in exact arithmetic")
     if isinstance(x, str):

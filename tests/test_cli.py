@@ -1,8 +1,11 @@
 """Command line surface: output formats, exit codes, JSON determinism."""
 
+import dataclasses
+import hashlib
 import importlib
 import json
 import pkgutil
+import shlex
 import time
 
 import pytest
@@ -13,7 +16,10 @@ from delpezzo.cli import EX_USAGE, cli
 from delpezzo.plane_config import (CubicForm, InvalidConfigError, dump_config,
                                    dump_cubic, load_config, validate)
 from delpezzo.lattice import SurfaceModel
+from delpezzo.lemma_verify import lemma51_scan
 from delpezzo.plane_config import SixPointConfig, point
+
+CLI_MODULE = importlib.import_module("delpezzo.cli")
 
 
 @pytest.fixture
@@ -298,6 +304,17 @@ def test_verify_json(runner):
         "6*C + 2*E1 + 2*E2 + 2*E3 + 2*L45 + 2*L46 + 2*L56"]
 
 
+def test_verify_exits_1_after_its_report_when_the_scan_fails(runner, monkeypatch):
+    # no 3.1 scan within (0, 2/3] fails, so a scan with a survivor stands in
+    monkeypatch.setattr(CLI_MODULE, "lemma31_scan", lambda m, lam: lemma51_scan(2))
+    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2")
+    assert result.exit_code == 1
+    assert result.output.splitlines()[-1] == "conclusion: FAILED; 1 survivors"
+    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2", "--json")
+    assert result.exit_code == 1
+    assert json.loads(result.output)["verified"] is False
+
+
 # -- case and solve --------------------------------------------------------------
 
 def test_case_3_even(runner):
@@ -547,3 +564,327 @@ def test_rationals_serialize_as_lowest_terms_strings(runner):
     result = invoke(runner, "case", "--id", "3", "--m", "5", "--json")
     data = json.loads(result.output)
     assert data["forced"]["mu"] == "5/2"
+
+
+# -- pinned invocations ----------------------------------------------------------
+# The command line's exact bytes: for each invocation, its exit code and the
+# sha256 of its stdout and stderr.  The invocations are the CI "CLI examples"
+# (each with and without --json), the usage, budget, bit-cap and decimal
+# exit-code checks, and the group's and each command's --help.  A key is the
+# command line as a shell reads it, after any VAR=value environment words;
+# {config}, {cubic}, {system}, {config_dec} and {system_dec} name the input
+# files below.  The help and usage bytes are click's formatting, and the
+# runner keeps stdout and stderr apart from click 8.2 on.
+
+PIN_FILES = {
+    "config": "mode: smooth\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n1 2 3\n1 4 9\n",
+    "cubic": EX11_TEXT,
+    "system": ("int mu\nint nu\n"
+               "2*(mu + nu) <= 3*m   # any linear expression on either side\n"
+               "mu - nu >= m/2\n"),
+    "config_dec": "mode: smooth\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n1 2 3\n1 4 9.0\n",
+    "system_dec": "x <= 1e3\n",
+}
+
+PINNED_RUNS = {
+    'lines --mode smooth':
+        (0, "d4b5e5c1db73985d0fb7d923913fb048d05b0175d338931a54ff2f4a3e11c467"),
+    'lines --mode smooth --json':
+        (0, "069b92511d69395299bbe4d8b40796a43487b45b99e6f7b9e4ac07a33530189f"),
+    'lines --mode nodal':
+        (0, "3fa34239f56284fc142769886c1d473ce693b83a3324d150c8fadfdeadbf85bb"),
+    'lines --mode nodal --json':
+        (0, "32d80ad678f693228b81052bd0555e712a138b465ab7247db4e6eff4a9781e48"),
+    "lct 'y^2 - x^3'":
+        (0, "d80123c13989555afa97586f3fbca043fab10f1cb91942cc723bcf37866bac6f"),
+    "lct 'y^2 - x^3' --json":
+        (0, "4f732b3ab2035233ec9d2e424264fbfb780c6e2f813f92ca89c0780224f1f47e"),
+    "lct '(y - x)^2'":
+        (0, "baf141c4b97b7198dd7550d5943ef50886cd9a6599ae56388e34c516badac1ee"),
+    "lct '(y - x)^2' --json":
+        (0, "7b06be857476cb00b5125a631d5828ed6602b09eea952af9b800dae2921fa190"),
+    "lct '-y^2 + x^3'":
+        (0, "15d915e40ace889d19b39eb935611820cbb3f6aab63981d0c33bbbd982bc127c"),
+    "lct '-y^2 + x^3' --json":
+        (0, "6ef87c60df22f264f326c7a57a1f2bcc804edab555d04832eedc00f0395d81ae"),
+    "lct '((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13'":
+        (0, "fa8941076cdbda92286e0439c4cffc159a6c49ac4e941085d52c0f74502c0258"),
+    "lct '((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13' --json":
+        (0, "55a67446b834f6690e6a48eb85d51e525c99cf81293b5c7afb64d64b5121e692"),
+    "lct '(y^3 - 2*x^3)^2 - x^7'":
+        (0, "70fdf9edfcb803134c4849bde80485fb3d01ac6a1e4fa791d0a12d3a1ebc34e2"),
+    "lct '(y^3 - 2*x^3)^2 - x^7' --json":
+        (0, "7cc7e11ecf549dd8f59f16a0618e37c9a2b4e5035e5d3b68cce94e70bcb90437"),
+    "lct '3/4*x^2*y^3 - y^5/2 + 2^3*x^7'":
+        (0, "04d4679b5f59afdee8c884f51187280fddc6c9dbd5a45d04e9d8e80daa71f75d"),
+    "lct '3/4*x^2*y^3 - y^5/2 + 2^3*x^7' --json":
+        (0, "edc67e00dd5218b8ace0010be7c32c5b8a0b9463abfb5442b02aa020a248ea1a"),
+    'verify --lemma 3.1 --m 4':
+        (0, "aa253ac259d85217182b7dfeaa9c3a12d1775f1ee372d9808bd73e41e27b3fdc"),
+    'verify --lemma 3.1 --m 4 --json':
+        (0, "51314ef5e8696a81bd32b76c35cf98330738d5988749d3c661df546306111adc"),
+    'verify --lemma 3.1 --m 5 --lambda 1/2':
+        (0, "70dbc420db0e8094d5e6920de8078563e96c374977274b81d8806bb91d207766"),
+    'verify --lemma 3.1 --m 5 --lambda 1/2 --json':
+        (0, "bf884d85e16c92f8bbd637ece2a5dc71eb38936d0fbd1162c861f24a6745c880"),
+    'verify --lemma 5.1 --m 2':
+        (0, "e77afeba2971f25cae4b07f22fe02c89fdd35c4cf198d15c041e4c1f5005e6ab"),
+    'verify --lemma 5.1 --m 2 --json':
+        (0, "cfabe88b396a4f452b6748e247aa62f063a792eb3673f367922a85728a6dca9d"),
+    'verify --lemma 5.1 --m 3':
+        (0, "240fef1022c262ea31b610aba29f053e691d38f8c4f8b661961c5af4b63be5ae"),
+    'verify --lemma 5.1 --m 3 --json':
+        (0, "412fdd6c7819336f323ddd4b995930751c751b10d6a59304395a269e05e459e3"),
+    'case --id 3 --m 6':
+        (0, "1fa91c7270117c6ea6c47076aa9f9889e60f1c9b4d9acf1165e14ce7d2f17dd3"),
+    'case --id 3 --m 6 --json':
+        (0, "2d1f0119e7a8de0c069e3ee032c3e69ac84c1fb7e8080025dd27dc1ac04d67e3"),
+    'case --id nodal --m 6 --subcase q_on_c':
+        (0, "a800b0c4f0f40a1646f00e4a9cc285a9129bd3d587ae3e6d8fc271c6c9b28081"),
+    'case --id nodal --m 6 --subcase q_on_c --json':
+        (0, "00414de1eec796642ba0e7ccc15f871fb5770ea3c6223709127d8626ffee8490"),
+    'case --id 2 --m 4':
+        (0, "eec8b553f5197cacef9419683dc16a1af104da5cdb250420b827ae3f07fe8deb"),
+    'case --id 2 --m 4 --json':
+        (0, "226c95dbe2b95d7fcfb49f5fd0a4ca787087a42ccd5e795a426ce41a3d439d95"),
+    'solve {system} --m 6':
+        (0, "30ae4a24d8fc67b79c33322f547a73a1ea8b84c5c82791698c5b199a05d4f20c"),
+    'solve {system} --m 6 --json':
+        (0, "97ad3baa8d515fccdf5bc403616a94510a42fc6b7e05075292300186332364c3"),
+    'eckardt --config {config}':
+        (0, "015d0475c67b37a2aef0337bff866a749b5a7131ff35ee2be24f17b3da82fe6f"),
+    'eckardt --config {config} --json':
+        (0, "005801bd9b492cf328778774223a427e31496711818fc7270d9d1095736b5afb"),
+    'alpha --config {config}':
+        (0, "682d966fefc94bef4dec5b44964af3f039f11d59aefcc2e374b16f534c21971a"),
+    'alpha --config {config} --json':
+        (0, "6ebd1870ae732f623c9649a4bdf3164a05a3d62dc88f8ab767ca04028a3a98cf"),
+    "eckardt --cubic {cubic} --point '1 0 0 0'":
+        (0, "4d964081e7138fc1bf2278c78cac7934f93b54bb550f320cb33823aafbaae486"),
+    "eckardt --cubic {cubic} --point '1 0 0 0' --json":
+        (0, "6d913bcea7068ef49720e3a8251a8d834da1f5cd1d23c07df455866567b71fe7"),
+    'lines --bogus':
+        (64, "f6c229cfc98d69543ced681d0702ef0e7729e8616af8a9f0cc64b053f463efe1"),
+    'lines --bogus --json':
+        (64, "f6c229cfc98d69543ced681d0702ef0e7729e8616af8a9f0cc64b053f463efe1"),
+    "DELPEZZO_MAX_BLOWUPS=1 lct 'y^2 - x^3'":
+        (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
+    "DELPEZZO_MAX_BLOWUPS=1 lct 'y^2 - x^3' --json":
+        (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
+    "DELPEZZO_MAX_BLOWUPS=many lct 'y^2 - x^3'":
+        (1, "0c05b7eb4f8789f872e6321f077fc4f842ec5d435f407554d7f0ab86238308d5"),
+    "DELPEZZO_MAX_BLOWUPS=many lct 'y^2 - x^3' --json":
+        (1, "0c05b7eb4f8789f872e6321f077fc4f842ec5d435f407554d7f0ab86238308d5"),
+    "DELPEZZO_MAX_BLOWUPS=1 lct 'y^2 - x^3' --method newton":
+        (0, "dd12b6b8c3b5a9dfd12fed3202051c598ce495d0699a71054e510325fa02fca8"),
+    "DELPEZZO_MAX_BLOWUPS=1 lct 'y^2 - x^3' --method newton --json":
+        (0, "c7ca3354db0d1052267ed88494b406441682985812d3b8c98e84ca0e8c680e76"),
+    "lct '2^4094*x^2 - y^3'":
+        (0, "f6720b11799472914dc8a9f3ae3e1f8860d6ccba7cdbfc7ca683c02efbc9de7d"),
+    "lct '2^4094*x^2 - y^3' --json":
+        (0, "999463a1e3fd74616ebc8b5b30f84d1bd53fe169590267dd8d64f87f0a209857"),
+    "lct '2^4095*x^2 - y^3'":
+        (1, "3517754177935c69608d102b0e497dcc7b55309783f516b9e6aad535d5712418"),
+    "lct '2^4095*x^2 - y^3' --json":
+        (1, "3517754177935c69608d102b0e497dcc7b55309783f516b9e6aad535d5712418"),
+    'verify --lemma 3.1 --m 4 --lambda 0.6':
+        (1, "e4c96ca90061c2c0765884d861c7c095280e9cad08e8b1f52bd33b7dab71393f"),
+    'verify --lemma 3.1 --m 4 --lambda 0.6 --json':
+        (1, "e4c96ca90061c2c0765884d861c7c095280e9cad08e8b1f52bd33b7dab71393f"),
+    "lct '0.5*x^2 - y^3'":
+        (1, "0a46a17824e59fdbacb81dc3e67f2d13265024f021a877da2ed1d2884f05d957"),
+    "lct '0.5*x^2 - y^3' --json":
+        (1, "0a46a17824e59fdbacb81dc3e67f2d13265024f021a877da2ed1d2884f05d957"),
+    "eckardt --cubic {cubic} --point '1 0 0 0.0'":
+        (1, "e4c96ca90061c2c0765884d861c7c095280e9cad08e8b1f52bd33b7dab71393f"),
+    "eckardt --cubic {cubic} --point '1 0 0 0.0' --json":
+        (1, "e4c96ca90061c2c0765884d861c7c095280e9cad08e8b1f52bd33b7dab71393f"),
+    'eckardt --config {config_dec}':
+        (1, "a6d432777a9e01c46d1d0fc0b314bb03f261b1f40a480e9e5d14163d854e6c44"),
+    'eckardt --config {config_dec} --json':
+        (1, "a6d432777a9e01c46d1d0fc0b314bb03f261b1f40a480e9e5d14163d854e6c44"),
+    'solve {system_dec}':
+        (1, "e40133c6e9d1f84113175d18155d9a8d2b0c30e784a0c5110144e9da659e2e03"),
+    'solve {system_dec} --json':
+        (1, "e40133c6e9d1f84113175d18155d9a8d2b0c30e784a0c5110144e9da659e2e03"),
+    '--help':
+        (0, "aef4c7beb0556bb49f086a4f6abd66933a72d4d8f87c93f9ecc32fd44f0e54f2"),
+    'alpha --help':
+        (0, "94f04e306949b178f8e97245065548928abc0e1d3dad03c4a3db6bec143d80fa"),
+    'case --help':
+        (0, "23d873eab3406558efcf2693eddd0b7b4c41c63d206542174294eedd43bcf82d"),
+    'eckardt --help':
+        (0, "9f7b3d43acf115d8466cb79a55151f96ad825b177059360d833c72213e34d01a"),
+    'lct --help':
+        (0, "533064646d5f9cb2af7616e4b88129dbfaba5978cc4885f3bea03d0945dca38b"),
+    'lines --help':
+        (0, "d1c82637b46378aa3719a857e94b8decb99104b593f9091f22e7bdb2a00da2cf"),
+    'solve --help':
+        (0, "7277e8ba46160f26976f49d6e43d2cdef033d4e898e3432047414a59db4f176b"),
+    'verify --help':
+        (0, "9b9454144f4f3ebc94c05b97f202336a05135840d366d31f0f573f0b943f56bc"),
+}
+
+
+@pytest.fixture(scope="module")
+def pin_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pins")
+    for name, text in PIN_FILES.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in PIN_FILES}
+
+
+def run_pinned(key, files):
+    """(exit code, sha256 of stdout NUL stderr) of the invocation `key`."""
+    words = shlex.split(key)
+    env = {"DELPEZZO_MAX_BLOWUPS": None, "COLUMNS": "80"}
+    while "=" in words[0]:
+        name, value = words.pop(0).split("=", 1)
+        env[name] = value
+    args = [w.format(**files) for w in words]
+    result = CliRunner().invoke(cli, args, env=env, prog_name="delpezzo")
+    # a raw traceback is never an expected exit 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    out = f"{result.stdout}\0{result.stderr}".encode()
+    return result.exit_code, hashlib.sha256(out).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(PINNED_RUNS))
+def test_invocation_is_pinned(pin_files, key):
+    assert run_pinned(key, pin_files) == PINNED_RUNS[key]
+
+
+# -- one result, two renderers ---------------------------------------------------
+# Each command builds one result; its text renderer and --json both write that
+# result.  Every field --json writes must reach the text: changing any one leaf
+# (a dict value, a list item or a report field) must change the text in some
+# sample.  `verify` is the one exception: its text prints every record, its
+# JSON only the counts and the survivors.
+
+BOTH_WAYS = {
+    "lines": ["lines --mode smooth", "lines --mode nodal"],
+    "lct": ["lct 'y^2 - x^3'", "lct '(y - x)^2'", "lct 'x*y' --method blowup",
+            "lct 'x*y' --method newton"],
+    "eckardt": ["eckardt --config {config}",
+                "eckardt --cubic {cubic} --point '1 0 0 0'"],
+    "case": ["case --id 3 --m 5", "case --id nodal --m 5 --subcase q_free",
+             "case --id nodal --m 6 --subcase q_on_c"],
+    "solve": ["solve {system} --m 6"],
+    "alpha": ["alpha --config {config}"],
+}
+
+# JSON fields that summarise others the text shows one by one
+DERIVED = {("integrality_contradiction",)}  # any(not ok for ok in integral)
+
+
+def build_once(key, files):
+    """The command's text renderer and the one result it builds for `key`."""
+    name, *args = [w.format(**files) for w in shlex.split(key)]
+    command = cli.commands[name]
+    build, text = command.callback.args
+    options = command.make_context(name, args).params
+    options.pop("as_json")
+    return build(**options), text
+
+
+def written(result, text, as_json, capsys):
+    CLI_MODULE._write(lambda: result, text, as_json)
+    return capsys.readouterr().out
+
+
+def is_report(node):
+    return dataclasses.is_dataclass(node) and isinstance(CLI_MODULE._plain(node), dict)
+
+
+def leaves(node, path=()):
+    """(path, value) of each leaf of a result; a report's leaves are its fields."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, (list, tuple)):
+        items = enumerate(node)
+    elif is_report(node):
+        items = ((f.name, getattr(node, f.name)) for f in dataclasses.fields(node))
+    else:
+        yield path, node
+        return
+    for key, value in items:
+        yield from leaves(value, path + (key,))
+
+
+def replaced(node, path, value):
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(node, dict):
+        return {**node, key: replaced(node[key], rest, value)}
+    if isinstance(node, (list, tuple)):
+        items = list(node)
+        items[key] = replaced(node[key], rest, value)
+        return type(node)(items)
+    return dataclasses.replace(node, **{key: replaced(getattr(node, key), rest, value)})
+
+
+def text_or_error(text, result):
+    try:
+        return text(result)
+    except (KeyError, TypeError) as exc:  # it tripped on the new value: it reads it
+        return repr(exc)
+
+
+def names_read(code):
+    """The global and attribute names a function's code reads, nested code too."""
+    return set(code.co_names).union(*(names_read(c) for c in code.co_consts
+                                      if hasattr(c, "co_names")))
+
+
+@pytest.mark.parametrize("name", sorted(BOTH_WAYS))
+def test_text_reads_nothing_but_its_result(name):
+    # so the text cannot show what the result, and hence the JSON, lacks
+    _, text = cli.commands[name].callback.args
+    code = getattr(text, "__code__", None)  # `str` renders a report's own fields
+    if code is not None:
+        assert names_read(code) & set(vars(CLI_MODULE)) == set()
+
+
+def test_every_command_but_verify_is_rendered_both_ways():
+    assert set(BOTH_WAYS) == set(cli.commands) - {"verify"}
+
+
+@pytest.mark.parametrize("name", sorted(BOTH_WAYS))
+def test_each_json_field_reaches_the_text(name, pin_files, capsys):
+    shown = {}
+    for key in BOTH_WAYS[name]:
+        result, text = build_once(key, pin_files)
+        as_text = written(result, text, False, capsys)
+        data = json.loads(written(result, text, True, capsys))
+        assert as_text == text(result) + "\n"
+        # the JSON writes every leaf of the result, and nothing else
+        assert {p for p, _ in leaves(result)} == {p for p, _ in leaves(data)}
+        try:
+            json.dumps(result)
+        except TypeError:  # it holds reports, which render their own text
+            pass
+        else:  # plain data: the text reads the same off the JSON
+            assert text(data) == text(result)
+        for path, value in leaves(result):
+            if path in DERIVED:
+                continue
+            other = (not value) if isinstance(value, bool) else "<changed>"
+            changed = text_or_error(text, replaced(result, path, other)) != text(result)
+            where = tuple("*" if isinstance(k, int) else k for k in path)
+            shown[where] = shown.get(where, False) or changed
+    assert [path for path, ok in shown.items() if not ok] == []
+
+
+def test_verify_json_keeps_counts_and_survivors_not_records(capsys):
+    build, text = cli.commands["verify"].callback.args
+    scan = build(lemma_id="5.1", m=4, lam_text=None)
+    data = json.loads(written(scan, text, True, capsys))
+    assert data == scan.summary
+    lines = text(scan).splitlines()
+    assert len(lines) == 2 + data["candidates"] + 1
+    assert lines[-1] == f"conclusion: {data['conclusion']}"
+    survivors = [line for line in lines if ": SURVIVOR" in line]
+    assert [line.split(": SURVIVOR")[0].strip() for line in survivors] == data["survivors"]
+    # the records stay out of the JSON
+    assert not any(line.strip() in json.dumps(data) for line in lines[2:-1])

@@ -673,6 +673,17 @@ def test_encodings_take_an_integer_level(encode, m):
         encode(m)
 
 
+@pytest.mark.parametrize("encode", [encode_case2, encode_case3, encode_nodal,
+                                    lambda m: encode_nodal(m, "q_on_c")],
+                         ids=["case2", "case3", "nodal", "nodal-q_on_c"])
+@pytest.mark.parametrize("m", [0, -2])
+def test_encodings_refuse_a_level_below_one(encode, m):
+    # solve(encode_case2(0)) was "infeasible", which reads like an exclusion
+    # proof at a level that means nothing
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        encode(m)
+
+
 def test_encode_nodal_names_the_subcases_it_accepts():
     with pytest.raises(ValueError, match="unknown subcase 'q_somewhere'; "
                                          "expected q_free, q_on_l, q_on_c$"):

@@ -80,15 +80,31 @@ def test_rational_refuses_decimals_exponents_and_names(text, message):
         poly.rational(text)
 
 
+FLOAT_REFUSED = "floating point is not allowed in exact arithmetic"
+
+
 @pytest.mark.parametrize("x, message", [
-    (0.5, "floating point"), (0.0, "floating point"), (float("inf"), "floating point"),
-    ("1/2", "read it with poly.rational"), ("1e3", "read it with poly.rational"),
+    (0.5, FLOAT_REFUSED), (0.0, FLOAT_REFUSED), (float("inf"), FLOAT_REFUSED),
+    ("1/2", "text '1/2' is not a number here; read it with poly.rational"),
+    ("1e3", "text '1e3' is not a number here; read it with poly.rational"),
 ])
 def test_exact_takes_rationals_and_refuses_floats_and_text(x, message):
     for good in (3, True, Fraction(-2, 3)):
         assert poly.exact(good) == good and type(poly.exact(good)) is Fraction
-    with pytest.raises(TypeError, match=message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         poly.exact(x)
+
+
+def test_exact_returns_a_fraction_unchanged():
+    # every parsed coefficient is a Fraction already; germs and constraint
+    # rows pass each one through exact again, which must not rebuild it
+    q = Fraction(-2, 3)
+    assert poly.exact(q) is q
+    coeffs = poly.parse("3/4*x^2 - y/2", ("x", "y"), 64)
+    germ = delpezzo.germs.CurveGerm(tuple(coeffs.items()))
+    assert all(c is coeffs[e] for e, c in germ.coeffs)
+    row = delpezzo.constraints.le({"x": q}, q)
+    assert row.coeffs["x"] is q and row.rhs is q
 
 
 def test_a_power_is_charged_the_bits_of_its_result():
