@@ -84,9 +84,13 @@ FLOAT_REFUSED = "floating point is not allowed in exact arithmetic"
 
 
 @pytest.mark.parametrize("x, message", [
-    (0.5, FLOAT_REFUSED), (0.0, FLOAT_REFUSED), (float("inf"), FLOAT_REFUSED),
-    ("1/2", "text '1/2' is not a number here; read it with poly.rational"),
-    ("1e3", "text '1e3' is not a number here; read it with poly.rational"),
+    pytest.param(0.5, FLOAT_REFUSED, id="0.5-floating point"),
+    pytest.param(0.0, FLOAT_REFUSED, id="0.0-floating point"),
+    pytest.param(float("inf"), FLOAT_REFUSED, id="inf-floating point"),
+    pytest.param("1/2", "text '1/2' is not a number here; read it with poly.rational",
+                 id="1/2-read it with poly.rational"),
+    pytest.param("1e3", "text '1e3' is not a number here; read it with poly.rational",
+                 id="1e3-read it with poly.rational"),
 ])
 def test_exact_takes_rationals_and_refuses_floats_and_text(x, message):
     for good in (3, True, Fraction(-2, 3)):
