@@ -1,10 +1,12 @@
 """Eckardt points: where three of the 27 lines pass through one point.
 
-Two detectors.  From a six-point plane configuration the lines are explicit
-rational curves, so concurrency is a determinant; from an explicit quartic of
-the cubic in P^3 the test is whether the tangent-plane section has a triple
-point.  An Eckardt point is exactly what drops the alpha-invariant bound to
-2/3.
+Two detectors.  From a six-point plane configuration every candidate is
+decided by whether three plane lines meet in a point, a determinant: three
+of the lines L_ij themselves, or, for {E_i, L_ij, F_j}, the line p_i p_j and
+two lines that Pascal's theorem builds from the other points.  From an
+explicit cubic in P^3 the test is whether the tangent-plane section has a
+triple point.  An Eckardt point is exactly what drops the alpha-invariant
+bound to 2/3.
 """
 
 from delpezzo import (CubicForm, SurfaceModel, SixPointConfig, alpha1_report,
@@ -20,13 +22,16 @@ def ternary(terms):
         out.append(name if c == 1 else f"{c}*{name}")
     return " + ".join(out).replace("+ -", "- ")
 
-# six points with p5 on the conic through p1..p4, p6: two tangency triples
-# appear "infinitely near" blown-up points, one as an honest concurrency
+# six points, no three on a line and not all six on a conic: three tangency
+# triples {E_i, L_ij, F_j}, where the conic through the five points other
+# than p_j touches the line p_i p_j at p_i, appear "infinitely near" p_i, and
+# one as an honest concurrency of three lines L_ij
 config = SixPointConfig((point(1, 0, 0), point(0, 1, 0), point(0, 0, 1),
                          point(1, 1, 1), point(1, 2, 3), point(1, 4, 9)),
                         SurfaceModel.SMOOTH)
 records = eckardt_points(config)
-print(f"configuration on the conic y^2 = x*z: {len(records)} Eckardt points")
+print(f"configuration {' '.join(map(str, config.points))}: "
+      f"{len(records)} Eckardt points")
 for r in records:
     print(f"  {r}")
 print()

@@ -3,9 +3,9 @@
 Points carry primitive integer homogeneous coordinates, so equality is
 bitwise and every predicate (collinearity, conics, tangency) is an exact
 integer computation.  A cubic surface appears in two guises: as the blow-up
-of a six-point configuration, where Eckardt points are found by scanning
-tritangent triples, and as an explicit quaternary cubic form, where a single
-point can be tested by restriction to its tangent plane.
+of a six-point configuration, where each tritangent triple is an Eckardt
+point iff three plane lines meet, and as an explicit quaternary cubic form,
+where a single point can be tested by restriction to its tangent plane.
 """
 
 from __future__ import annotations
@@ -110,17 +110,6 @@ def _conic_row(p: ProjPoint) -> list[int]:
 
 def conic_value(conic: Sequence[int], p: ProjPoint) -> int:
     return sum(c * m for c, m in zip(conic, _conic_row(p)))
-
-
-def conic_polar(conic: Sequence[int], u: ProjPoint, v: ProjPoint) -> int:
-    """Polar bilinear form; conic(u + t v) = conic(u) + t*polar + t^2*conic(v)."""
-    a, b, c, d, e, f = conic
-    return (2 * a * u[0] * v[0]
-            + b * (u[0] * v[1] + u[1] * v[0])
-            + c * (u[0] * v[2] + u[2] * v[0])
-            + 2 * d * u[1] * v[1]
-            + e * (u[1] * v[2] + u[2] * v[1])
-            + 2 * f * u[2] * v[2])
 
 
 def conic_through(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
@@ -229,25 +218,25 @@ class EckardtRecord:
         return "{" + ", ".join(self.triple) + "} at " + str(self.location)
 
 
-def _conic_avoiding(config: SixPointConfig, j: int) -> tuple[int, ...]:
-    pts = [config.point(k) for k in range(1, 7) if k != j]
-    return conic_through(*pts)
-
-
 def eckardt_points(config: SixPointConfig) -> list[EckardtRecord]:
     """Scan tritangent triples of the blow-up for actual Eckardt points.
 
-    A {L,L,L} triple is an Eckardt point iff the three plane lines are
-    concurrent; a {E_i, L_ij, F_j} triple iff the conic through the five
-    points other than p_j is tangent to the line p_i p_j at p_i.  The
-    tangency test stays rational: restrict the conic to the line and ask
-    for a double root at the parameter of p_i.
+    A triple is an Eckardt point iff three plane lines are concurrent.  For
+    {L,L,L} they are the triple's own lines.  {E_i, L_ij, F_j} is one iff the
+    conic through the five points other than p_j touches the line p_i p_j at
+    p_i.  With a, b, c, d the other four points, Pascal's theorem on the
+    hexagon p_i p_i a b c d puts the tangent at p_i through the meet of bc
+    and YZ, where Y = (p_i a)(cd) and Z = (ab)(d p_i); so the three lines are
+    p_i p_j, bc and YZ.  `validate` leaves no three of the five points
+    collinear (a nodal F_j has j in {1, 2, 3}, so only two of the collinear
+    p1, p2, p3 are among them), which makes every one of these lines and
+    meets proper: Y and Z are distinct points other than p_i, and Y is off
+    bc, so YZ is a line other than bc and meets it off p_i.
     """
     report = validate(config)
     if not report.ok:
         raise InvalidConfigError(report)
     curves = enumerate_negative_curves(config.mode)
-    conics: dict[int, tuple[int, ...]] = {}   # five triples share each conic
     records: list[EckardtRecord] = []
     for triple in tritangent_triples(curves):
         # by degree a: E_i has b_i = -1, L_ij has b_i = b_j = 1, F_j has b_j = 0
@@ -256,22 +245,20 @@ def eckardt_points(config: SixPointConfig) -> list[EckardtRecord]:
         if shape == (1, 1, 1):
             lines = [line_through(*(config.point(k) for k, x in enumerate(d.b, 1)
                                     if x == 1)) for d in members]
-            if _det3(*lines) == 0:
-                meet = ProjPoint(_cross(lines[0], lines[1]))
-                records.append(EckardtRecord(tuple(sorted(triple)), meet))
+            location = None
         elif shape == (0, 1, 2):
             i, j = members[0].b.index(-1) + 1, members[2].b.index(0) + 1
-            if j not in conics:
-                conics[j] = _conic_avoiding(config, j)
-            conic = conics[j]
             pi, pj = config.point(i), config.point(j)
-            assert conic_value(conic, pi) == 0
-            if conic_polar(conic, pi, pj) == 0:
-                assert conic_value(conic, pj) != 0, "six points conconic"
-                records.append(EckardtRecord(tuple(sorted(triple)),
-                                             f"infinitely near p{i}"))
+            a, b, c, d = (config.point(k) for k in range(1, 7) if k not in (i, j))
+            y = _cross(_cross(pi, a), _cross(c, d))
+            z = _cross(_cross(a, b), _cross(d, pi))
+            lines = [_cross(pi, pj), _cross(b, c), _cross(y, z)]
+            location = f"infinitely near p{i}"
         else:
             raise AssertionError(f"impossible tritangent shape {shape}")
+        if _det3(*lines) == 0:
+            records.append(EckardtRecord(tuple(sorted(triple)), location
+                                         or ProjPoint(_cross(lines[0], lines[1]))))
     records.sort(key=lambda r: r.triple)
     return records
 

@@ -572,12 +572,14 @@ def test_rationals_serialize_as_lowest_terms_strings(runner):
 # (each with and without --json), the usage, budget, bit-cap and decimal
 # exit-code checks, and the group's and each command's --help.  A key is the
 # command line as a shell reads it, after any VAR=value environment words;
-# {config}, {cubic}, {system}, {config_dec} and {system_dec} name the input
-# files below.  The help and usage bytes are click's formatting, and the
-# runner keeps stdout and stderr apart from click 8.2 on.
+# {config}, {config_nodal}, {cubic}, {system}, {config_dec} and {system_dec}
+# name the input files below.  The help and usage bytes are click's
+# formatting, and the runner keeps stdout and stderr apart from click 8.2 on.
 
 PIN_FILES = {
     "config": "mode: smooth\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n1 2 3\n1 4 9\n",
+    # p3 on the line p1p2; one tangency and one concurrency
+    "config_nodal": "mode: nodal\n1 0 0\n0 1 0\n1 1 0\n0 1 1\n2 0 1\n1 1 2\n",
     "cubic": EX11_TEXT,
     "system": ("int mu\nint nu\n"
                "2*(mu + nu) <= 3*m   # any linear expression on either side\n"
@@ -655,6 +657,10 @@ PINNED_RUNS = {
         (0, "015d0475c67b37a2aef0337bff866a749b5a7131ff35ee2be24f17b3da82fe6f"),
     'eckardt --config {config} --json':
         (0, "005801bd9b492cf328778774223a427e31496711818fc7270d9d1095736b5afb"),
+    'eckardt --config {config_nodal}':
+        (0, "945632c340c114241c01ac716d087e9b573afeb7d998bb1c5a9a399749584562"),
+    'eckardt --config {config_nodal} --json':
+        (0, "476d473f9217a589c349ba737d8daf7ae87a0839bc983ef0b550f189c935430f"),
     'alpha --config {config}':
         (0, "682d966fefc94bef4dec5b44964af3f039f11d59aefcc2e374b16f534c21971a"),
     'alpha --config {config} --json':

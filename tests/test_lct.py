@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from delpezzo.germs import parse_germ
-from delpezzo.lct import (blowup_lct, check_lemma52, check_mult_bounds,
+from delpezzo.lct import (EqualityCase, MultBoundsVerdict, blowup_lct,
+                          check_lemma52, check_mult_bounds,
                           holder_product_bound, newton_lct, newton_polygon)
 from delpezzo.resolution import (BlowupBudgetSettingError,
                                  DepthExceededError, ResolutionNode,
@@ -223,6 +224,18 @@ def test_mult_bounds_equality_certificate():
     assert v.equality_case.verified
     assert str(v) == ("k=3: 1/3 <= 1/3 <= 2/3 holds; "
                       "equality case f = (-1) * (x**2 - y)^3")
+
+
+def test_mult_bounds_verdict_holds():
+    assert check_mult_bounds(parse_germ("y^2 - x^3")).holds
+    v = check_mult_bounds(parse_germ("(y - x)^2"))
+    assert v.value == Q(1, 2) and v.equality_case.verified
+    assert v.holds
+    # a bound that fails, and the value 1/k without a verified certificate
+    assert not MultBoundsVerdict(2, Q(1, 3), False, True, None).holds
+    assert not MultBoundsVerdict(2, Q(1, 2), True, True, None).holds
+    unverified = EqualityCase("y - x", "1", verified=False)
+    assert not MultBoundsVerdict(2, Q(1, 2), True, True, unverified).holds
 
 
 def test_mult_bounds_on_random_germs():

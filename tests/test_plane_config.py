@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,66 @@ def test_eckardt_triples_invariant_under_projectivities():
     base = {r.triple for r in eckardt_points(FRAME_A)}
     for _ in range(5):
         assert {r.triple for r in eckardt_points(_moved(FRAME_A, rng))} == base
+
+
+def _polar(conic, u, v):
+    """Polar form: conic(u + t*v) = conic(u) + t*polar + t^2*conic(v)."""
+    a, b, c, d, e, f = conic
+    return (2 * a * u[0] * v[0] + b * (u[0] * v[1] + u[1] * v[0])
+            + c * (u[0] * v[2] + u[2] * v[0]) + 2 * d * u[1] * v[1]
+            + e * (u[1] * v[2] + u[2] * v[1]) + 2 * f * u[2] * v[2])
+
+
+def _tangency_oracle(cfg):
+    """The {E_i, L_ij, F_j} records, read off the conic through the five
+    points other than p_j: it passes through p_i, so it touches the line
+    p_i p_j there iff its polar form vanishes on (p_i, p_j)."""
+    records = set()
+    for i, j in permutations(range(1, 7), 2):
+        # on the nodal model F_j needs j in {1, 2, 3} and L_ij needs i off
+        # the line through p1, p2, p3
+        if cfg.mode is SurfaceModel.NODAL and (j > 3 or i <= 3):
+            continue
+        conic = conic_through(*(p for k, p in enumerate(cfg.points, 1) if k != j))
+        if _polar(conic, cfg.point(i), cfg.point(j)) == 0:
+            labels = (f"E{i}", f"F{j}", f"L{min(i, j)}{max(i, j)}")
+            records.add((labels, f"infinitely near p{i}"))
+    return records
+
+
+def _oracle_configs(kind, count, rng):
+    """Valid configurations: small random ones, nodal ones with
+    p3 = s*p1 + t*p2, or projective images of FRAME_A."""
+    mode = SurfaceModel.NODAL if kind == "nodal" else SurfaceModel.SMOOTH
+    while count:
+        if kind == "frame-a":
+            cfg = _moved(FRAME_A, rng)
+        else:
+            coords = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(6)]
+            if kind == "nodal":
+                s, t = rng.choice((-2, -1, 1, 2)), rng.choice((-2, -1, 1, 2))
+                coords[2] = [s * x + t * y for x, y in zip(coords[0], coords[1])]
+            if not all(map(any, coords)):
+                continue
+            cfg = SixPointConfig(tuple(point(*c) for c in coords), mode)
+        if validate(cfg).ok:
+            count -= 1
+            yield cfg
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("smooth", 200), ("frame-a", 20), ("nodal", 200)])
+def test_tangency_concurrency_agrees_with_the_conic_oracle(kind, count):
+    # eckardt_points decides {E_i, L_ij, F_j} by the concurrency that
+    # Pascal's theorem gives, and builds no conic
+    rng = random.Random(2026)
+    found = 0
+    for cfg in _oracle_configs(kind, count, rng):
+        records = {(r.triple, r.location) for r in eckardt_points(cfg)
+                   if isinstance(r.location, str)}
+        assert records == _tangency_oracle(cfg), dump_config(cfg)
+        found += len(records)
+    assert found   # the comparison is not vacuous
 
 
 # -- explicit cubics and the cone test ----------------------------------------------
