@@ -10,17 +10,18 @@ A variable that appears in an equality is eliminated by pivoting on that
 equality; otherwise every upper row is combined with every lower row, and
 strictness propagates through combinations (strict + anything = strict).
 
-`solve` reads every output off one chain: prefix[k] is the system with the
-variables after the k-th (declaration order) eliminated, last first.  It is
-feasible iff prefix[0] bounds the first variable.  The k-th variable's bounds
-are prefix[k]'s with the earlier variables projected away, read through
-`_normalize`, with attainment flags so that a supremum can be told apart from
-a maximum; forced values are attained bounds that coincide, and integrality
-is checked on forced values of integer-flagged variables.  The witness
-substitutes the earlier witness values into prefix[k]'s rows and eliminates
-nothing: FM with strictness is an exact projection, so fixing the earlier
-variables commutes with projecting the later ones away.  FM row growth
-depends on the order.
+`solve` reads every output off one chain in one pass over the variables:
+prefix[k] is the system with the variables after the k-th (declaration
+order) eliminated, last first.  Pass k eliminates the earlier variables from
+prefix[k], first declared first, and reads the k-th variable's bounds off the
+result through `_normalize`, with attainment flags so that a supremum can be
+told apart from a maximum.  The system is feasible iff prefix[0] exists and
+bounds the first variable.  Forced values are bounds that coincide, and
+integrality is checked on forced values of integer-flagged variables.  The
+same pass picks the witness value from prefix[k]'s rows with the earlier
+witness values substituted, which eliminates nothing: FM with strictness is
+an exact projection, so fixing the earlier variables commutes with
+projecting the later ones away.  FM row growth depends on the order.
 
 The dense section holds the right kernel (conics through points, tangent
 planes), the exact Phase-I simplex that writes a vector as a non-negative
@@ -35,6 +36,7 @@ cone's facets, which answers membership with integer dot products
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -165,9 +167,11 @@ class SolveReport:
 # every later row is a `_cancel` of two rows.  Fractions appear only at the
 # boundary: reading the constraints, the bounds (kept by `_normalize`, like
 # every step's rows) and `_pick`; the witness values go back in as numerators
-# over their common denominator.  A variable that appears in an equality is
-# eliminated by pivoting on it (no row growth); genuine upper-times-lower FM
-# combination is reserved for variables constrained by inequalities only.
+# over their common denominator.  `_eliminate` returns a normalized system, or
+# None on a contradiction, so `solve` chains its calls with nothing in
+# between.  A variable that appears in an equality is eliminated by pivoting
+# on it (no row growth); genuine upper-times-lower FM combination is reserved
+# for variables constrained by inequalities only.
 
 _Row = tuple[int, ...]
 _Sys = tuple[list[_Row], list[tuple[_Row, bool]]]
@@ -264,15 +268,6 @@ def _eliminate(sys_: _Sys, var: int) -> Optional[_Sys]:
     return _normalize((eqs, rest))
 
 
-def _project(sys_: _Sys, eliminate: Sequence[int]) -> Optional[_Sys]:
-    current = _normalize(sys_)
-    for var in eliminate:
-        if current is None:
-            return None
-        current = _eliminate(current, var)
-    return current
-
-
 def _bounds_from_univariate(sys_: _Sys, var: int,
                             values: Sequence[Fraction] = ()) -> Optional[VarBounds]:
     """Bounds for variable no. var, the variables before it set to values
@@ -327,33 +322,31 @@ def solve(system: ConstraintSystem) -> SolveReport:
     prefix = [_normalize(_rows_of(system))]
     for k in reversed(range(1, len(order))):
         prefix.insert(0, None if prefix[0] is None else _eliminate(prefix[0], k))
-    if prefix[0] is None or (order and _bounds_from_univariate(prefix[0], 0) is None):
+    if prefix[0] is None:
         return SolveReport(False, {}, {}, {}, None)
 
-    bounds = {var: _bounds_from_univariate(_project(prefix[k], range(k)), k)
-              for k, var in enumerate(order)}
-    assert None not in bounds.values(), "projection of a feasible system is feasible"
-
-    forced = {
-        v: vb.lower
-        for v, vb in bounds.items()
-        if vb.lower is not None and vb.lower == vb.upper
-        and vb.lower_attained and vb.upper_attained
-    }
-
-    # rational witness: prefix[k] with the earlier values substituted
+    bounds: dict[str, VarBounds] = {}
+    forced: dict[str, Fraction] = {}
+    integrality: dict[str, bool] = {}
     witness: dict[str, Fraction] = {}
     for k, var in enumerate(order):
-        witness[var] = _pick(_bounds_from_univariate(prefix[k], k,
-                                                     list(witness.values())))
+        vb = bounds[var] = _bounds_from_univariate(
+            functools.reduce(_eliminate, range(k), prefix[k]), k)
+        if vb is None:
+            # prefix[0] decides feasibility; a feasible system projects feasibly
+            assert not k, "projection of a feasible system is feasible"
+            return SolveReport(False, {}, {}, {}, None)
+        # coinciding bounds are both attained, or the reader returns None
+        if vb.lower is not None and vb.lower == vb.upper:
+            forced[var] = vb.lower
+            if var in system.integer_vars:
+                integrality[var] = vb.lower.denominator == 1
+        # rational witness: prefix[k] with the earlier values substituted (none
+        # for the first variable, whose conditioned bounds are vb itself)
+        witness[var] = _pick(_bounds_from_univariate(
+            prefix[k], k, list(witness.values())) if k else vb)
     for con in system.constraints:
         assert con.evaluate(witness), f"witness violates {con}"
-
-    integrality = {
-        v: forced[v].denominator == 1
-        for v in order
-        if v in system.integer_vars and v in forced
-    }
     return SolveReport(True, bounds, forced, integrality, witness)
 
 
@@ -467,12 +460,12 @@ def cone_facets(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     no third ray is tight on every generator they are both tight on.
     """
     gens = [tuple(g) for g in generators]
-    d = len(gens[0])
+    d = len(gens[0]) if gens else 0
     basis: list[int] = []
     for i, g in enumerate(gens):
         if len(_kernel([gens[j] for j in basis] + [g], d)) < d - len(basis):
             basis.append(i)
-    if len(basis) < d:
+    if not gens or len(basis) < d:
         raise ValueError("the generators do not span the space")
     order = [gens[i] for i in basis] + [g for i, g in enumerate(gens) if i not in basis]
     rays = []                        # (normal, bit set of the generators it is tight on)

@@ -182,9 +182,15 @@ def classify_smooth_candidate(cand: Decomposition) -> ScanRecord:
     have to equal the ample -mK; for a single line the degree-2 projection
     bound 2*mu <= 3m and then the 10-neighbour count against what the
     residual intersection number affords.  A single-line candidate that
-    reaches the count must be one of the 27 lines.
+    reaches the count must be one of the 27 lines.  The analysis holds for
+    lam in (0, 2/3] (coefficients >= 3m/2) and a non-empty locus; anything
+    else is refused, like a coefficient below m/lam.
     """
     m, lam = cand.m, cand.lam
+    if not 0 < lam <= Fraction(2, 3):
+        raise ValueError("threshold lam must lie in (0, 2/3]")
+    if not cand.parts:
+        raise ValueError("the locus must have at least one curve")
     if any(mu * lam.numerator < m * lam.denominator for _, _, mu in cand.parts):
         raise ValueError(f"locus coefficients must be >= m/lam = {Fraction(m) / lam}")
     return _classify_smooth(cand, tuple(cls.degree() for _, cls, _ in cand.parts))
@@ -289,6 +295,8 @@ def lemma31_scan(m: int, lam) -> CaseVerdict:
 
 def canonical_nodal_survivor(m: int) -> Decomposition:
     """The unique even-m decomposition (3m/2)C + (m/2)(E1+E2+E3+L45+L46+L56)."""
+    if (m := operator.index(m)) < 2:
+        raise ValueError("m >= 2 required")
     if m % 2:
         raise ValueError("only even m admits the survivor")
     cand = decomposition(m, Fraction(2, 3), [("C", C, 3 * m // 2)])

@@ -586,6 +586,7 @@ PIN_FILES = {
                "mu - nu >= m/2\n"),
     "config_dec": "mode: smooth\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n1 2 3\n1 4 9.0\n",
     "system_dec": "x <= 1e3\n",
+    "system_infeasible": "x <= 0\nx > 0\n",
 }
 
 PINNED_RUNS = {
@@ -653,6 +654,10 @@ PINNED_RUNS = {
         (0, "30ae4a24d8fc67b79c33322f547a73a1ea8b84c5c82791698c5b199a05d4f20c"),
     'solve {system} --m 6 --json':
         (0, "97ad3baa8d515fccdf5bc403616a94510a42fc6b7e05075292300186332364c3"),
+    'solve {system_infeasible}':
+        (0, "0c3b2adc60eac5353ce1dca5dcf42001afcc0d77189327becc7739a750ebc53d"),
+    'solve {system_infeasible} --json':
+        (0, "5b9eb851806ac68d5ebade3a992ec292d0e64a479b19e0345a2fef0bec9522da"),
     'eckardt --config {config}':
         (0, "015d0475c67b37a2aef0337bff866a749b5a7131ff35ee2be24f17b3da82fe6f"),
     'eckardt --config {config} --json':

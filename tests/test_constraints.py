@@ -16,8 +16,8 @@ from delpezzo.cli import cli
 from delpezzo.constraints import (NODAL_SUBCASES, ConstraintSystem,
                                   LinearConstraint, SystemParseError,
                                   encode_case2, encode_case3, encode_nodal,
-                                  eq, ge, gt, le, lt, nonnegative_combination,
-                                  parse_system, solve)
+                                  cone_facets, eq, ge, gt, le, lt,
+                                  nonnegative_combination, parse_system, solve)
 from delpezzo.plane_config import ProjPoint
 
 Q = Fraction
@@ -601,6 +601,18 @@ def test_nonnegative_combination_agrees_with_caratheodory():
     assert 60 < feasible < 240
 
 
+def test_cone_facets_orient_each_normal_towards_the_cone():
+    # each start normal is the kernel of the other generator, found up to
+    # sign: the kernel (1, 0) of (0, 1) is negative on (-1, 0) and is flipped
+    assert cone_facets([(-1, 0), (0, 1)]) == [(-1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("gens", [[], [(1, 0), (2, 0)]], ids=["none", "rank-1"])
+def test_cone_facets_refuse_generators_that_do_not_span(gens):
+    with pytest.raises(ValueError, match="do not span the space"):
+        cone_facets(gens)
+
+
 # -- parser ----------------------------------------------------------------------
 
 SYSTEM_TEXT = """
@@ -641,6 +653,11 @@ def test_parse_system_autodeclares_plain_variables():
 def test_parse_system_rejects_declaring_m(kind):
     with pytest.raises(SystemParseError, match="^line 2: m "):
         parse_system(f"var x\n{kind} m\nm + x <= 3\n", m=2)
+
+
+def test_linear_constraint_rejects_an_unknown_relation():
+    with pytest.raises(ValueError, match="relation must be one of <=, <, =; got '=='"):
+        LinearConstraint({"x": 1}, "==", 1)
 
 
 def test_constraint_system_checks_constructor_rows():

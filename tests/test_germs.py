@@ -73,6 +73,8 @@ def test_from_dict_rejects_non_germs():
         CurveGerm.from_dict({(0, 0): Fraction(1)})
     with pytest.raises(InvalidGermError):
         CurveGerm.from_dict({(1, 0): Fraction(0)})
+    with pytest.raises(InvalidGermError, match="negative exponents"):
+        CurveGerm.from_dict({(-1, 2): 1})
 
 
 @pytest.mark.parametrize("build, message", [

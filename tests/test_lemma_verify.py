@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from delpezzo.cli import cli
 from delpezzo.germs import parse_germ
 
-from delpezzo.lattice import C, E, MINUS_K, SurfaceModel, is_ample
+from delpezzo.lattice import C, E, L, MINUS_K, SurfaceModel, is_ample
 from delpezzo.lct import blowup_lct
 from delpezzo.lemma_verify import (DEGREE_OVERFLOW, INTERSECTION_VIOLATION,
                                    MAX_SCAN_M, NOT_AMPLE, PROJECTION_DEGREE,
@@ -95,6 +95,31 @@ def test_classifier_enforces_the_coefficient_floor():
     d = decomposition(2, Q(2, 3), [("E1", E(1), 2)])
     with pytest.raises(ValueError):
         classify_smooth_candidate(d)
+
+
+@pytest.mark.parametrize("lam, parts", [
+    (1, [("E1", E(1), 2), ("L12", L(1, 2), 2)]),
+    (1, [("E1", E(1), 2)]),
+    (0, [("E1", E(1), 2)]),
+    (-1, [("E1", E(1), 2)]),
+    (3, [("E1", E(1), 1), ("E2", E(2), 1), ("E3", E(3), 1)]),
+], ids=["two-parts-at-1", "neighbour-count-at-1", "zero", "negative", "three-lines-at-3"])
+def test_classifier_refuses_thresholds_outside_the_case_analysis(lam, parts):
+    # the shapes and the neighbour count assume coefficients >= 3m/2; above
+    # 2/3 a candidate reached a bare assert, a wrong reason or an unpacking
+    # error, and 0 a division by zero
+    with pytest.raises(ValueError, match=r"^threshold lam must lie in \(0, 2/3\]$"):
+        classify_smooth_candidate(decomposition(2, lam, parts))
+
+
+def test_classifier_refuses_an_empty_locus():
+    with pytest.raises(ValueError, match="^the locus must have at least one curve$"):
+        classify_smooth_candidate(decomposition(2, Q(2, 3), []))
+
+
+def test_decomposition_refuses_negative_coefficients():
+    with pytest.raises(ValueError, match="^locus coefficients must be non-negative$"):
+        decomposition(2, Q(2, 3), [("E1", E(1), -1)])
 
 
 def test_classifier_flags_degree_overflow():
@@ -176,6 +201,13 @@ def test_canonical_survivor_identity():
         assert d.residual_is_effective(SurfaceModel.NODAL)
     with pytest.raises(ValueError):
         canonical_nodal_survivor(3)
+
+
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_canonical_survivor_refuses_m_below_two(m):
+    # m = 0 gave 0*C with an empty residual, a degenerate "survivor"
+    with pytest.raises(ValueError, match="^m >= 2 required$"):
+        canonical_nodal_survivor(m)
 
 
 def test_nodal_survivor_locus_is_a_multiple_of_c():

@@ -72,6 +72,24 @@ def test_floats_are_refused(build):
     with pytest.raises(TypeError, match="floating point"):
         build()
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ProjPoint((0, 0, 0)), "zero vector"),
+    (lambda: ProjPoint((1, 0)), "plane or in space"),
+    (lambda: ProjPoint((1, 0, 0, 0, 0)), "plane or in space"),
+    (lambda: line_through(point(1, 2, 3), point(2, 4, 6)), "coincide"),
+    (lambda: SixPointConfig(FRAME_A.points[:5]), "exactly six points"),
+    (lambda: SixPointConfig(FRAME_A.points[:5] + (point(1, 2, 3, 4),)),
+     "live in the plane"),
+    (lambda: CubicForm((1,) * 19), "20 coefficients"),
+    (lambda: CubicForm((0,) * 20), "identically zero"),
+    (lambda: CubicForm.from_dict({(2, 0, 0, 0): 1}), "not a degree-3 exponent"),
+], ids=["point-zero", "point-short", "point-long", "line-coincident", "config-five",
+        "config-space", "cubic-19", "cubic-zero", "cubic-exponent"])
+def test_degenerate_geometry_is_refused(build, message):
+    with pytest.raises(GeometryError, match=message):
+        build()
+
+
 def test_collinear_and_line_through():
     assert collinear(point(1, 0, 0), point(0, 1, 0), point(1, 1, 0))
     assert not collinear(point(1, 0, 0), point(0, 1, 0), point(0, 0, 1))
@@ -107,6 +125,10 @@ def test_nodal_frame_requires_first_three_collinear():
     report = validate(smooth)
     assert not report.ok
     assert any(v.indices == (1, 2, 3) for v in report.violations)
+    # and a nodal configuration needs p1, p2, p3 on one line
+    report = validate(SixPointConfig(FRAME_A.points, SurfaceModel.NODAL))
+    assert [(v.kind, v.indices) for v in report.violations] == [
+        ("not-collinear", (1, 2, 3))]
 
 
 def test_duplicate_point_is_flagged():
@@ -319,6 +341,8 @@ def test_config_parse_errors():
         load_config("mode: flat\n")                 # unknown mode
     with pytest.raises(ConfigParseError):
         load_config(dump_config(FRAME_A) + "0 0 1\n")   # seven points
+    with pytest.raises(ConfigParseError, match="line 2: duplicate mode header"):
+        load_config("mode: smooth\nmode: nodal\n")
 
 
 def test_cubic_round_trip():
@@ -338,6 +362,8 @@ def test_cubic_parse_errors():
         load_cubic("\n".join(good[:-1] + ["z3^3 abc"]))
     with pytest.raises(ConfigParseError):
         load_cubic("\n".join(good[:-1] + ["z3^3 1/0"]))
+    with pytest.raises(ConfigParseError, match="bad cubic line 'z3\\^3 1 2'"):
+        load_cubic("\n".join(good[:-1] + ["z3^3 1 2"]))    # three fields
 
 
 # -- pinned geometry -------------------------------------------------------------------
