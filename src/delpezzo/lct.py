@@ -7,7 +7,10 @@ it is the exact value when every compact face polynomial is square-free
 away from the coordinate axes; the report's `exact` flag records whether
 that certificate holds.  A face polynomial is y^(g*w1) * H(x^w2 / y^w1)
 for a univariate H of degree g with H(0) != 0, so the certificate is the
-univariate test gcd(H, H') = 1 on each face.
+univariate test gcd(H, H') = 1 on each face.  That test is put modulo the
+prime P = 2^61 - 1 first (see modp): an H that keeps its degree and is
+square-free there is square-free over QQ.  Only an H that fails goes to
+sympy, so a germ whose faces all pass is decided without importing it.
 
 blowup_lct builds an embedded resolution by iterated point blow-ups and
 evaluates min(min_i 1/m_i, min_E (a_E + 1)/b_E) over the components through
@@ -23,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Union
 
+from . import modp
 from .germs import CurveGerm
 from .resolution import (Component, Resolution, ResolutionNode, _qq_poly,
                          _symbols, resolve_germ)
@@ -98,18 +102,20 @@ def newton_polygon(f: CurveGerm) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull), tuple(faces), x_min, y_min)
 
 
-def _face_univariate(f: CurveGerm, face: NewtonFace) -> Poly:
-    """H(s) = sum_t c_t s^t with c_t the coefficient at the face's lattice
-    point (i1 + t*w2, j1 - t*w1), t = 0..g, for the primitive normal (w1, w2)."""
-    from sympy import QQ, Poly
-    terms = f.terms()
+def _face_coeffs(terms: dict, face: NewtonFace) -> list:
+    """c_0, ..., c_g with c_t the coefficient at the face's lattice point
+    (i1 + t*w2, j1 - t*w1), for the primitive normal (w1, w2); 0 off the
+    support."""
     (i1, j1), (w1, w2) = face.start, face.normal
     g = (face.end[0] - i1) // w2
-    coeffs = {}
-    for t in range(g + 1):
-        c = terms.get((i1 + t * w2, j1 - t * w1))
-        if c:
-            coeffs[(t,)] = QQ(c.numerator, c.denominator)
+    return [terms.get((i1 + t * w2, j1 - t * w1), 0) for t in range(g + 1)]
+
+
+def _face_univariate(f: CurveGerm, face: NewtonFace) -> Poly:
+    """H(s) = sum_t c_t s^t over QQ (see _face_coeffs)."""
+    from sympy import QQ, Poly
+    coeffs = {(t,): QQ(c.numerator, c.denominator)
+              for t, c in enumerate(_face_coeffs(f.terms(), face)) if c}
     return Poly.from_dict(coeffs, _symbols("s"), domain=QQ)
 
 
@@ -127,17 +133,12 @@ def newton_lct(f: CurveGerm) -> LctReport:
     if polygon.y_min > t0:
         t0, witness = Fraction(polygon.y_min), f"axis factor y^{polygon.y_min}"
     assert t0 > 0
-    exact = True
-    for face in polygon.faces:
-        # with w1, w2 coprime and r != 0, each x^w2 - r*y^w1 is square-free
-        # and distinct roots r give coprime binomials, so the face
-        # polynomial is square-free exactly when H is: one gcd(H, H'); a
-        # face of lattice length 1 has a linear H, square-free without sympy
-        if face.end[0] - face.start[0] == face.normal[1]:
-            continue
-        if not _face_univariate(f, face).is_sqf:
-            exact = False
-            break
+    # with w1, w2 coprime and r != 0, each x^w2 - r*y^w1 is square-free and
+    # distinct roots r give coprime binomials, so the face polynomial is
+    # square-free exactly when H is: one gcd(H, H'), mod P first (see modp)
+    terms = f.terms()
+    exact = all(modp.certifies(_face_coeffs(terms, face))
+                or _face_univariate(f, face).is_sqf for face in polygon.faces)
     value = min(Fraction(1), 1 / t0)
     return LctReport(value, "newton", witness, exact)
 

@@ -183,17 +183,25 @@ def classify_smooth_candidate(cand: Decomposition) -> ScanRecord:
     bound 2*mu <= 3m and then the 10-neighbour count against what the
     residual intersection number affords.  A single-line candidate that
     reaches the count must be one of the 27 lines.  The analysis holds for
-    lam in (0, 2/3] (coefficients >= 3m/2) and a non-empty locus; anything
+    m >= 2, lam in (0, 2/3] (coefficients >= 3m/2) and a non-empty locus of
+    curves of positive degree (-K is ample on the smooth cubic); anything
     else is refused, like a coefficient below m/lam.
     """
     m, lam = cand.m, cand.lam
+    if m < 2:
+        raise ValueError("m >= 2 required")
     if not 0 < lam <= Fraction(2, 3):
         raise ValueError("threshold lam must lie in (0, 2/3]")
     if not cand.parts:
         raise ValueError("the locus must have at least one curve")
     if any(mu * lam.numerator < m * lam.denominator for _, _, mu in cand.parts):
         raise ValueError(f"locus coefficients must be >= m/lam = {Fraction(m) / lam}")
-    return _classify_smooth(cand, tuple(cls.degree() for _, cls, _ in cand.parts))
+    degrees = tuple(cls.degree() for _, cls, _ in cand.parts)
+    for (lab, _, _), deg in zip(cand.parts, degrees):
+        if deg <= 0:
+            raise ValueError(f"{lab} has degree {deg}; every curve on the "
+                             "smooth cubic has positive degree")
+    return _classify_smooth(cand, degrees)
 
 
 def _classify_smooth(cand: Decomposition, degrees: tuple[int, ...]) -> ScanRecord:

@@ -49,6 +49,13 @@ germs share one entry, and blowup_lct followed by check_mult_bounds on one
 germ runs the engine once.  Every node and component of a kept Resolution is
 frozen, so its callers cannot alter what the next caller reads.
 
+Both square-free questions are first put modulo the prime P = 2^61 - 1
+(see modp), whose certificate is one-sided.  A germ certified square-free
+there is its own one part of multiplicity 1, and sympy's sqf_list does not
+run; a site over QQ whose r is certified has gcd(r, r') = 1, so no point of
+the new line but its origin is left, and sympy's gcd does not run.  Where the
+certificate fails, sympy decides, as it would without it.
+
 sympy is imported on the first call that does polynomial algebra, not with
 this module, so the sympy-free commands never load it.
 """
@@ -61,9 +68,10 @@ import os
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import TYPE_CHECKING, Callable, Optional
 
+from . import modp
 from .germs import CurveGerm
 
 if TYPE_CHECKING:
@@ -218,6 +226,32 @@ def _restrict_to_x0(g: dict, K) -> Poly:
     return Poly.from_dict(d, _symbols("v"), domain=K)
 
 
+def _restriction_certified(comps: list) -> bool:
+    """Is the product of the restrictions p(0, v) of components over QQ
+    certified square-free mod P (see modp)?"""
+    r = [1]
+    for p, _i in comps:
+        line = {j: c for (i, j), c in p.items() if i == 0}
+        h = line and modp.residues([line.get(j, 0) for j in range(max(line) + 1)])
+        if not h:
+            return False
+        r = modp.mul(r, h)
+    return modp.is_squarefree(r)
+
+
+def _multiple_roots(comps: list, K) -> list:
+    """The irreducible factors of the monic gcd(r, r') over K, for r the
+    product of the components' restrictions p(0, v) to the new line; none,
+    without sympy, when K is QQ and r is certified square-free."""
+    if K.is_QQ and _restriction_certified(comps):
+        return []
+    r = functools.reduce(operator.mul, (_restrict_to_x0(p, K) for p, _i in comps))
+    assert not r.is_zero, "exceptional line cannot be a component"
+    if r.degree() < 1:
+        return []
+    return [q for q, _m in r.gcd(r.diff(_symbols("v"))).factor_list()[1]]
+
+
 def _map_coeffs(g: dict, phi: Callable) -> dict:
     out = {}
     for e, c in g.items():
@@ -305,27 +339,22 @@ class _Engine:
         self.process(comps_b, K, xa, node, where + " / chart B origin")
 
         # chart A: bad points along the new exceptional line {x = 0}
-        r = functools.reduce(operator.mul,
-                             (_restrict_to_x0(p, K) for p, _i in comps_a))
-        assert not r.is_zero, "exceptional line cannot be a component"
         origin_needed = ya is not None
-        if r.degree() >= 1:
-            bad = r.gcd(r.diff(_symbols("v")))
-            for q, _m in bad.factor_list()[1]:
-                if q.degree() == 1:
-                    v0 = _linear_root(q)
-                    if v0 == K.zero:
-                        origin_needed = True
-                        continue
-                    self.process([(_translate_y(p, K, v0), i)
-                                  for p, i in comps_a], K, node, None,
-                                 where + f" / chart A at y={K.to_sympy(v0)}")
-                else:
-                    K2, phi, gamma = _extend_field(K, q)
-                    self.process(
-                        [(_translate_y(_map_coeffs(p, phi), K2, gamma), i)
-                         for p, i in comps_a], K2, node, None,
-                        where + f" / chart A at root of {q.as_expr()}")
+        for q in _multiple_roots(comps_a, K):
+            if q.degree() == 1:
+                v0 = _linear_root(q)
+                if v0 == K.zero:
+                    origin_needed = True
+                    continue
+                self.process([(_translate_y(p, K, v0), i)
+                              for p, i in comps_a], K, node, None,
+                             where + f" / chart A at y={K.to_sympy(v0)}")
+            else:
+                K2, phi, gamma = _extend_field(K, q)
+                self.process(
+                    [(_translate_y(_map_coeffs(p, phi), K2, gamma), i)
+                     for p, i in comps_a], K2, node, None,
+                    where + f" / chart A at root of {q.as_expr()}")
         if origin_needed:
             self.process(comps_a, K, node, ya, where + " / chart A origin")
 
@@ -354,6 +383,12 @@ def _qq_poly(terms: dict) -> Poly:
                           *_symbols("x y"), domain=QQ)
 
 
+def _zz_poly(terms: dict) -> Poly:
+    """An exponent dict over int as a sympy Poly in x, y over ZZ."""
+    from sympy import ZZ, Poly
+    return Poly.from_dict(terms, *_symbols("x y"), domain=ZZ)
+
+
 def _int_terms(p: Poly) -> dict:
     return {e: int(c) for e, c in p.rep.to_dict().items()}
 
@@ -372,30 +407,46 @@ def _splits_transversally(terms: dict) -> bool:
     return disc > 0 and isqrt(disc) ** 2 == disc
 
 
+def _primitive(terms: dict) -> dict:
+    """An integer polynomial over the gcd of its coefficients, signed so that
+    its lex-leading coefficient (at max(terms): highest x power, then highest
+    y) is positive, its terms in sympy's to_dict order.  This is the one part
+    sympy's dmp_sqf_list gives a square-free polynomial."""
+    g = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return {e: terms[e] // g for e in sorted(terms)}
+
+
 def _components_of(f: CurveGerm) -> tuple[Component, ...]:
     """The components of f, which also seed the root site of the engine.
 
     f = c * prod p_i^i is the square-free decomposition, computed over ZZ
     after clearing denominators (over QQ sympy converts to ZZ inside every
-    gcd).  A part p_i is factored only where an output reads its irreducible
-    factors (see Component); the factors of one part keep sympy's
-    factor_list order, which is their order within multiplicity i in the
-    factorization of f.
+    gcd).  When f is certified square-free mod P (see modp) it is its own
+    one part p_1, normalised as sympy normalises it; only otherwise does
+    sympy's sqf_list run.  By Gauss's lemma a repeated factor of f over QQ
+    is one over ZZ, and the certificate excludes those.  A part p_i is
+    factored only where an output reads its irreducible factors (see
+    Component); the factors of one part keep sympy's factor_list order,
+    which is their order within multiplicity i in the factorization of f.
     """
-    from sympy import ZZ, Poly
     terms = f.terms()
     scale = lcm(*(c.denominator for c in terms.values()))
-    _c, parts = Poly.from_dict({e: int(c * scale) for e, c in terms.items()},
-                               *_symbols("x y"), domain=ZZ).sqf_list()
-    part_terms = [_int_terms(part) for part, _i in parts]
-    reduced_order = sum(_order(t) for t in part_terms)
+    ints = {e: int(c * scale) for e, c in terms.items()}
+    if modp.certifies_xy(ints):
+        parts = [(_primitive(ints), 1)]
+    else:
+        parts = [(_int_terms(part), i)
+                 for part, i in _zz_poly(ints).sqf_list()[1]]
+    reduced_order = sum(_order(t) for t, _i in parts)
     out = []
-    for (part, i), t in zip(parts, part_terms):
+    for t, i in parts:
         order = _order(t)
         split = order and (i >= 2 or f.multiplicity == 1 or (
             order == reduced_order == 2 and _splits_transversally(t)))
-        pieces = [_int_terms(q) for q, _ in part.factor_list()[1]] if split \
-            else [t]
+        pieces = [_int_terms(q) for q, _ in _zz_poly(t).factor_list()[1]] \
+            if split else [t]
         out += [Component(tuple((e, Fraction(c)) for e, c in piece.items()),
                           i, _order(piece)) for piece in pieces]
     return tuple(out)
@@ -422,9 +473,9 @@ def resolve_germ(f: CurveGerm) -> Resolution:
         from sympy import QQ
         components = _components_of(f)
         engine = _Engine(limit)
-        engine.process([({e: QQ.convert(c) for e, c in comp.coeffs},
-                         comp.multiplicity) for comp in components],
-                       QQ, None, None, "origin")
+        engine.process([({e: QQ(c.numerator, c.denominator)
+                          for e, c in comp.coeffs}, comp.multiplicity)
+                        for comp in components], QQ, None, None, "origin")
         res = _resolved[f] = Resolution(tuple(engine.nodes), components,
                                         len(engine.nodes))
     elif res.blowups > limit:

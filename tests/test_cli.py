@@ -606,6 +606,10 @@ PINNED_RUNS = {
         (0, "baf141c4b97b7198dd7550d5943ef50886cd9a6599ae56388e34c516badac1ee"),
     "lct '(y - x)^2' --json":
         (0, "7b06be857476cb00b5125a631d5828ed6602b09eea952af9b800dae2921fa190"),
+    "lct --method newton 'y^2 - x^4'":
+        (0, "543b7d5237a3ac7c6d00397c72a87845dd3b850bad4f59b965c70a94a569bcfe"),
+    "lct --method newton 'y^2 - x^4' --json":
+        (0, "c41d17137aea4c929f522175c8a575df04530aac1a1e3993b8338af75bbc503e"),
     "lct '-y^2 + x^3'":
         (0, "15d915e40ace889d19b39eb935611820cbb3f6aab63981d0c33bbbd982bc127c"),
     "lct '-y^2 + x^3' --json":

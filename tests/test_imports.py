@@ -91,6 +91,18 @@ def test_alpha_config_is_sympy_free(tmp_path):
     assert loaded == "sympy loaded: False"
 
 
+@pytest.mark.parametrize("germ, loaded", [
+    # H = s^2 - 1 is certified square-free modulo a prime
+    ("y^2 - x^4", False),
+    # H = (s - 1)^2 fails the certificate, and sympy decides it
+    ("(y - x)^2", True),
+], ids=["certified", "fallback"])
+def test_newton_loads_sympy_only_when_the_certificate_fails(germ, loaded):
+    out, line = _delpezzo("lct", "--method", "newton", germ)
+    assert "(newton, " in out
+    assert line == f"sympy loaded: {loaded}"
+
+
 def test_lct_loads_sympy_on_first_use():
     out, loaded = _delpezzo("lct", "y^2 - x^3")
     assert "5/6" in out

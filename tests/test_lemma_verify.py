@@ -117,6 +117,22 @@ def test_classifier_refuses_an_empty_locus():
         classify_smooth_candidate(decomposition(2, Q(2, 3), []))
 
 
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_classifier_refuses_m_below_two(m):
+    # m = 0 divided by zero in the neighbour count
+    with pytest.raises(ValueError, match="^m >= 2 required$"):
+        classify_smooth_candidate(decomposition(m, Q(2, 3), [("E1", E(1), 0)]))
+
+
+def test_classifier_refuses_a_curve_of_degree_zero():
+    # -K is ample, so no curve has degree <= 0; the degree-0 class X made a
+    # two-part locus that does not exhaust the budget and hit a bare assert
+    parts = [("E1", E(1), 3), ("X", E(1) - E(2), 3)]
+    with pytest.raises(ValueError, match="^X has degree 0; every curve on the "
+                                         "smooth cubic has positive degree$"):
+        classify_smooth_candidate(decomposition(2, Q(2, 3), parts))
+
+
 def test_decomposition_refuses_negative_coefficients():
     with pytest.raises(ValueError, match="^locus coefficients must be non-negative$"):
         decomposition(2, Q(2, 3), [("E1", E(1), -1)])
