@@ -8,9 +8,12 @@ away from the coordinate axes; the report's `exact` flag records whether
 that certificate holds.  A face polynomial is y^(g*w1) * H(x^w2 / y^w1)
 for a univariate H of degree g with H(0) != 0, so the certificate is the
 univariate test gcd(H, H') = 1 on each face.  That test is put modulo the
-prime P = 2^61 - 1 first (see modp): an H that keeps its degree and is
-square-free there is square-free over QQ.  Only an H that fails goes to
-sympy, so a germ whose faces all pass is decided without importing it.
+prime P = 2^61 - 1 first (see modp.rational_multiple_roots): an H that keeps
+its degree and is square-free there is square-free over QQ, and one whose
+multiple roots are rational and proven there is not.  Only an H with an
+irrational or unproven multiple root, or whose degree drops mod P, goes to
+sympy, so a germ such as (2*y - 3*x)^2 - x^3 is decided without importing
+it.
 
 blowup_lct builds an embedded resolution by iterated point blow-ups and
 evaluates min(min_i 1/m_i, min_E (a_E + 1)/b_E) over the components through
@@ -119,6 +122,13 @@ def _face_univariate(f: CurveGerm, face: NewtonFace) -> Poly:
     return Poly.from_dict(coeffs, _symbols("s"), domain=QQ)
 
 
+def _face_square_free(f: CurveGerm, face: NewtonFace) -> bool:
+    """Is the face's H square-free?  Decided by its rational multiple roots
+    (see modp) where they settle it, else by sympy."""
+    roots = modp.rational_multiple_roots(_face_coeffs(f.terms(), face))
+    return not roots if roots is not None else _face_univariate(f, face).is_sqf
+
+
 def newton_lct(f: CurveGerm) -> LctReport:
     """Threshold candidate from the Newton polygon, with exactness flag."""
     polygon = newton_polygon(f)
@@ -136,9 +146,7 @@ def newton_lct(f: CurveGerm) -> LctReport:
     # with w1, w2 coprime and r != 0, each x^w2 - r*y^w1 is square-free and
     # distinct roots r give coprime binomials, so the face polynomial is
     # square-free exactly when H is: one gcd(H, H'), mod P first (see modp)
-    terms = f.terms()
-    exact = all(modp.certifies(_face_coeffs(terms, face))
-                or _face_univariate(f, face).is_sqf for face in polygon.faces)
+    exact = all(_face_square_free(f, face) for face in polygon.faces)
     value = min(Fraction(1), 1 / t0)
     return LctReport(value, "newton", witness, exact)
 

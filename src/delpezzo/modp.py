@@ -1,4 +1,4 @@
-"""Square-free certificates modulo the prime P = 2^61 - 1.
+"""Square-free certificates and rational multiple roots modulo P = 2^61 - 1.
 
 A univariate h over QQ whose residues mod P exist, whose top coefficient
 survives and whose reduction is square-free over GF(P) is square-free over
@@ -9,23 +9,41 @@ can grow under reduction, deg g~ = deg g >= 1.  The test is one-sided: a
 reduction that is not square-free, or a degree that drops, proves nothing,
 and every caller then falls back to sympy.
 
+rational_multiple_roots goes one step further.  It finds the distinct
+multiple roots of h modulo P when there are at most two: the square-free
+part of gcd(h~, h~') gives its root when linear, and its two roots by one
+square root pow(D, (P + 1) / 4) when quadratic, since P = 3 mod 4.  It lifts
+each to a fraction by rational reconstruction, keeps it only when an exact
+division over ZZ proves it a root of multiplicity >= 2, and divides it out;
+the answer stands only when the cofactor is certified square-free as above
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).
+What it cannot prove is left to the caller's sympy path: an irrational
+multiple root, more than two distinct ones modulo P, a root whose numerator
+or denominator exceeds BOUND, a denominator divisible by P, a top
+coefficient that vanishes mod P.
+
 A bivariate integer polynomial f is certified by specialising: f(x, t) and
 f(s, y), for the fixed point POINT = (s, t), reduced mod P.  A repeated
 factor g of f has positive degree in x or in y, say x; if f(x, t)~ keeps
 deg_x f, then g(x, t)~ keeps deg_x g and divides it twice.
 
-Polynomials are lists of residues, constant term first.  Nothing here
+Polynomials are lists of coefficients, constant term first.  Nothing here
 imports more than the standard library.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 P = (1 << 61) - 1
 
 #: the point (s, t) at which f(x, t) and f(s, y) are read
 POINT = (0x2F6B3A1C9D58E47, 0x15C3E9A07B2D6F1)
+
+#: rational reconstruction finds n/d with |n|, d <= BOUND, which is unique
+BOUND = isqrt(P // 2)
 
 
 def residue(c) -> Optional[int]:
@@ -48,12 +66,8 @@ def residues(coeffs: Sequence) -> Optional[list[int]]:
     return h
 
 
-def mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return [c % P for c in out]
+def _derivative(h: list[int]) -> list[int]:
+    return [k * c % P for k, c in enumerate(h)][1:]
 
 
 def _rem(a: list[int], b: list[int]) -> list[int]:
@@ -71,20 +85,110 @@ def _rem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+def _quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b over GF(P), for b dividing a with a nonzero top coefficient."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    inv = pow(b[-1], -1, P)
+    for shift in reversed(range(len(q))):
+        c = q[shift] = a[shift + len(b) - 1] * inv % P
+        for k, bk in enumerate(b):
+            a[shift + k] = (a[shift + k] - c * bk) % P
+    return q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd over GF(P) of a nonzero a and any b, not made monic."""
+    while b:
+        a, b = b, _rem(a, b)
+    return a
+
+
 def is_squarefree(h: list[int]) -> bool:
     """gcd(h, h') = 1 over GF(P), for h with a nonzero top coefficient and
     degree below P (so h' keeps degree deg h - 1)."""
-    a, b = h, [k * c % P for k, c in enumerate(h)][1:]
-    while b:
-        a, b = b, _rem(a, b)
-    return len(a) == 1
+    return len(_gcd(h, _derivative(h))) == 1
 
 
-def certifies(coeffs: Sequence) -> bool:
-    """Is the univariate polynomial with these rational coefficients,
-    constant term first, certified square-free over QQ?"""
-    h = residues(coeffs)
-    return h is not None and is_squarefree(h)
+def _roots(s: list[int]) -> Optional[list[int]]:
+    """The roots in GF(P) of a square-free s of degree 1 or 2, or None when
+    s has higher degree or no root there."""
+    if len(s) > 3:
+        return None
+    inv = pow(s[-1], -1, P)
+    if len(s) == 2:
+        return [-s[0] * inv % P]
+    c, b = s[0] * inv % P, s[1] * inv % P      # s made monic
+    disc = (b * b - 4 * c) % P
+    w = pow(disc, (P + 1) // 4, P)      # a square root, as P = 3 mod 4
+    if w * w % P != disc:
+        return None
+    half = (P + 1) // 2
+    return [(w - b) * half % P, (-w - b) * half % P]
+
+
+def _reconstruct(x: int) -> Optional[Fraction]:
+    """The fraction n/d with n = x*d mod P, |n| <= BOUND and 0 < d <= BOUND,
+    by the half-extended Euclidean algorithm, or None when there is none."""
+    r0, r1, t0, t1 = P, x, 0, 1
+    while r1 > BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= BOUND:
+        return None
+    return Fraction(r1, t1)
+
+
+def _divide(R: list[int], n: int, d: int) -> Optional[list[int]]:
+    """R / (d*v - n) over ZZ, or None when it does not divide: the quotient
+    Q has Q_(i-1) = (R_i + n*Q_i) / d, and R_0 + n*Q_0 = 0.  By Gauss's lemma
+    the primitive d*v - n divides R over QQ only if it does over ZZ."""
+    q, carry = [], 0
+    for c in reversed(R[1:]):
+        carry, rem = divmod(c + n * carry, d)
+        if rem:
+            return None
+        q.append(carry)
+    if R[0] + n * carry:
+        return None
+    return q[::-1]
+
+
+def rational_multiple_roots(r: Sequence) -> Optional[list[Fraction]]:
+    """The rational roots of multiplicity >= 2 of a nonzero univariate r
+    with rational coefficients, constant term first, when r has no other
+    multiple root; None when that is not proven here.
+
+    The roots come in the order in which sympy's factor_list lists the
+    linear factors d*v - n of gcd(r, r'): by multiplicity, then by d, then
+    by -n.  The root 0 is read off r's low coefficients; the others are
+    proven as the module docstring says.
+    """
+    low = next(k for k, c in enumerate(r) if c)
+    found = [(low, 1, 0)] if low >= 2 else []     # (multiplicity, d, -n)
+    r = r[low:]
+    h = residues(r)
+    if h is None:
+        return None
+    g = _gcd(h, _derivative(h))
+    if len(g) > 1:
+        roots = _roots(_quo(g, _gcd(g, _derivative(g))))
+        if roots is None:
+            return None
+        scale = lcm(*(c.denominator for c in r))
+        R = [c.numerator * (scale // c.denominator) for c in r]
+        for x in roots:
+            root = _reconstruct(x)
+            if root is None:
+                return None
+            n, d, m = root.numerator, root.denominator, 0
+            while (quotient := _divide(R, n, d)) is not None:
+                R, m = quotient, m + 1
+            if m < 2:       # not r(x) = r'(x) = 0 over QQ
+                return None
+            found.append((m, d, -n))
+        if not is_squarefree([c % P for c in R]):
+            return None
+    return [Fraction(-k, d) for _m, d, k in sorted(found)]
 
 
 def _specialise(terms: dict, axis: int, value: int) -> list[int]:

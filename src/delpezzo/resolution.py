@@ -49,15 +49,21 @@ germs share one entry, and blowup_lct followed by check_mult_bounds on one
 germ runs the engine once.  Every node and component of a kept Resolution is
 frozen, so its callers cannot alter what the next caller reads.
 
-Both square-free questions are first put modulo the prime P = 2^61 - 1
-(see modp), whose certificate is one-sided.  A germ certified square-free
-there is its own one part of multiplicity 1, and sympy's sqf_list does not
-run; a site over QQ whose r is certified has gcd(r, r') = 1, so no point of
-the new line but its origin is left, and sympy's gcd does not run.  Where the
-certificate fails, sympy decides, as it would without it.
+Sites over QQ hold fractions.Fraction coefficients (K is _RATIONALS), and
+both of their questions are first put modulo the prime P = 2^61 - 1 (see
+modp).  A germ certified square-free there is its own one part of
+multiplicity 1, and sympy's sqf_list does not run.  At a site over QQ,
+modp.rational_multiple_roots proves the multiple roots of r when all of them
+are rational, in the order sympy's factor_list would give, and sympy's gcd
+does not run.  What modp does not prove, sympy decides, as it would without
+it.
 
-sympy is imported on the first call that does polynomial algebra, not with
-this module, so the sympy-free commands never load it.
+So sympy is imported, on first use and never with this module, only for:
+sqf_list of a germ that is not certified reduced; factor_list of the parts
+an output reads (see Component); multiple roots along a line that are
+irrational, or rational but not proven by modp; every site over a number
+field; and component labels.  A germ that needs none of these, such as
+y^2 - x^3 or (2*y - 3*x)^2 - x^3, is resolved without it.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import modp
@@ -186,7 +193,13 @@ class Resolution:
     blowups: int
 
 
-# -- germ dictionaries over a sympy domain K --------------------------------
+# -- germ dictionaries over a field K --------------------------------------
+
+#: K at a site over QQ, whose coefficients are Fractions: the few attributes
+#: of sympy's domain API that the engine reads.  Sites over a number field
+#: take sympy's AlgebraicField.
+_RATIONALS = SimpleNamespace(is_QQ=True, zero=Fraction(0), one=Fraction(1))
+
 
 def _mult(g: dict) -> int:
     return min(i + j for i, j in g)
@@ -203,7 +216,7 @@ def _chart_b(g: dict, m: int) -> dict:
 
 
 def _translate_y(g: dict, K, v0) -> dict:
-    """g(x, y + v0) in the domain K, by the binomial expansion
+    """g(x, y + v0) over the field K, by the binomial expansion
     c*x^i*y^j -> sum_t C(j, t) * v0^(j - t) * c*x^i*y^t."""
     powers = [K.one]                    # powers[e] = v0^e
     for _ in range(max(j for _i, j in g)):
@@ -212,8 +225,7 @@ def _translate_y(g: dict, K, v0) -> dict:
     out = {}
     for (i, j), c in g.items():
         if j not in rows:
-            rows[j] = [K.convert(comb(j, t)) * powers[j - t]
-                       for t in range(j + 1)]
+            rows[j] = [comb(j, t) * powers[j - t] for t in range(j + 1)]
         for t, w in enumerate(rows[j]):
             out[i, t] = out[i, t] + w * c if (i, t) in out else w * c
     return {e: c for e, c in out.items() if c}
@@ -223,33 +235,55 @@ def _restrict_to_x0(g: dict, K) -> Poly:
     """The univariate restriction g(0, v) along the new exceptional line."""
     from sympy import Poly
     d = {(j,): c for (i, j), c in g.items() if i == 0}
+    assert d, "exceptional line cannot be a component"
     return Poly.from_dict(d, _symbols("v"), domain=K)
 
 
-def _restriction_certified(comps: list) -> bool:
-    """Is the product of the restrictions p(0, v) of components over QQ
-    certified square-free mod P (see modp)?"""
-    r = [1]
-    for p, _i in comps:
-        line = {j: c for (i, j), c in p.items() if i == 0}
-        h = line and modp.residues([line.get(j, 0) for j in range(max(line) + 1)])
-        if not h:
-            return False
-        r = modp.mul(r, h)
-    return modp.is_squarefree(r)
+def _integral_restriction(g: dict) -> list[int]:
+    """g(0, v) over QQ times the lcm of its denominators, constant term
+    first."""
+    line = {j: c for (i, j), c in g.items() if i == 0}
+    assert line, "exceptional line cannot be a component"
+    scale = lcm(*(c.denominator for c in line.values()))
+    out = [0] * (max(line) + 1)
+    for j, c in line.items():
+        out[j] = c.numerator * (scale // c.denominator)
+    return out
 
 
-def _multiple_roots(comps: list, K) -> list:
-    """The irreducible factors of the monic gcd(r, r') over K, for r the
-    product of the components' restrictions p(0, v) to the new line; none,
-    without sympy, when K is QQ and r is certified square-free."""
-    if K.is_QQ and _restriction_certified(comps):
-        return []
-    r = functools.reduce(operator.mul, (_restrict_to_x0(p, K) for p, _i in comps))
-    assert not r.is_zero, "exceptional line cannot be a component"
-    if r.degree() < 1:
-        return []
-    return [q for q, _m in r.gcd(r.diff(_symbols("v"))).factor_list()[1]]
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _multiple_roots(comps: list, K) -> tuple[list, list]:
+    """For r the product of the components' restrictions p(0, v) to the new
+    line: the roots of the linear factors of the monic gcd(r, r') over K,
+    and its other irreducible factors (see _factor_gcd).  Over QQ,
+    modp.rational_multiple_roots decides r without sympy where it can."""
+    if not K.is_QQ:
+        return _factor_gcd(functools.reduce(
+            operator.mul, (_restrict_to_x0(p, K) for p, _i in comps)))
+    r = functools.reduce(_mul, (_integral_restriction(p) for p, _i in comps))
+    roots = modp.rational_multiple_roots(r)
+    if roots is not None:
+        return roots, []
+    from sympy import QQ, Poly
+    roots, factors = _factor_gcd(Poly.from_dict(
+        {(j,): QQ(c) for j, c in enumerate(r) if c}, _symbols("v"), domain=QQ))
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in roots], factors
+
+
+def _factor_gcd(r: Poly) -> tuple[list, list]:
+    """The irreducible factors of the monic gcd(r, r') in sympy's
+    factor_list order, which lists the linear ones first: the roots of those,
+    and the rest."""
+    factors = [q for q, _m in r.gcd(r.diff(_symbols("v"))).factor_list()[1]]
+    return ([_linear_root(q) for q in factors if q.degree() == 1],
+            [q for q in factors if q.degree() > 1])
 
 
 def _map_coeffs(g: dict, phi: Callable) -> dict:
@@ -284,13 +318,14 @@ def _extend_field(K, q: Poly):
     """
     from sympy import QQ, CRootOf, Poly
     from sympy.polys.sqfreetools import dup_sqf_norm
-    if K == QQ:
+    if K.is_QQ:
         q = q.monic().clear_denoms()[1]     # primitive over ZZ, LC > 0
         K2 = QQ.algebraic_field((q, CRootOf(q.as_expr(), 0)))
-        return K2, K2.convert, K2.unit
+        return (K2, lambda c: K2.convert_from(QQ(c.numerator, c.denominator), QQ),
+                K2.unit)
 
     s, g, r = dup_sqf_norm(q.rep.to_list(), K)
-    K2, _, delta = _extend_field(QQ, Poly(r, _symbols("z"), domain=QQ))
+    K2, _, delta = _extend_field(_RATIONALS, Poly(r, _symbols("z"), domain=QQ))
 
     def in_t(c):   # c in K (or alpha's minpoly) with alpha written as t
         return Poly([K2.convert(cc) for cc in c.to_list()], _symbols("t"), domain=K2)
@@ -340,21 +375,20 @@ class _Engine:
 
         # chart A: bad points along the new exceptional line {x = 0}
         origin_needed = ya is not None
-        for q in _multiple_roots(comps_a, K):
-            if q.degree() == 1:
-                v0 = _linear_root(q)
-                if v0 == K.zero:
-                    origin_needed = True
-                    continue
-                self.process([(_translate_y(p, K, v0), i)
-                              for p, i in comps_a], K, node, None,
-                             where + f" / chart A at y={K.to_sympy(v0)}")
-            else:
-                K2, phi, gamma = _extend_field(K, q)
-                self.process(
-                    [(_translate_y(_map_coeffs(p, phi), K2, gamma), i)
-                     for p, i in comps_a], K2, node, None,
-                    where + f" / chart A at root of {q.as_expr()}")
+        roots, factors = _multiple_roots(comps_a, K)
+        for v0 in roots:
+            if v0 == K.zero:
+                origin_needed = True
+                continue
+            shown = v0 if K.is_QQ else K.to_sympy(v0)
+            self.process([(_translate_y(p, K, v0), i) for p, i in comps_a],
+                         K, node, None, where + f" / chart A at y={shown}")
+        for q in factors:
+            K2, phi, gamma = _extend_field(K, q)
+            self.process(
+                [(_translate_y(_map_coeffs(p, phi), K2, gamma), i)
+                 for p, i in comps_a], K2, node, None,
+                where + f" / chart A at root of {q.as_expr()}")
         if origin_needed:
             self.process(comps_a, K, node, ya, where + " / chart A origin")
 
@@ -470,12 +504,10 @@ def resolve_germ(f: CurveGerm) -> Resolution:
     limit = blowup_limit()
     res = _resolved.get(f)
     if res is None:
-        from sympy import QQ
         components = _components_of(f)
         engine = _Engine(limit)
-        engine.process([({e: QQ(c.numerator, c.denominator)
-                          for e, c in comp.coeffs}, comp.multiplicity)
-                        for comp in components], QQ, None, None, "origin")
+        engine.process([(dict(comp.coeffs), comp.multiplicity)
+                        for comp in components], _RATIONALS, None, None, "origin")
         res = _resolved[f] = Resolution(tuple(engine.nodes), components,
                                         len(engine.nodes))
     elif res.blowups > limit:

@@ -606,6 +606,10 @@ PINNED_RUNS = {
         (0, "baf141c4b97b7198dd7550d5943ef50886cd9a6599ae56388e34c516badac1ee"),
     "lct '(y - x)^2' --json":
         (0, "7b06be857476cb00b5125a631d5828ed6602b09eea952af9b800dae2921fa190"),
+    "lct '(2*y - 3*x)^2 - x^3'":
+        (0, "995db4662ee0ac308e3c4ca116a0ec719ba25d81a1566ead760620cb17806147"),
+    "lct '(2*y - 3*x)^2 - x^3' --json":
+        (0, "c91b5fd272da586e03ff59fbf205fd9ee1bdd44e673d99e4c55c64ca78426579"),
     "lct --method newton 'y^2 - x^4'":
         (0, "543b7d5237a3ac7c6d00397c72a87845dd3b850bad4f59b965c70a94a569bcfe"),
     "lct --method newton 'y^2 - x^4' --json":

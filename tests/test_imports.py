@@ -94,8 +94,8 @@ def test_alpha_config_is_sympy_free(tmp_path):
 @pytest.mark.parametrize("germ, loaded", [
     # H = s^2 - 1 is certified square-free modulo a prime
     ("y^2 - x^4", False),
-    # H = (s - 1)^2 fails the certificate, and sympy decides it
-    ("(y - x)^2", True),
+    # H = (1 - 2*s^2)^2 has irrational double roots, and sympy decides it
+    ("(y^2 - 2*x^2)^2", True),
 ], ids=["certified", "fallback"])
 def test_newton_loads_sympy_only_when_the_certificate_fails(germ, loaded):
     out, line = _delpezzo("lct", "--method", "newton", germ)
@@ -103,7 +103,21 @@ def test_newton_loads_sympy_only_when_the_certificate_fails(germ, loaded):
     assert line == f"sympy loaded: {loaded}"
 
 
+# sympy is loaded on the first use that needs it: the germs whose multiple
+# roots along every exceptional line are rational need none, and neither does
+# the face's double root 2/3 of the second
+LCT_LOADS = [
+    ("y^2 - x^3", "5/6", False),
+    ("(2*y - 3*x)^2 - x^3", "5/6", False),
+    # the first blow-up meets the curve at the roots of v^2 - 2
+    ("(y^2 - 2*x^2)^2 - x^5", "1/2", True),
+    # a germ that is not reduced goes through sympy's sqf_list
+    ("(y^2 - x^3)^2*(x + y)", "5/14", True),
+]
+
+
 def test_lct_loads_sympy_on_first_use():
-    out, loaded = _delpezzo("lct", "y^2 - x^3")
-    assert "5/6" in out
-    assert loaded == "sympy loaded: True"
+    for germ, value, loaded in LCT_LOADS:
+        out, line = _delpezzo("lct", germ)
+        assert f"lct = {value} (blowup, exact;" in out, germ
+        assert line == f"sympy loaded: {loaded}", germ

@@ -49,7 +49,12 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
     process, blow_up = resolution._Engine.process, resolution._Engine.blow_up
 
     def checked_process(self, comps, K, xa, ya, where):
-        polys = [Poly.from_dict(p, _X, _Y, domain=K) for p, _i in comps]
+        if K is resolution._RATIONALS:   # a site over QQ holds Fractions
+            polys = [Poly.from_dict({e: QQ(c.numerator, c.denominator)
+                                     for e, c in p.items()}, _X, _Y, domain=QQ)
+                     for p, _i in comps]
+        else:
+            polys = [Poly.from_dict(p, _X, _Y, domain=K) for p, _i in comps]
         for k, p in enumerate(polys):
             assert p.sqf_part().monic() == p.monic(), where
             assert all(p.gcd(q).is_ground for q in polys[k + 1:]), where
