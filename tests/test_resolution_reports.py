@@ -1,0 +1,25 @@
+"""The resolution engine pinned on a seeded corpus (see resolution_corpus):
+one dump line per germ, hashed, and the tree invariants on every germ.  A
+change to the engine must leave every node, component, blow-up count and
+threshold string as it was."""
+
+import json
+from pathlib import Path
+
+import resolution_corpus
+
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "resolution_reports.json").read_text())
+
+
+def test_resolutions_are_pinned():
+    lines = resolution_corpus.dump_corpus()   # checks the tree invariants
+    # the corpus reaches rational and irrational sites, the tall root that
+    # modp leaves to sympy, the fractional germ and the three-level tower,
+    # whose third center is rational over the flattened field
+    sites = "".join(lines)
+    for site in ("chart A at y=3/2", "chart A at y=5/7", "chart A at root of",
+                 "chart A at y=2147483659/2147483649",
+                 "root of v**2 - 3/8 / chart B origin / chart A at y=5/96"):
+        assert site in sites, site
+    assert resolution_corpus.digest(lines) == PINNED["resolutions"]
