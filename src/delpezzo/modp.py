@@ -154,9 +154,10 @@ def _divide(R: list[int], n: int, d: int) -> Optional[list[int]]:
 
 
 def rational_multiple_roots(r: Sequence) -> Optional[list[Fraction]]:
-    """The rational roots of multiplicity >= 2 of a nonzero univariate r
-    with rational coefficients, constant term first, when r has no other
-    multiple root; None when that is not proven here.
+    """The rational roots of multiplicity >= 2 of a nonzero univariate r, when
+    r has no other multiple root; None when that is not proven here.  r is
+    listed constant term first, in ints along the resolution engine's lines
+    and in Fractions on Newton faces.
 
     The roots come in the order in which sympy's factor_list lists the
     linear factors d*v - n of gcd(r, r'): by multiplicity, then by d, then

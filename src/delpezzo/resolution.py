@@ -49,14 +49,15 @@ germs share one entry, and blowup_lct followed by check_mult_bounds on one
 germ runs the engine once.  Every node and component of a kept Resolution is
 frozen, so its callers cannot alter what the next caller reads.
 
-Sites over QQ hold fractions.Fraction coefficients (K is _RATIONALS), and
-both of their questions are first put modulo the prime P = 2^61 - 1 (see
-modp).  A germ certified square-free there is its own one part of
-multiplicity 1, and sympy's sqf_list does not run.  At a site over QQ,
-modp.rational_multiple_roots proves the multiple roots of r when all of them
-are rational, in the order sympy's factor_list would give, and sympy's gcd
-does not run.  What modp does not prove, sympy decides, as it would without
-it.
+Sites over QQ (K is _RATIONALS) hold primitive integer polynomials, as a
+site matters only up to a nonzero constant (see _translate_y), and every
+site reads its line as one dense list (see _restriction).  Over QQ both
+questions are first put modulo the prime P = 2^61 - 1 (see modp).  A germ
+certified square-free there is its own one part of multiplicity 1, and
+sympy's sqf_list does not run.  At a site over QQ, rational_multiple_roots
+proves the multiple roots of r when all of them are rational, in the order
+sympy's factor_list would give, and sympy's gcd does not run.  What modp
+does not prove, sympy decides, as it would without it.
 
 So sympy is imported, on first use and never with this module, only for:
 sqf_list of a germ that is not certified reduced; factor_list of the parts
@@ -69,7 +70,6 @@ y^2 - x^3 or (2*y - 3*x)^2 - x^3, is resolved without it.
 from __future__ import annotations
 
 import functools
-import operator
 import os
 import weakref
 from dataclasses import dataclass
@@ -154,7 +154,7 @@ class ResolutionNode:
 
 @dataclass(frozen=True)
 class Component:
-    """A rational factor of the germ f = c * prod p_i^i, with multiplicity i.
+    """A primitive factor over ZZ of f = c * prod p_i^i, with multiplicity i.
 
     A square-free part p_i is split into its irreducible factors over QQ only
     when an output reads them: when p_i passes through the origin and i >= 2
@@ -167,7 +167,7 @@ class Component:
     branch's tangent), or one that cannot pass the normal-crossings test.
     """
 
-    coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
+    coeffs: tuple[tuple[tuple[int, int], int], ...]
     multiplicity: int
     mult_at_origin: int   # 0 when the component misses the origin
 
@@ -195,10 +195,10 @@ class Resolution:
 
 # -- germ dictionaries over a field K --------------------------------------
 
-#: K at a site over QQ, whose coefficients are Fractions: the few attributes
-#: of sympy's domain API that the engine reads.  Sites over a number field
-#: take sympy's AlgebraicField.
-_RATIONALS = SimpleNamespace(is_QQ=True, zero=Fraction(0), one=Fraction(1))
+#: K at a site over QQ, whose polynomial is a primitive integer one: the few
+#: attributes of sympy's domain API that the engine reads.  Sites over a
+#: number field take sympy's AlgebraicField.
+_RATIONALS = SimpleNamespace(is_QQ=True, zero=0, one=1)
 
 
 def _mult(g: dict) -> int:
@@ -216,42 +216,40 @@ def _chart_b(g: dict, m: int) -> dict:
 
 
 def _translate_y(g: dict, K, v0) -> dict:
-    """g(x, y + v0) over the field K, by the binomial expansion
-    c*x^i*y^j -> sum_t C(j, t) * v0^(j - t) * c*x^i*y^t."""
-    powers = [K.one]                    # powers[e] = v0^e
-    for _ in range(max(j for _i, j in g)):
-        powers.append(powers[-1] * v0)
-    rows = {}                           # rows[j][t] = C(j, t) * v0^(j - t)
+    """g(x, y + v0) over K, by the binomial expansion
+    c*x^i*y^j -> sum_t C(j, t) * v0^(j - t) * c*x^i*y^t.  Over QQ, for an
+    integer g and v0 = n/d, v0^(j - t) is read as n^(j - t) * d^(D - j + t),
+    D the top y-degree, which gives d^D * g(x, y + n/d); its content is
+    divided out (von zur Gathen and Gerhard's scaled shift, ISSAC 1997)."""
+    top = max(j for _i, j in g)
+    n, d = (v0.numerator, v0.denominator) if K.is_QQ else (v0, 1)
+    powers = [K.one]                    # powers[e] = n^e * d^(top - e)
+    for _ in range(top):
+        powers.append(powers[-1] * n)
+    if d != 1:
+        powers = [p * d ** (top - e) for e, p in enumerate(powers)]
+    rows = {}                           # rows[j][t] = C(j, t) * powers[j - t]
     out = {}
     for (i, j), c in g.items():
         if j not in rows:
             rows[j] = [comb(j, t) * powers[j - t] for t in range(j + 1)]
         for t, w in enumerate(rows[j]):
             out[i, t] = out[i, t] + w * c if (i, t) in out else w * c
-    return {e: c for e, c in out.items() if c}
-
-
-def _restrict_to_x0(g: dict, K) -> Poly:
-    """The univariate restriction g(0, v) along the new exceptional line."""
-    from sympy import Poly
-    d = {(j,): c for (i, j), c in g.items() if i == 0}
-    assert d, "exceptional line cannot be a component"
-    return Poly.from_dict(d, _symbols("v"), domain=K)
-
-
-def _integral_restriction(g: dict) -> list[int]:
-    """g(0, v) over QQ times the lcm of its denominators, constant term
-    first."""
-    line = {j: c for (i, j), c in g.items() if i == 0}
-    assert line, "exceptional line cannot be a component"
-    scale = lcm(*(c.denominator for c in line.values()))
-    out = [0] * (max(line) + 1)
-    for j, c in line.items():
-        out[j] = c.numerator * (scale // c.denominator)
+    out = {e: c for e, c in out.items() if c}
+    if K.is_QQ:
+        content = gcd(*out.values())
+        out = {e: c // content for e, c in out.items()}
     return out
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
+def _restriction(g: dict, K) -> list:
+    """g(0, v) along the new exceptional line over K, constant term first."""
+    line = {j: c for (i, j), c in g.items() if i == 0}
+    assert line, "exceptional line cannot be a component"
+    return [line.get(j, K.zero) for j in range(max(line) + 1)]
+
+
+def _mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -264,17 +262,15 @@ def _multiple_roots(comps: list, K) -> tuple[list, list]:
     line: the roots of the linear factors of the monic gcd(r, r') over K,
     and its other irreducible factors (see _factor_gcd).  Over QQ,
     modp.rational_multiple_roots decides r without sympy where it can."""
-    if not K.is_QQ:
-        return _factor_gcd(functools.reduce(
-            operator.mul, (_restrict_to_x0(p, K) for p, _i in comps)))
-    r = functools.reduce(_mul, (_integral_restriction(p) for p, _i in comps))
-    roots = modp.rational_multiple_roots(r)
-    if roots is not None:
+    r = functools.reduce(_mul, (_restriction(p, K) for p, _i in comps))
+    if K.is_QQ and (roots := modp.rational_multiple_roots(r)) is not None:
         return roots, []
     from sympy import QQ, Poly
-    roots, factors = _factor_gcd(Poly.from_dict(
-        {(j,): QQ(c) for j, c in enumerate(r) if c}, _symbols("v"), domain=QQ))
-    return [Fraction(int(c.numerator), int(c.denominator)) for c in roots], factors
+    roots, factors = _factor_gcd(
+        Poly(r[::-1], _symbols("v"), domain=QQ if K.is_QQ else K))
+    if K.is_QQ:
+        roots = [Fraction(int(c.numerator), int(c.denominator)) for c in roots]
+    return roots, factors
 
 
 def _factor_gcd(r: Poly) -> tuple[list, list]:
@@ -411,7 +407,7 @@ class _Engine:
 
 
 def _qq_poly(terms: dict) -> Poly:
-    """An exponent dict over Fraction as a sympy Poly in x, y over QQ."""
+    """A rational exponent dict as a sympy Poly in x, y over QQ."""
     from sympy import QQ, Poly
     return Poly.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()},
                           *_symbols("x y"), domain=QQ)
@@ -481,8 +477,8 @@ def _components_of(f: CurveGerm) -> tuple[Component, ...]:
             order == reduced_order == 2 and _splits_transversally(t)))
         pieces = [_int_terms(q) for q, _ in _zz_poly(t).factor_list()[1]] \
             if split else [t]
-        out += [Component(tuple((e, Fraction(c)) for e, c in piece.items()),
-                          i, _order(piece)) for piece in pieces]
+        out += [Component(tuple(piece.items()), i, _order(piece))
+                for piece in pieces]
     return tuple(out)
 
 

@@ -610,6 +610,10 @@ PINNED_RUNS = {
         (0, "995db4662ee0ac308e3c4ca116a0ec719ba25d81a1566ead760620cb17806147"),
     "lct '(2*y - 3*x)^2 - x^3' --json":
         (0, "c91b5fd272da586e03ff59fbf205fd9ee1bdd44e673d99e4c55c64ca78426579"),
+    "lct '(7*y - 5*x)^3 - x^4/11'":
+        (0, "4248c59e2231ab952120ce961338719ff37b64136c6cbbef83d559c9e8b63177"),
+    "lct '(7*y - 5*x)^3 - x^4/11' --json":
+        (0, "7722dc7d86a1d9f594898ac6c9da0a5bbba4d4be5f9386fa5e44dc62bc59a89b"),
     "lct --method newton 'y^2 - x^4'":
         (0, "543b7d5237a3ac7c6d00397c72a87845dd3b850bad4f59b965c70a94a569bcfe"),
     "lct --method newton 'y^2 - x^4' --json":

@@ -131,15 +131,17 @@ def _line(comps) -> list:
     """The product r of the components' restrictions p(0, v), as the engine
     builds it."""
     return functools.reduce(resolution._mul, (
-        resolution._integral_restriction(p) for p, _i in comps))
+        resolution._restriction(p, resolution._RATIONALS) for p, _i in comps))
 
 
 @pytest.mark.parametrize("kind", TWINS)
 def test_the_line_test_falls_back_when_the_degree_drops(kind):
     a = TWINS[kind]
-    comps = [({(0, 0): Fraction(1), (0, 1): a}, 2),
-             ({(0, 0): Fraction(1), (0, 1): a, (1, 1): Fraction(1)}, 1),
-             ({(0, 0): Fraction(1), (0, 1): Fraction(1)}, 1)]
+    # the engine's primitive integer components d + n*v for 1 + a*v, a = n/d
+    n, d = a.numerator, a.denominator
+    comps = [({(0, 0): d, (0, 1): n}, 2),
+             ({(0, 0): d, (0, 1): n, (1, 1): d}, 1),
+             ({(0, 0): 1, (0, 1): 1}, 1)]
     assert modp.rational_multiple_roots(_line(comps)) is None
     # sympy finds the double root -1/a
     assert resolution._multiple_roots(comps, resolution._RATIONALS) \
@@ -147,9 +149,9 @@ def test_the_line_test_falls_back_when_the_degree_drops(kind):
 
 
 def test_the_line_test_certifies_distinct_roots():
-    comps = [({(0, 0): Fraction(1), (0, 1): Fraction(1, 3)}, 2),
-             ({(0, 0): Fraction(2), (0, 1): Fraction(1), (1, 1): Fraction(1)}, 1),
-             ({(0, 1): Fraction(-1, 5), (1, 0): Fraction(1)}, 1)]
+    comps = [({(0, 0): 3, (0, 1): 1}, 2),
+             ({(0, 0): 2, (0, 1): 1, (1, 1): 1}, 1),
+             ({(0, 1): -1, (1, 0): 5}, 1)]
     assert modp.rational_multiple_roots(_line(comps)) == []
     assert resolution._multiple_roots(comps, resolution._RATIONALS) == ([], [])
 
@@ -249,8 +251,7 @@ def test_roots_equal_mod_p_only_are_not_multiple_roots():
     r = _expand([(one, 1), (other, 1)])
     assert modp.rational_multiple_roots(r) is None
     assert _sympy_multiple_roots(r) == []
-    comps = [({(0, 0): Fraction(-1), (0, 1): Fraction(1)}, 1),
-             ({(0, 0): Fraction(-1 - P), (0, 1): Fraction(1)}, 1)]
+    comps = [({(0, 0): -1, (0, 1): 1}, 1), ({(0, 0): -1 - P, (0, 1): 1}, 1)]
     assert resolution._multiple_roots(comps, resolution._RATIONALS) == ([], [])
     # 1 is proven double, but the cofactor (v - 1 - P)^2 is no square-free
     # certificate, so sympy finds the second double root
@@ -278,7 +279,7 @@ def test_a_triple_root_and_three_double_roots():
     # sympy
     r = _expand([([Fraction(-k), Fraction(1)], 2) for k in (1, 2, 3)])
     assert modp.rational_multiple_roots(r) is None
-    comps = [({(0, j): c for j, c in enumerate(r) if c}, 1)]
+    comps = [({(0, j): int(c) for j, c in enumerate(r) if c}, 1)]
     assert resolution._multiple_roots(comps, resolution._RATIONALS) \
         == ([3, 2, 1], [])
 

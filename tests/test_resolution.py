@@ -5,6 +5,7 @@ square-free split of the germ against full factorization."""
 
 import dataclasses
 import gc
+import math
 import random
 import time
 import weakref
@@ -43,15 +44,19 @@ def memo(monkeypatch):
 
 def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
     # sympy sqf_part and gcd over the site's field K are the oracle: every
-    # site's components are square-free and pairwise coprime, and every one
-    # the engine blows up on passes through the point
+    # site's components are square-free and pairwise coprime, every one the
+    # engine blows up on passes through the point, and a site over QQ holds
+    # primitive integer polynomials
     sites, blown = [], []
     process, blow_up = resolution._Engine.process, resolution._Engine.blow_up
 
     def checked_process(self, comps, K, xa, ya, where):
-        if K is resolution._RATIONALS:   # a site over QQ holds Fractions
-            polys = [Poly.from_dict({e: QQ(c.numerator, c.denominator)
-                                     for e, c in p.items()}, _X, _Y, domain=QQ)
+        if K is resolution._RATIONALS:
+            for p, _i in comps:
+                assert all(type(c) is int for c in p.values()), where
+                assert math.gcd(*p.values()) == 1, where
+            # a copy: from_dict converts the values of the dict it is given
+            polys = [Poly.from_dict(dict(p), _X, _Y, domain=QQ)
                      for p, _i in comps]
         else:
             polys = [Poly.from_dict(p, _X, _Y, domain=K) for p, _i in comps]
@@ -74,6 +79,8 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
     germs.append(parse_germ("(y - x)^2 - x^3"))   # tangent at y = 1 in chart A
     # squares, whose components carry multiplicity 2
     germs += [f ** 2 for f in germs[-40:]]
+    # translated by y = 3/2 in chart A: 4 * ((2*y)^2 - x) has content 4
+    germs.append(parse_germ("(2*y - 3*x)^2 - x^3"))
     results = {f: resolve_germ(f) for f in germs}   # equal germs resolve once
     # the hooks saw every distinct germ's root site and every blow-up
     assert sites.count("origin") == len(results)
@@ -319,26 +326,45 @@ def test_nested_germs_are_coordinate_invariant(text, matrix):
         == Fraction(1, 4)
 
 
+def _primitive_multiple(g: dict, scale) -> dict:
+    """scale * g, a polynomial with integer values, over its content."""
+    g = {e: scale * c for e, c in g.items()}
+    assert all(c.denominator == 1 for c in g.values())
+    content = math.gcd(*(int(c) for c in g.values()))
+    return {e: int(c) // content for e, c in g.items()}
+
+
 @pytest.mark.parametrize("field", [
-    QQ, QQ.algebraic_field(sympy.sqrt(2)),
+    resolution._RATIONALS, QQ.algebraic_field(sympy.sqrt(2)),
     QQ.algebraic_field(sympy.root(3, 3) + sympy.sqrt(2))])
 def test_translate_y_agrees_with_substitute(field):
-    # poly.substitute expands (y + v0)^j by repeated products: the oracle
+    # poly.substitute expands (y + v0)^j by repeated products: the oracle.
+    # Over QQ an integer g is shifted by v0 = n/d, and the result is the
+    # primitive form of d^D * g(x, y + v0), D the top y-degree
     rng = random.Random(20261018)
-    generator = field.one if field == QQ else field.unit
+    rational = field is resolution._RATIONALS
     for _ in range(60):
         def element():
+            if rational:
+                return rng.randint(-60, 60)
             value = field.zero
             for _ in range(3):
-                value = value * generator + field.convert(rng.randint(-4, 4))
+                value = value * field.unit + field.convert(rng.randint(-4, 4))
             return value
         g = {(rng.randint(0, 4), rng.randint(0, 7)): element()
              for _ in range(rng.randint(1, 9))}
         g = {e: c for e, c in g.items() if c} or {(1, 1): field.one}
-        for v0 in (element(), field.zero):
+        shift = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rational \
+            else element()
+        for v0 in (shift, field.zero):
             want = poly.substitute(
                 g, [{(1, 0): field.one}, {(0, 1): field.one, (0, 0): v0}])
-            assert resolution._translate_y(g, field, v0) == want
+            got = resolution._translate_y(g, field, v0)
+            if rational:
+                top = max(j for _i, j in g)
+                want = _primitive_multiple(want, Fraction(v0).denominator ** top)
+                assert all(type(c) is int for c in got.values())
+            assert got == want
 
 
 @pytest.mark.parametrize("q, shift", [
@@ -426,12 +452,13 @@ def test_resolution_runs_no_minimal_polynomial_search(monkeypatch, memo):
 # -- the square-free split against full factorization ------------------------
 
 def _full_components(f):
-    """The oracle: every irreducible QQ factor of f, in factor_list order."""
+    """The oracle: every irreducible QQ factor of f, in factor_list order, as
+    a primitive integer polynomial."""
     _c, factors = resolution._qq_poly(f.terms()).factor_list()
     out = []
     for q, mult in factors:
-        terms = {e: Fraction(c.numerator, c.denominator)
-                 for e, c in q.rep.to_dict().items()}
+        primitive = q.clear_denoms(convert=True)[1].primitive()[1]
+        terms = {e: int(c) for e, c in primitive.rep.to_dict().items()}
         order = 0 if (0, 0) in terms else min(i + j for i, j in terms)
         out.append(resolution.Component(tuple(terms.items()), mult, order))
     return tuple(out)
