@@ -1,4 +1,5 @@
-"""Square-free certificates and rational multiple roots modulo P = 2^61 - 1.
+"""Square-free certificates, rational multiple roots and proven gcds modulo
+P = 2^61 - 1, and a proof of irreducibility for quadratics and cubics.
 
 A univariate h over QQ whose residues mod P exist, whose top coefficient
 survives and whose reduction is square-free over GF(P) is square-free over
@@ -21,6 +22,15 @@ What it cannot prove is left to the caller's sympy path: an irrational
 multiple root, more than two distinct ones modulo P, a root whose numerator
 or denominator exceeds BOUND, a denominator divisible by P, a top
 coefficient that vanishes mod P.
+
+proven_gcd lifts the whole monic gcd(h~, h~') the same way, coefficient by
+coefficient, and keeps it only when it divides h and h' exactly over QQ;
+as it has the degree of the gcd mod P, it is then the gcd over QQ
+(von zur Gathen and Gerhard, ch. 6).  irreducible proves a quadratic
+irreducible over QQ by its discriminant and a cubic by a small prime at
+which it has no root; irreducible_multiple_factor combines the two for
+the resolution engine, whose irrational centres over QQ are the roots of
+the square-free part of gcd(h, h').
 
 A bivariate integer polynomial f is certified by specialising: f(x, t) and
 f(s, y), for the fixed point POINT = (s, t), reduced mod P.  A repeated
@@ -190,6 +200,86 @@ def rational_multiple_roots(r: Sequence) -> Optional[list[Fraction]]:
         if not is_squarefree([c % P for c in R]):
             return None
     return [Fraction(-k, d) for _m, d, k in sorted(found)]
+
+
+def _exact_quotient(a: Sequence, g: list) -> Optional[list]:
+    """a / g over QQ for a monic g, or None when g does not divide a."""
+    a, q = list(a), [0] * max(len(a) - len(g) + 1, 0)
+    for shift in reversed(range(len(q))):
+        t = q[shift] = a[shift + len(g) - 1]
+        for k, c in enumerate(g):
+            a[shift + k] -= t * c
+    return None if any(a) else q
+
+
+def proven_gcd(r: Sequence) -> Optional[list]:
+    """The monic gcd(r, r') over QQ of a univariate r (constant term first),
+    or None when it is not proven here.
+
+    The monic gcd(r~, r~') over GF(P) is lifted coefficient by coefficient
+    by rational reconstruction to a monic G, which is kept only when it
+    divides r and r' exactly over QQ.  Then G divides the monic gcd over
+    QQ.  That gcd is integral at P, as a monic factor of r whose top
+    coefficient survives (Gauss's lemma over Z_(P)), so it reduces to a
+    divisor of gcd(r~, r~'), whose degree G has by construction: G is the
+    whole gcd."""
+    h = residues(r)
+    if h is None:
+        return None
+    g = _gcd(h, _derivative(h))
+    inv = pow(g[-1], -1, P)
+    G = [_reconstruct(c * inv % P) for c in g]
+    if None in G:
+        return None
+    derivative = [k * c for k, c in enumerate(r)][1:]
+    if _exact_quotient(r, G) is None or _exact_quotient(derivative, G) is None:
+        return None
+    return G
+
+
+#: the primes at which a cubic is searched for a root
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def irreducible(s: Sequence) -> Optional[bool]:
+    """Is s over QQ (constant term first) irreducible over QQ?  A quadratic
+    is, exactly when its discriminant is not a square.  A cubic is when it
+    has no rational root, and that is proven by a small prime p not
+    dividing its top coefficient at which it has no root: the denominator
+    of a rational root divides the top coefficient, so the root exists
+    modulo p.  (P itself cannot serve, since 2, for one, is a cube mod P.)
+    None for any other degree, and for a cubic with a root modulo each of
+    SMALL_PRIMES."""
+    scale = lcm(*(Fraction(c).denominator for c in s))
+    S = [int(c * scale) for c in s]
+    if len(S) == 3:
+        c, b, a = S
+        disc = b * b - 4 * a * c
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    if len(S) == 4:
+        for p in SMALL_PRIMES:
+            if S[3] % p and all((((S[3] * x + S[2]) * x + S[1]) * x + S[0]) % p
+                                for x in range(p)):
+                return True
+    return None
+
+
+def irreducible_multiple_factor(r: Sequence) -> Optional[list[int]]:
+    """For r with r(0) != 0 (constant term first): the square-free part s of
+    gcd(r, r') when it is proven to be irreducible over QQ of degree 2 or 3,
+    as the primitive integer polynomial with positive top coefficient that
+    sympy's factor_list gives; None when that is not proven here.  s is
+    gcd(r, r') over gcd(g, g') for g = gcd(r, r'), both proven gcds."""
+    g = proven_gcd(r)
+    h = proven_gcd(g) if g is not None else None
+    if h is None:
+        return None
+    s = _exact_quotient(g, h)
+    if len(s) not in (3, 4) or not irreducible(s):
+        return None
+    scale = lcm(*(c.denominator for c in s))   # s is monic, so this is
+    return [int(c * scale) for c in s]         # primitive with top > 0
 
 
 def _specialise(terms: dict, axis: int, value: int) -> list[int]:

@@ -38,9 +38,19 @@ representative per irreducible factor is blown up and the cluster shares a
 single node.
 
 K is always QQ or an absolute algebraic extension QQ(theta), built from the
-irreducible polynomial in hand, so no minimal polynomial is recomputed;
-towers that would arise from nested irrational centers are flattened back
-to absolute fields with Trager's square-free norm (see _extend_field).
+irreducible polynomial in hand, so no minimal polynomial is recomputed.
+A germ is resolved first over the engine's own fields (numfield): an
+irrational centre over QQ whose gcd(r, r') modp proves to have one
+irreducible square-free part of degree 2 or 3 gives a NumberField, and at
+its sites Euclid's gcd(r, r') over K must be constant or a power of one
+linear factor, besides the root 0.  Anything else raises _Undecided, and
+resolve_germ reruns the whole germ once on sympy's fields, which also flatten
+towers that arise from nested irrational centres back to absolute fields
+with Trager's square-free norm (see _extend_field).  Both runs make the
+same nodes in the same order up to the undecided site, so an exhausted
+budget raises in the first and is never rerun.  A site over an own field is
+printed by sympy, in the field the sympy run builds, only when an output
+reads it (see ResolutionNode.site).
 
 resolve_germ resolves each live germ once.  A germ's resolution depends on
 the germ alone, so the Resolution it returns is kept, keyed by the
@@ -56,15 +66,20 @@ questions are first put modulo the prime P = 2^61 - 1 (see modp).  A germ
 certified square-free there is its own one part of multiplicity 1, and
 sympy's sqf_list does not run.  At a site over QQ, rational_multiple_roots
 proves the multiple roots of r when all of them are rational, in the order
-sympy's factor_list would give, and sympy's gcd does not run.  What modp
-does not prove, sympy decides, as it would without it.
+sympy's factor_list would give, and sympy's gcd does not run.  Else, when
+gcd(r, r') has one irreducible square-free part besides the root 0 and modp
+proves it (see modp.irreducible_multiple_factor), that part gives the own
+field.  What modp does not prove, the rerun decides on sympy's fields.
 
 So sympy is imported, on first use and never with this module, only for:
 sqf_list of a germ that is not certified reduced; factor_list of the parts
-an output reads (see Component); multiple roots along a line that are
-irrational, or rational but not proven by modp; every site over a number
-field; and component labels.  A germ that needs none of these, such as
-y^2 - x^3 or (2*y - 3*x)^2 - x^3, is resolved without it.
+an output reads (see Component); a germ that its own fields leave undecided
+(a tower, a factor of degree 4 or more, several irreducible factors, roots
+over K beyond one linear factor, or a rational root modp does not prove);
+printing a site over a number field; and component labels.  A germ that
+needs none of these, such as y^2 - x^3, (2*y - 3*x)^2 - x^3 or
+(y^2 - 2*x^2)^2 - x^5 with its sites at the roots of v^2 - 2, is resolved
+without it.
 """
 
 from __future__ import annotations
@@ -80,6 +95,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from . import modp
 from .germs import CurveGerm
+from .numfield import NumberField, monic_gcd
 
 if TYPE_CHECKING:
     from sympy import Poly
@@ -134,7 +150,13 @@ class ResolutionNode:
     a: int
     b: int
     parents: tuple["ResolutionNode", ...]
-    site: str
+    #: the site's steps: text, or a cached call that prints one with sympy
+    _path: tuple
+
+    @property
+    def site(self) -> str:
+        """Where the node was blown up, printed when asked for."""
+        return _site(self._path)
 
     @property
     def ratio(self) -> Fraction:
@@ -257,20 +279,56 @@ def _mul(a: list, b: list) -> list:
     return out
 
 
-def _multiple_roots(comps: list, K) -> tuple[list, list]:
+class _Undecided(ValueError):
+    """A site the engine's own arithmetic does not decide.  resolve_germ
+    catches it; a ValueError like every library error all the same."""
+
+
+def _multiple_roots(comps: list, K, own: bool = False) -> tuple[list, list]:
     """For r the product of the components' restrictions p(0, v) to the new
     line: the roots of the linear factors of the monic gcd(r, r') over K,
     and its other irreducible factors (see _factor_gcd).  Over QQ,
-    modp.rational_multiple_roots decides r without sympy where it can."""
+    modp.rational_multiple_roots decides r without sympy where it can.
+    With own set, the rest over QQ is decided by modp where the one other
+    factor is proven irreducible of degree 2 or 3, and over a NumberField
+    by _roots_over; what they leave raises _Undecided."""
     r = functools.reduce(_mul, (_restriction(p, K) for p, _i in comps))
     if K.is_QQ and (roots := modp.rational_multiple_roots(r)) is not None:
         return roots, []
+    if type(K) is NumberField:
+        return _roots_over(K, r), []
+    if own:
+        low = next(k for k, c in enumerate(r) if c)
+        q = modp.irreducible_multiple_factor(r[low:])
+        if q is None:
+            raise _Undecided
+        return [Fraction(0)] * (low >= 2), [q]
     from sympy import QQ, Poly
     roots, factors = _factor_gcd(
         Poly(r[::-1], _symbols("v"), domain=QQ if K.is_QQ else K))
     if K.is_QQ:
         roots = [Fraction(int(c.numerator), int(c.denominator)) for c in roots]
     return roots, factors
+
+
+def _roots_over(K: NumberField, r: list) -> list:
+    """The roots of the linear factors of the monic gcd(r, r') over K, when
+    that gcd is v^a * (v - b)^c: the root 0 is read off r's low
+    coefficients, and b off the gcd of the rest and its derivative.
+    Anything else raises _Undecided."""
+    low = next(k for k, c in enumerate(r) if c)
+    roots = [K.zero] if low >= 2 else []
+    r = r[low:]
+    g = monic_gcd(r, [k * c for k, c in enumerate(r)][1:])
+    e = len(g) - 1
+    if e:
+        root, power = g[e - 1] * Fraction(-1, e), K.one
+        for k in reversed(range(e)):            # g = (v - root)^e?
+            power = power * -root
+            if g[k] != comb(e, k) * power:
+                raise _Undecided
+        roots.append(root)
+    return roots
 
 
 def _factor_gcd(r: Poly) -> tuple[list, list]:
@@ -298,11 +356,13 @@ def _linear_root(factor: Poly):
     return -c0 / c1
 
 
-def _extend_field(K, q: Poly):
+def _extend_field(K, q):
     """Adjoin a root of q, which must be irreducible over K.
 
     Returns (K2, phi, gamma) with phi an embedding K -> K2 and gamma in K2 a
-    root of phi(q).  Over QQ, q is scaled to the primitive integer form with
+    root of phi(q).  A q that modp has proven irreducible over QQ, a list of
+    ints, gives a NumberField, with gamma its generator.  Otherwise q is a
+    sympy Poly and K2 is sympy's.  Over QQ, q is scaled to the primitive integer form with
     positive leading coefficient that sympy's minimal_polynomial returns, so
     K2 = QQ.algebraic_field((q, root)), its modulus and gamma = K2.unit equal
     sympy's own QQ.algebraic_field(root), with no minimal-polynomial search.
@@ -312,6 +372,9 @@ def _extend_field(K, q: Poly):
     root of gcd(minpoly_alpha(t), g(delta) with alpha read as t), and
     gamma = delta - s*alpha.
     """
+    if type(q) is list:
+        K2 = NumberField(q)
+        return K2, K2.convert, K2.unit
     from sympy import QQ, CRootOf, Poly
     from sympy.polys.sqfreetools import dup_sqf_norm
     if K.is_QQ:
@@ -343,13 +406,67 @@ def _extend_field(K, q: Poly):
 
 # -- the engine ---------------------------------------------------------------
 
+#: sympy's copy of each NumberField whose sites an output has printed, as
+#: _extend_field returns it: (K2, phi, gamma)
+_sympy_fields: "weakref.WeakKeyDictionary[NumberField, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _sympy_copy(K: NumberField):
+    """sympy's AlgebraicField for K, which _extend_field builds from K's
+    polynomial and root as the sympy path builds it, and the map from K into
+    it: both fields use the power basis of that root."""
+    copy = _sympy_fields.get(K)
+    if copy is None:
+        copy = _sympy_fields[K] = _extend_field(_RATIONALS, _qq_univariate(K.q))
+    K2, phi, gamma = copy
+
+    def convert(v0):
+        value = K2.zero
+        for c in reversed(v0.c):
+            value = value * gamma + phi(c)
+        return value
+    return K2, convert
+
+
+def _qq_univariate(q: list) -> Poly:
+    """An integer list, constant term first, as a sympy Poly in v over QQ."""
+    from sympy import QQ, Poly
+    return Poly(q[::-1], _symbols("v"), domain=QQ)
+
+
+def _site(path: tuple) -> str:
+    return " / ".join(s if type(s) is str else s() for s in path)
+
+
+def _at_y(K, v0):
+    """The step of a site at y = v0: its text, or over a NumberField a call
+    that prints it with sympy (see ResolutionNode._path)."""
+    if K.is_QQ:
+        return f"chart A at y={v0}"
+    if type(K) is not NumberField:
+        return f"chart A at y={K.to_sympy(v0)}"
+
+    def render():
+        K2, convert = _sympy_copy(K)
+        return f"chart A at y={K2.to_sympy(convert(v0))}"
+    return functools.cache(render)
+
+
+def _at_root(q):
+    """The step of a site at a root of q, likewise."""
+    if type(q) is not list:
+        return f"chart A at root of {q.as_expr()}"
+    return functools.cache(lambda: f"chart A at root of {_qq_univariate(q).as_expr()}")
+
+
 class _Engine:
-    def __init__(self, limit: int):
-        self.limit = limit
+    def __init__(self, limit: int, own: bool):
+        self.limit, self.own = limit, own
         self.nodes: list[ResolutionNode] = []
 
     def blow_up(self, comps: list, K, xa: Optional[ResolutionNode],
-                ya: Optional[ResolutionNode], where: str) -> None:
+                ya: Optional[ResolutionNode], where: tuple) -> None:
         if len(self.nodes) >= self.limit:
             raise DepthExceededError(self.limit)
         mults = [_mult(p) for p, _i in comps]
@@ -360,36 +477,34 @@ class _Engine:
             b=sum(i * m for (_p, i), m in zip(comps, mults))
             + sum(p.b for p in parents),
             parents=parents,
-            site=where)
+            _path=where)
         self.nodes.append(node)
 
         comps_a = [(_chart_a(p, m), i) for (p, i), m in zip(comps, mults)]
         comps_b = [(_chart_b(p, m), i) for (p, i), m in zip(comps, mults)]
 
         # chart B: only its origin is new
-        self.process(comps_b, K, xa, node, where + " / chart B origin")
+        self.process(comps_b, K, xa, node, where + ("chart B origin",))
 
         # chart A: bad points along the new exceptional line {x = 0}
         origin_needed = ya is not None
-        roots, factors = _multiple_roots(comps_a, K)
+        roots, factors = _multiple_roots(comps_a, K, self.own)
         for v0 in roots:
             if v0 == K.zero:
                 origin_needed = True
                 continue
-            shown = v0 if K.is_QQ else K.to_sympy(v0)
             self.process([(_translate_y(p, K, v0), i) for p, i in comps_a],
-                         K, node, None, where + f" / chart A at y={shown}")
+                         K, node, None, where + (_at_y(K, v0),))
         for q in factors:
             K2, phi, gamma = _extend_field(K, q)
             self.process(
                 [(_translate_y(_map_coeffs(p, phi), K2, gamma), i)
-                 for p, i in comps_a], K2, node, None,
-                where + f" / chart A at root of {q.as_expr()}")
+                 for p, i in comps_a], K2, node, None, where + (_at_root(q),))
         if origin_needed:
-            self.process(comps_a, K, node, ya, where + " / chart A origin")
+            self.process(comps_a, K, node, ya, where + ("chart A origin",))
 
     def process(self, comps: list, K, xa: Optional[ResolutionNode],
-                ya: Optional[ResolutionNode], where: str) -> None:
+                ya: Optional[ResolutionNode], where: tuple) -> None:
         """Blow up unless the components and exceptional axes through the
         point are at most two smooth branches with distinct tangents."""
         comps = [(p, i) for p, i in comps if (0, 0) not in p]   # drop units
@@ -482,6 +597,13 @@ def _components_of(f: CurveGerm) -> tuple[Component, ...]:
     return tuple(out)
 
 
+def _run(seeds: list, limit: int, own: bool) -> list[ResolutionNode]:
+    """The nodes of one engine run from the root site over QQ."""
+    engine = _Engine(limit, own)
+    engine.process(seeds, _RATIONALS, None, None, ("origin",))
+    return engine.nodes
+
+
 #: the Resolution of every live germ resolve_germ has resolved; an entry goes
 #: when its germ is garbage-collected
 _resolved: "weakref.WeakKeyDictionary[CurveGerm, Resolution]" = \
@@ -491,8 +613,10 @@ _resolved: "weakref.WeakKeyDictionary[CurveGerm, Resolution]" = \
 def resolve_germ(f: CurveGerm) -> Resolution:
     """Resolve until the total transform is SNC near the origin fiber.
 
-    The engine runs once per live germ (see the module docstring); a later
-    call on f, or on a germ equal to it, returns the same Resolution.  The
+    The engine runs once per live germ, over its own fields first and once
+    more on sympy's when those leave a site undecided (see the module
+    docstring); a later call on f, or on a germ equal to it, returns the
+    same Resolution.  The
     budget means the same either way: it is checked on every call, and a
     kept resolution that needed more blow-ups than it allows raises
     DepthExceededError, as the engine does.  A run that raises keeps nothing.
@@ -501,11 +625,12 @@ def resolve_germ(f: CurveGerm) -> Resolution:
     res = _resolved.get(f)
     if res is None:
         components = _components_of(f)
-        engine = _Engine(limit)
-        engine.process([(dict(comp.coeffs), comp.multiplicity)
-                        for comp in components], _RATIONALS, None, None, "origin")
-        res = _resolved[f] = Resolution(tuple(engine.nodes), components,
-                                        len(engine.nodes))
+        seeds = [(dict(comp.coeffs), comp.multiplicity) for comp in components]
+        try:
+            nodes = _run(seeds, limit, own=True)
+        except _Undecided:
+            nodes = _run(seeds, limit, own=False)
+        res = _resolved[f] = Resolution(tuple(nodes), components, len(nodes))
     elif res.blowups > limit:
         raise DepthExceededError(limit)
     return res

@@ -626,6 +626,10 @@ PINNED_RUNS = {
         (0, "fa8941076cdbda92286e0439c4cffc159a6c49ac4e941085d52c0f74502c0258"),
     "lct '((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13' --json":
         (0, "55a67446b834f6690e6a48eb85d51e525c99cf81293b5c7afb64d64b5121e692"),
+    "lct '(y^2 - 2*x^2)^2 - x^5'":
+        (0, "9c940bb20a95998f8b8bcfcb262c88ed1454d46baa92d8f5fb31dd8ae76e847e"),
+    "lct '(y^2 - 2*x^2)^2 - x^5' --json":
+        (0, "ac8983292e1326b22930943feb748bf645f7abf8d74c7b29df0a76fb651e92ae"),
     "lct '(y^3 - 2*x^3)^2 - x^7'":
         (0, "70fdf9edfcb803134c4849bde80485fb3d01ac6a1e4fa791d0a12d3a1ebc34e2"),
     "lct '(y^3 - 2*x^3)^2 - x^7' --json":
@@ -693,6 +697,10 @@ PINNED_RUNS = {
     "DELPEZZO_MAX_BLOWUPS=1 lct 'y^2 - x^3'":
         (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
     "DELPEZZO_MAX_BLOWUPS=1 lct 'y^2 - x^3' --json":
+        (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
+    "DELPEZZO_MAX_BLOWUPS=1 lct '(y^2 - 2*x^2)^2 - x^5'":
+        (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
+    "DELPEZZO_MAX_BLOWUPS=1 lct '(y^2 - 2*x^2)^2 - x^5' --json":
         (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
     "DELPEZZO_MAX_BLOWUPS=many lct 'y^2 - x^3'":
         (1, "0c05b7eb4f8789f872e6321f077fc4f842ec5d435f407554d7f0ab86238308d5"),

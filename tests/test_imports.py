@@ -94,9 +94,12 @@ def test_alpha_config_is_sympy_free(tmp_path):
 @pytest.mark.parametrize("germ, loaded", [
     # H = s^2 - 1 is certified square-free modulo a prime
     ("y^2 - x^4", False),
-    # H = (1 - 2*s^2)^2 has irrational double roots, and sympy decides it
-    ("(y^2 - 2*x^2)^2", True),
-], ids=["certified", "fallback"])
+    # H = (1 - 2*s^2)^2 has irrational double roots: its gcd with H' is
+    # proven modulo a prime
+    ("(y^2 - 2*x^2)^2", False),
+    # H's top coefficient is divisible by P = 2^61 - 1, and sympy decides it
+    ("(y - x)^2*(y - 2305843009213693951*x)", True),
+], ids=["certified", "proven-gcd", "fallback"])
 def test_newton_loads_sympy_only_when_the_certificate_fails(germ, loaded):
     out, line = _delpezzo("lct", "--method", "newton", germ)
     assert "(newton, " in out
@@ -105,14 +108,24 @@ def test_newton_loads_sympy_only_when_the_certificate_fails(germ, loaded):
 
 # sympy is loaded on the first use that needs it: the germs whose multiple
 # roots along every exceptional line are rational need none, and neither does
-# the face's double root 2/3 of the second
+# the face's double root 2/3 of the second.  Nor do the germs whose irrational
+# centres lie in one quadratic or cubic field, as long as no output prints a
+# site there: each of these prints E1 at the origin as its witness
 LCT_LOADS = [
     ("y^2 - x^3", "5/6", False),
     ("(2*y - 3*x)^2 - x^3", "5/6", False),
     # fractional coefficients, with a site at y = 5/7
     ("(7*y - 5*x)^3 - x^4/11", "7/12", False),
     # the first blow-up meets the curve at the roots of v^2 - 2
-    ("(y^2 - 2*x^2)^2 - x^5", "1/2", True),
+    ("(y^2 - 2*x^2)^2 - x^5", "1/2", False),
+    # ... of v^3 - 2
+    ("(y^3 - 2*x^3)^2 - x^7", "1/3", False),
+    # (y^2 - 3*x^2)^3 - x^7 after (x, y) -> (x + y, x + 2*y): a triple
+    # point at the roots of v^2 - 2*v - 2
+    ("((x + 2*y)^2 - 3*(x + y)^2)^3 - (x + y)^7", "1/3", False),
+    # the second centre is irrational over QQ(sqrt2): the tower is rerun on
+    # sympy's fields
+    ("((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13", "1/4", True),
     # a germ that is not reduced goes through sympy's sqf_list
     ("(y^2 - x^3)^2*(x + y)", "5/14", True),
 ]

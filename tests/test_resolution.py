@@ -22,6 +22,7 @@ from delpezzo import poly, resolution
 from delpezzo.germs import CurveGerm, parse_germ
 from delpezzo.lct import (blowup_lct, check_mult_bounds, newton_lct,
                           newton_polygon, resolution_lct)
+from delpezzo.numfield import NumberField
 from delpezzo.resolution import (BlowupBudgetSettingError, DepthExceededError,
                                  resolve_germ)
 from germgen import random_germ
@@ -46,24 +47,31 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
     # sympy sqf_part and gcd over the site's field K are the oracle: every
     # site's components are square-free and pairwise coprime, every one the
     # engine blows up on passes through the point, and a site over QQ holds
-    # primitive integer polynomials
-    sites, blown = [], []
+    # primitive integer polynomials.  A site over the engine's own number
+    # field is read in sympy's copy of that field
+    sites, blown, own = [], [], []
     process, blow_up = resolution._Engine.process, resolution._Engine.blow_up
 
     def checked_process(self, comps, K, xa, ya, where):
+        site = resolution._site(where)
         if K is resolution._RATIONALS:
             for p, _i in comps:
-                assert all(type(c) is int for c in p.values()), where
-                assert math.gcd(*p.values()) == 1, where
+                assert all(type(c) is int for c in p.values()), site
+                assert math.gcd(*p.values()) == 1, site
             # a copy: from_dict converts the values of the dict it is given
             polys = [Poly.from_dict(dict(p), _X, _Y, domain=QQ)
                      for p, _i in comps]
+        elif type(K) is NumberField:
+            own.append(site)
+            K2, convert = resolution._sympy_copy(K)
+            polys = [Poly.from_dict({e: convert(c) for e, c in p.items()},
+                                    _X, _Y, domain=K2) for p, _i in comps]
         else:
             polys = [Poly.from_dict(p, _X, _Y, domain=K) for p, _i in comps]
         for k, p in enumerate(polys):
-            assert p.sqf_part().monic() == p.monic(), where
-            assert all(p.gcd(q).is_ground for q in polys[k + 1:]), where
-        sites.append(where)
+            assert p.sqf_part().monic() == p.monic(), site
+            assert all(p.gcd(q).is_ground for q in polys[k + 1:]), site
+        sites.append(site)
         return process(self, comps, K, xa, ya, where)
 
     def checked_blow_up(self, comps, K, xa, ya, where):
@@ -87,6 +95,7 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
     assert len(blown) == sum(res.blowups for res in results.values())
     assert len(sites) > len(germs)
     assert any("at root of" in where for where in sites)
+    assert own
 
 
 # (a, b, parent indices, site) per node, in creation order
