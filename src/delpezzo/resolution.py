@@ -39,18 +39,16 @@ single node.
 
 K is always QQ or an absolute algebraic extension QQ(theta), built from the
 irreducible polynomial in hand, so no minimal polynomial is recomputed.
-A germ is resolved first over the engine's own fields (numfield): an
-irrational centre over QQ whose gcd(r, r') modp proves to have one
-irreducible square-free part of degree 2 or 3 gives a NumberField, and at
-its sites Euclid's gcd(r, r') over K must be constant or a power of one
-linear factor, besides the root 0.  Anything else raises _Undecided, and
-resolve_germ reruns the whole germ once on sympy's fields, which also flatten
-towers that arise from nested irrational centres back to absolute fields
-with Trager's square-free norm (see _extend_field).  Both runs make the
-same nodes in the same order up to the undecided site, so an exhausted
-budget raises in the first and is never rerun.  A site over an own field is
-printed by sympy, in the field the sympy run builds, only when an output
-reads it (see ResolutionNode.site).
+One chain per field finds those roots.  Over QQ: modp's rational roots,
+then modp's one irreducible factor of degree 2 or 3, which gives the
+engine's own field (numfield), then sympy.  Over a NumberField K: Euclid's
+gcd(r, r'), which decides r when it is constant or a power of one linear
+factor besides the root 0, then a switch of the site and the sites under it
+to sympy's copy of K (see _sympy_copy), whose power basis is K's.  Over
+sympy's fields: sympy, which flattens towers back to absolute fields with
+Trager's square-free norm (see _extend_field).  A site over an own field is
+printed by sympy, in that copy, only when an output reads it (see
+ResolutionNode.site).
 
 resolve_germ resolves each live germ once.  A germ's resolution depends on
 the germ alone, so the Resolution it returns is kept, keyed by the
@@ -69,17 +67,18 @@ proves the multiple roots of r when all of them are rational, in the order
 sympy's factor_list would give, and sympy's gcd does not run.  Else, when
 gcd(r, r') has one irreducible square-free part besides the root 0 and modp
 proves it (see modp.irreducible_multiple_factor), that part gives the own
-field.  What modp does not prove, the rerun decides on sympy's fields.
+field.  What modp does not prove, sympy's factor_list decides (see
+_factor_gcd).
 
 So sympy is imported, on first use and never with this module, only for:
 sqf_list of a germ that is not certified reduced; factor_list of the parts
-an output reads (see Component); a germ that its own fields leave undecided
-(a tower, a factor of degree 4 or more, several irreducible factors, roots
-over K beyond one linear factor, or a rational root modp does not prove);
-printing a site over a number field; and component labels.  A germ that
-needs none of these, such as y^2 - x^3, (2*y - 3*x)^2 - x^3 or
-(y^2 - 2*x^2)^2 - x^5 with its sites at the roots of v^2 - 2, is resolved
-without it.
+an output reads (see Component); a site that modp or Euclid leaves
+undecided (a rational root modp does not prove, a factor of degree 4 or
+more, several irreducible factors, roots over K beyond one linear factor)
+and the sites under it; printing a site over a number field; and component
+labels.  A germ that needs none of these, such as y^2 - x^3,
+(2*y - 3*x)^2 - x^3 or (y^2 - 2*x^2)^2 - x^5 with its sites at the roots
+of v^2 - 2, is resolved without it.
 """
 
 from __future__ import annotations
@@ -279,30 +278,23 @@ def _mul(a: list, b: list) -> list:
     return out
 
 
-class _Undecided(ValueError):
-    """A site the engine's own arithmetic does not decide.  resolve_germ
-    catches it; a ValueError like every library error all the same."""
-
-
-def _multiple_roots(comps: list, K, own: bool = False) -> tuple[list, list]:
+def _multiple_roots(comps: list, K) -> Optional[tuple[list, list]]:
     """For r the product of the components' restrictions p(0, v) to the new
     line: the roots of the linear factors of the monic gcd(r, r') over K,
-    and its other irreducible factors (see _factor_gcd).  Over QQ,
-    modp.rational_multiple_roots decides r without sympy where it can.
-    With own set, the rest over QQ is decided by modp where the one other
-    factor is proven irreducible of degree 2 or 3, and over a NumberField
-    by _roots_over; what they leave raises _Undecided."""
+    and its other irreducible factors (see _factor_gcd).  Over QQ, modp
+    decides r where all its multiple roots are rational, or where the one
+    other factor is proven irreducible of degree 2 or 3; sympy decides the
+    rest.  Over a NumberField, _roots_over decides r or returns None."""
     r = functools.reduce(_mul, (_restriction(p, K) for p, _i in comps))
-    if K.is_QQ and (roots := modp.rational_multiple_roots(r)) is not None:
-        return roots, []
     if type(K) is NumberField:
-        return _roots_over(K, r), []
-    if own:
+        roots = _roots_over(K, r)
+        return None if roots is None else (roots, [])
+    if K.is_QQ:
+        if (roots := modp.rational_multiple_roots(r)) is not None:
+            return roots, []
         low = next(k for k, c in enumerate(r) if c)
-        q = modp.irreducible_multiple_factor(r[low:])
-        if q is None:
-            raise _Undecided
-        return [Fraction(0)] * (low >= 2), [q]
+        if (q := modp.irreducible_multiple_factor(r[low:])) is not None:
+            return [Fraction(0)] * (low >= 2), [q]
     from sympy import QQ, Poly
     roots, factors = _factor_gcd(
         Poly(r[::-1], _symbols("v"), domain=QQ if K.is_QQ else K))
@@ -311,11 +303,11 @@ def _multiple_roots(comps: list, K, own: bool = False) -> tuple[list, list]:
     return roots, factors
 
 
-def _roots_over(K: NumberField, r: list) -> list:
+def _roots_over(K: NumberField, r: list) -> Optional[list]:
     """The roots of the linear factors of the monic gcd(r, r') over K, when
     that gcd is v^a * (v - b)^c: the root 0 is read off r's low
     coefficients, and b off the gcd of the rest and its derivative.
-    Anything else raises _Undecided."""
+    Anything else gives None."""
     low = next(k for k, c in enumerate(r) if c)
     roots = [K.zero] if low >= 2 else []
     r = r[low:]
@@ -326,7 +318,7 @@ def _roots_over(K: NumberField, r: list) -> list:
         for k in reversed(range(e)):            # g = (v - root)^e?
             power = power * -root
             if g[k] != comb(e, k) * power:
-                raise _Undecided
+                return None
         roots.append(root)
     return roots
 
@@ -461,8 +453,8 @@ def _at_root(q):
 
 
 class _Engine:
-    def __init__(self, limit: int, own: bool):
-        self.limit, self.own = limit, own
+    def __init__(self, limit: int):
+        self.limit = limit
         self.nodes: list[ResolutionNode] = []
 
     def blow_up(self, comps: list, K, xa: Optional[ResolutionNode],
@@ -488,7 +480,12 @@ class _Engine:
 
         # chart A: bad points along the new exceptional line {x = 0}
         origin_needed = ya is not None
-        roots, factors = _multiple_roots(comps_a, K, self.own)
+        found = _multiple_roots(comps_a, K)
+        if found is None:   # a NumberField site moves to sympy's copy of K
+            K, convert = _sympy_copy(K)
+            comps_a = [(_map_coeffs(p, convert), i) for p, i in comps_a]
+            found = _multiple_roots(comps_a, K)
+        roots, factors = found
         for v0 in roots:
             if v0 == K.zero:
                 origin_needed = True
@@ -597,13 +594,6 @@ def _components_of(f: CurveGerm) -> tuple[Component, ...]:
     return tuple(out)
 
 
-def _run(seeds: list, limit: int, own: bool) -> list[ResolutionNode]:
-    """The nodes of one engine run from the root site over QQ."""
-    engine = _Engine(limit, own)
-    engine.process(seeds, _RATIONALS, None, None, ("origin",))
-    return engine.nodes
-
-
 #: the Resolution of every live germ resolve_germ has resolved; an entry goes
 #: when its germ is garbage-collected
 _resolved: "weakref.WeakKeyDictionary[CurveGerm, Resolution]" = \
@@ -613,24 +603,22 @@ _resolved: "weakref.WeakKeyDictionary[CurveGerm, Resolution]" = \
 def resolve_germ(f: CurveGerm) -> Resolution:
     """Resolve until the total transform is SNC near the origin fiber.
 
-    The engine runs once per live germ, over its own fields first and once
-    more on sympy's when those leave a site undecided (see the module
-    docstring); a later call on f, or on a germ equal to it, returns the
-    same Resolution.  The
-    budget means the same either way: it is checked on every call, and a
-    kept resolution that needed more blow-ups than it allows raises
-    DepthExceededError, as the engine does.  A run that raises keeps nothing.
+    The engine runs once per live germ, each site on the chain of its field
+    (see the module docstring); a later call on f, or on a germ equal to it,
+    returns the same Resolution.  The budget means the same either way: it
+    is checked on every call, and a kept resolution that needed more
+    blow-ups than it allows raises DepthExceededError, as the engine does.
+    A run that raises keeps nothing.
     """
     limit = blowup_limit()
     res = _resolved.get(f)
     if res is None:
         components = _components_of(f)
         seeds = [(dict(comp.coeffs), comp.multiplicity) for comp in components]
-        try:
-            nodes = _run(seeds, limit, own=True)
-        except _Undecided:
-            nodes = _run(seeds, limit, own=False)
-        res = _resolved[f] = Resolution(tuple(nodes), components, len(nodes))
+        engine = _Engine(limit)
+        engine.process(seeds, _RATIONALS, None, None, ("origin",))
+        nodes = tuple(engine.nodes)
+        res = _resolved[f] = Resolution(nodes, components, len(nodes))
     elif res.blowups > limit:
         raise DepthExceededError(limit)
     return res

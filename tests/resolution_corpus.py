@@ -7,8 +7,9 @@ leave out), adds germgen's random germs with squares, cubes and unimodular
 substitutions, and a few structured germs: a rational tangent, a root too
 tall for rational reconstruction modulo P, several rational multiple points
 along one line (whose order numbers the nodes), two that are equal only
-modulo P, a fractional germ, a germ that is not reduced, and the nested
-towers over QQ(sqrt2) up to three levels.  The same seed always gives the
+modulo P, a fractional germ, a germ that is not reduced, the nested
+towers over QQ(sqrt2) up to three levels, and nonzero roots over the
+engine's own quadratic and cubic fields.  The same seed always gives the
 same germs.
 
 Run as a script to print the digest the pin in data/resolution_reports.json
@@ -118,6 +119,16 @@ STRUCTURED = [
     "((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13",
     "((y^2 - 2*x^2)^2 - 3*x^6)^2 + x^15",
     "(((y^2 - 2*x^2)^2 - 3*x^6)^2 - 5*x^13)^2 - x^27",
+    # a tangent at y = theta along the second line, over the own fields
+    # QQ(theta) for theta^2 = 2 and theta^3 = 2: a nonzero root there
+    "(y^2 - 2*x^2 - 4*x^3)^2 - x^7",
+    "(y^3 - 2*x^3 - 6*x^4)^2 - x^9",
+    # the first after (x, y) -> (x + y, x + 2*y): the root 5*theta + 7/2
+    # over QQ(theta), 2*theta^2 = 1
+    "((x + 2*y)^2 - 2*(x + y)^2 - 4*(x + y)^3)^2 - (x + y)^7",
+    # the two-level tower, likewise substituted: its second centre is
+    # irrational over the own field, whose site moves to sympy's copy of it
+    "(((x + 2*y)^2 - 2*(x + y)^2)^2 - 3*(x + y)^6)^2 - (x + y)^13",
 ]
 
 

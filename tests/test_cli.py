@@ -702,6 +702,10 @@ PINNED_RUNS = {
         (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
     "DELPEZZO_MAX_BLOWUPS=1 lct '(y^2 - 2*x^2)^2 - x^5' --json":
         (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
+    "DELPEZZO_MAX_BLOWUPS=2 lct '((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13'":
+        (2, "0bed93a62ec04f8700d73dae781555c1aafc79e8580d5a25a0490e9bcadbc033"),
+    "DELPEZZO_MAX_BLOWUPS=2 lct '((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13' --json":
+        (2, "0bed93a62ec04f8700d73dae781555c1aafc79e8580d5a25a0490e9bcadbc033"),
     "DELPEZZO_MAX_BLOWUPS=many lct 'y^2 - x^3'":
         (1, "0c05b7eb4f8789f872e6321f077fc4f842ec5d435f407554d7f0ab86238308d5"),
     "DELPEZZO_MAX_BLOWUPS=many lct 'y^2 - x^3' --json":

@@ -123,8 +123,8 @@ LCT_LOADS = [
     # (y^2 - 3*x^2)^3 - x^7 after (x, y) -> (x + y, x + 2*y): a triple
     # point at the roots of v^2 - 2*v - 2
     ("((x + 2*y)^2 - 3*(x + y)^2)^3 - (x + y)^7", "1/3", False),
-    # the second centre is irrational over QQ(sqrt2): the tower is rerun on
-    # sympy's fields
+    # the second centre is irrational over QQ(sqrt2): its site moves to
+    # sympy's copy of the own field
     ("((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13", "1/4", True),
     # a germ that is not reduced goes through sympy's sqf_list
     ("(y^2 - x^3)^2*(x + y)", "5/14", True),

@@ -1,8 +1,8 @@
 """The engine's own number fields: their arithmetic and Euclid's gcd against
 sympy's AlgebraicField, the proven gcd and the irreducibility proof of modp
 against sympy's gcd and factor_list, and resolutions that must not depend on
-whether a germ's conjugate centres are resolved over the own fields or rerun
-on sympy's.
+whether a germ's conjugate centres are resolved over the own fields or on
+sympy's alone.
 """
 
 import random
@@ -12,6 +12,7 @@ from math import gcd
 
 import pytest
 from sympy import QQ, CRootOf, Poly, symbols
+from sympy.polys.domains import AlgebraicField
 
 from delpezzo import modp, resolution
 from delpezzo.germs import parse_germ
@@ -231,7 +232,7 @@ def test_irreducible_multiple_factor():
         assert modp.irreducible_multiple_factor(_expand(factors)) is None
 
 
-# -- the own fields against the rerun on sympy's --------------------------------
+# -- the own fields against sympy's alone ----------------------------------------
 
 # (p, k, substituted) of (y^p - d*x^p)^k - x^(p*k + 1), as the corpus draws them
 CONJUGATE_FAMILIES = [(2, 1, False), (2, 1, True), (3, 1, False), (3, 1, True),
@@ -254,25 +255,38 @@ def _report(f):
             str(newton_lct(f)))
 
 
+def _trace(m):
+    """Record, through the monkeypatch context m, every _Engine built and the
+    type of K at every blow-up, in order."""
+    engines, fields = [], []
+    init, blow_up = resolution._Engine.__init__, resolution._Engine.blow_up
+
+    def built(self, limit):
+        engines.append(self)
+        init(self, limit)
+
+    def typed(self, comps, K, *args):
+        fields.append(type(K))
+        return blow_up(self, comps, K, *args)
+
+    m.setattr(resolution._Engine, "__init__", built)
+    m.setattr(resolution._Engine, "blow_up", typed)
+    return engines, fields
+
+
 def _both_ways(monkeypatch, f):
-    """_report(f) resolved over the own fields, and forced to rerun on
-    sympy's by leaving the first irrational centre undecided, with the
-    engine runs each took (True for the own run)."""
+    """_report(f) as the engine resolves it, and with modp's irreducible
+    factor declined, so that no own field is built and every irrational
+    centre is left to sympy's fields; each with the number of engines built
+    and the type of K at every blow-up."""
     out = []
-    for forced in (False, True):
-        runs = []
+    for sympy_only in (False, True):
         with monkeypatch.context() as m:
-            init = resolution._Engine.__init__
-
-            def counted(self, limit, own, init=init):
-                runs.append(own)
-                init(self, limit, own)
-
-            m.setattr(resolution._Engine, "__init__", counted)
+            engines, fields = _trace(m)
             m.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
-            if forced:
+            if sympy_only:
                 m.setattr(modp, "irreducible_multiple_factor", lambda r: None)
-            out.append((_report(f), runs))
+            out.append((_report(f), len(engines), fields))
     return out
 
 
@@ -285,11 +299,13 @@ def test_own_fields_agree_with_the_rerun(monkeypatch, p, k, substituted):
         f = parse_germ(f"(y^{p} - {d}*x^{p})^{k} - x^{p * k + 1}")
         if substituted:
             f = f.compose_linear(*rng.choice(MATRICES))
-        (own, own_runs), (rerun, rerun_runs) = _both_ways(monkeypatch, f)
-        assert own == rerun, str(f)
-        assert own_runs == [True], str(f)
+        (own, own_engines, own_fields), (sympy_only, engines, fields) = \
+            _both_ways(monkeypatch, f)
+        assert own == sympy_only, str(f)
+        assert own_engines == engines == 1, str(f)
         # k = 1 has no irrational centre, k >= 2 a quadratic or cubic one
-        assert rerun_runs == ([True, False] if k > 1 else [True]), str(f)
+        assert NumberField not in fields, str(f)
+        assert (NumberField in own_fields) == (k > 1), str(f)
         assert ("chart A at root of" in str(own[0])) == (k > 1)
 
 
@@ -300,31 +316,36 @@ def test_own_fields_agree_with_the_rerun(monkeypatch, p, k, substituted):
 @pytest.mark.parametrize("matrix", [(1, 0, 0, 1), (1, 1, 1, 2)])
 def test_own_field_roots_agree_with_the_rerun(monkeypatch, text, matrix):
     f = parse_germ(text).compose_linear(*matrix)
-    (own, own_runs), (rerun, rerun_runs) = _both_ways(monkeypatch, f)
-    assert own == rerun
-    assert (own_runs, rerun_runs) == ([True], [True, False])
+    (own, own_engines, own_fields), (sympy_only, engines, fields) = \
+        _both_ways(monkeypatch, f)
+    assert own == sympy_only
+    assert (own_engines, engines) == (1, 1)
+    assert NumberField in own_fields and NumberField not in fields
     if matrix == (1, 0, 0, 1):
         assert "chart A at y=CRootOf(" in str(own[0])
+
+
+def test_a_tower_moves_to_sympys_copy_of_the_own_field(monkeypatch):
+    # the three-level tower over QQ(sqrt2): its second centre, a root of
+    # v^2 - 3/8 over QQ(sqrt2), is found in sympy's copy of the own field,
+    # within the one engine run, and every later blow-up is over sympy's
+    # flattened fields
+    f = parse_germ("(((y^2 - 2*x^2)^2 - 3*x^6)^2 - 5*x^13)^2 - x^27")
+    (own, engines, fields), (sympy_only, *_) = _both_ways(monkeypatch, f)
+    assert engines == 1
+    assert fields == [type(resolution._RATIONALS), NumberField] \
+        + [AlgebraicField] * 3
+    assert own == sympy_only
+    assert "root of v**2 - 2 / chart A at root of v**2 - 3/8" in str(own[0])
 
 
 def test_an_exhausted_budget_in_an_own_field_is_not_rerun(monkeypatch):
     monkeypatch.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
     monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "1")
-    runs, fields = [], []
-    init, blow_up = resolution._Engine.__init__, resolution._Engine.blow_up
-
-    def counted(self, limit, own):
-        runs.append(own)
-        init(self, limit, own)
-
-    def typed(self, comps, K, *args):
-        fields.append(type(K))
-        return blow_up(self, comps, K, *args)
-
-    monkeypatch.setattr(resolution._Engine, "__init__", counted)
-    monkeypatch.setattr(resolution._Engine, "blow_up", typed)
+    engines, fields = _trace(monkeypatch)
     with pytest.raises(DepthExceededError, match="budget of 1"):
         resolve_germ(parse_germ("(y^2 - 2*x^2)^2 - x^5"))
-    # the second blow-up, at a root of v^2 - 2, exhausted it
+    # the second blow-up, at a root of v^2 - 2, exhausted it, in the one
+    # engine run
     assert fields == [type(resolution._RATIONALS), NumberField]
-    assert runs == [True]
+    assert len(engines) == 1
