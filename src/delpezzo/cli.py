@@ -13,6 +13,8 @@ number read from text (configuration coordinates, cubic coefficients,
 `--point`, `--lambda`) goes through `poly.rational`, the polynomial grammar.
 All rational output is lowest-terms p/q, every command is deterministic, and
 `--json` emits the same fields, except the per-candidate records `verify` prints.
+Each command imports the library modules it calls inside its own body, so a
+cold process loads only what its command reads.
 """
 
 import json
@@ -22,20 +24,6 @@ from fractions import Fraction
 from functools import partial
 
 import click
-
-from .constraints import (SolveReport, encode_case2, encode_case3,
-                          encode_nodal, parse_system, solve)
-from .germs import parse_germ
-from .lattice import (SurfaceModel, curve_incidences,
-                      enumerate_negative_curves, tritangent_triples)
-from .lct import LctReport, newton_lct, resolution_lct
-from .lemma_verify import (Alpha1Report, CaseVerdict, alpha1_report,
-                           canonical_nodal_survivor, lemma31_scan, lemma51_scan)
-from .plane_config import (EckardtRecord, eckardt_points, is_eckardt_on_cubic,
-                           load_config, load_cubic, point,
-                           tangent_plane_restriction)
-from .poly import monomial, rational, to_text
-from .resolution import DepthExceededError, resolve_germ
 
 #: exit code of a command-line usage error (sysexits.h)
 EX_USAGE = 64
@@ -64,7 +52,11 @@ class _DepthAwareGroup(click.Group):
             raise
         except ValueError as exc:
             raise click.ClickException(str(exc))
-        except DepthExceededError as exc:
+        except RuntimeError as exc:
+            # only a command that resolved a germ can have blown the budget
+            resolution = sys.modules.get("delpezzo.resolution")
+            if resolution is None or not isinstance(exc, resolution.DepthExceededError):
+                raise
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -77,12 +69,19 @@ def cli():
 @dataclass(frozen=True)
 class _Scan:  # verify's result: `summary` is its JSON, `verdict` feeds its text
     summary: dict
-    verdict: CaseVerdict
+    verdict: object  # the scan's lemma_verify.CaseVerdict
+
+
+# the reports whose JSON is their fields, named so that writing a result
+# imports no module the command did not
+_REPORTS = {("delpezzo.lct", "LctReport"),
+            ("delpezzo.lemma_verify", "Alpha1Report"),
+            ("delpezzo.plane_config", "EckardtRecord")}
 
 
 def _plain(x):
     """What json cannot write: a report's fields, a scan's summary, else text."""
-    if isinstance(x, (LctReport, Alpha1Report, EckardtRecord)):
+    if (type(x).__module__, type(x).__qualname__) in _REPORTS:
         return vars(x)
     return x.summary if isinstance(x, _Scan) else str(x)
 
@@ -140,6 +139,8 @@ def _lines_text(data):
               help="Surface model: smooth or nodal.")
 def cmd_lines(mode):
     """List the negative curves with their incidence degrees."""
+    from .lattice import (SurfaceModel, curve_incidences,
+                          enumerate_negative_curves, tritangent_triples)
     if mode not in ("smooth", "nodal"):
         raise click.ClickException(
             f"unknown mode {mode!r}; expected smooth or nodal")
@@ -182,6 +183,9 @@ def cmd_lct(germ_text, method):
     if method not in ("newton", "blowup", "both"):
         raise click.ClickException(
             f"unknown method {method!r}; expected newton, blowup or both")
+    from .germs import parse_germ
+    from .lct import newton_lct, resolution_lct
+    from .resolution import resolve_germ
     f = parse_germ(germ_text)
     data = {"germ": str(f), "reports": []}
     if method != "blowup":
@@ -218,6 +222,10 @@ def _eckardt_text(data):
               help="Surface point to test against --cubic.")
 def cmd_eckardt(config_path, cubic_path, point_text):
     """Find Eckardt points of a configuration, or test one explicit point."""
+    from .plane_config import (eckardt_points, is_eckardt_on_cubic,
+                               load_config, load_cubic, point,
+                               tangent_plane_restriction)
+    from .poly import monomial, to_text
     if config_path and (cubic_path or point_text):
         raise click.ClickException("--config excludes --cubic/--point")
     if config_path:
@@ -251,6 +259,9 @@ def cmd_eckardt(config_path, cubic_path, point_text):
               help="Threshold for 3.1 (default 2/3; 5.1 is fixed there).")
 def cmd_verify(lemma_id, m, lam_text):
     """Run a locus scan and check it reaches the expected conclusion."""
+    from .lemma_verify import (canonical_nodal_survivor, lemma31_scan,
+                               lemma51_scan)
+    from .poly import rational
     lam = rational(lam_text) if lam_text is not None else Fraction(2, 3)
     if lemma_id not in ("3.1", "5.1"):
         raise click.ClickException(
@@ -283,7 +294,7 @@ def cmd_verify(lemma_id, m, lam_text):
 # case / solve
 
 
-def _solve_data(title: str, rep: SolveReport) -> dict:
+def _solve_data(title, rep):
     if not rep.feasible:
         return {"title": title, "feasible": False}
     data = {"title": title, "feasible": True,
@@ -319,6 +330,7 @@ def _solve_text(data):
               help="Nodal refinement: q_free, q_on_l or q_on_c.")
 def cmd_case(case_id, m, subcase):
     """Solve one hard-wired exclusion system and print what it forces."""
+    from .constraints import encode_case2, encode_case3, encode_nodal, solve
     if subcase is not None and case_id != "nodal":
         raise click.ClickException("--subcase only refines --id nodal")
     encode = {"2": encode_case2, "3": encode_case3,
@@ -336,6 +348,7 @@ def cmd_case(case_id, m, subcase):
               help="Value substituted for the symbol m in the file.")
 def cmd_solve(path, m):
     """Solve a plain-text linear system by exact Fourier-Motzkin."""
+    from .constraints import parse_system, solve
     system = parse_system(_read(path), m=m)
     title = (f"system: {len(system.variables)} variables, "
              f"{len(system.constraints)} constraints")
@@ -351,6 +364,8 @@ def cmd_solve(path, m):
               help="Six-point configuration file (smooth mode).")
 def cmd_alpha(config_path):
     """Bound alpha_1 from the line catalogue of a smooth configuration."""
+    from .lemma_verify import alpha1_report
+    from .plane_config import load_config
     return alpha1_report(load_config(_read(config_path)))
 
 

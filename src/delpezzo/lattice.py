@@ -18,8 +18,6 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
-from .constraints import cone_facets
-
 
 class SurfaceModel(Enum):
     SMOOTH = "smooth"
@@ -251,6 +249,7 @@ def effective_cone_facets(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     -K - L and the 72 classes with F^2 = 1, F.(-K) = 3.  Computed on first use
     for each model, by double description over the negative curves, and kept.
     """
+    from .constraints import cone_facets  # here, so that `lines` never loads it
     curves = enumerate_negative_curves(model).values()
     # F.D is the dot product of F's coordinates with (a; -b1..-b6) for D = (a; b)
     normals = cone_facets([(d.a,) + tuple(-x for x in d.b) for d in curves])

@@ -23,11 +23,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import poly
-from .germs import parse_germ
 from .lattice import (C, MINUS_K, ZERO, DivisorClass, SurfaceModel,
                       curve_incidences, enumerate_negative_curves, is_ample,
                       is_effective)
-from .lct import newton_lct
 from .plane_config import SixPointConfig, eckardt_points
 
 #: Contradiction vocabulary.  Every reason is re-checkable from the recorded
@@ -498,6 +496,8 @@ def alpha1_report(config: SixPointConfig) -> Alpha1Report:
     model x*y.  Both thresholds are read off the Newton polygon, not quoted;
     both germs are nondegenerate, so the value is exact (no sympy needed).
     """
+    from .germs import parse_germ  # here, so that the scans never load them
+    from .lct import newton_lct
     if config.mode is not SurfaceModel.SMOOTH:
         raise ValueError("smooth-model configurations only")
     found = eckardt_points(config)

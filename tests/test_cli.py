@@ -16,6 +16,7 @@ from delpezzo.cli import EX_USAGE, cli
 from delpezzo.plane_config import (CubicForm, InvalidConfigError, dump_config,
                                    dump_cubic, load_config, validate)
 from delpezzo.lattice import SurfaceModel
+from delpezzo import lemma_verify
 from delpezzo.lemma_verify import lemma51_scan
 from delpezzo.plane_config import SixPointConfig, point
 
@@ -306,7 +307,8 @@ def test_verify_json(runner):
 
 def test_verify_exits_1_after_its_report_when_the_scan_fails(runner, monkeypatch):
     # no 3.1 scan within (0, 2/3] fails, so a scan with a survivor stands in
-    monkeypatch.setattr(CLI_MODULE, "lemma31_scan", lambda m, lam: lemma51_scan(2))
+    # `verify` reads the scan from its module when it runs
+    monkeypatch.setattr(lemma_verify, "lemma31_scan", lambda m, lam: lemma51_scan(2))
     result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2")
     assert result.exit_code == 1
     assert result.output.splitlines()[-1] == "conclusion: FAILED; 1 survivors"

@@ -1,9 +1,11 @@
-"""sympy is loaded only by the commands that do polynomial algebra.
+"""Each command loads only the modules it reads, and sympy only when needed.
 
-Each check runs in a fresh interpreter: this test process has sympy loaded
-already through the germ and resolution tests.
+Each command check runs in a fresh interpreter: this test process has every
+module, sympy among them, loaded already through the other tests.  The
+package namespace re-exports lazily; its checks run in this process.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,8 +17,9 @@ import delpezzo
 
 SRC = str(Path(delpezzo.__file__).resolve().parent.parent)
 
-# Runs `delpezzo ARGS...` in-process, then reports on stderr whether sympy
-# was imported.  The command's own exit code is passed through.
+# Runs `delpezzo ARGS...` in-process, then reports on stderr the delpezzo
+# modules it loaded and, on the last line, whether sympy was imported.  The
+# command's own exit code is passed through.
 PROBE = """
 import sys
 from delpezzo.cli import main
@@ -26,6 +29,8 @@ try:
     main()
 except SystemExit as exc:
     code = exc.code
+print("delpezzo modules:", *sorted(name.split(".")[1] for name in sys.modules
+                                   if name.startswith("delpezzo.")), file=sys.stderr)
 print("sympy loaded:", "sympy" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
@@ -48,10 +53,52 @@ def _delpezzo(*args):
     return proc.stdout, proc.stderr.splitlines()[-1]
 
 
+def _modules_loaded(*args):
+    """The delpezzo submodules that `delpezzo ARGS...` loads."""
+    proc = _python("-c", PROBE, *args)
+    assert proc.returncode == 0, proc.stderr
+    tag, *names = proc.stderr.splitlines()[-2].split()[1:]
+    assert tag == "modules:"
+    return set(names) - {"cli"}
+
+
 def test_import_delpezzo_leaves_sympy_unloaded():
     proc = _python("-c", "import sys, delpezzo; print('sympy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_import_delpezzo_loads_no_submodule():
+    proc = _python("-c", "import sys, delpezzo; print(sorted(name for name in "
+                         "sys.modules if name.startswith('delpezzo.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_lines_loads_nothing_but_the_lattice():
+    for mode in ("smooth", "nodal"):
+        assert _modules_loaded("lines", "--mode", mode) == {"lattice"}
+
+
+def test_case_and_solve_load_only_the_solver(tmp_path):
+    path = tmp_path / "system.txt"
+    path.write_text(SYSTEM_TEXT)
+    assert _modules_loaded("case", "--id", "3", "--m", "6") == {"constraints", "poly"}
+    assert _modules_loaded("solve", str(path), "--m", "2") == {"constraints", "poly"}
+
+
+def test_lct_loads_no_geometry():
+    loaded = _modules_loaded("lct", "y^2 - x^3")
+    assert {"germs", "lct", "resolution"} <= loaded
+    assert loaded.isdisjoint({"lattice", "constraints", "plane_config",
+                              "lemma_verify"}), loaded
+
+
+def test_verify_loads_no_threshold_code():
+    loaded = _modules_loaded("verify", "--lemma", "5.1", "--m", "4")
+    assert "lemma_verify" in loaded
+    assert loaded.isdisjoint({"germs", "lct", "resolution", "modp",
+                              "numfield"}), loaded
 
 
 @pytest.mark.parametrize("args", [
@@ -136,3 +183,76 @@ def test_lct_loads_sympy_on_first_use():
         out, line = _delpezzo("lct", germ)
         assert f"lct = {value} (blowup, exact;" in out, germ
         assert line == f"sympy loaded: {loaded}", germ
+
+
+# -- the package namespace ---------------------------------------------------
+
+PUBLIC_NAMES = [
+    "Alpha1Report", "C", "CaseVerdict", "ConstraintSystem", "CubicForm",
+    "CurveGerm", "Decomposition", "DepthExceededError", "DivisorClass", "E",
+    "EckardtRecord", "F", "H", "L", "LctReport", "LinearConstraint", "MINUS_K",
+    "NewtonPolygon", "Resolution", "ResolutionNode", "ScanRecord",
+    "SixPointConfig", "SolveReport", "SurfaceModel", "VarBounds",
+    "alpha1_report", "blowup_lct", "canonical_nodal_survivor",
+    "check_lemma52", "check_mult_bounds", "classify_smooth_candidate",
+    "decomposition", "degree_budget_check", "eckardt_points", "encode_case2",
+    "encode_case3", "encode_nodal", "enumerate_negative_curves",
+    "holder_product_bound", "incidence_graph", "is_ample",
+    "is_eckardt_on_cubic", "is_effective", "lemma31_scan", "lemma51_scan",
+    "load_config", "load_cubic", "monomial_name", "newton_lct",
+    "newton_polygon", "nonnegative_combination", "parse_germ", "parse_system",
+    "point", "resolve_germ", "solve", "tangent_plane_restriction",
+    "third_line", "tritangent_triples", "validate",
+]
+
+MODULES = ("constraints", "germs", "lattice", "lct", "lemma_verify",
+           "plane_config", "resolution")
+
+
+def test_all_lists_the_sixty_public_names():
+    assert len(PUBLIC_NAMES) == 60
+    assert sorted(delpezzo.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_public_name_is_its_modules_object(name):
+    # every module that holds the name holds the package's object
+    held = [vars(module)[name] for module in
+            (importlib.import_module(f"delpezzo.{m}") for m in MODULES)
+            if name in vars(module)]
+    assert held
+    assert all(obj is getattr(delpezzo, name) for obj in held)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from delpezzo import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert set(delpezzo.__all__) <= set(dir(delpezzo))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        delpezzo.no_such_name
+    assert not hasattr(delpezzo, "cone_facets")
+
+
+def _perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_traced_read_of_the_package_leaves_no_wrapper():
+    # the package looks each name up on its module and keeps nothing, so the
+    # tracer's restore of the module attributes restores the package too
+    spans = _perfbench_spans()
+    solve = delpezzo.constraints.solve
+    with spans.Tracer(["constraints"]).installed():
+        assert delpezzo.solve is not solve
+        assert delpezzo.solve.__wrapped_by_tracer__
+    assert spans.wrapped_attributes() == []
+    assert delpezzo.solve is solve
+    assert "solve" not in vars(delpezzo)

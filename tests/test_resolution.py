@@ -290,7 +290,8 @@ def test_check_mult_bounds_resolves_once(monkeypatch):
 
 
 def test_cli_lct_resolves_once(monkeypatch):
-    calls = _count_resolves(monkeypatch, lct_module, cli_module)
+    # `lct` reads resolve_germ from its module when it runs
+    calls = _count_resolves(monkeypatch, lct_module, resolution)
     result = CliRunner().invoke(cli_module.cli, ["lct", "y^2 - x^3"])
     assert result.exit_code == 0
     assert "nodes: (1,2) (2,3) (4,6)" in result.output
