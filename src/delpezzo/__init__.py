@@ -20,13 +20,13 @@ import importlib
 _EXPORTS = {
     "constraints": ("ConstraintSystem", "LinearConstraint", "SolveReport",
                     "VarBounds", "encode_case2", "encode_case3",
-                    "encode_nodal", "nonnegative_combination",
-                    "parse_system", "solve"),
+                    "encode_nodal", "parse_system", "solve"),
     "germs": ("CurveGerm", "parse_germ"),
     "lattice": ("C", "E", "F", "H", "L", "MINUS_K", "DivisorClass",
                 "SurfaceModel", "enumerate_negative_curves",
                 "incidence_graph", "is_ample", "is_effective", "third_line",
                 "tritangent_triples"),
+    "linalg": ("nonnegative_combination",),
     "lct": ("LctReport", "NewtonPolygon", "blowup_lct", "check_lemma52",
             "check_mult_bounds", "holder_product_bound", "newton_lct",
             "newton_polygon"),

@@ -185,12 +185,12 @@ def cmd_lct(germ_text, method):
             f"unknown method {method!r}; expected newton, blowup or both")
     from .germs import parse_germ
     from .lct import newton_lct, resolution_lct
-    from .resolution import resolve_germ
     f = parse_germ(germ_text)
     data = {"germ": str(f), "reports": []}
     if method != "blowup":
         data["reports"].append(newton_lct(f))
     if method != "newton":
+        from .resolution import resolve_germ
         res = resolve_germ(f)
         data["reports"].append(resolution_lct(res))
         data["nodes"] = [[n.a, n.b] for n in res.nodes]

@@ -1,14 +1,14 @@
-"""Exact rational linear algebra: Fourier-Motzkin elimination and pivoting.
+"""Fourier-Motzkin solving, the multiplicity case systems and their text format.
 
 A constraint is  sum(coeff * var) REL constant  with REL one of <=, <, =.
-Everything here works on primitive integer rows, each scaled to integers
-once, on entry, with Fractions only at the boundary (bounds, witness values,
-kernel vectors, simplex coefficients).  Every elimination, Gauss-Jordan step,
-simplex pivot and double-description combination is one step, `_cancel`,
-which clears a column and leaves a positive multiple of the row it changes.
-A variable that appears in an equality is eliminated by pivoting on that
-equality; otherwise every upper row is combined with every lower row, and
-strictness propagates through combinations (strict + anything = strict).
+Everything here works on the primitive integer rows of `delpezzo.linalg`,
+each scaled to integers once, on entry, with Fractions only at the boundary
+(bounds, witness values).  Every elimination is linalg's one pivot step,
+`cancel`, which clears a column and leaves a positive multiple of the row it
+changes.  A variable that appears in an equality is eliminated by pivoting
+on that equality; otherwise every upper row is combined with every lower
+row, and strictness propagates through combinations (strict + anything =
+strict).
 
 `solve` reads every output off one chain in one pass over the variables:
 prefix[k] is the system with the variables after the k-th (declaration
@@ -22,13 +22,6 @@ same pass picks the witness value from prefix[k]'s rows with the earlier
 witness values substituted, which eliminates nothing: FM with strictness is
 an exact projection, so fixing the earlier variables commutes with
 projecting the later ones away.  FM row growth depends on the order.
-
-The dense section holds the right kernel (conics through points, tangent
-planes), the exact Phase-I simplex that writes a vector as a non-negative
-combination of generators (a certificate of cone membership, where
-Fourier-Motzkin projection would blow up) and the double description of a
-cone's facets, which answers membership with integer dot products
-(effective-cone tests).
 
 `parse_system` reads systems from text with the shared parser of
 `delpezzo.poly` (degree cap 1); any error names its line.
@@ -46,6 +39,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import poly
+from .linalg import Row, cancel, dot, integral
 
 LE = "<="
 LT = "<"
@@ -163,8 +157,8 @@ class SolveReport:
 # standing for sum(c_i * x_i) REL b, and a system is a pair (eqs, ineqs):
 #   eqs:   row              REL is =
 #   ineqs: (row, strict)    REL is <=, or < when strict
-# Each constraint is scaled to integers once, on entry (`_integral`), and
-# every later row is a `_cancel` of two rows.  Fractions appear only at the
+# Each constraint is scaled to integers once, on entry (`integral`), and
+# every later row is a `cancel` of two rows.  Fractions appear only at the
 # boundary: reading the constraints, the bounds (kept by `_normalize`, like
 # every step's rows) and `_pick`; the witness values go back in as numerators
 # over their common denominator.  `_eliminate` returns a normalized system, or
@@ -173,44 +167,18 @@ class SolveReport:
 # on it (no row growth); genuine upper-times-lower FM combination is reserved
 # for variables constrained by inequalities only.
 
-_Row = tuple[int, ...]
-_Sys = tuple[list[_Row], list[tuple[_Row, bool]]]
+_Sys = tuple[list[Row], list[tuple[Row, bool]]]
 
 
 def _rows_of(system: ConstraintSystem) -> _Sys:
     eqs, ineqs = [], []
     for con in system.constraints:
-        row = _integral([con.coeffs.get(v, 0) for v in system.variables] + [con.rhs])
+        row = integral([con.coeffs.get(v, 0) for v in system.variables] + [con.rhs])
         if con.rel == EQ:
             eqs.append(row)
         else:
             ineqs.append((row, con.rel == LT))
     return eqs, ineqs
-
-
-def _reduced(row: list[int]) -> _Row:
-    """The row divided by the gcd of its entries, a primitive vector."""
-    g = math.gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
-
-
-def _integral(coords: Sequence) -> _Row:
-    """Scale a vector of ints and Fractions to a primitive integer one, by a
-    positive factor."""
-    scale = math.lcm(*(c.denominator for c in coords))
-    return _reduced([c.numerator * (scale // c.denominator) for c in coords])
-
-
-def _cancel(row: _Row, prow: _Row, col: int) -> _Row:
-    """The one pivot step: |p|*row - sign(p)*row[col]*prow for p = prow[col],
-    made primitive.  It clears col and is a positive multiple of row plus a
-    multiple of prow, so the sense of an inequality row is kept."""
-    d, p = row[col], prow[col]
-    if not d:
-        return row
-    if p < 0:
-        d, p = -d, -p
-    return _reduced([p * x - d * y for x, y in zip(row, prow)])
 
 
 def _normalize(sys_: _Sys) -> Optional[_Sys]:
@@ -220,7 +188,7 @@ def _normalize(sys_: _Sys) -> Optional[_Sys]:
     their gcd g, and stands for direction.x REL b/g.
     """
     eqs, ineqs = sys_
-    eq_best: dict[_Row, tuple[int, _Row]] = {}
+    eq_best: dict[Row, tuple[int, Row]] = {}
     for row in eqs:
         g = math.gcd(*row[:-1])
         if not g:
@@ -232,7 +200,7 @@ def _normalize(sys_: _Sys) -> Optional[_Sys]:
         g0, row0 = eq_best.setdefault(tuple(c // g for c in row[:-1]), (g, row))
         if row[-1] * g0 != row0[-1] * g:
             return None
-    best: dict[_Row, tuple[int, _Row, bool]] = {}
+    best: dict[Row, tuple[int, Row, bool]] = {}
     for row, strict in ineqs:
         key = row[:-1]
         g = math.gcd(*key)
@@ -255,16 +223,16 @@ def _eliminate(sys_: _Sys, var: int) -> Optional[_Sys]:
     pivot = next((i for i, row in enumerate(eqs) if row[var]), None)
     if pivot is not None:
         prow = eqs[pivot]
-        return _normalize(([_cancel(row, prow, var) for i, row in enumerate(eqs)
+        return _normalize(([cancel(row, prow, var) for i, row in enumerate(eqs)
                             if i != pivot],
-                           [(_cancel(row, prow, var), strict) for row, strict in ineqs]))
+                           [(cancel(row, prow, var), strict) for row, strict in ineqs]))
     uppers, lowers, rest = [], [], []
     for row, strict in ineqs:
         side = uppers if row[var] > 0 else lowers if row[var] < 0 else rest
         side.append((row, strict))
     for (up, su), (lo, sl) in itertools.product(uppers, lowers):
         # up[var] > 0, so the lower row is the one kept in sense
-        rest.append((_cancel(lo, up, var), su or sl))
+        rest.append((cancel(lo, up, var), su or sl))
     return _normalize((eqs, rest))
 
 
@@ -278,10 +246,10 @@ def _bounds_from_univariate(sys_: _Sys, var: int,
     den = math.lcm(*(x.denominator for x in values))
     nums = [x.numerator * (den // x.denominator) for x in values]
     eqs, ineqs = sys_
-    rows = [((den * row[var], den * row[-1] - _dot(row, nums)), strict)
+    rows = [((den * row[var], den * row[-1] - dot(row, nums)), strict)
             for row, strict in ineqs]
     for row in eqs:
-        c, const = den * row[var], den * row[-1] - _dot(row, nums)
+        c, const = den * row[var], den * row[-1] - dot(row, nums)
         rows += [((c, const), False), ((-c, -const), False)]
     kept = _normalize(([], rows))
     if kept is None:
@@ -348,157 +316,6 @@ def solve(system: ConstraintSystem) -> SolveReport:
     for con in system.constraints:
         assert con.evaluate(witness), f"witness violates {con}"
     return SolveReport(True, bounds, forced, integrality, witness)
-
-
-# ---------------------------------------------------------------------------
-# Dense exact linear algebra on the same rows: every pivot is a `_cancel`, so
-# each row stays a positive multiple of its Gauss-Jordan counterpart.
-
-def _pivot(rows: list[_Row], r: int, col: int) -> None:
-    """Clear col from every row but rows[r], in place."""
-    prow = rows[r]
-    for i, row in enumerate(rows):
-        if i != r:
-            rows[i] = _cancel(row, prow, col)
-
-
-def _kernel(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of a small exact matrix, 1 in each free column."""
-    mat = [_integral([poly.exact(x) for x in row]) for row in rows]
-    pivots: list[int] = []
-    for col in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        _pivot(mat, r, col)
-        pivots.append(col)
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = Fraction(-mat[i][free], mat[i][col])
-        basis.append(vec)
-    return basis
-
-
-def _primitive(coords) -> tuple[int, ...]:
-    """Scale a rational vector to primitive integers, first nonzero > 0."""
-    ints = _integral([poly.exact(c) for c in coords])
-    return ints if next(v for v in ints if v) > 0 else tuple(-v for v in ints)
-
-
-def nonnegative_combination(
-    generators: Sequence[Sequence], target: Sequence
-) -> Optional[list[Fraction]]:
-    """Solve sum(lam_i * generators[i]) = target with lam_i >= 0, exactly.
-
-    Returns the coefficient list, or None when infeasible.  Phase-I simplex
-    with Bland's rule; artificial variables only.  Each tableau row is a
-    positive multiple of its Fraction counterpart, which changes no sign and
-    no ratio b_r/a_r,enter, so the pivots and the solution are the same.
-    """
-    m, n = len(target), len(generators)
-    total = n + m
-    # tableau columns: n structural + m artificial; artificial basis
-    rows = []
-    for r, t in enumerate(map(poly.exact, target)):
-        sign = -1 if t < 0 else 1
-        rows.append([sign * poly.exact(g[r]) for g in generators]
-                    + [int(i == r) for i in range(m)] + [sign * t])
-    # last row: the objective, minimize the sum of the artificials; with an
-    # artificial basis its reduced costs are the structural column sums and
-    # 0 on the basic artificials, cleared by each pivot
-    rows.append([sum(row[j] for row in rows) for j in range(n)] + [0] * m
-                + [sum(row[total] for row in rows)])
-    tab = [_integral(row) for row in rows]
-    basis = [n + r for r in range(m)]
-    while True:
-        enter = next((j for j in range(total) if tab[m][j] > 0), None)
-        if enter is None:
-            break
-        piv = None
-        for r in range(m):
-            # smallest ratio b_r/a_r over a_r > 0 (cross-multiplied), then
-            # the smallest basic variable
-            a = tab[r][enter]
-            if a > 0 and (piv is None or (tab[r][total] * tab[piv][enter], basis[r])
-                          < (tab[piv][total] * a, basis[piv])):
-                piv = r
-        if piv is None:
-            break  # unbounded cannot happen in phase I; defensive
-        _pivot(tab, piv, enter)
-        basis[piv] = enter
-
-    if tab[m][total] != 0:
-        return None
-    lam = [Fraction(0)] * n
-    for r, bv in enumerate(basis):
-        if bv < n:
-            lam[bv] = Fraction(tab[r][total], tab[r][bv])
-    # exact re-substitution
-    for r in range(m):
-        assert sum(lam[i] * poly.exact(generators[i][r]) for i in range(n)) \
-            == poly.exact(target[r])
-    assert all(x >= 0 for x in lam)
-    return lam
-
-
-def cone_facets(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Primitive integer normals of the facets of the cone the generators span.
-
-    The cone must be full-dimensional; x lies in it iff f.x >= 0 for every
-    returned f.  Double description (Fukuda-Prodon 1996): the normals are the
-    extreme rays of the dual cone {f : f.g >= 0 for all g}.  Start from the
-    simplicial dual of d independent generators, then add one generator at a
-    time, keeping the rays on its non-negative side and combining each
-    positive ray with each adjacent negative one.  Two rays are adjacent when
-    no third ray is tight on every generator they are both tight on.
-    """
-    gens = [tuple(g) for g in generators]
-    d = len(gens[0]) if gens else 0
-    basis: list[int] = []
-    for i, g in enumerate(gens):
-        if len(_kernel([gens[j] for j in basis] + [g], d)) < d - len(basis):
-            basis.append(i)
-    if not gens or len(basis) < d:
-        raise ValueError("the generators do not span the space")
-    order = [gens[i] for i in basis] + [g for i, g in enumerate(gens) if i not in basis]
-    rays = []                        # (normal, bit set of the generators it is tight on)
-    for j in range(d):
-        others = order[:j] + order[j + 1:d]
-        f = _primitive(_kernel(others, d)[0])
-        if _dot(f, order[j]) < 0:
-            f = tuple(-x for x in f)
-        rays.append((f, ((1 << d) - 1) ^ (1 << j)))
-    for k in range(d, len(order)):
-        vals = [_dot(f, order[k]) for f, _ in rays]
-        masks = [tight for _, tight in rays]
-        kept = [(f, tight | (1 << k) if v == 0 else tight)
-                for (f, tight), v in zip(rays, vals) if v >= 0]
-        for (p, tp), vp in zip(rays, vals):
-            if vp <= 0:
-                continue
-            for (n, tn), vn in zip(rays, vals):
-                if vn >= 0:
-                    continue
-                common = tp & tn
-                if (common.bit_count() < d - 2
-                        or sum(t & common == common for t in masks) > 2):
-                    continue
-                # vp*n - vn*p: the values on order[k] ride as a last column
-                f = _cancel(n + (vn,), p + (vp,), d)[:-1]
-                kept.append((f, common | (1 << k)))
-        rays = kept
-    return sorted(f for f, _ in rays)
-
-
-def _dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
 
 
 # ---------------------------------------------------------------------------

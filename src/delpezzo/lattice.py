@@ -249,7 +249,7 @@ def effective_cone_facets(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     -K - L and the 72 classes with F^2 = 1, F.(-K) = 3.  Computed on first use
     for each model, by double description over the negative curves, and kept.
     """
-    from .constraints import cone_facets  # here, so that `lines` never loads it
+    from .linalg import cone_facets  # here, so that `lines` never loads it
     curves = enumerate_negative_curves(model).values()
     # F.D is the dot product of F's coordinates with (a; -b1..-b6) for D = (a; b)
     normals = cone_facets([(d.a,) + tuple(-x for x in d.b) for d in curves])
@@ -261,7 +261,7 @@ def is_effective(d: DivisorClass, model: SurfaceModel = SurfaceModel.SMOOTH) -> 
 
     d is effective iff F.d >= 0 for every facet class F of
     `effective_cone_facets(model)`: a few integer products per query.  The
-    exact simplex `constraints.nonnegative_combination` over the same curves
+    exact simplex `linalg.nonnegative_combination` over the same curves
     produces a certificate, and the tests use it as the oracle for this one.
     """
     return all(f.intersect(d) >= 0 for f in effective_cone_facets(model))

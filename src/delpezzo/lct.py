@@ -32,11 +32,11 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from . import modp
 from .germs import CurveGerm
-from .resolution import (Component, Resolution, ResolutionNode, _qq_poly,
-                         _symbols, resolve_germ)
 
 if TYPE_CHECKING:
     from sympy import Poly
+
+    from .resolution import Component, Resolution, ResolutionNode
 
 __all__ = [
     "NewtonFace", "NewtonPolygon", "LctReport", "newton_polygon",
@@ -117,10 +117,10 @@ def _face_coeffs(terms: dict, face: NewtonFace) -> list:
 
 def _face_univariate(f: CurveGerm, face: NewtonFace) -> Poly:
     """H(s) = sum_t c_t s^t over QQ (see _face_coeffs)."""
-    from sympy import QQ, Poly
+    from sympy import QQ, Poly, Symbol
     coeffs = {(t,): QQ(c.numerator, c.denominator)
               for t, c in enumerate(_face_coeffs(f.terms(), face)) if c}
-    return Poly.from_dict(coeffs, _symbols("s"), domain=QQ)
+    return Poly.from_dict(coeffs, Symbol("s"), domain=QQ)
 
 
 def _face_square_free(f: CurveGerm, face: NewtonFace) -> bool:
@@ -159,6 +159,7 @@ def newton_lct(f: CurveGerm) -> LctReport:
 
 def blowup_lct(f: CurveGerm) -> LctReport:
     """Threshold from an embedded resolution; always exact."""
+    from .resolution import resolve_germ
     return resolution_lct(resolve_germ(f))
 
 
@@ -226,6 +227,7 @@ def check_mult_bounds(f: CurveGerm) -> MultBoundsVerdict:
     power of a smooth germ; the certificate exhibits that structure from the
     rational factorization and verifies the division.
     """
+    from .resolution import _qq_poly, resolve_germ
     k = f.multiplicity
     res = resolve_germ(f)
     value = resolution_lct(res).value

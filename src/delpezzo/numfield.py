@@ -8,12 +8,16 @@ degree 2 or more, which must be irreducible over QQ; theta is a root of q.
 NumberField offers the few attributes of a field that the resolution
 engine reads (is_QQ, zero, one, unit, convert), and monic_gcd runs
 Euclid's algorithm for univariate polynomials over it, listed constant
-term first.
+term first.  Elements add to elements, and multiply by elements, ints and
+Fractions; an inverse is the kernel vector of one integer matrix, found by
+the exact linear algebra of `delpezzo.linalg`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .linalg import kernel
 
 
 def _ratio(n: int, d: int):
@@ -45,11 +49,7 @@ class Number:
         self.K, self.c = K, c
 
     def __add__(self, other):
-        if type(other) is Number:
-            return Number(self.K, tuple(a + b for a, b in zip(self.c, other.c)))
-        return Number(self.K, (self.c[0] + other,) + self.c[1:])
-
-    __radd__ = __add__
+        return Number(self.K, tuple(a + b for a, b in zip(self.c, other.c)))
 
     def __neg__(self):
         return Number(self.K, tuple(-a for a in self.c))
@@ -77,23 +77,17 @@ class Number:
     __rmul__ = __mul__
 
     def inverse(self) -> Number:
-        """1/self: x with self * x = 1, solved by Gauss-Jordan elimination
-        on the coordinates of self * theta^j."""
-        n, column, rows = self.K.n, self, []
+        """1/self: x with self * x = 1.  The kernel of the matrix whose
+        column j holds the coordinates of self * theta^j, and whose last
+        column is -1 beside the first row, is spanned by (x, 1)."""
+        n, column, columns = self.K.n, self, []
         for _ in range(n):
-            rows.append(column.c)
+            columns.append(column.c)
             column = column * self.K.unit
-        # row i: the i-th coordinates of self * theta^j, then 1 or 0
-        rows = [[Fraction(c[i]) for c in rows] + [int(i == 0)] for i in range(n)]
-        for j in range(n):
-            pivot = next(i for i in range(j, n) if rows[i][j])
-            rows[j], rows[pivot] = rows[pivot], rows[j]
-            rows[j] = [c / rows[j][j] for c in rows[j]]
-            for i in range(n):
-                if i != j and rows[i][j]:
-                    rows[i] = [a - rows[i][j] * b for a, b in zip(rows[i], rows[j])]
-        return Number(self.K, tuple(_ratio(row[-1].numerator, row[-1].denominator)
-                                    for row in rows))
+        [x] = kernel([[c[i] for c in columns] + [-int(i == 0)] for i in range(n)],
+                     n + 1)
+        return Number(self.K, tuple(_ratio(v.numerator, v.denominator)
+                                    for v in x[:n]))
 
     def __eq__(self, other):
         if type(other) is Number:

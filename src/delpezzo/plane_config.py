@@ -17,8 +17,8 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import poly
-from .constraints import _kernel, _primitive
 from .lattice import SurfaceModel, enumerate_negative_curves, tritangent_triples
+from .linalg import kernel, primitive
 
 
 class GeometryError(ValueError):
@@ -60,7 +60,7 @@ class ProjPoint:
             raise GeometryError("points live in the plane or in space")
         if not any(self.coords):
             raise GeometryError("zero vector is not a projective point")
-        object.__setattr__(self, "coords", _primitive(self.coords))
+        object.__setattr__(self, "coords", primitive(self.coords))
 
     def __str__(self):
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -99,7 +99,7 @@ def line_through(p: ProjPoint, q: ProjPoint) -> tuple[int, int, int]:
     c = _cross(p, q)
     if not any(c):
         raise GeometryError(f"{p} and {q} coincide; no unique line")
-    return _primitive(c)
+    return primitive(c)
 
 
 # conic coefficient order: x^2, xy, xz, y^2, yz, z^2
@@ -120,7 +120,7 @@ def conic_through(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
     conditions (duplicate point or four on a line), with a witness.
     """
     pts = [p1, p2, p3, p4, p5]
-    basis = _kernel([_conic_row(p) for p in pts], 6)
+    basis = kernel([_conic_row(p) for p in pts], 6)
     if len(basis) != 1:
         for i, j in combinations(range(5), 2):
             if pts[i] == pts[j]:
@@ -135,7 +135,7 @@ def conic_through(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
         raise DegenerateConicError(
             f"conic conditions dependent (kernel dimension {len(basis)})",
             witness=tuple(range(5)))
-    conic = _primitive(basis[0])
+    conic = primitive(basis[0])
     assert all(conic_value(conic, p) == 0 for p in pts)
     return conic
 
@@ -201,7 +201,7 @@ def validate(config: SixPointConfig) -> ValidationReport:
         elif not is_col and labels in expected:
             violations.append(Violation("not-collinear", labels))
     # all six on one conic iff the 6x6 coefficient matrix is singular
-    if _kernel([_conic_row(p) for p in pts], 6):
+    if kernel([_conic_row(p) for p in pts], 6):
         violations.append(Violation("conconic", (1, 2, 3, 4, 5, 6)))
     return ValidationReport(config.mode, tuple(violations))
 
@@ -334,7 +334,7 @@ def tangent_plane_restriction(f: CubicForm, p: ProjPoint) -> dict:
     # the kernel basis is e_k - (g_k/g_j) e_j for k != j; p has coordinate
     # p_k along the k-th vector, so p replaces the first one with p_k != 0
     k0 = next(k for k in range(4) if k != j and p[k] != 0)
-    basis = [list(p.coords)] + [v for v in _kernel([grad], 4) if not v[k0]]
+    basis = [list(p.coords)] + [v for v in kernel([grad], 4) if not v[k0]]
     # f(s0*b0 + s1*b1 + s2*b2): z_k becomes the form sum_s basis[s][k] * s_s
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return poly.substitute(f.terms(), [dict(zip(units, (b[k] for b in basis)))

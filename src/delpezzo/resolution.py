@@ -271,10 +271,12 @@ def _restriction(g: dict, K) -> list:
 
 
 def _mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
+    """a * b, constant term first; no sum starts from an int."""
+    out = [None] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+            t = ai * bj
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
     return out
 
 

@@ -135,6 +135,17 @@ def test_lct_parse_error(runner):
     assert "cannot parse" in result.output
 
 
+@pytest.mark.parametrize("germ, message", [
+    ("(x", "missing ')'"),
+    ("(" * 400 + "x" + ")" * 400, "expression nested too deeply"),
+], ids=["unclosed", "nested"])
+def test_lct_parser_refusals_exit_1(runner, germ, message):
+    # tests/test_poly.py checks that `parse` raises each as a PolyParseError
+    result = invoke(runner, "lct", germ)
+    assert result.exit_code == 1
+    assert message in result.output
+
+
 def test_lct_input_is_never_run_as_code(runner):
     result = invoke(runner, "lct",
                     "__import__('sys').stdout.write('INJECTED\\n') and x")

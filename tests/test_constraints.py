@@ -11,13 +11,13 @@ import pytest
 import sympy
 from click.testing import CliRunner
 
-from delpezzo import constraints
+from delpezzo import constraints, linalg
 from delpezzo.cli import cli
 from delpezzo.constraints import (NODAL_SUBCASES, ConstraintSystem,
                                   LinearConstraint, SystemParseError,
                                   encode_case2, encode_case3, encode_nodal,
-                                  cone_facets, eq, ge, gt, le, lt,
-                                  nonnegative_combination, parse_system, solve)
+                                  eq, ge, gt, le, lt, parse_system, solve)
+from delpezzo.linalg import cone_facets, kernel, nonnegative_combination
 from delpezzo.plane_config import ProjPoint
 
 Q = Fraction
@@ -65,6 +65,17 @@ def test_contradictory_equalities():
     s.add(eq({"x": 1}, 0))
     s.add(eq({"x": 1}, 1))
     assert not solve(s).feasible
+
+
+def test_a_trivial_equality_changes_nothing():
+    # 0 = 0 is dropped before its sign is read off a nonzero entry
+    text = "int x\nx + y <= 3\nx - y >= 1\n"
+    report = solve(parse_system(text))
+    assert report.feasible
+    assert solve(parse_system(text + "x - x = 0\n")) == report
+    system = parse_system(text)
+    system.add(eq({}, 0))
+    assert solve(system) == report
 
 
 def test_integer_flag_detects_fractional_forcing():
@@ -470,15 +481,15 @@ def test_nonnegative_combination_zero_target():
 
 def test_kernel_spans_the_null_space():
     rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]]
-    basis = constraints._kernel(rows, 4)
+    basis = kernel(rows, 4)
     assert basis == [[-1, -1, 1, 0], [-4, 0, 0, 1]]
     for vec in basis:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
-    assert constraints._kernel([[1, 0], [0, 3]], 2) == []
+    assert kernel([[1, 0], [0, 3]], 2) == []
 
 
 @pytest.mark.parametrize("build", [
-    lambda: constraints._kernel([[0.5, 1.0]], 2),
+    lambda: kernel([[0.5, 1.0]], 2),
     lambda: nonnegative_combination([(1, 0.5)], (1, 1)),
     lambda: le({"x": 0.5}, 1),
     lambda: le({"x": 0.0, "y": 1}, 1),
@@ -491,7 +502,7 @@ def test_exact_linear_algebra_refuses_floats(build):
 
 @pytest.mark.parametrize("build", [
     lambda: ProjPoint(("0.1", 1, 1)),
-    lambda: constraints._kernel([["1e3", "0.5"]], 2),
+    lambda: kernel([["1e3", "0.5"]], 2),
     lambda: le({"x": "2.5"}, "1e2"),
     lambda: parse_system("x <= m", m="1e3"),
 ], ids=["ProjPoint", "kernel", "constraint", "system-constant"])
@@ -506,14 +517,14 @@ def test_phase_one_never_enters_a_basic_column(monkeypatch):
     # the cost row starts at 0 on the basic artificials, so Bland's rule
     # never picks a column that is already basic (a no-op pivot)
     basis = []
-    pivot = constraints._pivot
+    pivot = linalg._pivot
 
     def recording(tab, r, col):
         assert col not in basis
         basis[r] = col
         return pivot(tab, r, col)
 
-    monkeypatch.setattr(constraints, "_pivot", recording)
+    monkeypatch.setattr(linalg, "_pivot", recording)
     rng = random.Random(7)
     for _ in range(100):
         dim = rng.randint(1, 4)
@@ -558,7 +569,7 @@ def test_kernel_agrees_with_sympy_nullspace():
         rows, width = _random_matrix(rng)
         mat = sympy.Matrix(len(rows), width, [_sym(x) for row in rows for x in row])
         expected = [[Q(int(x.p), int(x.q)) for x in vec] for vec in mat.nullspace()]
-        assert constraints._kernel(rows, width) == expected, rows
+        assert kernel(rows, width) == expected, rows
 
 
 def _caratheodory(generators, target):

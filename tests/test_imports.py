@@ -5,6 +5,7 @@ module, sympy among them, loaded already through the other tests.  The
 package namespace re-exports lazily; its checks run in this process.
 """
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -83,8 +84,9 @@ def test_lines_loads_nothing_but_the_lattice():
 def test_case_and_solve_load_only_the_solver(tmp_path):
     path = tmp_path / "system.txt"
     path.write_text(SYSTEM_TEXT)
-    assert _modules_loaded("case", "--id", "3", "--m", "6") == {"constraints", "poly"}
-    assert _modules_loaded("solve", str(path), "--m", "2") == {"constraints", "poly"}
+    solver = {"constraints", "linalg", "poly"}
+    assert _modules_loaded("case", "--id", "3", "--m", "6") == solver
+    assert _modules_loaded("solve", str(path), "--m", "2") == solver
 
 
 def test_lct_loads_no_geometry():
@@ -99,6 +101,28 @@ def test_verify_loads_no_threshold_code():
     assert "lemma_verify" in loaded
     assert loaded.isdisjoint({"germs", "lct", "resolution", "modp",
                               "numfield"}), loaded
+
+
+def test_geometry_commands_load_no_fourier_motzkin(tmp_path):
+    # the kernels and the cone facets come from linalg, not the FM solver
+    path = tmp_path / "generic.cfg"
+    path.write_text(GENERIC_CONFIG)
+    for args in (("eckardt", "--config", str(path)),
+                 ("verify", "--lemma", "5.1", "--m", "4"),
+                 ("verify", "--lemma", "5.1", "--m", "5"),
+                 ("alpha", "--config", str(path))):
+        loaded = _modules_loaded(*args)
+        assert "linalg" in loaded and "constraints" not in loaded, (args, loaded)
+
+
+def test_newton_thresholds_load_no_resolution(tmp_path):
+    path = tmp_path / "generic.cfg"
+    path.write_text(GENERIC_CONFIG)
+    for args in (("alpha", "--config", str(path)),
+                 ("lct", "--method", "newton", "y^2 - x^4")):
+        loaded = _modules_loaded(*args)
+        assert "lct" in loaded, args
+        assert loaded.isdisjoint({"resolution", "numfield"}), (args, loaded)
 
 
 @pytest.mark.parametrize("args", [
@@ -205,7 +229,7 @@ PUBLIC_NAMES = [
     "third_line", "tritangent_triples", "validate",
 ]
 
-MODULES = ("constraints", "germs", "lattice", "lct", "lemma_verify",
+MODULES = ("constraints", "germs", "lattice", "lct", "lemma_verify", "linalg",
            "plane_config", "resolution")
 
 
@@ -256,3 +280,34 @@ def test_a_traced_read_of_the_package_leaves_no_wrapper():
     assert spans.wrapped_attributes() == []
     assert delpezzo.solve is solve
     assert "solve" not in vars(delpezzo)
+
+
+# -- private names across module boundaries ----------------------------------
+
+def _private_reads(path: Path) -> set:
+    """The private names that the module at path reads from a sibling:
+    `from .m import _x`, or `m._x` after `from . import m`."""
+    tree = ast.parse(path.read_text())
+    siblings, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            reads.add(f"{siblings[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_modules_share_only_these_private_names():
+    # a new crossing is a helper that belongs in a public interface
+    package = Path(delpezzo.__file__).resolve().parent
+    crossings = {path.stem: reads for path in sorted(package.glob("*.py"))
+                 if (reads := _private_reads(path))}
+    assert crossings == {"constraints": {"poly._lex", "poly._parse"},
+                         "lct": {"resolution._qq_poly"}}

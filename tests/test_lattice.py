@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from delpezzo.constraints import _kernel, nonnegative_combination
 from delpezzo.lattice import (C, E, F, H, L, MINUS_K, DivisorClass,
                               SurfaceModel, curve_incidences,
                               effective_cone_facets,
@@ -16,6 +15,7 @@ from delpezzo.lattice import (C, E, F, H, L, MINUS_K, DivisorClass,
                               is_ample, is_effective, third_line,
                               tritangent_triples)
 from delpezzo.lemma_verify import lemma51_scan
+from delpezzo.linalg import kernel, nonnegative_combination
 
 SMOOTH = enumerate_negative_curves(SurfaceModel.SMOOTH)
 NODAL = enumerate_negative_curves(SurfaceModel.NODAL)
@@ -370,7 +370,7 @@ def test_facet_normals_are_primitive_and_supported_on_rank_6(model):
         assert math.gcd(*f.coords()) == 1
         assert all(f.intersect(c) >= 0 for c in curves)
         tight = [c.coords() for c in curves if f.intersect(c) == 0]
-        assert len(_kernel(tight, 7)) == 1   # the tight curves have rank 6
+        assert len(kernel(tight, 7)) == 1   # the tight curves have rank 6
 
 
 @pytest.mark.parametrize("m", range(2, 21))

@@ -182,6 +182,16 @@ def test_proven_gcd_refuses_roots_equal_only_mod_p():
     assert newton_lct(f).exact
 
 
+def test_proven_gcd_refuses_a_gcd_beyond_reconstruction():
+    # the double root c = 10^12 + 39 has no fraction n/d with |n|, d below
+    # modp.BOUND that reduces to it modulo P, so the gcd is left unproven
+    c = 10 ** 12 + 39
+    assert modp._reconstruct(-c % P) is None
+    r = _expand([([Fraction(-c), Fraction(1)], 2)])
+    assert modp.proven_gcd(r) is None
+    assert _sympy_gcd(r) == [-c, 1]
+
+
 def _factor_list_irreducible(q) -> bool:
     _c, factors = _sympy(q).factor_list()
     return len(factors) == 1 and factors[0][1] == 1
@@ -323,6 +333,22 @@ def test_own_field_roots_agree_with_the_rerun(monkeypatch, text, matrix):
     assert NumberField in own_fields and NumberField not in fields
     if matrix == (1, 0, 0, 1):
         assert "chart A at y=CRootOf(" in str(own[0])
+
+
+# two components, both smooth through a root of v^p - 2 on the first line
+# together with that line: the restrictions of both are multiplied over the
+# own field, and the product's sums start from a Number, never from an int
+@pytest.mark.parametrize("text", ["(y^2 - 2*x^2)^3*(y^2 - 2*x^2 - x^3)",
+                                  "(y^3 - 2*x^3)^2*(y^3 - 2*x^3 - x^4)^2"])
+@pytest.mark.parametrize("matrix", [(1, 0, 0, 1), (1, 1, 1, 2)])
+def test_components_meeting_at_an_own_field_site_agree_with_sympy(
+        monkeypatch, text, matrix):
+    f = parse_germ(text).compose_linear(*matrix)
+    (own, _, own_fields), (sympy_only, _, fields) = _both_ways(monkeypatch, f)
+    assert own == sympy_only
+    assert own_fields == [type(resolution._RATIONALS), NumberField]
+    assert NumberField not in fields
+    assert len(own[1]) == 2 and "chart A at root of" in str(own[0])
 
 
 def test_a_tower_moves_to_sympys_copy_of_the_own_field(monkeypatch):

@@ -251,6 +251,18 @@ def test_a_kept_resolution_keeps_the_budget(monkeypatch, memo):
     assert resolve_germ(f) is res
 
 
+def test_an_equal_germ_reads_the_budget_of_the_kept_resolution(monkeypatch, memo):
+    f = parse_germ("y^2 - x^3")
+    assert resolve_germ(f).blowups == 3
+    g = CurveGerm.from_dict({(3, 0): -1, (0, 2): 1})
+    assert g is not f and g == f
+    monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "2")
+    with pytest.raises(DepthExceededError) as exc:
+        resolve_germ(g)
+    assert exc.value.limit == 2
+    assert len(memo) == 1   # f is alive, and the memo still holds its run
+
+
 @pytest.mark.parametrize("budget", ["-1", "2.0", "many"])
 def test_a_bad_budget_is_refused_on_a_kept_germ(monkeypatch, memo, budget):
     f = parse_germ("y^2 - x^3")
@@ -283,15 +295,16 @@ def test_kept_nodes_are_frozen():
 
 
 def test_check_mult_bounds_resolves_once(monkeypatch):
-    calls = _count_resolves(monkeypatch, lct_module)
+    # check_mult_bounds reads resolve_germ from `resolution` when it runs
+    calls = _count_resolves(monkeypatch, resolution)
     verdict = check_mult_bounds(parse_germ("(y - x^2)^3"))
     assert verdict.value == Fraction(1, 3) and verdict.equality_case.verified
     assert len(calls) == 1
 
 
 def test_cli_lct_resolves_once(monkeypatch):
-    # `lct` reads resolve_germ from its module when it runs
-    calls = _count_resolves(monkeypatch, lct_module, resolution)
+    # `lct` reads resolve_germ from `resolution` when it runs
+    calls = _count_resolves(monkeypatch, resolution)
     result = CliRunner().invoke(cli_module.cli, ["lct", "y^2 - x^3"])
     assert result.exit_code == 0
     assert "nodes: (1,2) (2,3) (4,6)" in result.output
