@@ -23,8 +23,9 @@ witness values substituted, which eliminates nothing: FM with strictness is
 an exact projection, so fixing the earlier variables commutes with
 projecting the later ones away.  FM row growth depends on the order.
 
-`parse_system` reads systems from text with the shared parser of
-`delpezzo.poly` (degree cap 1); any error names its line.
+`parse_system` reads systems from text: it splits each constraint line at its
+one relation and reads each side with `poly.parse` (degree cap 1); any error
+names its line.
 """
 
 from __future__ import annotations
@@ -463,7 +464,9 @@ def encode_nodal(m: int, subcase: Optional[str] = None) -> ConstraintSystem:
 # Textual system format:  `int mu` declarations, one constraint per line,
 # e.g. `2*mu + nu <= 3*m`; `m` is substituted numerically at load time.
 
-_DECL_RE = re.compile(r"(int|var)\s+([A-Za-z_][A-Za-z_0-9]*)")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_DECL_RE = re.compile(rf"(int|var)\s+({_NAME_RE.pattern})")
+_RELATION_RE = re.compile(r"([<>]=?|=)")
 _BUILDERS = {"<=": le, "<": lt, "=": eq, ">=": ge, ">": gt}
 
 
@@ -496,21 +499,15 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
             if kind == "int":
                 integer_vars.add(name)
             continue
-        # one token pass: the relation, the names and both sides come off it
-        tokens, refused = poly._lex(line)
-        rels = [i for i in refused if tokens[i] in _BUILDERS]
-        if len(rels) != 1:
+        sides = _RELATION_RE.split(line)
+        if len(sides) != 3:
             raise SystemParseError(f"line {lineno}: expected one relation in {line!r}")
-        [r] = rels
-        if m is None and "m" in tokens:
+        found = _NAME_RE.findall(line)
+        if m is None and "m" in found:
             raise SystemParseError(f"line {lineno}: m used but no value supplied")
-        names = tuple(dict.fromkeys(t for t in tokens if type(t) is str
-                                    and t.isidentifier() and t != "m"))
+        names = tuple(dict.fromkeys(n for n in found if n != "m"))
         try:
-            left = poly._parse(tokens[:r], [i for i in refused if i < r], names, 1,
-                               constants)
-            right = poly._parse(tokens[r + 1:], [i - r - 1 for i in refused if i > r],
-                                names, 1, constants)
+            left, right = (poly.parse(side, names, 1, constants) for side in sides[::2])
         except poly.PolyParseError as exc:
             raise SystemParseError(f"line {lineno}: {exc}") from exc
         diff = poly.add(left, {e: -c for e, c in right.items()})
@@ -519,7 +516,7 @@ def parse_system(text: str, m: Optional[int] = None) -> ConstraintSystem:
         linear = {e.index(1): c for e, c in diff.items() if any(e)}
         coeffs = {names[i]: linear[i] for i in sorted(linear)}
         rhs = -diff.get((0,) * len(names), 0)
-        pending.append(_BUILDERS[tokens[r]](coeffs, rhs, tag=f"line {lineno}"))
+        pending.append(_BUILDERS[sides[1]](coeffs, rhs, tag=f"line {lineno}"))
     for con in pending:
         for v in con.coeffs:
             if v not in variables:

@@ -227,7 +227,7 @@ def check_mult_bounds(f: CurveGerm) -> MultBoundsVerdict:
     power of a smooth germ; the certificate exhibits that structure from the
     rational factorization and verifies the division.
     """
-    from .resolution import _qq_poly, resolve_germ
+    from .resolution import qq_poly, resolve_germ
     k = f.multiplicity
     res = resolve_germ(f)
     value = resolution_lct(res).value
@@ -235,8 +235,8 @@ def check_mult_bounds(f: CurveGerm) -> MultBoundsVerdict:
     if value == Fraction(1, k):
         for comp in res.components:
             if comp.multiplicity == k and comp.mult_at_origin == 1:
-                h = _qq_poly(dict(comp.coeffs))
-                quot, rem = _qq_poly(f.terms()).div(h ** k)
+                h = qq_poly(dict(comp.coeffs))
+                quot, rem = qq_poly(f.terms()).div(h ** k)
                 verified = rem.is_zero and quot.eval((0, 0)) != 0
                 equality = EqualityCase(comp.label,
                                         str(quot.as_expr()), verified)

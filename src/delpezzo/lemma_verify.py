@@ -20,13 +20,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import poly
 from .lattice import (C, MINUS_K, ZERO, DivisorClass, SurfaceModel,
                       curve_incidences, enumerate_negative_curves, is_ample,
                       is_effective)
-from .plane_config import SixPointConfig, eckardt_points
+
+if TYPE_CHECKING:
+    from .plane_config import SixPointConfig
 
 #: Contradiction vocabulary.  Every reason is re-checkable from the recorded
 #: candidate alone: ampleness via is_ample, effectivity via is_effective, the
@@ -498,6 +500,7 @@ def alpha1_report(config: SixPointConfig) -> Alpha1Report:
     """
     from .germs import parse_germ  # here, so that the scans never load them
     from .lct import newton_lct
+    from .plane_config import eckardt_points
     if config.mode is not SurfaceModel.SMOOTH:
         raise ValueError("smooth-model configurations only")
     found = eckardt_points(config)

@@ -39,8 +39,7 @@ MAX_COEFF_BITS = 4096
 #: (1+x+y)^24 spends about 7,800, and each costs a few microseconds
 MAX_TERM_PRODUCTS = 10_000
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|([<>]=?|=)|(\S))")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|(\S))")
 
 
 class PolyParseError(ValueError):
@@ -117,50 +116,36 @@ def parse(text: str, names: Sequence[str], max_degree: int,
     non-constant, a product or power over the degree or bit budget, and a
     parse that needs more than MAX_TERM_PRODUCTS term products.
     """
-    p = _parse(*_lex(text), names, max_degree, constants)
+    p = _parse(_lex(text), names, max_degree, constants)
     return {e: c if type(c) is Fraction else Fraction(c) for e, c in p.items()}
 
 
-def _lex(text: str) -> tuple[list, list[int]]:
-    """The tokens of text, and the indices of those `_parse` refuses.
-
-    Those are the relations, which only `constraints.parse_system` reads,
-    and the tokens outside the grammar, each kept as the PolyParseError it
-    raises so that each side of a relation reports its own first one.
-    """
+def _lex(text: str) -> list:
+    """The tokens of text; raises PolyParseError at the first one outside the grammar."""
     tokens: list = []
-    refused: list[int] = []
-    for number, word, relation, other in _TOKEN_RE.findall(text):
+    for number, word, other in _TOKEN_RE.findall(text):
         if number:
             try:
                 tokens.append(int(number))
-                continue
             except ValueError:       # over the interpreter's digit limit
-                tok = PolyParseError("integer literal too long")
+                raise PolyParseError("integer literal too long") from None
         elif word and word != "**":
             tokens.append(word)
-            continue
         else:
-            tok = relation or PolyParseError(
+            raise PolyParseError(
                 f"unexpected {other or word!r}" + ("; write powers with '^'" if word else ""))
-        refused.append(len(tokens))
-        tokens.append(tok)
-    return tokens, refused
+    return tokens
 
 
-def _parse(tokens: list, refused: Sequence[int], names: Sequence[str], max_degree: int,
+def _parse(tokens: list, names: Sequence[str], max_degree: int,
            constants: Optional[Mapping[str, Fraction]] = None) -> Poly:
     """`parse` on `_lex`'s tokens, with int coefficients where no `/` made a Fraction.
 
-    `refused` indexes the tokens `_lex` refused; the first is raised before
-    anything is parsed.  Inside, a monomial is one (exponent, coefficient)
-    pair and any other polynomial a dict, so a run of monomial factors such
-    as 3/4*x^2*y^3 needs no `mul`; one-term values are charged the budgets
-    of the one-term dicts they stand for.
+    Inside, a monomial is one (exponent, coefficient) pair and any other
+    polynomial a dict, so a run of monomial factors such as 3/4*x^2*y^3
+    needs no `mul`; one-term values are charged the budgets of the one-term
+    dicts they stand for.
     """
-    if refused:
-        tok = tokens[refused[0]]
-        raise tok if isinstance(tok, PolyParseError) else PolyParseError(f"unexpected {tok[0]!r}")
     tokens = [None] + tokens[::-1]   # popped from the end; None marks the end
     constants = constants or {}
     zero, units = _units(tuple(names))

@@ -94,10 +94,11 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from . import modp
 from .germs import CurveGerm
-from .numfield import NumberField, monic_gcd
 
 if TYPE_CHECKING:
     from sympy import Poly
+
+    from .numfield import NumberField
 
 
 @functools.cache
@@ -195,7 +196,7 @@ class Component:
     @property
     def label(self) -> str:
         """The factor as sympy prints it, built only when asked for."""
-        return str(_qq_poly(dict(self.coeffs)).as_expr())
+        return str(qq_poly(dict(self.coeffs)).as_expr())
 
     @property
     def through_origin(self) -> bool:
@@ -288,15 +289,17 @@ def _multiple_roots(comps: list, K) -> Optional[tuple[list, list]]:
     other factor is proven irreducible of degree 2 or 3; sympy decides the
     rest.  Over a NumberField, _roots_over decides r or returns None."""
     r = functools.reduce(_mul, (_restriction(p, K) for p, _i in comps))
-    if type(K) is NumberField:
-        roots = _roots_over(K, r)
-        return None if roots is None else (roots, [])
     if K.is_QQ:
         if (roots := modp.rational_multiple_roots(r)) is not None:
             return roots, []
         low = next(k for k, c in enumerate(r) if c)
         if (q := modp.irreducible_multiple_factor(r[low:])) is not None:
             return [Fraction(0)] * (low >= 2), [q]
+    else:
+        from .numfield import NumberField
+        if type(K) is NumberField:
+            roots = _roots_over(K, r)
+            return None if roots is None else (roots, [])
     from sympy import QQ, Poly
     roots, factors = _factor_gcd(
         Poly(r[::-1], _symbols("v"), domain=QQ if K.is_QQ else K))
@@ -310,6 +313,7 @@ def _roots_over(K: NumberField, r: list) -> Optional[list]:
     that gcd is v^a * (v - b)^c: the root 0 is read off r's low
     coefficients, and b off the gcd of the rest and its derivative.
     Anything else gives None."""
+    from .numfield import monic_gcd
     low = next(k for k, c in enumerate(r) if c)
     roots = [K.zero] if low >= 2 else []
     r = r[low:]
@@ -367,6 +371,7 @@ def _extend_field(K, q):
     gamma = delta - s*alpha.
     """
     if type(q) is list:
+        from .numfield import NumberField
         K2 = NumberField(q)
         return K2, K2.convert, K2.unit
     from sympy import QQ, CRootOf, Poly
@@ -438,6 +443,7 @@ def _at_y(K, v0):
     that prints it with sympy (see ResolutionNode._path)."""
     if K.is_QQ:
         return f"chart A at y={v0}"
+    from .numfield import NumberField
     if type(K) is not NumberField:
         return f"chart A at y={K.to_sympy(v0)}"
 
@@ -520,7 +526,7 @@ class _Engine:
             self.blow_up(comps, K, xa, ya, where)
 
 
-def _qq_poly(terms: dict) -> Poly:
+def qq_poly(terms: dict) -> Poly:
     """A rational exponent dict as a sympy Poly in x, y over QQ."""
     from sympy import QQ, Poly
     return Poly.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()},

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -730,10 +731,42 @@ def test_parse_system_rejects_bad_syntax():
 
 
 @pytest.mark.parametrize("bad", ["x**2", "x^y", "x/y", "x/0", "x^-1", "0.5*x",
-                                 "x*x", "x*(y + 1)"])
+                                 "x*x", "x*(y + 1)", "2 < x"])
 def test_parse_system_rejects_text_outside_the_grammar(bad):
     with pytest.raises(SystemParseError, match="^line 3: "):
         parse_system(f"var x\nvar y\n{bad} <= 1\n", m=2)
+
+
+@pytest.mark.parametrize("line", ["x <= 1 <= 2", "x =< 1", "x == 1", "x \u2264 1",
+                                  "x + 1", "x < = 1"])
+def test_parse_system_refuses_anything_but_one_relation(line):
+    # =< and == are two relations; the sign \u2264 is none
+    with pytest.raises(SystemParseError,
+                       match=f"^line 2: expected one relation in {re.escape(repr(line))}$"):
+        parse_system(f"var x\n{line}\n", m=2)
+
+
+@pytest.mark.parametrize("line, m, message", [
+    # a bad token on each side: the left one
+    ("x + $ <= y ~ 1", 2, "unexpected '$'"),
+    ("x ** 2 <= y ~ 1", 2, "unexpected '**'; write powers with '^'"),
+    # the left side is read whole before the right side's tokens
+    ("x * <= $", 2, "unexpected end of input"),
+    ("x <= y ~ $", 2, "unexpected '~'"),
+    # m without a value is reported before any bad token
+    ("m*x $ <= 1", None, "m used but no value supplied"),
+    ("x <= ~ m", None, "m used but no value supplied"),
+], ids=["both-sides", "power-left", "left-unfinished", "right-only", "m-left",
+        "m-right"])
+def test_parse_system_reports_the_first_error_of_a_line(line, m, message):
+    with pytest.raises(SystemParseError, match=f"^line 1: {re.escape(message)}$"):
+        parse_system(f"{line}\n", m=m)
+
+
+def test_parse_system_ignores_a_relation_in_a_comment():
+    system = parse_system("x <= 1  # a < b\nx >= 0  # = <= >=\n")
+    assert system.variables == ["x"]
+    assert [str(con) for con in system.constraints] == ["x <= 1", "-x <= 0"]
 
 
 def test_parse_system_reads_the_shared_grammar():

@@ -10,7 +10,7 @@ from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
 
 from delpezzo.germs import (MAX_GERM_DEGREE, CurveGerm, GermParseError,
                             InvalidGermError, parse_germ)
-from delpezzo.resolution import _qq_poly
+from delpezzo.resolution import qq_poly
 
 exponents = st.tuples(st.integers(min_value=0, max_value=6),
                       st.integers(min_value=0, max_value=6)).filter(
@@ -190,7 +190,7 @@ def test_parse_agrees_with_sympy_on_the_grammar(text_and_bound):
 
 @given(germs)
 def test_sympy_round_trip(f):
-    assert _qq_poly(f.terms()).as_dict() == f.terms()
+    assert qq_poly(f.terms()).as_dict() == f.terms()
 
 
 @given(germs, germs)

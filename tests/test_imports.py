@@ -96,23 +96,36 @@ def test_lct_loads_no_geometry():
                               "lemma_verify"}), loaded
 
 
+def test_lct_loads_the_number_fields_only_where_it_meets_one():
+    resolver = {"germs", "lct", "modp", "poly", "resolution"}
+    assert _modules_loaded("lct", "y^2 - x^3") == resolver
+    # the first blow-up meets the curve at the roots of v^2 - 2
+    assert _modules_loaded("lct", "(y^2 - 2*x^2)^2 - x^5") \
+        == resolver | {"linalg", "numfield"}
+
+
 def test_verify_loads_no_threshold_code():
+    # nor the plane configurations, which only alpha1_report reads
     loaded = _modules_loaded("verify", "--lemma", "5.1", "--m", "4")
-    assert "lemma_verify" in loaded
-    assert loaded.isdisjoint({"germs", "lct", "resolution", "modp",
-                              "numfield"}), loaded
+    assert loaded == {"lattice", "lemma_verify", "linalg", "poly"}
 
 
 def test_geometry_commands_load_no_fourier_motzkin(tmp_path):
-    # the kernels and the cone facets come from linalg, not the FM solver
+    # the kernels and the cone facets come from linalg, not the FM solver;
+    # odd m tests no effectivity, so it needs no linalg either
     path = tmp_path / "generic.cfg"
     path.write_text(GENERIC_CONFIG)
-    for args in (("eckardt", "--config", str(path)),
-                 ("verify", "--lemma", "5.1", "--m", "4"),
-                 ("verify", "--lemma", "5.1", "--m", "5"),
-                 ("alpha", "--config", str(path))):
-        loaded = _modules_loaded(*args)
-        assert "linalg" in loaded and "constraints" not in loaded, (args, loaded)
+    for args, expected in (
+            (("eckardt", "--config", str(path)),
+             {"lattice", "linalg", "plane_config", "poly"}),
+            (("verify", "--lemma", "5.1", "--m", "4"),
+             {"lattice", "lemma_verify", "linalg", "poly"}),
+            (("verify", "--lemma", "5.1", "--m", "5"),
+             {"lattice", "lemma_verify", "poly"}),
+            (("alpha", "--config", str(path)),
+             {"germs", "lattice", "lct", "lemma_verify", "linalg", "modp",
+              "plane_config", "poly"})):
+        assert _modules_loaded(*args) == expected, args
 
 
 def test_newton_thresholds_load_no_resolution(tmp_path):
@@ -305,9 +318,10 @@ def _private_reads(path: Path) -> set:
 
 
 def test_modules_share_only_these_private_names():
-    # a new crossing is a helper that belongs in a public interface
+    # none: a helper that another module reads belongs in its module's public
+    # interface, as `resolution.qq_poly` does, and `constraints` reads system
+    # text through `poly.parse` alone
     package = Path(delpezzo.__file__).resolve().parent
     crossings = {path.stem: reads for path in sorted(package.glob("*.py"))
                  if (reads := _private_reads(path))}
-    assert crossings == {"constraints": {"poly._lex", "poly._parse"},
-                         "lct": {"resolution._qq_poly"}}
+    assert crossings == {}

@@ -477,7 +477,7 @@ def test_resolution_runs_no_minimal_polynomial_search(monkeypatch, memo):
 def _full_components(f):
     """The oracle: every irreducible QQ factor of f, in factor_list order, as
     a primitive integer polynomial."""
-    _c, factors = resolution._qq_poly(f.terms()).factor_list()
+    _c, factors = resolution.qq_poly(f.terms()).factor_list()
     out = []
     for q, mult in factors:
         primitive = q.clear_denoms(convert=True)[1].primitive()[1]
@@ -493,7 +493,7 @@ def _bivariate_face_is_square_free(f, face):
              if w1 * i + w2 * j == face.level}
     i0 = min(i for i, _ in terms)
     j0 = min(j for _, j in terms)
-    bivariate = resolution._qq_poly(
+    bivariate = resolution.qq_poly(
         {(i - i0, j - j0): c for (i, j), c in terms.items()})
     return all(mult == 1 for _, mult in bivariate.sqf_list()[1])
 
@@ -529,7 +529,7 @@ def _split_corpus():
 def _product(components, weighted):
     out = Poly(1, _X, _Y, domain=QQ)
     for comp in components:
-        out *= resolution._qq_poly(dict(comp.coeffs)) ** \
+        out *= resolution.qq_poly(dict(comp.coeffs)) ** \
             (comp.multiplicity if weighted else 1)
     return out.monic()
 
@@ -588,7 +588,7 @@ def test_only_parts_an_output_reads_are_factored(monkeypatch, memo, text,
     f = parse_germ(text)
     # a reduced germ is certified square-free modulo a prime, so sympy's
     # bivariate square-free split runs only on a germ that is not reduced
-    decompositions = 0 if resolution._qq_poly(f.terms()).is_sqf else 1
+    decompositions = 0 if resolution.qq_poly(f.terms()).is_sqf else 1
     factor_calls = _count_bivariate(monkeypatch, "factor_list")
     sqf_calls = _count_bivariate(monkeypatch, "sqf_list")
     resolve_germ(f)
