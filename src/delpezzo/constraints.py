@@ -10,15 +10,17 @@ on that equality; otherwise every upper row is combined with every lower
 row, and strictness propagates through combinations (strict + anything =
 strict).
 
-`solve` reads every output off one chain in one pass over the variables:
-prefix[k] is the system with the variables after the k-th (declaration
-order) eliminated, last first.  Pass k eliminates the earlier variables from
-prefix[k], first declared first, and reads the k-th variable's bounds off the
-result through `_normalize`, with attainment flags so that a supremum can be
-told apart from a maximum.  The system is feasible iff prefix[0] exists and
-bounds the first variable.  Forced values are bounds that coincide, and
-integrality is checked on forced values of integer-flagged variables.  The
-same pass picks the witness value from prefix[k]'s rows with the earlier
+`solve` builds one chain: prefix[k] is the system with the variables after
+the k-th (declaration order) eliminated, last first, n - 1 eliminations in
+all.  The system is feasible iff prefix[0] exists and bounds the first
+variable.  A feasible system then reads each variable's bounds off one
+divide-and-conquer tree of projections (`_projections`), whose leaf k is the
+projection onto the k-th variable, through `_normalize`, with attainment
+flags so that a supremum can be told apart from a maximum: n - 1 plus the
+tree's eliminations come to 24 at n = 8, against 35 for one chain per
+variable.  Forced values are bounds that coincide, and integrality is
+checked on forced values of integer-flagged variables.  One pass over the
+variables picks each witness value from prefix[k]'s rows with the earlier
 witness values substituted, which eliminates nothing: FM with strictness is
 an exact projection, so fixing the earlier variables commutes with
 projecting the later ones away.  FM row growth depends on the order.
@@ -283,28 +285,47 @@ def _pick(bounds: VarBounds) -> Fraction:
     return Fraction(0)
 
 
+def _projections(prefix: list[_Sys]) -> list[_Sys]:
+    """The leaves of one divide-and-conquer tree: leaf k projects onto x_k.
+
+    A node [lo, hi) holds a system on exactly those variables and halves at
+    mid.  Its left child is prefix[mid - 1] when lo = 0, else the node with
+    mid .. hi-1 eliminated in reverse order; its right child is the node
+    with lo .. mid-1 eliminated in order.  The system must be feasible.
+    """
+    def node(lo: int, hi: int, sys_: _Sys) -> list[_Sys]:
+        if hi - lo == 1:
+            return [sys_]
+        mid = (lo + hi) // 2
+        left = (prefix[mid - 1] if lo == 0
+                else functools.reduce(_eliminate, reversed(range(mid, hi)), sys_))
+        right = functools.reduce(_eliminate, range(lo, mid), sys_)
+        return node(lo, mid, left) + node(mid, hi, right)
+    return node(0, len(prefix), prefix[-1])
+
+
 def solve(system: ConstraintSystem) -> SolveReport:
-    """Exact feasibility, per-variable bounds, forced values, integrality."""
+    """Exact feasibility, per-variable bounds, forced values, integrality.
+
+    The prefix chain decides feasibility; a feasible system reads its bounds
+    off `_projections`' tree, 24 eliminations in all at n = 8.
+    """
     order = list(system.variables)
     # prefix[k] constrains order[:k + 1] only: the later variables are
     # eliminated from the whole system, last declared first
     prefix = [_normalize(_rows_of(system))]
     for k in reversed(range(1, len(order))):
         prefix.insert(0, None if prefix[0] is None else _eliminate(prefix[0], k))
-    if prefix[0] is None:
+    if prefix[0] is None or order and _bounds_from_univariate(prefix[0], 0) is None:
         return SolveReport(False, {}, {}, {}, None)
 
     bounds: dict[str, VarBounds] = {}
     forced: dict[str, Fraction] = {}
     integrality: dict[str, bool] = {}
     witness: dict[str, Fraction] = {}
-    for k, var in enumerate(order):
-        vb = bounds[var] = _bounds_from_univariate(
-            functools.reduce(_eliminate, range(k), prefix[k]), k)
-        if vb is None:
-            # prefix[0] decides feasibility; a feasible system projects feasibly
-            assert not k, "projection of a feasible system is feasible"
-            return SolveReport(False, {}, {}, {}, None)
+    for k, (var, leaf) in enumerate(zip(order, _projections(prefix))):
+        vb = bounds[var] = _bounds_from_univariate(leaf, k)
+        assert vb is not None, "projection of a feasible system is feasible"
         # coinciding bounds are both attained, or the reader returns None
         if vb.lower is not None and vb.lower == vb.upper:
             forced[var] = vb.lower

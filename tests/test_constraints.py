@@ -1,5 +1,6 @@
 """Fourier-Motzkin engine: frozen case systems, random-grid oracle, parser."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -187,18 +188,106 @@ def test_integrality_follows_declaration_order(system, order):
     assert list(solve(system).integrality) == order
 
 
-def test_solve_eliminates_along_one_chain(monkeypatch):
-    # n - 1 eliminations along the prefix chain and n(n-1)/2 to project the
-    # earlier variables away for the bounds; the witness substitutes values
-    # and eliminates nothing: 35 for n = 8
+def test_solve_eliminates_along_the_chain_and_one_tree(monkeypatch):
+    # n - 1 eliminations build the prefix chain, which decides feasibility; a
+    # feasible system then builds the projection tree, where a node [lo, hi)
+    # off the left spine costs hi - lo eliminations and one on it (lo = 0)
+    # only hi - mid, its left child being prefix[mid - 1].  So n - 1 + tree:
+    # 0, 2, 5, 8, 12, 16, 20, 24, 29 for n = 1 .. 9, against n - 1 +
+    # n(n-1)/2 for one chain per variable.  The witness substitutes values and
+    # eliminates nothing.
     calls = []
     inner = constraints._eliminate
     monkeypatch.setattr(constraints, "_eliminate",
                         lambda sys_, var: calls.append(var) or inner(sys_, var))
-    system = encode_nodal(4, "q_on_c")
-    assert solve(system).feasible
-    assert len(system.variables) == 8
-    assert len(calls) == 35
+    for system, feasible, count in [(encode_nodal(4, "q_on_c"), True, 7 + 17),
+                                    (encode_nodal(5), True, 6 + 14),
+                                    (encode_case2(4), True, 4 + 8),
+                                    (encode_nodal(4, "q_free"), False, 7)]:
+        calls.clear()
+        assert solve(system).feasible is feasible
+        assert len(calls) == count
+
+
+def _prefix_chain(system):
+    prefix = [constraints._normalize(constraints._rows_of(system))]
+    for k in reversed(range(1, len(system.variables))):
+        prefix.insert(0, prefix[0] and constraints._eliminate(prefix[0], k))
+    return prefix
+
+
+def _chain_bounds(prefix, k):
+    # the reading the tree replaced: x_0 .. x_k-1 eliminated from prefix[k]
+    return constraints._bounds_from_univariate(
+        functools.reduce(constraints._eliminate, range(k), prefix[k]), k)
+
+
+def _mixed_system(rng):
+    """Up to 6 variables, rows of one to three of them, equalities and
+    strict rows among them."""
+    names = [f"x{i}" for i in range(rng.randint(1, 6))]
+    s = ConstraintSystem(names)
+    for _ in range(rng.randint(1, len(names) + 4)):
+        support = rng.sample(names, rng.randint(1, min(3, len(names))))
+        build = rng.choice((le, le, lt, ge, gt, eq))
+        s.add(build({v: rng.choice((-2, -1, 1, 2)) for v in support},
+                    Q(rng.randint(-4, 8), rng.randint(1, 2))))
+    return s
+
+
+def test_projection_tree_agrees_with_one_chain_per_variable():
+    rng = random.Random(20261020)
+    systems = [_random_system(rng, den) for den in (1, 3) for _ in range(60)]
+    systems += [_mixed_system(rng) for _ in range(300)]
+    systems += [encode(m) for m in range(1, 21) for encode in
+                (encode_case2, encode_case3,
+                 *(functools.partial(encode_nodal, subcase=sub)
+                   for sub in (None,) + NODAL_SUBCASES))]
+    widths = set()
+    for system in systems:
+        prefix = _prefix_chain(system)
+        if (prefix[0] is None
+                or constraints._bounds_from_univariate(prefix[0], 0) is None):
+            continue
+        leaves = constraints._projections(prefix)
+        assert len(leaves) == len(system.variables)
+        for k, leaf in enumerate(leaves):
+            # leaf k constrains x_k alone
+            assert all(not any(row[:k] + row[k + 1:-1])
+                       for row in leaf[0] + [row for row, _ in leaf[1]])
+            assert constraints._bounds_from_univariate(leaf, k) == \
+                _chain_bounds(prefix, k)
+        widths.add(len(leaves))
+    assert widths == set(range(1, 9))
+
+
+def _report_fields(rep):
+    return (rep.feasible, {v: str(b) for v, b in rep.bounds.items()},
+            {v: str(x) for v, x in rep.forced.items()}, rep.integrality,
+            rep.witness and {v: str(x) for v, x in rep.witness.items()})
+
+
+CHAIN9 = "int x0\nx0 >= 0\n" + "".join(
+    f"x{i + 1} - x{i} >= 1\n" for i in range(8)) + "x8 < 10\n"
+
+
+@pytest.mark.parametrize("text, report", [
+    ("0 <= 1", (True, {}, {}, {}, {})),
+    ("1 <= 0", (False, {}, {}, {}, None)),
+    ("", (True, {}, {}, {}, {})),
+    ("int x", (True, {"x": "-inf < _ < inf"}, {}, {}, {"x": "0"})),
+    ("int x\n2*x = 1", (True, {"x": "1/2 <= _ <= 1/2"}, {"x": "1/2"},
+                        {"x": False}, {"x": "1/2"})),
+    ("x + y <= 2\nx - y > 0\ny >= -1",
+     (True, {"x": "-1 < _ <= 3", "y": "-1 <= _ < 1"}, {}, {},
+      {"x": "3", "y": "-1"})),
+    # 9 variables: the tree splits [0, 9) at 4, then [4, 9) at 6 and [6, 9) at 7
+    (CHAIN9, (True, {f"x{i}": f"{i} <= _ < {i + 2}" for i in range(9)}, {}, {},
+              {f"x{i}": str(i) for i in range(9)})),
+], ids=["no-vars", "no-vars-infeasible", "empty", "one-var-free",
+        "one-var-half", "two-vars", "nine-var-chain"])
+def test_solve_reports_on_edge_sizes(text, report):
+    assert _report_fields(solve(parse_system(text))) == report
 
 
 # -- random-grid oracle ----------------------------------------------------------
