@@ -8,11 +8,11 @@ away from the coordinate axes; the report's `exact` flag records whether
 that certificate holds.  A face polynomial is y^(g*w1) * H(x^w2 / y^w1)
 for a univariate H of degree g with H(0) != 0, so the certificate is the
 univariate test gcd(H, H') = 1 on each face.  That test is put modulo the
-prime P = 2^61 - 1 first (see modp): an H that keeps its degree and is
-square-free there is square-free over QQ, and one whose multiple roots are
-rational and proven there (rational_multiple_roots), or whose gcd(H, H') is
-proven nonconstant (proven_gcd), is not.  Only an H whose gcd with H' is
-not proven, say as its degree drops mod P, goes to sympy, so germs such as
+prime P = 2^61 - 1 first, by one modp.proven_gcd: an H that keeps its
+degree and is square-free there is square-free over QQ, and one whose
+gcd(H, H') is proven nonconstant there is not.  Only an H whose gcd with H'
+is not proven, say as its degree drops mod P or a coefficient of the gcd is
+beyond rational reconstruction, goes to sympy, so germs such as
 (2*y - 3*x)^2 - x^3 and (y^2 - 2*x^2)^2 - x^5 are decided without importing
 it.
 
@@ -20,7 +20,8 @@ blowup_lct builds an embedded resolution by iterated point blow-ups and
 evaluates min(min_i 1/m_i, min_E (a_E + 1)/b_E) over the components through
 the origin and the exceptional divisors; resolution_lct does that evaluation
 alone, for a caller that already holds the resolution.  The two methods share
-no code, so agreement on nondegenerate germs is a meaningful cross-check.
+only modp, asked for one gcd per face here and the multiple roots of each
+line there, so agreement on nondegenerate germs is a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -124,12 +125,9 @@ def _face_univariate(f: CurveGerm, face: NewtonFace) -> Poly:
 
 
 def _face_square_free(f: CurveGerm, face: NewtonFace) -> bool:
-    """Is the face's H square-free?  Decided by its rational multiple roots
-    or its proven gcd(H, H') (see modp) where they settle it, else by
-    sympy."""
+    """Is the face's H square-free?  Decided by its proven gcd(H, H') (see
+    modp) where there is one, else by sympy."""
     h = _face_coeffs(f.terms(), face)
-    if (roots := modp.rational_multiple_roots(h)) is not None:
-        return not roots
     if (g := modp.proven_gcd(h)) is not None:
         return len(g) == 1
     return _face_univariate(f, face).is_sqf

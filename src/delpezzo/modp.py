@@ -1,4 +1,4 @@
-"""Square-free certificates, rational multiple roots and proven gcds modulo
+"""Square-free certificates, multiple roots and proven gcds modulo
 P = 2^61 - 1, and a proof of irreducibility for quadratics and cubics.
 
 A univariate h over QQ whose residues mod P exist, whose top coefficient
@@ -10,27 +10,26 @@ can grow under reduction, deg g~ = deg g >= 1.  The test is one-sided: a
 reduction that is not square-free, or a degree that drops, proves nothing,
 and every caller then falls back to sympy.
 
-rational_multiple_roots goes one step further.  It finds the distinct
-multiple roots of h modulo P when there are at most two: the square-free
-part of gcd(h~, h~') gives its root when linear, and its two roots by one
-square root pow(D, (P + 1) / 4) when quadratic, since P = 3 mod 4.  It lifts
-each to a fraction by rational reconstruction, keeps it only when an exact
-division over ZZ proves it a root of multiplicity >= 2, and divides it out;
-the answer stands only when the cofactor is certified square-free as above
-(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).
-What it cannot prove is left to the caller's sympy path: an irrational
-multiple root, more than two distinct ones modulo P, a root whose numerator
-or denominator exceeds BOUND, a denominator divisible by P, a top
-coefficient that vanishes mod P.
+multiple_roots answers the resolution engine's question about an integer
+line r, its multiple roots over QQ, from one reduction modulo P: the root 0
+is read off r's low coefficients, and g = gcd(r~, r~') and, when g is not
+constant, gg = gcd(g, g') are taken once.  When the square-free part g/gg
+has one or two roots mod P, each is lifted by rational reconstruction and
+kept only when an exact division over ZZ proves it a root of multiplicity
+>= 2; the roots stand when the cofactor is certified square-free as above
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Else g and gg
+are lifted to proven gcds, and their quotient, the square-free part of
+gcd(r, r'), is the answer when irreducible proves it irreducible.  The rest
+is left to the caller's sympy path: a nonzero rational root beside an
+irrational one, more than two of them, several irreducible factors or one
+of degree 4 or more, a number beyond rational reconstruction (see BOUND), a
+top coefficient that vanishes mod P.
 
-proven_gcd lifts the whole monic gcd(h~, h~') the same way, coefficient by
-coefficient, and keeps it only when it divides h and h' exactly over QQ;
-as it has the degree of the gcd mod P, it is then the gcd over QQ
-(von zur Gathen and Gerhard, ch. 6).  irreducible proves a quadratic
-irreducible over QQ by its discriminant and a cubic by a small prime at
-which it has no root; irreducible_multiple_factor combines the two for
-the resolution engine, whose irrational centres over QQ are the roots of
-the square-free part of gcd(h, h').
+proven_gcd lifts the monic gcd(h~, h~') coefficient by coefficient by
+rational reconstruction and keeps it only when it divides h and h' exactly
+over QQ; it is then the gcd over QQ (von zur Gathen and Gerhard, ch. 6).
+irreducible proves a quadratic irreducible over QQ by its discriminant and
+a cubic by a small prime at which it has no root.
 
 A bivariate integer polynomial f is certified by specialising: f(x, t) and
 f(s, y), for the fixed point POINT = (s, t), reduced mod P.  A repeated
@@ -163,45 +162,6 @@ def _divide(R: list[int], n: int, d: int) -> Optional[list[int]]:
     return q[::-1]
 
 
-def rational_multiple_roots(r: Sequence) -> Optional[list[Fraction]]:
-    """The rational roots of multiplicity >= 2 of a nonzero univariate r, when
-    r has no other multiple root; None when that is not proven here.  r is
-    listed constant term first, in ints along the resolution engine's lines
-    and in Fractions on Newton faces.
-
-    The roots come in the order in which sympy's factor_list lists the
-    linear factors d*v - n of gcd(r, r'): by multiplicity, then by d, then
-    by -n.  The root 0 is read off r's low coefficients; the others are
-    proven as the module docstring says.
-    """
-    low = next(k for k, c in enumerate(r) if c)
-    found = [(low, 1, 0)] if low >= 2 else []     # (multiplicity, d, -n)
-    r = r[low:]
-    h = residues(r)
-    if h is None:
-        return None
-    g = _gcd(h, _derivative(h))
-    if len(g) > 1:
-        roots = _roots(_quo(g, _gcd(g, _derivative(g))))
-        if roots is None:
-            return None
-        scale = lcm(*(c.denominator for c in r))
-        R = [c.numerator * (scale // c.denominator) for c in r]
-        for x in roots:
-            root = _reconstruct(x)
-            if root is None:
-                return None
-            n, d, m = root.numerator, root.denominator, 0
-            while (quotient := _divide(R, n, d)) is not None:
-                R, m = quotient, m + 1
-            if m < 2:       # not r(x) = r'(x) = 0 over QQ
-                return None
-            found.append((m, d, -n))
-        if not is_squarefree([c % P for c in R]):
-            return None
-    return [Fraction(-k, d) for _m, d, k in sorted(found)]
-
-
 def _exact_quotient(a: Sequence, g: list) -> Optional[list]:
     """a / g over QQ for a monic g, or None when g does not divide a."""
     a, q = list(a), [0] * max(len(a) - len(g) + 1, 0)
@@ -212,21 +172,17 @@ def _exact_quotient(a: Sequence, g: list) -> Optional[list]:
     return None if any(a) else q
 
 
-def proven_gcd(r: Sequence) -> Optional[list]:
-    """The monic gcd(r, r') over QQ of a univariate r (constant term first),
-    or None when it is not proven here.
-
-    The monic gcd(r~, r~') over GF(P) is lifted coefficient by coefficient
-    by rational reconstruction to a monic G, which is kept only when it
-    divides r and r' exactly over QQ.  Then G divides the monic gcd over
-    QQ.  That gcd is integral at P, as a monic factor of r whose top
-    coefficient survives (Gauss's lemma over Z_(P)), so it reduces to a
-    divisor of gcd(r~, r~'), whose degree G has by construction: G is the
-    whole gcd."""
-    h = residues(r)
-    if h is None:
-        return None
-    g = _gcd(h, _derivative(h))
+def _lift(r: Sequence, g: list[int]) -> Optional[list]:
+    """The monic gcd(r, r') over QQ lifted from g = gcd(r~, r~') over GF(P),
+    for r~ of r's degree; None when it is not proven here.  A constant g
+    gives 1: r is square-free.  Else the monic g is lifted coefficient by
+    coefficient by rational reconstruction to G, kept only when it divides r
+    and r' exactly over QQ.  Then G divides the monic gcd over QQ, which is
+    integral at P as a monic factor of r whose top coefficient survives
+    (Gauss's lemma over Z_(P)), so it reduces to a divisor of g, whose
+    degree G has: G is the whole gcd."""
+    if len(g) == 1:
+        return [1]
     inv = pow(g[-1], -1, P)
     G = [_reconstruct(c * inv % P) for c in g]
     if None in G:
@@ -235,6 +191,64 @@ def proven_gcd(r: Sequence) -> Optional[list]:
     if _exact_quotient(r, G) is None or _exact_quotient(derivative, G) is None:
         return None
     return G
+
+
+def proven_gcd(r: Sequence) -> Optional[list]:
+    """The monic gcd(r, r') over QQ of a univariate r (constant term first),
+    or None when it is not proven here (see _lift)."""
+    h = residues(r)
+    if h is None:
+        return None
+    return _lift(r, _gcd(h, _derivative(h)))
+
+
+def _rational_roots(r: list[int], s: list[int]) -> Optional[list[tuple]]:
+    """(multiplicity, d, -n) for each root n/d of s = g/gg mod P (see
+    multiple_roots) when all are proven multiple roots of r, r(0) != 0, and
+    the cofactor is certified square-free; else None."""
+    roots = _roots(s)
+    if roots is None:
+        return None
+    found = []
+    for x in roots:
+        root = _reconstruct(x)
+        if root is None:
+            return None
+        n, d, m = root.numerator, root.denominator, 0
+        while (quotient := _divide(r, n, d)) is not None:
+            r, m = quotient, m + 1
+        if m < 2:       # not r(x) = r'(x) = 0 over QQ
+            return None
+        found.append((m, d, -n))
+    return found if is_squarefree([c % P for c in r]) else None
+
+
+def multiple_roots(r: Sequence[int]) -> Optional[tuple[list, list]]:
+    """The roots of the linear factors of gcd(r, r') over QQ, for a nonzero
+    integer r (constant term first), and its one other irreducible factor if
+    any, as sympy's factor_list gives them: the linear factors d*v - n by
+    multiplicity, then d, then -n, the other as a primitive integer
+    polynomial with positive top coefficient.  None when that is not proven
+    here (see the module docstring)."""
+    low = next(k for k, c in enumerate(r) if c)
+    found = [(low, 1, 0)] if low >= 2 else []     # (multiplicity, d, -n)
+    r = r[low:]
+    h = residues(r)
+    if h is None:
+        return None
+    g = _gcd(h, _derivative(h))
+    if len(g) == 1:
+        return [Fraction(0)] * len(found), []
+    gg = _gcd(g, _derivative(g))
+    if (roots := _rational_roots(r, _quo(g, gg))) is not None:
+        return [Fraction(-k, d) for _m, d, k in sorted(found + roots)], []
+    if (G := _lift(r, g)) is None or (G2 := _lift(G, gg)) is None:
+        return None
+    s = _exact_quotient(G, G2)      # the square-free part of gcd(r, r')
+    if len(s) not in (3, 4) or not irreducible(s):
+        return None
+    scale = lcm(*(c.denominator for c in s))   # s is monic: primitive, top > 0
+    return [Fraction(0)] * len(found), [[int(c * scale) for c in s]]
 
 
 #: the primes at which a cubic is searched for a root
@@ -263,23 +277,6 @@ def irreducible(s: Sequence) -> Optional[bool]:
                                 for x in range(p)):
                 return True
     return None
-
-
-def irreducible_multiple_factor(r: Sequence) -> Optional[list[int]]:
-    """For r with r(0) != 0 (constant term first): the square-free part s of
-    gcd(r, r') when it is proven to be irreducible over QQ of degree 2 or 3,
-    as the primitive integer polynomial with positive top coefficient that
-    sympy's factor_list gives; None when that is not proven here.  s is
-    gcd(r, r') over gcd(g, g') for g = gcd(r, r'), both proven gcds."""
-    g = proven_gcd(r)
-    h = proven_gcd(g) if g is not None else None
-    if h is None:
-        return None
-    s = _exact_quotient(g, h)
-    if len(s) not in (3, 4) or not irreducible(s):
-        return None
-    scale = lcm(*(c.denominator for c in s))   # s is monic, so this is
-    return [int(c * scale) for c in s]         # primitive with top > 0
 
 
 def _specialise(terms: dict, axis: int, value: int) -> list[int]:

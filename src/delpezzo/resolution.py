@@ -39,16 +39,15 @@ single node.
 
 K is always QQ or an absolute algebraic extension QQ(theta), built from the
 irreducible polynomial in hand, so no minimal polynomial is recomputed.
-One chain per field finds those roots.  Over QQ: modp's rational roots,
-then modp's one irreducible factor of degree 2 or 3, which gives the
-engine's own field (numfield), then sympy.  Over a NumberField K: Euclid's
-gcd(r, r'), which decides r when it is constant or a power of one linear
-factor besides the root 0, then a switch of the site and the sites under it
-to sympy's copy of K (see _sympy_copy), whose power basis is K's.  Over
-sympy's fields: sympy, which flattens towers back to absolute fields with
-Trager's square-free norm (see _extend_field).  A site over an own field is
-printed by sympy, in that copy, only when an output reads it (see
-ResolutionNode.site).
+One chain per field finds those roots.  Over QQ: modp, whose one irreducible
+factor of degree 2 or 3 gives the engine's own field (numfield), then
+sympy.  Over a NumberField K: Euclid's gcd(r, r'), which decides r when it
+is constant or a power of one linear factor besides the root 0, then a
+switch of the site and the sites under it to sympy's copy of K (see
+_sympy_copy), whose power basis is K's.  Over sympy's fields: sympy, which
+flattens towers back to absolute fields with Trager's square-free norm (see
+_extend_field).  A site over an own field is printed by sympy, in that
+copy, only when an output reads it (see ResolutionNode.site).
 
 resolve_germ resolves each live germ once.  A germ's resolution depends on
 the germ alone, so the Resolution it returns is kept, keyed by the
@@ -62,12 +61,11 @@ site matters only up to a nonzero constant (see _translate_y), and every
 site reads its line as one dense list (see _restriction).  Over QQ both
 questions are first put modulo the prime P = 2^61 - 1 (see modp).  A germ
 certified square-free there is its own one part of multiplicity 1, and
-sympy's sqf_list does not run.  At a site over QQ, rational_multiple_roots
-proves the multiple roots of r when all of them are rational, in the order
-sympy's factor_list would give, and sympy's gcd does not run.  Else, when
-gcd(r, r') has one irreducible square-free part besides the root 0 and modp
-proves it (see modp.irreducible_multiple_factor), that part gives the own
-field.  What modp does not prove, sympy's factor_list decides (see
+sympy's sqf_list does not run.  At a site over QQ, modp.multiple_roots
+reduces the line once and proves its multiple roots, in the order sympy's
+factor_list would give, when they are rational, or when besides the root 0
+they are the roots of one irreducible factor of degree 2 or 3, which gives
+the own field.  What modp does not prove, sympy's factor_list decides (see
 _factor_gcd).
 
 So sympy is imported, on first use and never with this module, only for:
@@ -284,17 +282,13 @@ def _mul(a: list, b: list) -> list:
 def _multiple_roots(comps: list, K) -> Optional[tuple[list, list]]:
     """For r the product of the components' restrictions p(0, v) to the new
     line: the roots of the linear factors of the monic gcd(r, r') over K,
-    and its other irreducible factors (see _factor_gcd).  Over QQ, modp
-    decides r where all its multiple roots are rational, or where the one
-    other factor is proven irreducible of degree 2 or 3; sympy decides the
+    and its other irreducible factors (see _factor_gcd).  Over QQ,
+    modp.multiple_roots decides r where it proves the answer, and sympy the
     rest.  Over a NumberField, _roots_over decides r or returns None."""
     r = functools.reduce(_mul, (_restriction(p, K) for p, _i in comps))
     if K.is_QQ:
-        if (roots := modp.rational_multiple_roots(r)) is not None:
-            return roots, []
-        low = next(k for k, c in enumerate(r) if c)
-        if (q := modp.irreducible_multiple_factor(r[low:])) is not None:
-            return [Fraction(0)] * (low >= 2), [q]
+        if (found := modp.multiple_roots(r)) is not None:
+            return found
     else:
         from .numfield import NumberField
         if type(K) is NumberField:

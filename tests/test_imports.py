@@ -212,6 +212,10 @@ LCT_LOADS = [
     ("((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13", "1/4", True),
     # a germ that is not reduced goes through sympy's sqf_list
     ("(y^2 - x^3)^2*(x + y)", "5/14", True),
+    # the first line has double roots at 1 and at +-sqrt2, a rational root
+    # beside an irrational factor, which modp proves neither way: sympy's
+    # factor_list decides the line
+    ("((y - x)^2 - x^3)*((y^2 - 2*x^2)^2 - x^5)", "1/3", True),
 ]
 
 

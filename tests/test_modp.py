@@ -1,7 +1,7 @@
-"""The square-free certificate and the rational multiple roots modulo P,
-and their three call sites.
+"""The square-free certificate, the multiple roots along a line and the
+proven gcd modulo P, and their three call sites.
 
-Both are one-sided: when they decide they must agree with sympy, and they
+All are one-sided: when they decide they must agree with sympy, and they
 must never certify a polynomial with a repeated factor, in particular not one
 whose degree drops modulo P, nor miss a multiple root that only shows over
 QQ.
@@ -142,7 +142,7 @@ def test_the_line_test_falls_back_when_the_degree_drops(kind):
     comps = [({(0, 0): d, (0, 1): n}, 2),
              ({(0, 0): d, (0, 1): n, (1, 1): d}, 1),
              ({(0, 0): 1, (0, 1): 1}, 1)]
-    assert modp.rational_multiple_roots(_line(comps)) is None
+    assert modp.multiple_roots(_line(comps)) is None
     # sympy finds the double root -1/a
     assert resolution._multiple_roots(comps, resolution._RATIONALS) \
         == ([-1 / a], [])
@@ -152,7 +152,7 @@ def test_the_line_test_certifies_distinct_roots():
     comps = [({(0, 0): 3, (0, 1): 1}, 2),
              ({(0, 0): 2, (0, 1): 1, (1, 1): 1}, 1),
              ({(0, 1): -1, (1, 0): 5}, 1)]
-    assert modp.rational_multiple_roots(_line(comps)) == []
+    assert modp.multiple_roots(_line(comps)) == ([], [])
     assert resolution._multiple_roots(comps, resolution._RATIONALS) == ([], [])
 
 
@@ -164,7 +164,7 @@ def test_the_face_test_falls_back_when_the_degree_drops(kind):
     f = CurveGerm.from_dict({(t, 3 - t): c for t, c in enumerate(h)})
     face, = newton_polygon(f).faces
     assert lct_module._face_coeffs(f.terms(), face) == h
-    assert modp.rational_multiple_roots(h) is None
+    assert modp.proven_gcd(h) is None
     assert not newton_lct(f).exact
 
 
@@ -177,7 +177,7 @@ def test_certified_faces_skip_sympy(monkeypatch):
         assert newton_lct(parse_germ(text)).exact, text
 
 
-# -- rational multiple roots ---------------------------------------------------
+# -- multiple roots along a line -------------------------------------------------
 
 def _expand(factors) -> list:
     """prod f^k over QQ for (f, k) in factors, f constant term first."""
@@ -192,18 +192,27 @@ def _expand(factors) -> list:
     return r
 
 
+def _integral(r) -> list[int]:
+    """r over QQ times the lcm of its denominators."""
+    scale = lcm(*(Fraction(c).denominator for c in r))
+    return [int(c * scale) for c in r]
+
+
 def _sympy_multiple_roots(r):
-    """sympy's gcd(r, r').factor_list(): the roots of its linear factors in
-    its order, or None when a factor is not linear."""
+    """sympy's gcd(r, r').factor_list() as modp.multiple_roots gives it: the
+    roots of its linear factors in its order, and its other factors as
+    primitive integer polynomials with positive top coefficient."""
     p = Poly([QQ(c.numerator, c.denominator) for c in reversed(r)], V, domain=QQ)
-    roots = []
+    roots, factors = [], []
     for q, _m in p.gcd(p.diff(V)).factor_list()[1]:
         if q.degree() > 1:
-            return None
+            q = q.monic().clear_denoms()[1]
+            factors.append([int(c) for c in reversed(q.all_coeffs())])
+            continue
         b, a = q.rep.to_list()
         roots.append(Fraction(int(-a.numerator), int(a.denominator))
                      / Fraction(int(b.numerator), int(b.denominator)))
-    return roots
+    return roots, factors
 
 
 def _irreducible(rng, degree):
@@ -217,9 +226,10 @@ def _irreducible(rng, degree):
 
 def test_rational_multiple_roots_agree_with_sympy():
     # products of (b*v - a)^k, k = 1..3, the root 0 among them, with
-    # irreducible quadratics and cubics to the power 1 or 2, times a constant
+    # irreducible quadratics and cubics to the power 1 or 2, times a constant,
+    # made integral
     rng = random.Random(20261019)
-    decided = undecided = 0
+    decided = undecided = with_factor = 0
     for _ in range(1200):
         factors = []
         for _ in range(rng.randint(1, 4)):
@@ -232,54 +242,58 @@ def test_rational_multiple_roots_agree_with_sympy():
                 factors.append((_irreducible(rng, 2 if kind < 0.85 else 3),
                                 rng.choice((1, 2))))
         scale = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 7))
-        r = [c * scale for c in _expand(factors)]
-        got = modp.rational_multiple_roots(r)
+        r = _integral([c * scale for c in _expand(factors)])
+        got = modp.multiple_roots(r)
         if got is None:
             undecided += 1
             continue
         decided += 1
-        # the same roots in the same order; a factor of degree >= 2 in the
-        # gcd would have been undecidable here
+        with_factor += bool(got[1])
+        # the same roots in the same order, and the same irreducible factor
         assert got == _sympy_multiple_roots(r), factors
-    # 688 of the 1,200 are decided here
-    assert decided >= 600 and undecided >= 300
+    # 891 of the 1,200 are decided here: 688 by their rational roots alone,
+    # 203 with an irreducible factor
+    assert decided - with_factor >= 600 and with_factor >= 150
+    assert undecided >= 250
 
 
 def test_roots_equal_mod_p_only_are_not_multiple_roots():
     one, other = [Fraction(-1), Fraction(1)], [Fraction(-1 - P), Fraction(1)]
     # 1 and 1 + P are simple roots: the double root 1 mod P is refused
-    r = _expand([(one, 1), (other, 1)])
-    assert modp.rational_multiple_roots(r) is None
-    assert _sympy_multiple_roots(r) == []
+    r = _integral(_expand([(one, 1), (other, 1)]))
+    assert modp.multiple_roots(r) is None
+    assert _sympy_multiple_roots(r) == ([], [])
     comps = [({(0, 0): -1, (0, 1): 1}, 1), ({(0, 0): -1 - P, (0, 1): 1}, 1)]
     assert resolution._multiple_roots(comps, resolution._RATIONALS) == ([], [])
     # 1 is proven double, but the cofactor (v - 1 - P)^2 is no square-free
     # certificate, so sympy finds the second double root
-    r = _expand([(one, 2), (other, 2)])
-    assert modp.rational_multiple_roots(r) is None
-    assert _sympy_multiple_roots(r) == [1 + P, 1]
+    r = _integral(_expand([(one, 2), (other, 2)]))
+    assert modp.multiple_roots(r) is None
+    assert _sympy_multiple_roots(r) == ([1 + P, 1], [])
     # with 1 + P simple the cofactor is certified
-    r = _expand([(one, 2), (other, 1)])
-    assert modp.rational_multiple_roots(r) == _sympy_multiple_roots(r) == [1]
+    r = _integral(_expand([(one, 2), (other, 1)]))
+    assert modp.multiple_roots(r) == _sympy_multiple_roots(r) == ([1], [])
 
 
 def test_a_triple_root_and_three_double_roots():
     v = [Fraction(0), Fraction(1)]
-    r = _expand([([Fraction(-2), Fraction(1)], 3), ([Fraction(5), Fraction(1)], 1)])
-    assert modp.rational_multiple_roots(r) == _sympy_multiple_roots(r) == [2]
+    r = _integral(_expand([([Fraction(-2), Fraction(1)], 3),
+                           ([Fraction(5), Fraction(1)], 1)]))
+    assert modp.multiple_roots(r) == _sympy_multiple_roots(r) == ([2], [])
     # sympy orders by the multiplicity in gcd(r, r') first: the double root
     # -1/3 comes before the triple root 2, and the double root 0 before both
-    r = _expand([([Fraction(-2), Fraction(1)], 3), ([Fraction(1), Fraction(3)], 2),
-                 ([Fraction(-3), Fraction(0), Fraction(1)], 1)])
-    assert modp.rational_multiple_roots(r) == _sympy_multiple_roots(r) \
-        == [Fraction(-1, 3), 2]
-    r = _expand([(v, 2), ([Fraction(-2), Fraction(1)], 3)])
-    assert modp.rational_multiple_roots(r) == _sympy_multiple_roots(r) == [0, 2]
+    r = _integral(_expand([([Fraction(-2), Fraction(1)], 3),
+                           ([Fraction(1), Fraction(3)], 2),
+                           ([Fraction(-3), Fraction(0), Fraction(1)], 1)]))
+    assert modp.multiple_roots(r) == _sympy_multiple_roots(r) \
+        == ([Fraction(-1, 3), 2], [])
+    r = _integral(_expand([(v, 2), ([Fraction(-2), Fraction(1)], 3)]))
+    assert modp.multiple_roots(r) == _sympy_multiple_roots(r) == ([0, 2], [])
     # three distinct double roots: a square-free part of degree 3 is left to
     # sympy
-    r = _expand([([Fraction(-k), Fraction(1)], 2) for k in (1, 2, 3)])
-    assert modp.rational_multiple_roots(r) is None
-    comps = [({(0, j): int(c) for j, c in enumerate(r) if c}, 1)]
+    r = _integral(_expand([([Fraction(-k), Fraction(1)], 2) for k in (1, 2, 3)]))
+    assert modp.multiple_roots(r) is None
+    comps = [({(0, j): c for j, c in enumerate(r) if c}, 1)]
     assert resolution._multiple_roots(comps, resolution._RATIONALS) \
         == ([3, 2, 1], [])
 
@@ -290,7 +304,7 @@ def _resolved_both_ways(monkeypatch, text):
     chains = []
     for fallback in (False, True):
         if fallback:
-            monkeypatch.setattr(modp, "rational_multiple_roots", lambda r: None)
+            monkeypatch.setattr(modp, "multiple_roots", lambda r: None)
         monkeypatch.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
         res = resolution.resolve_germ(parse_germ(text))
         chains.append([(n.a, n.b, [p.index for p in n.parents], n.site)
@@ -318,6 +332,42 @@ def test_node_chains_do_not_depend_on_the_routine(monkeypatch, text, site):
 
 def test_a_tall_root_is_left_to_sympy():
     n, d = 2147483659, 2147483649
-    r = _expand([([Fraction(-n), Fraction(d)], 2), ([Fraction(1), Fraction(1)], 1)])
-    assert modp.rational_multiple_roots(r) is None
-    assert _sympy_multiple_roots(r) == [Fraction(n, d)]
+    r = _integral(_expand([([Fraction(-n), Fraction(d)], 2),
+                           ([Fraction(1), Fraction(1)], 1)]))
+    assert modp.multiple_roots(r) is None
+    assert _sympy_multiple_roots(r) == ([Fraction(n, d)], [])
+
+
+# -- the work modulo P, counted ------------------------------------------------
+
+# Calls to modp.residues and modp._gcd, from a fresh memo.  resolve_germ makes
+# 2 _gcd calls in certifies_xy on a germ it certifies, and on each line over
+# QQ one reduction (residues) and one _gcd for g = gcd(r~, r~'), plus one for
+# gcd(g, g') when g is not constant, plus one for the cofactor's certificate
+# when the roots of g are proven rational.  newton_lct makes one residues and
+# one _gcd per face (proven_gcd), up to the first that is not square-free.
+@pytest.mark.parametrize("text, step, residues, gcds", [
+    # one line over QQ, through the roots of v^2 - 2: 1 and 2 + 1 + 1
+    ("(y^2 - 2*x^2)^2 - x^5", "resolve_germ", 1, 4),
+    ("(y^2 - 2*x^2)^2 - x^5", "newton_lct", 1, 1),
+    # three lines, the first through the double root 3/2: 3 and 2 + 3 + 1 + 1
+    ("(2*y - 3*x)^2 - x^3", "resolve_germ", 3, 7),
+    ("(2*y - 3*x)^2 - x^3", "newton_lct", 1, 1),
+    # three lines with no multiple root: 3 and 2 + 1 + 1 + 1
+    ("y^2 - x^3", "resolve_germ", 3, 5),
+    ("y^2 - x^3", "newton_lct", 1, 1),
+])
+def test_work_modulo_p_is_counted(monkeypatch, text, step, residues, gcds):
+    counts = {"residues": 0, "_gcd": 0}
+    for name in counts:
+        def counted(*args, name=name, call=getattr(modp, name)):
+            counts[name] += 1
+            return call(*args)
+        monkeypatch.setattr(modp, name, counted)
+    monkeypatch.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
+    f = parse_germ(text)
+    if step == "resolve_germ":
+        resolution.resolve_germ(f)
+    else:
+        newton_lct(f)
+    assert counts == {"residues": residues, "_gcd": gcds}

@@ -226,20 +226,32 @@ def test_irreducibility_agrees_with_factor_list():
     assert pow(modp.residue(2), (P - 1) // 3, P) == 1
 
 
+def _ints(r) -> list[int]:
+    assert all(c.denominator == 1 for c in r)
+    return [int(c) for c in r]
+
+
 def test_irreducible_multiple_factor():
     # (v^2 - 2)^3 * (v + 1): the square-free part of the gcd is v^2 - 2
-    r = _expand([([Fraction(-2), 0, Fraction(1)], 3), ([Fraction(1)] * 2, 1)])
-    assert modp.irreducible_multiple_factor(r) == [-2, 0, 1]
-    # (2*v^2 - 3)^2 / 7: primitive with a positive top coefficient
-    r = [c / -7 for c in _expand([([Fraction(-3), 0, Fraction(2)], 2)])]
-    assert modp.irreducible_multiple_factor(r) == [-3, 0, 2]
-    # a rational double root, two irreducible factors, a reducible cubic
-    for factors in ([([Fraction(-3), Fraction(1)], 2)],
-                    [([Fraction(-2), 0, Fraction(1)], 2),
+    r = _ints(_expand([([Fraction(-2), 0, Fraction(1)], 3),
+                       ([Fraction(1)] * 2, 1)]))
+    assert modp.multiple_roots(r) == ([], [[-2, 0, 1]])
+    # -7*(2*v^2 - 3)^2: primitive with a positive top coefficient
+    r = [-7 * c for c in _ints(_expand([([Fraction(-3), 0, Fraction(2)], 2)]))]
+    assert modp.multiple_roots(r) == ([], [[-3, 0, 2]])
+    # v^3 * (v^3 - 2)^2: the root 0 beside the factor
+    r = _ints(_expand([([0, Fraction(1)], 3),
+                       ([Fraction(-2), 0, 0, Fraction(1)], 2)]))
+    assert modp.multiple_roots(r) == ([0], [[-2, 0, 0, 1]])
+    # a rational double root has no other factor
+    r = _ints(_expand([([Fraction(-3), Fraction(1)], 2)]))
+    assert modp.multiple_roots(r) == ([3], [])
+    # two irreducible factors, a reducible cubic
+    for factors in ([([Fraction(-2), 0, Fraction(1)], 2),
                      ([Fraction(-3), 0, Fraction(1)], 2)],
                     [([Fraction(-2), 0, Fraction(1)], 2),
                      ([Fraction(-3), Fraction(1)], 2)]):
-        assert modp.irreducible_multiple_factor(_expand(factors)) is None
+        assert modp.multiple_roots(_ints(_expand(factors))) is None
 
 
 # -- the own fields against sympy's alone ----------------------------------------
@@ -285,17 +297,17 @@ def _trace(m):
 
 
 def _both_ways(monkeypatch, f):
-    """_report(f) as the engine resolves it, and with modp's irreducible
-    factor declined, so that no own field is built and every irrational
-    centre is left to sympy's fields; each with the number of engines built
-    and the type of K at every blow-up."""
+    """_report(f) as the engine resolves it, and with modp's multiple roots
+    declined, so that no own field is built and every centre is left to
+    sympy, the irrational ones to sympy's fields; each with the number of
+    engines built and the type of K at every blow-up."""
     out = []
     for sympy_only in (False, True):
         with monkeypatch.context() as m:
             engines, fields = _trace(m)
             m.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
             if sympy_only:
-                m.setattr(modp, "irreducible_multiple_factor", lambda r: None)
+                m.setattr(modp, "multiple_roots", lambda r: None)
             out.append((_report(f), len(engines), fields))
     return out
 
