@@ -8,20 +8,21 @@ away from the coordinate axes; the report's `exact` flag records whether
 that certificate holds.  A face polynomial is y^(g*w1) * H(x^w2 / y^w1)
 for a univariate H of degree g with H(0) != 0, so the certificate is the
 univariate test gcd(H, H') = 1 on each face.  That test is put modulo the
-prime P = 2^61 - 1 first, by one modp.proven_gcd: an H that keeps its
-degree and is square-free there is square-free over QQ, and one whose
-gcd(H, H') is proven nonconstant there is not.  Only an H whose gcd with H'
-is not proven, say as its degree drops mod P or a coefficient of the gcd is
+prime P = 2^61 - 1 first, by one modp.square_free: an H that keeps its
+degree and is square-free there is square-free over QQ, and one with a
+lifted factor of gcd(H, H') that divides it twice is not.  Only an H that
+neither proves, say as its degree drops mod P or its repeated roots are
 beyond rational reconstruction, goes to sympy, so germs such as
-(2*y - 3*x)^2 - x^3 and (y^2 - 2*x^2)^2 - x^5 are decided without importing
-it.
+(2*y - 3*x)^2 - x^3, (y^2 - 2*x^2)^2 - x^5 and (y - 100*x)^7 - x^8 are
+decided without importing it.
 
 blowup_lct builds an embedded resolution by iterated point blow-ups and
 evaluates min(min_i 1/m_i, min_E (a_E + 1)/b_E) over the components through
 the origin and the exceptional divisors; resolution_lct does that evaluation
 alone, for a caller that already holds the resolution.  The two methods share
-only modp, asked for one gcd per face here and the multiple roots of each
-line there, so agreement on nondegenerate germs is a meaningful cross-check.
+only modp, whose one lift of the repeated factors answers the square-free
+test of each face here and the multiple roots of each line there, so
+agreement on nondegenerate germs is a meaningful cross-check.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ if TYPE_CHECKING:
     from sympy import Poly
 
     from .resolution import Component, Resolution, ResolutionNode
-
-__all__ = [
-    "NewtonFace", "NewtonPolygon", "LctReport", "newton_polygon",
-    "newton_lct", "blowup_lct", "resolution_lct", "holder_product_bound",
-    "MultBoundsVerdict", "check_mult_bounds", "Lemma52Verdict",
-    "check_lemma52",
-]
 
 
 @dataclass(frozen=True)
@@ -125,12 +119,10 @@ def _face_univariate(f: CurveGerm, face: NewtonFace) -> Poly:
 
 
 def _face_square_free(f: CurveGerm, face: NewtonFace) -> bool:
-    """Is the face's H square-free?  Decided by its proven gcd(H, H') (see
-    modp) where there is one, else by sympy."""
-    h = _face_coeffs(f.terms(), face)
-    if (g := modp.proven_gcd(h)) is not None:
-        return len(g) == 1
-    return _face_univariate(f, face).is_sqf
+    """Is the face's H square-free?  Decided by modp.square_free where it
+    proves the answer, else by sympy."""
+    decided = modp.square_free(_face_coeffs(f.terms(), face))
+    return _face_univariate(f, face).is_sqf if decided is None else decided
 
 
 def newton_lct(f: CurveGerm) -> LctReport:
@@ -149,7 +141,7 @@ def newton_lct(f: CurveGerm) -> LctReport:
     assert t0 > 0
     # with w1, w2 coprime and r != 0, each x^w2 - r*y^w1 is square-free and
     # distinct roots r give coprime binomials, so the face polynomial is
-    # square-free exactly when H is: one gcd(H, H'), mod P first (see modp)
+    # square-free exactly when H is, tested mod P first (see modp)
     exact = all(_face_square_free(f, face) for face in polygon.faces)
     value = min(Fraction(1), 1 / t0)
     return LctReport(value, "newton", witness, exact)

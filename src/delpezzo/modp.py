@@ -1,5 +1,5 @@
-"""Square-free certificates, multiple roots and proven gcds modulo
-P = 2^61 - 1, and a proof of irreducibility for quadratics and cubics.
+"""Square-free certificates and multiple roots modulo P = 2^61 - 1, and a
+proof of irreducibility for quadratics and cubics.
 
 A univariate h over QQ whose residues mod P exist, whose top coefficient
 survives and whose reduction is square-free over GF(P) is square-free over
@@ -10,24 +10,29 @@ can grow under reduction, deg g~ = deg g >= 1.  The test is one-sided: a
 reduction that is not square-free, or a degree that drops, proves nothing,
 and every caller then falls back to sympy.
 
-multiple_roots answers the resolution engine's question about an integer
-line r, its multiple roots over QQ, from one reduction modulo P: the root 0
-is read off r's low coefficients, and g = gcd(r~, r~') and, when g is not
-constant, gg = gcd(g, g') are taken once.  When the square-free part g/gg
-has one or two roots mod P, each is lifted by rational reconstruction and
-kept only when an exact division over ZZ proves it a root of multiplicity
->= 2; the roots stand when the cofactor is certified square-free as above
-(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Else g and gg
-are lifted to proven gcds, and their quotient, the square-free part of
-gcd(r, r'), is the answer when irreducible proves it irreducible.  The rest
-is left to the caller's sympy path: a nonzero rational root beside an
-irrational one, more than two of them, several irreducible factors or one
-of degree 4 or more, a number beyond rational reconstruction (see BOUND), a
-top coefficient that vanishes mod P.
+Every answer beyond "square-free" has one proof.  The integer polynomial r
+is reduced once, and the square-free part s = g / gcd(g, g') of
+g = gcd(r~, r~') is lifted by rational reconstruction (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 5).  Two lifts are tried in turn: one
+linear factor d*v - n per root when s has one or two roots mod P, then s
+itself, made monic, reconstructed coefficient by coefficient and scaled to a
+primitive integer polynomial.  A lift holds when each of its factors f
+divides r at least twice, by exact division over ZZ, which for a primitive
+f is division over QQ by Gauss's lemma.  One factor that does proves r not
+square-free (square_free).  multiple_roots also asks the rest, r divided by
+each f^m with m as large as it goes, to be certified square-free as above;
+its top coefficient survives, as it divides r's.  Then the rest is
+square-free over QQ, and so is the product of the f, which reduces to s:
+the repeated irreducible factors of r are those of the f, and their product
+is the square-free part of gcd(r, r').  multiple_roots answers with the
+roots of the linear factors, or with s when irreducible proves it
+irreducible.  What is left goes to the caller's sympy path: a nonzero
+rational root beside an irrational one, more than two of them, several
+irreducible factors or one of degree 4 or more, a number beyond rational
+reconstruction (see BOUND), a top coefficient that vanishes mod P, and
+roots equal only mod P, whose lift divides r too few times or leaves a rest
+that is not certified.
 
-proven_gcd lifts the monic gcd(h~, h~') coefficient by coefficient by
-rational reconstruction and keeps it only when it divides h and h' exactly
-over QQ; it is then the gcd over QQ (von zur Gathen and Gerhard, ch. 6).
 irreducible proves a quadratic irreducible over QQ by its discriminant and
 a cubic by a small prime at which it has no root.
 
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 P = (1 << 61) - 1
 
@@ -147,80 +152,75 @@ def _reconstruct(x: int) -> Optional[Fraction]:
     return Fraction(r1, t1)
 
 
-def _divide(R: list[int], n: int, d: int) -> Optional[list[int]]:
-    """R / (d*v - n) over ZZ, or None when it does not divide: the quotient
-    Q has Q_(i-1) = (R_i + n*Q_i) / d, and R_0 + n*Q_0 = 0.  By Gauss's lemma
-    the primitive d*v - n divides R over QQ only if it does over ZZ."""
-    q, carry = [], 0
-    for c in reversed(R[1:]):
-        carry, rem = divmod(c + n * carry, d)
+def _quotient(r: list[int], q: list[int]) -> Optional[list[int]]:
+    """r / q over ZZ, or None when q does not divide r.  By Gauss's lemma a
+    primitive q divides r over QQ only if it does over ZZ."""
+    r, n, lead = list(r), len(q) - 1, q[-1]
+    low, out = q[:-1], []
+    for top in range(len(r) - 1, n - 1, -1):
+        c, rem = divmod(r[top], lead)
         if rem:
             return None
-        q.append(carry)
-    if R[0] + n * carry:
-        return None
-    return q[::-1]
+        out.append(c)
+        if c:
+            k = top - n
+            for b in low:
+                r[k] -= c * b
+                k += 1
+    return None if any(r[:n]) else out[::-1]
 
 
-def _exact_quotient(a: Sequence, g: list) -> Optional[list]:
-    """a / g over QQ for a monic g, or None when g does not divide a."""
-    a, q = list(a), [0] * max(len(a) - len(g) + 1, 0)
-    for shift in reversed(range(len(q))):
-        t = q[shift] = a[shift + len(g) - 1]
-        for k, c in enumerate(g):
-            a[shift + k] -= t * c
-    return None if any(a) else q
+def _power(r: list[int], q: list[int]) -> tuple[int, list[int]]:
+    """(m, r / q^m) for the largest m with q^m dividing r over ZZ."""
+    m = 0
+    while (quotient := _quotient(r, q)) is not None:
+        r, m = quotient, m + 1
+    return m, r
 
 
-def _lift(r: Sequence, g: list[int]) -> Optional[list]:
-    """The monic gcd(r, r') over QQ lifted from g = gcd(r~, r~') over GF(P),
-    for r~ of r's degree; None when it is not proven here.  A constant g
-    gives 1: r is square-free.  Else the monic g is lifted coefficient by
-    coefficient by rational reconstruction to G, kept only when it divides r
-    and r' exactly over QQ.  Then G divides the monic gcd over QQ, which is
-    integral at P as a monic factor of r whose top coefficient survives
-    (Gauss's lemma over Z_(P)), so it reduces to a divisor of g, whose
-    degree G has: G is the whole gcd."""
-    if len(g) == 1:
-        return [1]
-    inv = pow(g[-1], -1, P)
-    G = [_reconstruct(c * inv % P) for c in g]
-    if None in G:
-        return None
-    derivative = [k * c for k, c in enumerate(r)][1:]
-    if _exact_quotient(r, G) is None or _exact_quotient(derivative, G) is None:
-        return None
-    return G
+def _integral(h: Sequence) -> list[int]:
+    """h over QQ times the lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in h))
+    return [c.numerator * (scale // c.denominator) for c in h]
 
 
-def proven_gcd(r: Sequence) -> Optional[list]:
-    """The monic gcd(r, r') over QQ of a univariate r (constant term first),
-    or None when it is not proven here (see _lift)."""
-    h = residues(r)
-    if h is None:
-        return None
-    return _lift(r, _gcd(h, _derivative(h)))
-
-
-def _rational_roots(r: list[int], s: list[int]) -> Optional[list[tuple]]:
-    """(multiplicity, d, -n) for each root n/d of s = g/gg mod P (see
-    multiple_roots) when all are proven multiple roots of r, r(0) != 0, and
-    the cofactor is certified square-free; else None."""
+def _lifts(s: list[int]) -> Iterator[list[list[int]]]:
+    """The candidate lifts of s over GF(P) to primitive integer factors, in
+    order: one d*v - n per root n/d when s has one or two roots mod P, then
+    s itself, made monic and reconstructed coefficient by coefficient."""
     roots = _roots(s)
-    if roots is None:
+    if roots is not None:
+        lifted = [_reconstruct(x) for x in roots]
+        if None not in lifted:
+            yield [[-x.numerator, x.denominator] for x in lifted]
+    if len(s) > 2:
+        inv = pow(s[-1], -1, P)
+        S = [_reconstruct(c * inv % P) for c in s]
+        if None not in S:
+            yield [_integral(S)]     # monic: primitive, top > 0
+
+
+def _square_free_part(h: list[int]) -> list[int]:
+    """s = g / gcd(g, g') for g = gcd(h, h') over GF(P)."""
+    g = _gcd(h, _derivative(h))
+    return _quo(g, _gcd(g, _derivative(g))) if len(g) > 1 else [1]
+
+
+def square_free(h: Sequence) -> Optional[bool]:
+    """Is h over QQ (constant term first) square-free?  True when certified
+    mod P, False when a lifted factor of gcd(h, h') divides h twice over ZZ
+    (see the module docstring), None when neither is proven."""
+    H = residues(h)
+    if H is None:
         return None
-    found = []
-    for x in roots:
-        root = _reconstruct(x)
-        if root is None:
-            return None
-        n, d, m = root.numerator, root.denominator, 0
-        while (quotient := _divide(r, n, d)) is not None:
-            r, m = quotient, m + 1
-        if m < 2:       # not r(x) = r'(x) = 0 over QQ
-            return None
-        found.append((m, d, -n))
-    return found if is_squarefree([c % P for c in r]) else None
+    s = _square_free_part(H)
+    if len(s) == 1:
+        return True
+    r = _integral(h)
+    for factors in _lifts(s):
+        if any(_power(r, q)[0] >= 2 for q in factors):
+            return False
+    return None
 
 
 def multiple_roots(r: Sequence[int]) -> Optional[tuple[list, list]]:
@@ -231,24 +231,29 @@ def multiple_roots(r: Sequence[int]) -> Optional[tuple[list, list]]:
     polynomial with positive top coefficient.  None when that is not proven
     here (see the module docstring)."""
     low = next(k for k, c in enumerate(r) if c)
-    found = [(low, 1, 0)] if low >= 2 else []     # (multiplicity, d, -n)
+    zero = [(low, 1, 0)] if low >= 2 else []     # (multiplicity, d, -n)
     r = r[low:]
     h = residues(r)
     if h is None:
         return None
-    g = _gcd(h, _derivative(h))
-    if len(g) == 1:
-        return [Fraction(0)] * len(found), []
-    gg = _gcd(g, _derivative(g))
-    if (roots := _rational_roots(r, _quo(g, gg))) is not None:
-        return [Fraction(-k, d) for _m, d, k in sorted(found + roots)], []
-    if (G := _lift(r, g)) is None or (G2 := _lift(G, gg)) is None:
+    s = _square_free_part(h)
+    if len(s) == 1:
+        return [Fraction(0)] * len(zero), []
+    for factors in _lifts(s):
+        rest, powers = r, []
+        for q in factors:
+            m, rest = _power(rest, q)
+            powers.append(m)
+        if min(powers) >= 2 and is_squarefree([c % P for c in rest]):
+            break
+    else:
         return None
-    s = _exact_quotient(G, G2)      # the square-free part of gcd(r, r')
-    if len(s) not in (3, 4) or not irreducible(s):
+    if len(factors[0]) == 2:
+        found = zero + [(m, d, k) for m, (k, d) in zip(powers, factors)]
+        return [Fraction(-k, d) for _m, d, k in sorted(found)], []
+    if not irreducible(factors[0]):
         return None
-    scale = lcm(*(c.denominator for c in s))   # s is monic: primitive, top > 0
-    return [Fraction(0)] * len(found), [[int(c * scale) for c in s]]
+    return [Fraction(0)] * len(zero), factors
 
 
 #: the primes at which a cubic is searched for a root
@@ -265,8 +270,7 @@ def irreducible(s: Sequence) -> Optional[bool]:
     modulo p.  (P itself cannot serve, since 2, for one, is a cube mod P.)
     None for any other degree, and for a cubic with a root modulo each of
     SMALL_PRIMES."""
-    scale = lcm(*(Fraction(c).denominator for c in s))
-    S = [int(c * scale) for c in s]
+    S = _integral(s)
     if len(S) == 3:
         c, b, a = S
         disc = b * b - 4 * a * c

@@ -178,12 +178,15 @@ def test_alpha_config_is_sympy_free(tmp_path):
 @pytest.mark.parametrize("germ, loaded", [
     # H = s^2 - 1 is certified square-free modulo a prime
     ("y^2 - x^4", False),
-    # H = (1 - 2*s^2)^2 has irrational double roots: its gcd with H' is
-    # proven modulo a prime
+    # H = (1 - 2*s^2)^2 has irrational double roots: the lift 2*s^2 - 1 of
+    # the square-free part of gcd(H, H') modulo a prime divides it twice
     ("(y^2 - 2*x^2)^2", False),
+    # H = (1 - 100*s)^7: the root 1/100 is lifted, where the monic
+    # gcd (s - 1/100)^6 has coefficients too tall to reconstruct
+    ("(y - 100*x)^7 - x^8", False),
     # H's top coefficient is divisible by P = 2^61 - 1, and sympy decides it
     ("(y - x)^2*(y - 2305843009213693951*x)", True),
-], ids=["certified", "proven-gcd", "fallback"])
+], ids=["certified", "lifted-factor", "lifted-root", "fallback"])
 def test_newton_loads_sympy_only_when_the_certificate_fails(germ, loaded):
     out, line = _delpezzo("lct", "--method", "newton", germ)
     assert "(newton, " in out

@@ -1,5 +1,5 @@
 """The square-free certificate, the multiple roots along a line and the
-proven gcd modulo P, and their three call sites.
+square-free test of a Newton face modulo P, and their three call sites.
 
 All are one-sided: when they decide they must agree with sympy, and they
 must never certify a polynomial with a repeated factor, in particular not one
@@ -16,6 +16,7 @@ from math import lcm
 import pytest
 from sympy import QQ, ZZ, Poly, symbols
 
+import resolution_corpus
 from delpezzo import lct as lct_module
 from delpezzo import modp, resolution
 from delpezzo.germs import CurveGerm, parse_germ
@@ -164,8 +165,24 @@ def test_the_face_test_falls_back_when_the_degree_drops(kind):
     f = CurveGerm.from_dict({(t, 3 - t): c for t, c in enumerate(h)})
     face, = newton_polygon(f).faces
     assert lct_module._face_coeffs(f.terms(), face) == h
-    assert modp.proven_gcd(h) is None
+    assert modp.square_free(h) is None
     assert not newton_lct(f).exact
+
+
+def test_face_tests_agree_with_is_sqf():
+    # every Newton face of the pinned corpus and of 500 seeded germs
+    rng = random.Random(7)
+    germs = resolution_corpus.corpus() + [random_germ(rng) for _ in range(500)]
+    faces = [(f, face) for f in germs for face in newton_polygon(f).faces]
+    decided = 0
+    for f, face in faces:
+        got = modp.square_free(lct_module._face_coeffs(f.terms(), face))
+        if got is not None:
+            decided += 1
+            assert got == lct_module._face_univariate(f, face).is_sqf, \
+                (str(f), str(face))
+    # 1,227 of the 1,228 faces are decided here
+    assert len(faces) == 1228 and decided >= 1226
 
 
 def test_certified_faces_skip_sympy(monkeypatch):
@@ -273,6 +290,17 @@ def test_roots_equal_mod_p_only_are_not_multiple_roots():
     # with 1 + P simple the cofactor is certified
     r = _integral(_expand([(one, 2), (other, 1)]))
     assert modp.multiple_roots(r) == _sympy_multiple_roots(r) == ([1], [])
+    # the same for the quadratic twins v^2 - 2 and v^2 - 2 - P: their lift
+    # v^2 - 2 divides r twice, but the rest (v^2 - 2 - P)^2 is no
+    # square-free certificate, so sympy finds both factors
+    one = [Fraction(-2), 0, Fraction(1)]
+    other = [Fraction(-2 - P), 0, Fraction(1)]
+    r = _integral(_expand([(one, 2), (other, 2)]))
+    assert modp.multiple_roots(r) is None
+    assert _sympy_multiple_roots(r) == ([], [[-2 - P, 0, 1], [-2, 0, 1]])
+    r = _integral(_expand([(one, 2), (other, 1)]))
+    assert modp.multiple_roots(r) == _sympy_multiple_roots(r) \
+        == ([], [[-2, 0, 1]])
 
 
 def test_a_triple_root_and_three_double_roots():
@@ -343,16 +371,18 @@ def test_a_tall_root_is_left_to_sympy():
 # Calls to modp.residues and modp._gcd, from a fresh memo.  resolve_germ makes
 # 2 _gcd calls in certifies_xy on a germ it certifies, and on each line over
 # QQ one reduction (residues) and one _gcd for g = gcd(r~, r~'), plus one for
-# gcd(g, g') when g is not constant, plus one for the cofactor's certificate
-# when the roots of g are proven rational.  newton_lct makes one residues and
-# one _gcd per face (proven_gcd), up to the first that is not square-free.
+# gcd(g, g') when g is not constant, plus one for the rest's certificate for
+# each lift whose factors all divide r twice.  newton_lct makes one residues
+# and one _gcd per face (square_free), plus one for gcd(g, g') when g is not
+# constant, up to the first face that is not square-free.
 @pytest.mark.parametrize("text, step, residues, gcds", [
-    # one line over QQ, through the roots of v^2 - 2: 1 and 2 + 1 + 1
-    ("(y^2 - 2*x^2)^2 - x^5", "resolve_germ", 1, 4),
-    ("(y^2 - 2*x^2)^2 - x^5", "newton_lct", 1, 1),
+    # one line over QQ, through the roots of v^2 - 2, whose lift is v^2 - 2
+    # itself: 1 and 2 + 1 + 1 + 1
+    ("(y^2 - 2*x^2)^2 - x^5", "resolve_germ", 1, 5),
+    ("(y^2 - 2*x^2)^2 - x^5", "newton_lct", 1, 2),
     # three lines, the first through the double root 3/2: 3 and 2 + 3 + 1 + 1
     ("(2*y - 3*x)^2 - x^3", "resolve_germ", 3, 7),
-    ("(2*y - 3*x)^2 - x^3", "newton_lct", 1, 1),
+    ("(2*y - 3*x)^2 - x^3", "newton_lct", 1, 2),
     # three lines with no multiple root: 3 and 2 + 1 + 1 + 1
     ("y^2 - x^3", "resolve_germ", 3, 5),
     ("y^2 - x^3", "newton_lct", 1, 1),
