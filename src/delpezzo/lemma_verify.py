@@ -8,8 +8,9 @@ and every one of them dies on exact lattice arithmetic.  The scans below
 enumerate all shapes at a concrete level m and record one contradiction per
 candidate (or a survivor, which the nodal model has for even m).
 
-Candidate evaluation is pure and the verdict sorts its records canonically,
-so accumulation order never matters.
+Candidate evaluation is pure, and records come in the shape table's order:
+each model has one table of shapes, built once for every m and sorted by locus
+labels, and the coefficients rise within each shape.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ NEIGHBOR_COUNTING = "neighbor-counting"
 HALF_INTEGRAL = "half-integral"
 
 #: largest m `lemma31_scan` accepts: its records grow by about 40 per unit of
-#: m (40,689 at m = 1000, in 0.45 s), so m = 20000 takes 14 s and 0.9 GB
-#: (best of 3 runs on a 2-core x86_64 VM)
+#: m (40,689 at m = 1000, in 0.15 s, best of 3 runs on a 2-core x86_64 VM)
 MAX_SCAN_M = 1000
 
 
@@ -145,33 +145,28 @@ class CaseVerdict:
         return "\n".join(lines)
 
 
-def _verdict(label: str, records) -> CaseVerdict:
-    # Canonical order: by locus labels, then coefficients.  Makes the verdict
-    # independent of enumeration order.
-    key = lambda r: (tuple(lab for lab, _, _ in r.candidate.parts),
-                     tuple(mu for _, _, mu in r.candidate.parts))
-    return CaseVerdict(label=label, records=tuple(sorted(records, key=key)))
-
-
 # -- smooth model -------------------------------------------------------------
 
-@functools.cache
-def _smooth_pool() -> tuple[tuple, tuple]:
-    """The smooth scan's (label, class, degree) components, and the pairs that meet.
+_SMOOTH_LINES = enumerate_negative_curves(SurfaceModel.SMOOTH)  # only read
 
-    The components are the 27 lines and the 27 classes -K - L: square 0,
-    anticanonical degree 2.  These are the lattice proxies for irreducible
-    degree-2 curves (conic pencil members), completing the line classes as
-    candidate locus components of degree <= 2.  Built once.
+
+@functools.cache
+def _smooth_shapes() -> tuple[tuple[tuple[str, DivisorClass, int], ...], ...]:
+    """lemma31_scan's shapes of (label, class, degree) parts, sorted by labels.
+
+    The components are the 27 lines and the 27 classes -K - L (square 0,
+    degree 2), the lattice proxies for irreducible conics.  Built once.
     """
-    lines = enumerate_negative_curves(SurfaceModel.SMOOTH)
+    lines = _SMOOTH_LINES
     conics = {f"-K-{lab}": MINUS_K - cls for lab, cls in lines.items()}
     assert all(c.square() == 0 and c.degree() == 2 for c in conics.values())
-    pool = tuple((lab, cls, cls.degree())
-                 for lab, cls in itertools.chain(lines.items(), conics.items()))
-    meeting = tuple((a, b) for a, b in itertools.combinations(pool, 2)
-                    if a[1].intersect(b[1]) >= 1)
-    return pool, meeting
+    pool = [(lab, cls, cls.degree())
+            for lab, cls in itertools.chain(lines.items(), conics.items())]
+    pairs = [(a, b) for a, b in itertools.combinations(pool[:len(lines)], 2)
+             if a[1].intersect(b[1]) >= 1]
+    assert len(pool) == 54 and len(pairs) == 135
+    return tuple(sorted([(part,) for part in pool] + pairs,
+                        key=lambda shape: tuple(lab for lab, _, _ in shape)))
 
 
 def classify_smooth_candidate(cand: Decomposition) -> ScanRecord:
@@ -201,14 +196,14 @@ def classify_smooth_candidate(cand: Decomposition) -> ScanRecord:
         if deg <= 0:
             raise ValueError(f"{lab} has degree {deg}; every curve on the "
                              "smooth cubic has positive degree")
-    return _classify_smooth(cand, degrees)
+    spent = sum(mu * deg for (_, _, mu), deg in zip(cand.parts, degrees))
+    return _classify_smooth(cand, degrees, spent)
 
 
-def _classify_smooth(cand: Decomposition, degrees: tuple[int, ...]) -> ScanRecord:
-    # cand meets the coefficient floor; degrees are those of its parts
+def _classify_smooth(cand: Decomposition, degrees: tuple, spent: int) -> ScanRecord:
+    # cand meets the floor; degrees are its parts', spent = sum(mu_i * deg_i)
     m = cand.m
     budget = 3 * m
-    spent = sum(mu * deg for (_, _, mu), deg in zip(cand.parts, degrees))
     if spent > budget:
         return ScanRecord(cand, DEGREE_OVERFLOW,
                           f"locus degree {spent} exceeds the budget Z.(-K) = {budget}")
@@ -238,7 +233,7 @@ def _classify_smooth(cand: Decomposition, degrees: tuple[int, ...]) -> ScanRecor
     # coefficient >= m/2 (from m = L.Z >= mu - kappa_L), but C1.Omega = m + mu
     # affords only (m + mu)/(m/2) of them.
     neighbors = curve_incidences(SurfaceModel.SMOOTH).get(lab)
-    if neighbors is None or enumerate_negative_curves(SurfaceModel.SMOOTH)[lab] != cls:
+    if neighbors is None or _SMOOTH_LINES[lab] != cls:
         raise ValueError(f"{lab} = {cls} is not one of the 27 lines")
     afford = Fraction(m + mu, 1) / Fraction(m, 2)
     if len(neighbors) > afford:
@@ -276,27 +271,34 @@ def lemma31_scan(m: int, lam) -> CaseVerdict:
     budget = 3 * m
     assert budget // q <= 2  # the floor alone caps the support size
 
-    pool, meeting = _smooth_pool()
     target = m * MINUS_K
 
-    # every candidate below has mu >= q >= m/lam, the classifier's floor
+    # every candidate below has mu >= q >= m/lam, the classifier's floor; the
+    # residual steps down by one class as its coefficient rises
     records = []
-    for lab, cls, deg in pool:
-        if deg * q > budget:
+    for shape in _smooth_shapes():
+        degrees = tuple(deg for _, _, deg in shape)
+        if q * sum(degrees) > budget:
             continue
-        for mu in range(q, budget // deg + 1):
-            records.append(_classify_smooth(
-                _decompose(m, lam, ((lab, cls, mu),), target), (deg,)))
-    for (la, ca, da), (lb, cb, db) in meeting:  # the locus is connected
-        if q * (da + db) > budget:
-            continue
-        for mu1 in range(q, (budget - q * db) // da + 1):
-            rest = budget - mu1 * da
-            for mu2 in range(q, rest // db + 1):
+        if len(shape) == 1:
+            (lab, cls, deg), = shape
+            res = target - q * cls
+            for mu in range(q, budget // deg + 1):
                 records.append(_classify_smooth(
-                    _decompose(m, lam, ((la, ca, mu1), (lb, cb, mu2)), target),
-                    (da, db)))
-    return _verdict(f"smooth-model locus scan: m={m}, lam={lam}", records)
+                    Decomposition(m, lam, ((lab, cls, mu),), res), degrees, mu * deg))
+                res = res - cls
+            continue
+        (la, ca, da), (lb, cb, db) = shape  # the locus is connected
+        outer = target - q * ca
+        for mu1 in range(q, (budget - q * db) // da + 1):
+            res = outer - q * cb
+            for mu2 in range(q, (budget - mu1 * da) // db + 1):
+                records.append(_classify_smooth(
+                    Decomposition(m, lam, ((la, ca, mu1), (lb, cb, mu2)), res),
+                    degrees, mu1 * da + mu2 * db))
+                res = res - cb
+            outer = outer - ca
+    return CaseVerdict(f"smooth-model locus scan: m={m}, lam={lam}", tuple(records))
 
 
 # -- nodal model --------------------------------------------------------------
@@ -334,8 +336,17 @@ def lemma51_scan(m: int) -> CaseVerdict:
     if m < 2:
         raise ValueError("m >= 2 required")
     lam = Fraction(2, 3)
-    q = math.ceil(Fraction(3 * m, 2))
+    forced = Fraction(3 * m, 2)
+    q = math.ceil(forced)
     target = m * MINUS_K
+    return CaseVerdict(f"nodal-model locus scan: m={m}, lam={lam}",
+                       tuple(scan(m, lam, q, forced, target, *args)
+                             for _, scan, args in _nodal_shapes()))
+
+
+@functools.cache
+def _nodal_shapes() -> tuple[tuple, ...]:
+    """lemma51_scan's 148 shapes: (labels, scanner, m-free args), sorted by labels."""
     graph = curve_incidences(SurfaceModel.NODAL)
     lines = enumerate_negative_curves(SurfaceModel.NODAL)
     del lines["C"]
@@ -343,33 +354,34 @@ def lemma51_scan(m: int) -> CaseVerdict:
     assert len(adjacent) == 6
 
     # graph[a] holds the curves meeting a, with their (positive) products
-    records = [_scan_node_alone(m, lam, q, lines, adjacent)]
+    six = sum((lines[lab] for lab in adjacent), ZERO)
+    shapes = [(("C",), _scan_node_alone, (six, adjacent))]
     for lab, cls in lines.items():
         met = graph[lab]
         meets_node = met.get("C", 0)
-        records.append(_scan_single_line(m, lam, q, target, (lab, cls),
-                                         len(met) - (meets_node > 0), meets_node))
+        shapes.append(((lab,), _scan_single_line,
+                       ((lab, cls), len(met) - (meets_node > 0), meets_node)))
     for lab in adjacent:
         near = [o for o in graph[lab] if o != "C"]
         assert all("C" not in graph[o] for o in near)
-        records.append(_scan_node_plus_line(m, lam, q, target, (lab, lines[lab]),
-                                            len(near)))
+        shapes.append((("C", lab), _scan_node_plus_line, ((lab, lines[lab]), len(near))))
     for (la, ca), (lb, cb) in itertools.combinations(lines.items(), 2):
         meet = lb in graph[la]
         if meet:
-            records.append(_scan_line_pair(m, lam, q, target, (la, ca), (lb, cb)))
+            shapes.append(((la, lb), _scan_line_pair,
+                           ((la, ca), (lb, cb), 2 * MINUS_K - 3 * (ca + cb))))
         na, nb = graph[la].get("C", 0), graph[lb].get("C", 0)
         if (na and nb) or ((na or nb) and meet):  # connected
-            records.append(_scan_node_plus_pair(m, lam, q, target, (la, ca), (lb, cb),
-                                                na + nb))
-    return _verdict(f"nodal-model locus scan: m={m}, lam={lam}", records)
+            shapes.append((("C", la, lb), _scan_node_plus_pair,
+                           ((la, ca), (lb, cb), na + nb)))
+    assert len(shapes) == 148
+    return tuple(sorted(shapes, key=lambda shape: shape[0]))
 
 
-def _scan_node_alone(m, lam, q, lines, adjacent) -> ScanRecord:
+def _scan_node_alone(m, lam, q, forced, target, six, adjacent) -> ScanRecord:
     # Each adjacent line E has m = E.Z = mu - kappa_E + ..., forcing it into
     # the residual with kappa_E >= mu - m; the residual degree 3m then gives
     # 6(mu - m) <= 3m, so mu = 3m/2 exactly and Omega = (m/2) * (sum of six).
-    forced = Fraction(3 * m, 2)
     if forced.denominator != 1:
         cand = decomposition(m, lam, [("C", C, q)])
         return ScanRecord(cand, HALF_INTEGRAL,
@@ -377,9 +389,6 @@ def _scan_node_alone(m, lam, q, lines, adjacent) -> ScanRecord:
                           f"exactly 3m/2 = {forced}, not an integer")
     mu = int(forced)
     cand = canonical_nodal_survivor(m)
-    six = ZERO
-    for lab in adjacent:
-        six = six + lines[lab]
     if 2 * cand.residual != m * six:
         return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                           "equality analysis demands Omega = (m/2)(sum of the "
@@ -392,7 +401,7 @@ def _scan_node_alone(m, lam, q, lines, adjacent) -> ScanRecord:
                       f"({'+'.join(adjacent)}), an identity in the lattice")
 
 
-def _scan_single_line(m, lam, q, target, line, n, meets_node) -> ScanRecord:
+def _scan_single_line(m, lam, q, forced, target, line, n, meets_node) -> ScanRecord:
     # C1.Omega = m + mu must cover its n line neighbours at mu - m each, plus
     # mu/2 on C when C1 meets C (from 0 = C.Z = mu - 2*kappa_C + ...).  With
     # mu >= 3m/2 the load always exceeds the cover.
@@ -409,7 +418,7 @@ def _scan_single_line(m, lam, q, target, line, n, meets_node) -> ScanRecord:
                       f"at >= {q - m} each{node_part}; worse for larger mu")
 
 
-def _scan_node_plus_line(m, lam, q, target, line, n) -> ScanRecord:
+def _scan_node_plus_line(m, lam, q, forced, target, line, n) -> ScanRecord:
     # Residual degree 3m - nu must cover the n = 5 line neighbours of C1 (all
     # disjoint from C) at nu - m each: 3m - nu >= 5(nu - m) fails for every
     # nu >= 3m/2.
@@ -423,9 +432,9 @@ def _scan_node_plus_line(m, lam, q, target, line, n) -> ScanRecord:
                       f"each; impossible for every nu >= {q}")
 
 
-def _scan_line_pair(m, lam, q, target, a, b) -> ScanRecord:
+def _scan_line_pair(m, lam, q, forced, target, a, b, scaled) -> ScanRecord:
+    # at even m the residual is (m/2) * scaled, scaled = -2K - 3(C1 + C2)
     (la, ca), (lb, cb) = a, b
-    forced = Fraction(3 * m, 2)
     if forced.denominator != 1:
         cand = _decompose(m, lam, ((la, ca, q), (lb, cb, q)), target)
         return ScanRecord(cand, HALF_INTEGRAL,
@@ -433,7 +442,7 @@ def _scan_line_pair(m, lam, q, target, a, b) -> ScanRecord:
                           f"3m/2 = {forced}, not an integer")
     mu = int(forced)
     cand = _decompose(m, lam, ((la, ca, mu), (lb, cb, mu)), target)
-    if not cand.residual_is_effective(SurfaceModel.NODAL):
+    if not _nodal_effective(scaled):
         return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                           f"Omega = -{m}K - {mu}*({la}+{lb}) = "
                           f"{cand.residual} is not effective")
@@ -442,10 +451,16 @@ def _scan_line_pair(m, lam, q, target, a, b) -> ScanRecord:
     return ScanRecord(cand, None, "all line intersections consistent")
 
 
-def _scan_node_plus_pair(m, lam, q, target, a, b, s) -> ScanRecord:
+@functools.cache
+def _nodal_effective(d: DivisorClass) -> bool:
+    # F.d >= 0 does not change under positive scaling, so one answer serves
+    # every even m; asked only there, so that odd m never loads linalg
+    return is_effective(d, SurfaceModel.NODAL)
+
+
+def _scan_node_plus_pair(m, lam, q, forced, target, a, b, s) -> ScanRecord:
     # s = C.C1 + C.C2
     (la, ca), (lb, cb) = a, b
-    forced = Fraction(3 * m, 2)
     if forced.denominator != 1:
         cand = _decompose(m, lam, (("C", C, q), (la, ca, q), (lb, cb, q)), target)
         return ScanRecord(cand, HALF_INTEGRAL,

@@ -17,10 +17,11 @@ from click.testing import CliRunner
 from delpezzo.cli import cli
 from delpezzo.germs import parse_germ
 
-from delpezzo.lattice import C, E, L, MINUS_K, SurfaceModel, is_ample
+from delpezzo.lattice import C, E, L, MINUS_K, SurfaceModel, is_ample, is_effective
 from delpezzo.lct import blowup_lct
 from delpezzo.lemma_verify import (DEGREE_OVERFLOW, INTERSECTION_VIOLATION,
                                    MAX_SCAN_M, NOT_AMPLE, PROJECTION_DEGREE,
+                                   RESIDUAL_NOT_EFFECTIVE,
                                    alpha1_report, canonical_nodal_survivor,
                                    classify_smooth_candidate, decomposition,
                                    degree_budget_check, lemma31_scan,
@@ -83,7 +84,7 @@ def test_scans_refuse_inexact_levels_and_thresholds(call, message):
 
 
 def test_smooth_scan_caps_m_before_enumerating():
-    # about 40 records per unit of m: m = 20000 would take 41 s and 0.9 GB
+    # about 40 records per unit of m, so the cap refuses before building any
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"m <= {MAX_SCAN_M} required"):
         lemma31_scan(MAX_SCAN_M + 1, Q(2, 3))
@@ -232,6 +233,49 @@ def test_nodal_survivor_locus_is_a_multiple_of_c():
     # 6C + 2(E1+E2+E3) + 2(L45+L46+L56) lands on (6; 6,6,6,0,0,0) = 6C
     assert locus == C * 6
     assert locus.degree() == 0 and locus.square() == -72
+
+
+def _canonical_key(rec):
+    parts = rec.candidate.parts
+    return (tuple(lab for lab, _, _ in parts), tuple(mu for _, _, mu in parts))
+
+
+@pytest.mark.parametrize("lam", [None, "2/3", "3/5", "1/2"],
+                         ids=["lemma51", "lemma31-2/3", "lemma31-3/5", "lemma31-1/2"])
+def test_records_come_in_canonical_order(lam):
+    # the scans emit their shape tables in order and sort nothing; the pins
+    # below reach m = 17 (m = 8 below 2/3), this reaches m = 40
+    for m in range(2, 41):
+        verdict = lemma51_scan(m) if lam is None else lemma31_scan(m, Q(lam))
+        keys = [_canonical_key(r) for r in verdict.records]
+        assert all(a < b for a, b in zip(keys, keys[1:])), m
+
+
+@pytest.mark.parametrize("m", range(2, 41, 2))
+def test_line_pairs_are_refuted_exactly_when_their_residual_is_not_effective(m):
+    # the scan asks is_effective once per pair on an m-free multiple of the
+    # residual; here every even m asks it of the residual itself
+    pairs = [r for r in lemma51_scan(m).records
+             if len(r.candidate.parts) == 2
+             and all(lab != "C" for lab, _, _ in r.candidate.parts)]
+    assert len(pairs) == 75
+    for rec in pairs:
+        effective = is_effective(rec.candidate.residual, SurfaceModel.NODAL)
+        assert (rec.reason == RESIDUAL_NOT_EFFECTIVE) == (not effective), rec.line()
+        assert rec.reason in (None, RESIDUAL_NOT_EFFECTIVE)
+
+
+def test_the_largest_scans_are_pinned():
+    verdict = lemma31_scan(MAX_SCAN_M, Q(2, 3))
+    assert MAX_SCAN_M == 1000 and len(verdict.records) == 40_689
+    assert verdict.counts_by_reason() == {"not-ample": 162, "neighbor-counting": 27,
+                                          "projection-degree": 40_500}
+    assert verdict.survivors == ()
+    verdict = lemma51_scan(100_000)
+    assert len(verdict.records) == 148
+    assert verdict.counts_by_reason() == NODAL_EVEN_COUNTS
+    (rec,) = verdict.survivors
+    assert rec.candidate == canonical_nodal_survivor(100_000)
 
 
 def test_intersection_violation_records_are_genuine():
