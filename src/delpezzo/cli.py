@@ -1,69 +1,87 @@
 """Command-line frontend: every toolkit operation behind one entry point.
 
+`parse` reads the arguments with argparse, one subparser per command, and
+`COMMANDS` maps each command to its (build, text) pair: `build` returns the
+command's one result, which `text` or --json writes.
 Exit codes follow a fixed contract: 0 on success (for `verify`, success means
 the scan reached the expected conclusion), 1 on a domain error such as a bad
 mode name, an unparseable polynomial or a DELPEZZO_MAX_BLOWUPS value that is
 not a non-negative integer, 2 when the resolution engine exhausts its blow-up
 budget (that environment variable raises it), and 64 (EX_USAGE in sysexits.h)
 on a usage error such as a missing argument, an extra argument or an unknown
-option.
-Every domain error the library raises is a ValueError, and the group maps it
-to exit 1 with its message in one place; no command catches one.  Every
-number read from text (configuration coordinates, cubic coefficients,
-`--point`, `--lambda`) goes through `poly.rational`, the polynomial grammar.
+option.  --help is the one help flag, so `lct -h` reads `-h` as a germ.
+Every domain error the library raises is a ValueError, and `main` maps it to
+exit 1 with its message in one place, as it maps a blown budget to exit 2; no
+command catches one.  Every number read from text (configuration coordinates,
+cubic coefficients, `--point`, `--lambda`) goes through `poly.rational`, the
+polynomial grammar.
 All rational output is lowest-terms p/q, every command is deterministic, and
 `--json` emits the same fields, except the per-candidate records `verify` prints.
 Each command imports the library modules it calls inside its own body, so a
 cold process loads only what its command reads.
 """
 
+import argparse
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-import click
-
 #: exit code of a command-line usage error (sysexits.h)
 EX_USAGE = 64
 
 
-class _DepthAwareGroup(click.Group):
-    """Group that maps the library's errors to exit codes, for every command.
+class _Parser(argparse.ArgumentParser):
+    """A parser whose one help flag is --help and whose usage errors exit EX_USAGE."""
 
-    A domain error (every one the library raises is a ValueError) exits 1
-    with its message; a blown blow-up budget exits 2; a usage error, whether
-    the group's own or a subcommand's, exits EX_USAGE instead of click's 2.
-    """
+    def __init__(self, **settings):
+        super().__init__(add_help=False, allow_abbrev=False, **settings)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
 
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            exc.exit_code = EX_USAGE
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+_PARSER = _Parser(prog="delpezzo", description="Exact tools for lines, "
+                  "thresholds and locus scans on cubic surfaces.")
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", metavar="COMMAND")
+#: command name -> (build, text); `parse` reads the options `build` takes
+COMMANDS = {}
+
+
+def parse(argv):
+    """The command `argv` runs, and the options its build function takes."""
+    namespace, extra = _PARSER.parse_known_args(argv)
+    options = vars(namespace)
+    name = options.pop("command")
+    parser = _SUBPARSERS.choices.get(name, _PARSER)
+    if options.get("germ_text", "") is None and extra:  # a germ that starts with '-'
+        options["germ_text"] = extra.pop(0)
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    if None in (name, options.get("germ_text", "")):
+        parser.error("the following arguments are required: "
+                     + ("GERM" if name else "COMMAND"))
+    return name, options
+
+
+def main(argv=None):
+    """Run the command in `argv` (by default the process's arguments)."""
+    name, options = parse(sys.argv[1:] if argv is None else argv)
+    try:
+        _write(*COMMANDS[name], **options)
+    except ValueError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except RuntimeError as exc:
+        # only a command that resolved a germ can have blown the budget
+        resolution = sys.modules.get("delpezzo.resolution")
+        if resolution is None or not isinstance(exc, resolution.DepthExceededError):
             raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = EX_USAGE
-            raise
-        except ValueError as exc:
-            raise click.ClickException(str(exc))
-        except RuntimeError as exc:
-            # only a command that resolved a germ can have blown the budget
-            resolution = sys.modules.get("delpezzo.resolution")
-            if resolution is None or not isinstance(exc, resolution.DepthExceededError):
-                raise
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-
-@click.group(cls=_DepthAwareGroup)
-def cli():
-    """Exact tools for lines, thresholds and locus scans on cubic surfaces."""
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 @dataclass(frozen=True)
@@ -89,20 +107,21 @@ def _plain(x):
 def _write(build, text, as_json, **options):
     # the one place a result is written, and where a failed scan exits 1
     result = build(**options)
-    click.echo(json.dumps(result, default=_plain, sort_keys=True, indent=2)
-               if as_json else text(result))
+    print(json.dumps(result, default=_plain, sort_keys=True, indent=2)
+          if as_json else text(result))
     if isinstance(result, _Scan) and not result.summary["verified"]:
         sys.exit(1)
 
 
-def _command(name, text, **settings):
+def _command(name, text, *arguments, **settings):
     """Register `build` as command `name`; `text` renders the result it returns."""
     def register(build):
-        command = cli.command(name, **settings)(build)
-        command.callback = partial(_write, build, text)
-        # appended, so that --help lists --json after the command's own options
-        command.params.append(click.Option(["--json", "as_json"], is_flag=True,
-                                           help="Emit JSON."))
+        parser = _SUBPARSERS.add_parser(name, help=build.__doc__,
+                                        description=build.__doc__, **settings)
+        for *flags, options in arguments:  # the flags or name, then the settings
+            parser.add_argument(*flags, **options)
+        parser.add_argument("--json", action="store_true", dest="as_json", help="Emit JSON.")
+        COMMANDS[name] = build, text
         return build
     return register
 
@@ -113,12 +132,10 @@ def _read(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise click.ClickException(str(exc))
+        raise ValueError(str(exc)) from None
 
 
-# ---------------------------------------------------------------------------
-# lines
-
+# -- lines --------------------------------------------------------------------
 
 def _lines_text(data):
     nodal = data["mode"] == "nodal"
@@ -134,16 +151,15 @@ def _lines_text(data):
     return "\n".join(out)
 
 
-@_command("lines", _lines_text)
-@click.option("--mode", default="smooth", show_default=True, metavar="MODE",
-              help="Surface model: smooth or nodal.")
+@_command("lines", _lines_text,
+          ("--mode", dict(default="smooth", metavar="MODE",
+                          help="Surface model: smooth or nodal (default: smooth).")))
 def cmd_lines(mode):
     """List the negative curves with their incidence degrees."""
     from .lattice import (SurfaceModel, curve_incidences,
                           enumerate_negative_curves, tritangent_triples)
     if mode not in ("smooth", "nodal"):
-        raise click.ClickException(
-            f"unknown mode {mode!r}; expected smooth or nodal")
+        raise ValueError(f"unknown mode {mode!r}; expected smooth or nodal")
     model = SurfaceModel(mode)
     curves = enumerate_negative_curves(model)
     graph = curve_incidences(model)
@@ -157,9 +173,7 @@ def cmd_lines(mode):
     return {"mode": mode, "curves": rows, "adjacent_to_C": sorted(graph["C"])}
 
 
-# ---------------------------------------------------------------------------
-# lct
-
+# -- lct ----------------------------------------------------------------------
 
 def _lct_text(data):
     out = [f"germ: {data['germ']}"] + [str(r) for r in data["reports"]]
@@ -174,15 +188,15 @@ def _lct_text(data):
     return "\n".join(out)
 
 
-@_command("lct", _lct_text, context_settings={"ignore_unknown_options": True})
-@click.argument("germ_text", metavar="GERM")
-@click.option("--method", default="both", show_default=True, metavar="METHOD",
-              help="newton, blowup, or both.")
+# GERM is optional to argparse so that `parse` may take a germ that starts with '-'
+@_command("lct", _lct_text, ("germ_text", dict(nargs="?", metavar="GERM")),
+          ("--method", dict(default="both", metavar="METHOD",
+                            help="newton, blowup, or both (default: both).")),
+          usage="%(prog)s [--help] [--method METHOD] [--json] GERM")
 def cmd_lct(germ_text, method):
     """Log canonical threshold of a plane curve germ at the origin."""
     if method not in ("newton", "blowup", "both"):
-        raise click.ClickException(
-            f"unknown method {method!r}; expected newton, blowup or both")
+        raise ValueError(f"unknown method {method!r}; expected newton, blowup or both")
     from .germs import parse_germ
     from .lct import newton_lct, resolution_lct
     f = parse_germ(germ_text)
@@ -199,9 +213,7 @@ def cmd_lct(germ_text, method):
     return data
 
 
-# ---------------------------------------------------------------------------
-# eckardt
-
+# -- eckardt ------------------------------------------------------------------
 
 def _eckardt_text(data):
     if "mode" in data:
@@ -213,13 +225,13 @@ def _eckardt_text(data):
                       f"eckardt: {'true' if data['eckardt'] else 'false'}"])
 
 
-@_command("eckardt", _eckardt_text)
-@click.option("--config", "config_path", default=None, metavar="PATH",
-              help="Six-point configuration file (blow-up model).")
-@click.option("--cubic", "cubic_path", default=None, metavar="PATH",
-              help="Explicit cubic surface file (20 graded-lex coefficients).")
-@click.option("--point", "point_text", default=None, metavar='"W X Y Z"',
-              help="Surface point to test against --cubic.")
+@_command("eckardt", _eckardt_text,
+          ("--config", dict(dest="config_path", metavar="PATH",
+                            help="Six-point configuration file (blow-up model).")),
+          ("--cubic", dict(dest="cubic_path", metavar="PATH", help="Explicit "
+                           "cubic surface file (20 graded-lex coefficients).")),
+          ("--point", dict(dest="point_text", metavar='"W X Y Z"',
+                           help="Surface point to test against --cubic.")))
 def cmd_eckardt(config_path, cubic_path, point_text):
     """Find Eckardt points of a configuration, or test one explicit point."""
     from .plane_config import (eckardt_points, is_eckardt_on_cubic,
@@ -227,17 +239,17 @@ def cmd_eckardt(config_path, cubic_path, point_text):
                                tangent_plane_restriction)
     from .poly import monomial, to_text
     if config_path and (cubic_path or point_text):
-        raise click.ClickException("--config excludes --cubic/--point")
+        raise ValueError("--config excludes --cubic/--point")
     if config_path:
         # eckardt_points validates it, raising a GeometryError when invalid
         cfg = load_config(_read(config_path))
         return {"mode": cfg.mode.value, "eckardt_points": eckardt_points(cfg)}
     if not (cubic_path and point_text):
-        raise click.ClickException("need --config, or --cubic with --point")
+        raise ValueError("need --config, or --cubic with --point")
     f = load_cubic(_read(cubic_path))
     tokens = point_text.replace(",", " ").split()
     if len(tokens) != 4:
-        raise click.ClickException("--point needs four coordinates")
+        raise ValueError("--point needs four coordinates")
     p = point(*tokens)
     restricted = tangent_plane_restriction(f, p)
     section = to_text((monomial(e, ("s0", "s1", "s2")), c)
@@ -246,17 +258,15 @@ def cmd_eckardt(config_path, cubic_path, point_text):
             "eckardt": is_eckardt_on_cubic(f, p)}
 
 
-# ---------------------------------------------------------------------------
-# verify
-
+# -- verify -------------------------------------------------------------------
 
 @_command("verify", lambda scan: (f"{scan.verdict.report()}\n"
-                                  f"conclusion: {scan.summary['conclusion']}"))
-@click.option("--lemma", "lemma_id", required=True, metavar="ID",
-              help="Which scan to run: 3.1 or 5.1.")
-@click.option("--m", "m", required=True, type=int, help="Multiple of -K.")
-@click.option("--lambda", "lam_text", default=None, metavar="P/Q",
-              help="Threshold for 3.1 (default 2/3; 5.1 is fixed there).")
+                                  f"conclusion: {scan.summary['conclusion']}"),
+          ("--lemma", dict(dest="lemma_id", required=True, metavar="ID",
+                           help="Which scan to run: 3.1 or 5.1.")),
+          ("--m", dict(required=True, type=int, help="Multiple of -K.")),
+          ("--lambda", dict(dest="lam_text", metavar="P/Q", help="Threshold "
+                            "for 3.1 (default 2/3; 5.1 is fixed there).")))
 def cmd_verify(lemma_id, m, lam_text):
     """Run a locus scan and check it reaches the expected conclusion."""
     from .lemma_verify import (canonical_nodal_survivor, lemma31_scan,
@@ -264,10 +274,9 @@ def cmd_verify(lemma_id, m, lam_text):
     from .poly import rational
     lam = rational(lam_text) if lam_text is not None else Fraction(2, 3)
     if lemma_id not in ("3.1", "5.1"):
-        raise click.ClickException(
-            f"unknown lemma id {lemma_id!r}; expected 3.1 or 5.1")
+        raise ValueError(f"unknown lemma id {lemma_id!r}; expected 3.1 or 5.1")
     if lemma_id == "5.1" and lam != Fraction(2, 3):
-        raise click.ClickException("the nodal scan is fixed at lambda = 2/3")
+        raise ValueError("the nodal scan is fixed at lambda = 2/3")
     verdict = lemma31_scan(m, lam) if lemma_id == "3.1" else lemma51_scan(m)
     got = verdict.survivors
     if lemma_id == "3.1":
@@ -290,9 +299,7 @@ def cmd_verify(lemma_id, m, lam_text):
                   "verified": verified, "conclusion": conclusion}, verdict)
 
 
-# ---------------------------------------------------------------------------
-# case / solve
-
+# -- case / solve -------------------------------------------------------------
 
 def _solve_data(title, rep):
     if not rep.feasible:
@@ -322,30 +329,29 @@ def _solve_text(data):
     return "\n".join(out)
 
 
-@_command("case", _solve_text)
-@click.option("--id", "case_id", required=True, metavar="ID",
-              help="Exclusion case: 2, 3 or nodal.")
-@click.option("--m", "m", required=True, type=int, help="Multiple of -K.")
-@click.option("--subcase", default=None, metavar="NAME",
-              help="Nodal refinement: q_free, q_on_l or q_on_c.")
+@_command("case", _solve_text,
+          ("--id", dict(dest="case_id", required=True, metavar="ID",
+                        help="Exclusion case: 2, 3 or nodal.")),
+          ("--m", dict(required=True, type=int, help="Multiple of -K.")),
+          ("--subcase", dict(metavar="NAME",
+                             help="Nodal refinement: q_free, q_on_l or q_on_c.")))
 def cmd_case(case_id, m, subcase):
     """Solve one hard-wired exclusion system and print what it forces."""
     from .constraints import encode_case2, encode_case3, encode_nodal, solve
     if subcase is not None and case_id != "nodal":
-        raise click.ClickException("--subcase only refines --id nodal")
+        raise ValueError("--subcase only refines --id nodal")
     encode = {"2": encode_case2, "3": encode_case3,
               "nodal": partial(encode_nodal, subcase=subcase)}.get(case_id)
     if encode is None:
-        raise click.ClickException(
-            f"unknown case id {case_id!r}; expected 2, 3 or nodal")
+        raise ValueError(f"unknown case id {case_id!r}; expected 2, 3 or nodal")
     name = f"nodal ({subcase or 'base'})" if case_id == "nodal" else case_id
     return _solve_data(f"case {name}, m={m}", solve(encode(m)))
 
 
-@_command("solve", _solve_text)
-@click.argument("path", metavar="SYSTEM_FILE")
-@click.option("--m", "m", default=None, type=int,
-              help="Value substituted for the symbol m in the file.")
+@_command("solve", _solve_text,
+          ("path", dict(metavar="SYSTEM_FILE")),
+          ("--m", dict(type=int,
+                       help="Value substituted for the symbol m in the file.")))
 def cmd_solve(path, m):
     """Solve a plain-text linear system by exact Fourier-Motzkin."""
     from .constraints import parse_system, solve
@@ -355,22 +361,16 @@ def cmd_solve(path, m):
     return _solve_data(title, solve(system))
 
 
-# ---------------------------------------------------------------------------
-# alpha
+# -- alpha --------------------------------------------------------------------
 
-
-@_command("alpha", str)
-@click.option("--config", "config_path", required=True, metavar="PATH",
-              help="Six-point configuration file (smooth mode).")
+@_command("alpha", str,
+          ("--config", dict(dest="config_path", required=True, metavar="PATH",
+                            help="Six-point configuration file (smooth mode).")))
 def cmd_alpha(config_path):
     """Bound alpha_1 from the line catalogue of a smooth configuration."""
     from .lemma_verify import alpha1_report
     from .plane_config import load_config
     return alpha1_report(load_config(_read(config_path)))
-
-
-def main():
-    cli(prog_name="delpezzo")
 
 
 if __name__ == "__main__":

@@ -309,15 +309,16 @@ def canonical_nodal_survivor(m: int) -> Decomposition:
         raise ValueError("m >= 2 required")
     if m % 2:
         raise ValueError("only even m admits the survivor")
-    cand = decomposition(m, Fraction(2, 3), [("C", C, 3 * m // 2)])
-    support = tuple((lab, Fraction(m, 2)) for lab in _node_adjacent())
-    return Decomposition(cand.m, cand.lam, cand.parts, cand.residual, support)
+    mu, half = 3 * m // 2, Fraction(m, 2)
+    return Decomposition(m, Fraction(2, 3), (("C", C, mu),), m * MINUS_K - mu * C,
+                         tuple((lab, half) for lab in _node_adjacent()))
 
 
-def _node_adjacent() -> list[str]:
+@functools.cache
+def _node_adjacent() -> tuple[str, ...]:
     """The lines meeting C once, sorted by label."""
-    return sorted(lab for lab, k in curve_incidences(SurfaceModel.NODAL)["C"].items()
-                  if k == 1)
+    return tuple(sorted(lab for lab, k in
+                        curve_incidences(SurfaceModel.NODAL)["C"].items() if k == 1))
 
 
 def lemma51_scan(m: int) -> CaseVerdict:
@@ -381,7 +382,8 @@ def _nodal_shapes() -> tuple[tuple, ...]:
 def _scan_node_alone(m, lam, q, forced, target, six, adjacent) -> ScanRecord:
     # Each adjacent line E has m = E.Z = mu - kappa_E + ..., forcing it into
     # the residual with kappa_E >= mu - m; the residual degree 3m then gives
-    # 6(mu - m) <= 3m, so mu = 3m/2 exactly and Omega = (m/2) * (sum of six).
+    # 6(mu - m) <= 3m, so mu = 3m/2 exactly and Omega = (m/2) * (sum of six):
+    # a sum of curves, so effective, with the six lines at m/2 as its witness.
     if forced.denominator != 1:
         cand = decomposition(m, lam, [("C", C, q)])
         return ScanRecord(cand, HALF_INTEGRAL,
@@ -393,8 +395,6 @@ def _scan_node_alone(m, lam, q, forced, target, six, adjacent) -> ScanRecord:
         return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                           "equality analysis demands Omega = (m/2)(sum of the "
                           "six adjacent lines), which the lattice refutes")
-    if not cand.residual_is_effective(SurfaceModel.NODAL):
-        return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE, "Omega is not effective")
     assert degree_budget_check(cand)
     return ScanRecord(cand, None,
                       f"forced exactly: Z = {mu}*C + {Fraction(m, 2)}*"

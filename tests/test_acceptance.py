@@ -8,9 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
-
-from delpezzo.cli import cli
+from cli_runner import run
 from delpezzo.constraints import (encode_case2, encode_case3, encode_nodal,
                                   solve)
 from delpezzo.germs import parse_germ
@@ -40,7 +38,7 @@ class _clock:
 
 def test_criterion_1_smooth_line_enumeration():
     with _clock() as t:
-        result = CliRunner().invoke(cli, ["lines", "--mode", "smooth"])
+        result = run(["lines", "--mode", "smooth"])
         assert result.exit_code == 0
         out = result.output.splitlines()
         assert out[0] == "smooth cubic: 27 lines"
@@ -58,7 +56,7 @@ def test_criterion_2_nodal_line_enumeration():
                 "L34", "L35", "L36", "L45", "L46", "L56",
                 "F1", "F2", "F3"]
     with _clock() as t:
-        result = CliRunner().invoke(cli, ["lines", "--mode", "nodal"])
+        result = run(["lines", "--mode", "nodal"])
         assert result.exit_code == 0
         out = result.output.splitlines()
         assert out[0] == "one-node cubic: 21 lines and the (-2)-curve C"

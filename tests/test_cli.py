@@ -9,10 +9,10 @@ import shlex
 import time
 
 import pytest
-from click.testing import CliRunner
 
 import delpezzo
-from delpezzo.cli import EX_USAGE, cli
+from cli_runner import run
+from delpezzo.cli import COMMANDS, EX_USAGE, parse
 from delpezzo.plane_config import (CubicForm, InvalidConfigError, dump_config,
                                    dump_cubic, load_config, validate)
 from delpezzo.lattice import SurfaceModel
@@ -23,14 +23,8 @@ from delpezzo.plane_config import SixPointConfig, point
 CLI_MODULE = importlib.import_module("delpezzo.cli")
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, **kw):
-    result = runner.invoke(cli, list(args), **kw)
-    return result
+def invoke(*args):
+    return run(args)
 
 
 FRAME_A_TEXT = dump_config(SixPointConfig(
@@ -60,8 +54,8 @@ s < 6
 
 # -- lines ---------------------------------------------------------------------
 
-def test_lines_smooth(runner):
-    result = invoke(runner, "lines", "--mode", "smooth")
+def test_lines_smooth():
+    result = invoke("lines", "--mode", "smooth")
     assert result.exit_code == 0
     out = result.output.splitlines()
     assert out[0] == "smooth cubic: 27 lines"
@@ -74,8 +68,8 @@ def test_lines_smooth(runner):
     assert "  E1 L12 F2" in triple_rows
 
 
-def test_lines_nodal(runner):
-    result = invoke(runner, "lines", "--mode", "nodal")
+def test_lines_nodal():
+    result = invoke("lines", "--mode", "nodal")
     assert result.exit_code == 0
     out = result.output.splitlines()
     assert out[0] == "one-node cubic: 21 lines and the (-2)-curve C"
@@ -84,14 +78,14 @@ def test_lines_nodal(runner):
     assert "  C   (1; 1,1,1,0,0,0)  meets 6" in out
 
 
-def test_lines_unknown_mode(runner):
-    result = invoke(runner, "lines", "--mode", "bogus")
+def test_lines_unknown_mode():
+    result = invoke("lines", "--mode", "bogus")
     assert result.exit_code == 1
     assert "unknown mode 'bogus'" in result.output
 
 
-def test_lines_json(runner):
-    result = invoke(runner, "lines", "--mode", "nodal", "--json")
+def test_lines_json():
+    result = invoke("lines", "--mode", "nodal", "--json")
     data = json.loads(result.output)
     assert len(data["curves"]) == 22
     assert data["adjacent_to_C"] == ["E1", "E2", "E3", "L45", "L46", "L56"]
@@ -99,8 +93,8 @@ def test_lines_json(runner):
 
 # -- lct -----------------------------------------------------------------------
 
-def test_lct_cusp(runner):
-    result = invoke(runner, "lct", "y^2 - x^3")
+def test_lct_cusp():
+    result = invoke("lct", "y^2 - x^3")
     assert result.exit_code == 0
     assert result.output == (
         "germ: y^2 - x^3\n"
@@ -111,8 +105,8 @@ def test_lct_cusp(runner):
         "agreement: both methods give 5/6\n")
 
 
-def test_lct_newton_certificate_failure(runner):
-    result = invoke(runner, "lct", "(y - x)^2")
+def test_lct_newton_certificate_failure():
+    result = invoke("lct", "(y - x)^2")
     assert result.exit_code == 0
     assert "lct = 1 (newton, upper bound;" in result.output
     assert "lct = 1/2 (blowup, exact; component x - y with multiplicity 2)" \
@@ -122,15 +116,15 @@ def test_lct_newton_certificate_failure(runner):
         "inexact)" in result.output
 
 
-def test_lct_single_method(runner):
-    result = invoke(runner, "lct", "x*y", "--method", "newton")
+def test_lct_single_method():
+    result = invoke("lct", "x*y", "--method", "newton")
     assert result.exit_code == 0
     assert "blowup" not in result.output
     assert "lct = 1 (newton, exact;" in result.output
 
 
-def test_lct_parse_error(runner):
-    result = invoke(runner, "lct", "x+")
+def test_lct_parse_error():
+    result = invoke("lct", "x+")
     assert result.exit_code == 1
     assert "cannot parse" in result.output
 
@@ -139,15 +133,15 @@ def test_lct_parse_error(runner):
     ("(x", "missing ')'"),
     ("(" * 400 + "x" + ")" * 400, "expression nested too deeply"),
 ], ids=["unclosed", "nested"])
-def test_lct_parser_refusals_exit_1(runner, germ, message):
+def test_lct_parser_refusals_exit_1(germ, message):
     # tests/test_poly.py checks that `parse` raises each as a PolyParseError
-    result = invoke(runner, "lct", germ)
+    result = invoke("lct", germ)
     assert result.exit_code == 1
     assert message in result.output
 
 
-def test_lct_input_is_never_run_as_code(runner):
-    result = invoke(runner, "lct",
+def test_lct_input_is_never_run_as_code():
+    result = invoke("lct",
                     "__import__('sys').stdout.write('INJECTED\\n') and x")
     assert result.exit_code == 1
     assert "cannot parse" in result.output
@@ -156,54 +150,54 @@ def test_lct_input_is_never_run_as_code(runner):
 
 
 @pytest.mark.parametrize("germ", ["(x+y)^3000", "x^2000*y + y^3000"])
-def test_lct_degree_cap_fails_fast(runner, germ):
+def test_lct_degree_cap_fails_fast(germ):
     start = time.perf_counter()
-    result = invoke(runner, "lct", germ)
+    result = invoke("lct", germ)
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
     assert "exceeds the cap of 64" in result.output
 
 
-def test_lct_term_product_budget_fails_fast(runner):
+def test_lct_term_product_budget_fails_fast():
     start = time.perf_counter()
-    result = invoke(runner, "lct", "(1+x+y)^64*x")
+    result = invoke("lct", "(1+x+y)^64*x")
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
     assert "term products" in result.output
 
 
-def test_lct_depth_budget_exit_code(runner, monkeypatch):
+def test_lct_depth_budget_exit_code(monkeypatch):
     monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "1")
-    result = invoke(runner, "lct", "y^2 - x^3", "--method", "blowup")
+    result = invoke("lct", "y^2 - x^3", "--method", "blowup")
     assert result.exit_code == 2
     assert "raise DELPEZZO_MAX_BLOWUPS to continue" in result.output
 
 
 @pytest.mark.parametrize("args, message", [
-    (["lct"], "Missing argument 'GERM'"),
-    (["lct", "y^2 - x^3", "x"], "Got unexpected extra argument"),
+    (["lct"], "the following arguments are required: GERM"),
+    (["lct", "y^2 - x^3", "x"], "unrecognized arguments: x"),
     (["lines", "--bogus"], "--bogus"),
     (["--bogus"], "--bogus"),
 ])
-def test_usage_errors_exit_ex_usage(runner, args, message):
+def test_usage_errors_exit_ex_usage(args, message):
     # 64 (EX_USAGE), apart from the 2 of an exhausted blow-up budget
-    result = invoke(runner, *args)
+    result = invoke(*args)
     assert result.exit_code == EX_USAGE == 64
     assert message in result.output
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])
-def test_lct_invalid_depth_budget_is_a_domain_error(runner, monkeypatch, value):
+def test_lct_invalid_depth_budget_is_a_domain_error(monkeypatch, value):
     monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", value)
-    result = invoke(runner, "lct", "y^2 - x^3")
+    result = invoke("lct", "y^2 - x^3")
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no raw traceback
     assert result.output == ("Error: DELPEZZO_MAX_BLOWUPS must be a "
                              f"non-negative integer, got {value!r}\n")
 
 
-def test_lct_json(runner):
-    result = invoke(runner, "lct", "y^2 - x^3", "--json")
+def test_lct_json():
+    result = invoke("lct", "y^2 - x^3", "--json")
     data = json.loads(result.output)
     assert data["agree"] is True
     assert data["nodes"] == [[1, 2], [2, 3], [4, 6]]
@@ -212,16 +206,16 @@ def test_lct_json(runner):
     assert by_method["newton"]["exact"] is True
 
 
-def test_lct_germ_may_start_with_a_minus_sign(runner):
-    result = invoke(runner, "lct", "-y^2 + x^3", "--json")
+def test_lct_germ_may_start_with_a_minus_sign():
+    result = invoke("lct", "-y^2 + x^3", "--json")
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["germ"] == "-y^2 + x^3"
     assert [r["value"] for r in data["reports"]] == ["5/6", "5/6"]
     # the same bytes as with the option list closed by --
-    assert result.output == invoke(runner, "lct", "--json", "--",
+    assert result.output == invoke("lct", "--json", "--",
                                    "-y^2 + x^3").output
-    newton = invoke(runner, "lct", "--method", "newton", "-y^2 + x^3")
+    newton = invoke("lct", "--method", "newton", "-y^2 + x^3")
     assert newton.exit_code == 0
     assert "lct = 5/6 (newton, exact;" in newton.output
 
@@ -234,23 +228,23 @@ SUBSTITUTED_CONJUGATE = (
     " - 21*x^5*y^2 + 7*x^6*y - x^7")
 
 
-def test_lct_substituted_conjugate_germ_with_a_leading_minus(runner):
-    result = invoke(runner, "lct", SUBSTITUTED_CONJUGATE, "--method", "blowup")
+def test_lct_substituted_conjugate_germ_with_a_leading_minus():
+    result = invoke("lct", SUBSTITUTED_CONJUGATE, "--method", "blowup")
     assert result.exit_code == 0
     assert "lct = 1/3 (blowup, exact;" in result.output
 
 
-def test_lct_unknown_option_is_read_as_a_germ(runner):
-    result = invoke(runner, "lct", "--bogus")
+def test_lct_unknown_option_is_read_as_a_germ():
+    result = invoke("lct", "--bogus")
     assert result.exit_code == 1
     assert "cannot parse '--bogus'" in result.output
 
 
-def test_lct_high_degree_square_free_germ_is_fast(runner):
+def test_lct_high_degree_square_free_germ_is_fast():
     # a full bivariate factorization of this germ takes minutes; the
     # square-free split never factors it (reduced order 64 is never SNC)
     start = time.perf_counter()
-    result = invoke(runner, "lct", "x^63*y + y^64", "--json")
+    result = invoke("lct", "x^63*y + y^64", "--json")
     assert time.perf_counter() - start < 2
     assert result.exit_code == 0
     data = json.loads(result.output)
@@ -261,8 +255,8 @@ def test_lct_high_degree_square_free_germ_is_fast(runner):
 
 # -- verify --------------------------------------------------------------------
 
-def test_verify_smooth_scan(runner):
-    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2")
+def test_verify_smooth_scan():
+    result = invoke("verify", "--lemma", "3.1", "--m", "2")
     assert result.exit_code == 0
     out = result.output.splitlines()
     assert out[0] == "smooth-model locus scan: m=2, lam=2/3"
@@ -270,44 +264,44 @@ def test_verify_smooth_scan(runner):
     assert out[-1] == "conclusion: verified; no survivors"
 
 
-def test_verify_nodal_even(runner):
-    result = invoke(runner, "verify", "--lemma", "5.1", "--m", "2")
+def test_verify_nodal_even():
+    result = invoke("verify", "--lemma", "5.1", "--m", "2")
     assert result.exit_code == 0
     assert result.output.splitlines()[-1] == (
         "conclusion: verified; unique survivor "
         "3*C + 1*E1 + 1*E2 + 1*E3 + 1*L45 + 1*L46 + 1*L56")
 
 
-def test_verify_nodal_odd(runner):
-    result = invoke(runner, "verify", "--lemma", "5.1", "--m", "3")
+def test_verify_nodal_odd():
+    result = invoke("verify", "--lemma", "5.1", "--m", "3")
     assert result.exit_code == 0
     assert result.output.splitlines()[-1] == (
         "conclusion: verified; no survivor (m odd)")
 
 
-def test_verify_custom_lambda(runner):
-    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2",
+def test_verify_custom_lambda():
+    result = invoke("verify", "--lemma", "3.1", "--m", "2",
                     "--lambda", "1/2")
     assert result.exit_code == 0
     assert "81 candidates, 0 survivors" in result.output
 
 
-def test_verify_unknown_lemma(runner):
-    result = invoke(runner, "verify", "--lemma", "9.9", "--m", "2")
+def test_verify_unknown_lemma():
+    result = invoke("verify", "--lemma", "9.9", "--m", "2")
     assert result.exit_code == 1
     assert "unknown lemma id '9.9'" in result.output
 
 
-def test_verify_caps_m_fast(runner):
+def test_verify_caps_m_fast():
     start = time.perf_counter()
-    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "1001")
+    result = invoke("verify", "--lemma", "3.1", "--m", "1001")
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
     assert result.output.startswith("Error: m <= 1000 required")
 
 
-def test_verify_json(runner):
-    result = invoke(runner, "verify", "--lemma", "5.1", "--m", "4", "--json")
+def test_verify_json():
+    result = invoke("verify", "--lemma", "5.1", "--m", "4", "--json")
     data = json.loads(result.output)
     assert data["verified"] is True
     assert data["counts"] == {"survivor": 1, "intersection-violation": 57,
@@ -316,22 +310,22 @@ def test_verify_json(runner):
         "6*C + 2*E1 + 2*E2 + 2*E3 + 2*L45 + 2*L46 + 2*L56"]
 
 
-def test_verify_exits_1_after_its_report_when_the_scan_fails(runner, monkeypatch):
+def test_verify_exits_1_after_its_report_when_the_scan_fails(monkeypatch):
     # no 3.1 scan within (0, 2/3] fails, so a scan with a survivor stands in
     # `verify` reads the scan from its module when it runs
     monkeypatch.setattr(lemma_verify, "lemma31_scan", lambda m, lam: lemma51_scan(2))
-    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2")
+    result = invoke("verify", "--lemma", "3.1", "--m", "2")
     assert result.exit_code == 1
     assert result.output.splitlines()[-1] == "conclusion: FAILED; 1 survivors"
-    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2", "--json")
+    result = invoke("verify", "--lemma", "3.1", "--m", "2", "--json")
     assert result.exit_code == 1
     assert json.loads(result.output)["verified"] is False
 
 
 # -- case and solve --------------------------------------------------------------
 
-def test_case_3_even(runner):
-    result = invoke(runner, "case", "--id", "3", "--m", "6")
+def test_case_3_even():
+    result = invoke("case", "--id", "3", "--m", "6")
     assert result.exit_code == 0
     out = result.output.splitlines()
     assert out[0] == "case 3, m=6"
@@ -339,15 +333,15 @@ def test_case_3_even(runner):
     assert "mu = 3" in out and "nu = 3" in out and "d = 6" in out
 
 
-def test_case_3_odd_contradiction(runner):
-    result = invoke(runner, "case", "--id", "3", "--m", "5")
+def test_case_3_odd_contradiction():
+    result = invoke("case", "--id", "3", "--m", "5")
     assert result.exit_code == 0
     assert "mu = 5/2 : integrality contradiction" in result.output
     assert "nu = 5/2 : integrality contradiction" in result.output
 
 
-def test_case_nodal_subcase(runner):
-    result = invoke(runner, "case", "--id", "nodal", "--m", "6",
+def test_case_nodal_subcase():
+    result = invoke("case", "--id", "nodal", "--m", "6",
                     "--subcase", "q_on_c")
     assert result.exit_code == 0
     out = result.output.splitlines()
@@ -356,23 +350,23 @@ def test_case_nodal_subcase(runner):
     assert "0 <= mult_q <= 3" in out
 
 
-def test_case_unknown_subcase(runner):
-    result = invoke(runner, "case", "--id", "nodal", "--m", "6",
+def test_case_unknown_subcase():
+    result = invoke("case", "--id", "nodal", "--m", "6",
                     "--subcase", "q_free_ish")
     assert result.exit_code == 1
     assert result.output == ("Error: unknown subcase 'q_free_ish'; "
                              "expected q_free, q_on_l, q_on_c\n")
 
 
-def test_case_unknown_id(runner):
-    result = invoke(runner, "case", "--id", "7", "--m", "2")
+def test_case_unknown_id():
+    result = invoke("case", "--id", "7", "--m", "2")
     assert result.exit_code == 1
 
 
-def test_solve_file(runner, tmp_path):
+def test_solve_file(tmp_path):
     path = tmp_path / "system.txt"
     path.write_text(SYSTEM_TEXT)
-    result = invoke(runner, "solve", str(path), "--m", "6")
+    result = invoke("solve", str(path), "--m", "6")
     assert result.exit_code == 0
     out = result.output.splitlines()
     assert out[0] == "system: 3 variables, 4 constraints"
@@ -381,33 +375,33 @@ def test_solve_file(runner, tmp_path):
     assert out[-1].startswith("witness: ")
 
 
-def test_solve_rejects_declaring_m(runner, tmp_path):
+def test_solve_rejects_declaring_m(tmp_path):
     path = tmp_path / "system.txt"
     path.write_text("int m\nm + x <= 3\nx >= 0\n")
-    result = invoke(runner, "solve", str(path), "--m", "2")
+    result = invoke("solve", str(path), "--m", "2")
     assert result.exit_code == 1
     assert "line 1: m " in result.output
 
 
-def test_solve_missing_file(runner, tmp_path):
-    result = invoke(runner, "solve", str(tmp_path / "absent.txt"))
+def test_solve_missing_file(tmp_path):
+    result = invoke("solve", str(tmp_path / "absent.txt"))
     assert result.exit_code == 1
 
 
-def test_solve_needs_m(runner, tmp_path):
+def test_solve_needs_m(tmp_path):
     path = tmp_path / "system.txt"
     path.write_text(SYSTEM_TEXT)
-    result = invoke(runner, "solve", str(path))
+    result = invoke("solve", str(path))
     assert result.exit_code == 1
     assert "m used but no value supplied" in result.output
 
 
 # -- eckardt --------------------------------------------------------------------
 
-def test_eckardt_config_mode(runner, tmp_path):
+def test_eckardt_config_mode(tmp_path):
     path = tmp_path / "frame.cfg"
     path.write_text(FRAME_A_TEXT)
-    result = invoke(runner, "eckardt", "--config", str(path))
+    result = invoke("eckardt", "--config", str(path))
     assert result.exit_code == 0
     assert result.output == (
         "mode: smooth\n"
@@ -418,10 +412,10 @@ def test_eckardt_config_mode(runner, tmp_path):
         "  {L12, L34, L56} at (1:1:0)\n")
 
 
-def test_eckardt_explicit_cubic(runner, tmp_path):
+def test_eckardt_explicit_cubic(tmp_path):
     path = tmp_path / "surface.cubic"
     path.write_text(EX11_TEXT)
-    result = invoke(runner, "eckardt", "--cubic", str(path),
+    result = invoke("eckardt", "--cubic", str(path),
                     "--point", "1 0 0 0")
     assert result.exit_code == 0
     out = result.output.splitlines()
@@ -431,23 +425,23 @@ def test_eckardt_explicit_cubic(runner, tmp_path):
     assert out[3] == "eckardt: true"
 
 
-def test_eckardt_point_not_on_surface(runner, tmp_path):
+def test_eckardt_point_not_on_surface(tmp_path):
     path = tmp_path / "surface.cubic"
     path.write_text(EX11_TEXT)
-    result = invoke(runner, "eckardt", "--cubic", str(path),
+    result = invoke("eckardt", "--cubic", str(path),
                     "--point", "0 1 1 1")
     assert result.exit_code == 1
 
 
-def test_eckardt_requires_an_input(runner):
-    result = invoke(runner, "eckardt")
+def test_eckardt_requires_an_input():
+    result = invoke("eckardt")
     assert result.exit_code == 1
 
 
-def test_eckardt_json(runner, tmp_path):
+def test_eckardt_json(tmp_path):
     path = tmp_path / "frame.cfg"
     path.write_text(FRAME_A_TEXT)
-    result = invoke(runner, "eckardt", "--config", str(path), "--json")
+    result = invoke("eckardt", "--config", str(path), "--json")
     data = json.loads(result.output)
     assert len(data["eckardt_points"]) == 4
     assert data["eckardt_points"][0]["triple"] == ["E3", "F6", "L36"]
@@ -456,29 +450,29 @@ def test_eckardt_json(runner, tmp_path):
 
 # -- alpha ----------------------------------------------------------------------
 
-def test_alpha_sharp(runner, tmp_path):
+def test_alpha_sharp(tmp_path):
     path = tmp_path / "frame.cfg"
     path.write_text(FRAME_A_TEXT)
-    result = invoke(runner, "alpha", "--config", str(path))
+    result = invoke("alpha", "--config", str(path))
     assert result.exit_code == 0
     assert result.output == ("alpha_1 = 2/3 (exact; three concurrent lines "
                              "{E3, F6, L36} infinitely near p3)\n")
 
 
-def test_alpha_json(runner, tmp_path):
+def test_alpha_json(tmp_path):
     path = tmp_path / "frame.cfg"
     path.write_text(FRAME_A_TEXT)
-    result = invoke(runner, "alpha", "--config", str(path), "--json")
+    result = invoke("alpha", "--config", str(path), "--json")
     data = json.loads(result.output)
     assert data["value"] == "2/3"
     assert data["final"] is True
 
 
 @pytest.mark.parametrize("command", ["eckardt", "alpha"])
-def test_invalid_config_is_a_domain_error(runner, tmp_path, command):
+def test_invalid_config_is_a_domain_error(tmp_path, command):
     path = tmp_path / "duplicate.cfg"
     path.write_text(DUPLICATE_TEXT)
-    result = invoke(runner, command, "--config", str(path))
+    result = invoke(command, "--config", str(path))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # no raw traceback
     expected = InvalidConfigError(validate(load_config(DUPLICATE_TEXT)))
@@ -489,19 +483,19 @@ def test_invalid_config_is_a_domain_error(runner, tmp_path, command):
 
 # -- one input contract ----------------------------------------------------------
 # every number read from text goes through the polynomial grammar, and every
-# library error reaches exit 1 through the group's one handler
+# library error reaches exit 1 through main's one handler
 
 @pytest.mark.parametrize("entry, message", [
     ("0.5", "unexpected '.'"),
     ("1e200000", "unexpected 'e200000'"),
     ("1/0", "division by zero"),
 ])
-def test_config_coordinates_use_the_polynomial_grammar(runner, tmp_path,
+def test_config_coordinates_use_the_polynomial_grammar(tmp_path,
                                                        entry, message):
     path = tmp_path / "frame.cfg"
     path.write_text(FRAME_A_TEXT.replace("\n1 2 3\n", f"\n{entry} 2 3\n"))
     start = time.perf_counter()
-    result = invoke(runner, "eckardt", "--config", str(path))
+    result = invoke("eckardt", "--config", str(path))
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
     assert result.output == f"Error: line 6: {message}\n"
@@ -511,22 +505,22 @@ def test_config_coordinates_use_the_polynomial_grammar(runner, tmp_path,
     ("0.5", "unexpected '.'"),
     ("1e9", "unexpected 'e9'"),
 ])
-def test_cubic_coefficients_use_the_polynomial_grammar(runner, tmp_path,
+def test_cubic_coefficients_use_the_polynomial_grammar(tmp_path,
                                                        value, message):
     lines = EX11_TEXT.splitlines()
     lines[-1] = lines[-1].split()[0] + " " + value
     path = tmp_path / "surface.cubic"
     path.write_text("\n".join(lines) + "\n")
-    result = invoke(runner, "eckardt", "--cubic", str(path),
+    result = invoke("eckardt", "--cubic", str(path),
                     "--point", "1 0 0 0")
     assert result.exit_code == 1
     assert result.output == f"Error: bad coefficient {value!r}: {message}\n"
 
 
-def test_point_uses_the_polynomial_grammar(runner, tmp_path):
+def test_point_uses_the_polynomial_grammar(tmp_path):
     path = tmp_path / "surface.cubic"
     path.write_text(EX11_TEXT)
-    result = invoke(runner, "eckardt", "--cubic", str(path),
+    result = invoke("eckardt", "--cubic", str(path),
                     "--point", "1/0 1 0 0")
     assert result.exit_code == 1
     assert result.output == "Error: division by zero\n"
@@ -536,15 +530,15 @@ def test_point_uses_the_polynomial_grammar(runner, tmp_path):
     ("0.5", "unexpected '.'"),
     ("x", "unknown name 'x'"),
 ])
-def test_lambda_uses_the_polynomial_grammar(runner, lam, message):
-    result = invoke(runner, "verify", "--lemma", "3.1", "--m", "2",
+def test_lambda_uses_the_polynomial_grammar(lam, message):
+    result = invoke("verify", "--lemma", "3.1", "--m", "2",
                     "--lambda", lam)
     assert result.exit_code == 1
     assert result.output == f"Error: {message}\n"
 
 
 def test_every_library_error_is_a_value_error():
-    # the group maps ValueError to exit 1; an error type outside it would
+    # main maps ValueError to exit 1; an error type outside it would
     # reach the user as a traceback
     errors = []
     for info in pkgutil.iter_modules(delpezzo.__path__):
@@ -565,16 +559,16 @@ def test_every_library_error_is_a_value_error():
     ("verify", "--lemma", "5.1", "--m", "2", "--json"),
     ("case", "--id", "3", "--m", "6", "--json"),
 ])
-def test_json_outputs_are_deterministic(runner, args):
-    first = invoke(runner, *args)
-    second = invoke(runner, *args)
+def test_json_outputs_are_deterministic(args):
+    first = invoke(*args)
+    second = invoke(*args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
     json.loads(first.output)  # well-formed
 
 
-def test_rationals_serialize_as_lowest_terms_strings(runner):
-    result = invoke(runner, "case", "--id", "3", "--m", "5", "--json")
+def test_rationals_serialize_as_lowest_terms_strings():
+    result = invoke("case", "--id", "3", "--m", "5", "--json")
     data = json.loads(result.output)
     assert data["forced"]["mu"] == "5/2"
 
@@ -582,12 +576,13 @@ def test_rationals_serialize_as_lowest_terms_strings(runner):
 # -- pinned invocations ----------------------------------------------------------
 # The command line's exact bytes: for each invocation, its exit code and the
 # sha256 of its stdout and stderr.  The invocations are the CI "CLI examples"
-# (each with and without --json), the usage, budget, bit-cap and decimal
-# exit-code checks, and the group's and each command's --help.  A key is the
-# command line as a shell reads it, after any VAR=value environment words;
-# {config}, {config_nodal}, {cubic}, {system}, {config_dec} and {system_dec}
-# name the input files below.  The help and usage bytes are click's
-# formatting, and the runner keeps stdout and stderr apart from click 8.2 on.
+# (each with and without --json), germs that start with '-', the usage,
+# budget, bit-cap and decimal exit-code checks, and the top-level and each
+# command's --help.  A key is the command line as a shell reads it, after any
+# VAR=value environment words; {config}, {config_nodal}, {cubic}, {system},
+# {config_dec} and {system_dec} name the input files below.  The help and
+# usage bytes are argparse's formatting at 80 columns, the same under Python
+# 3.10 and 3.11.
 
 PIN_FILES = {
     "config": "mode: smooth\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n1 2 3\n1 4 9\n",
@@ -635,6 +630,18 @@ PINNED_RUNS = {
         (0, "15d915e40ace889d19b39eb935611820cbb3f6aab63981d0c33bbbd982bc127c"),
     "lct '-y^2 + x^3' --json":
         (0, "6ef87c60df22f264f326c7a57a1f2bcc804edab555d04832eedc00f0395d81ae"),
+    # a germ word that starts with '-' and names no option is the germ, and
+    # --help is the one help flag
+    'lct -x^2+y^3':
+        (0, "b6d6271a763e79fd0d989721f0f56411c4c05e3efad5f4a855d187b65f6aef1f"),
+    'lct -x^2+y^3 --json':
+        (0, "2e94b762fbe4f75e72e954d617e41c89e1a29f890d74026150fb6587d6a412af"),
+    'lct --method newton -y^2+x^3':
+        (0, "b7b0ebd8ae7460c81d2b00a36e4c72fe49e478b095cc0465bec83bd4ea15a855"),
+    'lct -h':
+        (1, "9d6679f8379294cd80fe5e7144da77af97e5b1beafdbdbf0b349b644a2524330"),
+    'lines -h':
+        (64, "dd262ec4e8732fb8c624bf07db9af5fe1c57873ce28867def3c10a6b7462c28c"),
     "lct '((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13'":
         (0, "fa8941076cdbda92286e0439c4cffc159a6c49ac4e941085d52c0f74502c0258"),
     "lct '((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13' --json":
@@ -704,9 +711,9 @@ PINNED_RUNS = {
     "eckardt --cubic {cubic} --point '1 0 0 0' --json":
         (0, "6d913bcea7068ef49720e3a8251a8d834da1f5cd1d23c07df455866567b71fe7"),
     'lines --bogus':
-        (64, "f6c229cfc98d69543ced681d0702ef0e7729e8616af8a9f0cc64b053f463efe1"),
+        (64, "962429c6add9ebfddd64901f39e5d299a44fd4edc37526db9f3efcbe3ed815a5"),
     'lines --bogus --json':
-        (64, "f6c229cfc98d69543ced681d0702ef0e7729e8616af8a9f0cc64b053f463efe1"),
+        (64, "962429c6add9ebfddd64901f39e5d299a44fd4edc37526db9f3efcbe3ed815a5"),
     "DELPEZZO_MAX_BLOWUPS=1 lct 'y^2 - x^3'":
         (2, "f48dbc4db2efdabf161808ac46c1e2d05e8370270cbc4532835e3e46b1234fa2"),
     "DELPEZZO_MAX_BLOWUPS=1 lct 'y^2 - x^3' --json":
@@ -756,21 +763,21 @@ PINNED_RUNS = {
     'solve {system_dec} --json':
         (1, "e40133c6e9d1f84113175d18155d9a8d2b0c30e784a0c5110144e9da659e2e03"),
     '--help':
-        (0, "aef4c7beb0556bb49f086a4f6abd66933a72d4d8f87c93f9ecc32fd44f0e54f2"),
+        (0, "8325a270b7b92c6dbe436cc73d40976efe0fac269632aa972404ac0d4c2f01e0"),
     'alpha --help':
-        (0, "94f04e306949b178f8e97245065548928abc0e1d3dad03c4a3db6bec143d80fa"),
+        (0, "0799e4bd92e3ba137005615ba8cab520f7ad6394774814d22ef8c7806d478d82"),
     'case --help':
-        (0, "23d873eab3406558efcf2693eddd0b7b4c41c63d206542174294eedd43bcf82d"),
+        (0, "67d971c2c7627db3493591df1f6eae4b4ef8deeb39fa77cba44d268ae0b8ba8a"),
     'eckardt --help':
-        (0, "9f7b3d43acf115d8466cb79a55151f96ad825b177059360d833c72213e34d01a"),
+        (0, "893c25077bacab1cb88f5b1af7c63404e1c486363f4ad16343f37ade92370d09"),
     'lct --help':
-        (0, "533064646d5f9cb2af7616e4b88129dbfaba5978cc4885f3bea03d0945dca38b"),
+        (0, "12f57c9541abf6e9e7c81f6d4fac5b161de4b135383bf1111b3a1953d562b6a5"),
     'lines --help':
-        (0, "d1c82637b46378aa3719a857e94b8decb99104b593f9091f22e7bdb2a00da2cf"),
+        (0, "7d21bc8965b80372cdce1ea72ba2925ae938db14a3e46bcb6cae416f58664a23"),
     'solve --help':
-        (0, "7277e8ba46160f26976f49d6e43d2cdef033d4e898e3432047414a59db4f176b"),
+        (0, "3dfcb22ec7467a78d4359df2f5009c4dc14f1dc72c0a0cbc17be9a4df3a9d6b4"),
     'verify --help':
-        (0, "9b9454144f4f3ebc94c05b97f202336a05135840d366d31f0f573f0b943f56bc"),
+        (0, "79ffe2644276b7377103b38f585712dc84233880da24dac6c61807711eb19a4a"),
 }
 
 
@@ -790,7 +797,7 @@ def run_pinned(key, files):
         name, value = words.pop(0).split("=", 1)
         env[name] = value
     args = [w.format(**files) for w in words]
-    result = CliRunner().invoke(cli, args, env=env, prog_name="delpezzo")
+    result = run(args, env=env)
     # a raw traceback is never an expected exit 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     out = f"{result.stdout}\0{result.stderr}".encode()
@@ -827,10 +834,8 @@ DERIVED = {("integrality_contradiction",)}  # any(not ok for ok in integral)
 
 def build_once(key, files):
     """The command's text renderer and the one result it builds for `key`."""
-    name, *args = [w.format(**files) for w in shlex.split(key)]
-    command = cli.commands[name]
-    build, text = command.callback.args
-    options = command.make_context(name, args).params
+    name, options = parse([w.format(**files) for w in shlex.split(key)])
+    build, text = COMMANDS[name]
     options.pop("as_json")
     return build(**options), text
 
@@ -888,14 +893,14 @@ def names_read(code):
 @pytest.mark.parametrize("name", sorted(BOTH_WAYS))
 def test_text_reads_nothing_but_its_result(name):
     # so the text cannot show what the result, and hence the JSON, lacks
-    _, text = cli.commands[name].callback.args
+    _, text = COMMANDS[name]
     code = getattr(text, "__code__", None)  # `str` renders a report's own fields
     if code is not None:
         assert names_read(code) & set(vars(CLI_MODULE)) == set()
 
 
 def test_every_command_but_verify_is_rendered_both_ways():
-    assert set(BOTH_WAYS) == set(cli.commands) - {"verify"}
+    assert set(BOTH_WAYS) == set(COMMANDS) - {"verify"}
 
 
 @pytest.mark.parametrize("name", sorted(BOTH_WAYS))
@@ -925,7 +930,7 @@ def test_each_json_field_reaches_the_text(name, pin_files, capsys):
 
 
 def test_verify_json_keeps_counts_and_survivors_not_records(capsys):
-    build, text = cli.commands["verify"].callback.args
+    build, text = COMMANDS["verify"]
     scan = build(lemma_id="5.1", m=4, lam_text=None)
     data = json.loads(written(scan, text, True, capsys))
     assert data == scan.summary

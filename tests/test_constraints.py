@@ -11,10 +11,9 @@ from pathlib import Path
 
 import pytest
 import sympy
-from click.testing import CliRunner
 
+from cli_runner import run
 from delpezzo import constraints, linalg
-from delpezzo.cli import cli
 from delpezzo.constraints import (NODAL_SUBCASES, ConstraintSystem,
                                   LinearConstraint, SystemParseError,
                                   encode_case2, encode_case3, encode_nodal,
@@ -533,7 +532,7 @@ def test_solve_reports_are_pinned():
 @pytest.mark.parametrize("m", range(1, 13))
 @pytest.mark.parametrize("case", list(CASE_ARGS))
 def test_case_json_is_pinned(case, m):
-    out = CliRunner().invoke(cli, ["case", *CASE_ARGS[case], "--m", str(m), "--json"])
+    out = run(["case", *CASE_ARGS[case], "--m", str(m), "--json"])
     assert out.exit_code == 0
     assert hashlib.sha256(out.output.encode()).hexdigest() == \
         PINNED["case_json"][case][str(m)]

@@ -18,9 +18,9 @@ import delpezzo
 
 SRC = str(Path(delpezzo.__file__).resolve().parent.parent)
 
-# Runs `delpezzo ARGS...` in-process, then reports on stderr the delpezzo
-# modules it loaded and, on the last line, whether sympy was imported.  The
-# command's own exit code is passed through.
+# Runs `delpezzo ARGS...` in-process, checks that it never imported click,
+# then reports on stderr the delpezzo modules it loaded and, on the last line,
+# whether sympy was imported.  The command's own exit code is passed through.
 PROBE = """
 import sys
 from delpezzo.cli import main
@@ -30,6 +30,7 @@ try:
     main()
 except SystemExit as exc:
     code = exc.code
+assert "click" not in sys.modules, "the command line imported click"
 print("delpezzo modules:", *sorted(name.split(".")[1] for name in sys.modules
                                    if name.startswith("delpezzo.")), file=sys.stderr)
 print("sympy loaded:", "sympy" in sys.modules, file=sys.stderr)
@@ -300,6 +301,29 @@ def test_a_traced_read_of_the_package_leaves_no_wrapper():
     assert spans.wrapped_attributes() == []
     assert delpezzo.solve is solve
     assert "solve" not in vars(delpezzo)
+
+
+# -- the standard-library command line ---------------------------------------
+
+def _imported_modules(path: Path) -> set:
+    """The top-level names of the modules the file at path imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_source_or_test_file_imports_click():
+    # the command line is argparse; the probe above checks each command's
+    # process, this checks every file
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert len(files) > 20
+    assert [str(path.relative_to(root)) for path in files
+            if "click" in _imported_modules(path)] == []
 
 
 # -- private names across module boundaries ----------------------------------

@@ -12,14 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from delpezzo.cli import cli
+from cli_runner import run
+from delpezzo import lemma_verify
 from delpezzo.germs import parse_germ
-
-from delpezzo.lattice import C, E, L, MINUS_K, SurfaceModel, is_ample, is_effective
+from delpezzo.lattice import (C, E, L, MINUS_K, SurfaceModel, curve_incidences,
+                              is_ample, is_effective)
 from delpezzo.lct import blowup_lct
 from delpezzo.lemma_verify import (DEGREE_OVERFLOW, INTERSECTION_VIOLATION,
+                                   Decomposition,
                                    MAX_SCAN_M, NOT_AMPLE, PROJECTION_DEGREE,
                                    RESIDUAL_NOT_EFFECTIVE,
                                    alpha1_report, canonical_nodal_survivor,
@@ -220,6 +221,33 @@ def test_canonical_survivor_identity():
         canonical_nodal_survivor(3)
 
 
+@pytest.mark.parametrize("m", range(2, 41, 2))
+def test_canonical_survivor_is_the_lattice_identity_with_its_six_lines(m):
+    # the construction it had when it re-sorted the lines and re-validated its
+    # parts on every call
+    cand = decomposition(m, Q(2, 3), [("C", C, 3 * m // 2)])
+    adjacent = sorted(lab for lab, k in curve_incidences(SurfaceModel.NODAL)["C"].items()
+                      if k == 1)
+    assert canonical_nodal_survivor(m) == Decomposition(
+        m, cand.lam, cand.parts, cand.residual, tuple((lab, Q(m, 2)) for lab in adjacent))
+
+
+@pytest.mark.parametrize("m", range(2, 17, 2))
+def test_the_node_alone_survivor_asks_no_effectivity_test(monkeypatch, m):
+    # Omega = (m/2)(sum of the six adjacent lines) is a sum of curves: the
+    # lattice identity makes it effective, and the six lines are its witness
+    def refuse(*args):
+        raise AssertionError("is_effective called")
+
+    lemma51_scan(2)  # the line pairs ask it once per pair, on an m-free class
+    monkeypatch.setattr(lemma_verify, "is_effective", refuse)
+    (rec,) = lemma51_scan(m).survivors
+    assert rec.candidate.residual_support == tuple(
+        (lab, Q(m, 2)) for lab in ("E1", "E2", "E3", "L45", "L46", "L56"))
+    assert 2 * rec.candidate.residual == m * sum(
+        (L(4, 5), L(4, 6), L(5, 6)), E(1) + E(2) + E(3))
+
+
 @pytest.mark.parametrize("m", [0, 1, -2])
 def test_canonical_survivor_refuses_m_below_two(m):
     # m = 0 gave 0*C with an empty residual, a degenerate "survivor"
@@ -375,7 +403,7 @@ def test_lemma31_reports_below_two_thirds_are_pinned(m, lam):
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_verify_51_json_is_pinned(m):
-    out = CliRunner().invoke(cli, ["verify", "--lemma", "5.1", "--m", str(m), "--json"])
+    out = run(["verify", "--lemma", "5.1", "--m", str(m), "--json"])
     assert out.exit_code == 0
     assert hashlib.sha256(out.output.encode()).hexdigest() == \
         PINNED["cli_verify_51_json"][str(m)]

@@ -9,9 +9,8 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from delpezzo.cli import cli
+from cli_runner import run
 from delpezzo.lattice import (SurfaceModel, enumerate_negative_curves,
                               tritangent_triples)
 from delpezzo.plane_config import (CUBIC_MONOMIALS, ConfigParseError, CubicForm,
@@ -486,7 +485,6 @@ def test_configuration_geometry_is_pinned():
 
 
 def test_eckardt_json_is_pinned(tmp_path):
-    runner = CliRunner()
     rng = random.Random(20261018)
     cubic_runs = [(EX11_CUBIC, point(1, 0, 0, 0))]
     cubic_runs += [(FERMAT_CUBIC, p) for p in _fermat_points(rng, 6)]
@@ -497,15 +495,15 @@ def test_eckardt_json_is_pinned(tmp_path):
     for i, (f, p) in enumerate(cubic_runs):
         path = tmp_path / f"{i}.cubic"
         path.write_text(dump_cubic(f))
-        out = runner.invoke(cli, ["eckardt", "--cubic", str(path), "--point",
-                                  " ".join(map(str, p)), "--json"])
+        out = run(["eckardt", "--cubic", str(path), "--point",
+                   " ".join(map(str, p)), "--json"])
         outputs.append(f"{out.exit_code} {out.output}")
     configs = [cfg for cfg in _seeded_configs() if validate(cfg).ok]
     config_outputs = []
     for i, cfg in enumerate(configs[:30]):
         path = tmp_path / f"{i}.cfg"
         path.write_text(dump_config(cfg))
-        out = runner.invoke(cli, ["eckardt", "--config", str(path), "--json"])
+        out = run(["eckardt", "--config", str(path), "--json"])
         config_outputs.append(f"{out.exit_code} {out.output}")
     assert _digest(outputs) == GEOMETRY_PINS["eckardt_cubic_json"]
     assert _digest(config_outputs) == GEOMETRY_PINS["eckardt_config_json"]

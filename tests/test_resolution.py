@@ -13,10 +13,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from click.testing import CliRunner
 from sympy import QQ, Poly
 
-from delpezzo import cli as cli_module
+from cli_runner import run
 from delpezzo import lct as lct_module
 from delpezzo import poly, resolution
 from delpezzo.germs import CurveGerm, parse_germ
@@ -305,7 +304,7 @@ def test_check_mult_bounds_resolves_once(monkeypatch):
 def test_cli_lct_resolves_once(monkeypatch):
     # `lct` reads resolve_germ from `resolution` when it runs
     calls = _count_resolves(monkeypatch, resolution)
-    result = CliRunner().invoke(cli_module.cli, ["lct", "y^2 - x^3"])
+    result = run(["lct", "y^2 - x^3"])
     assert result.exit_code == 0
     assert "nodes: (1,2) (2,3) (4,6)" in result.output
     assert len(calls) == 1
