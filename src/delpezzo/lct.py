@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Union
 
-from . import modp
+from . import modp, poly
 from .germs import CurveGerm
 
 if TYPE_CHECKING:
@@ -215,9 +215,13 @@ def check_mult_bounds(f: CurveGerm) -> MultBoundsVerdict:
 
     When the threshold equals 1/k the germ must be a unit times the k-th
     power of a smooth germ; the certificate exhibits that structure from the
-    rational factorization and verifies the division.
+    rational factorization: h is the component of multiplicity k, f / h^k is
+    divided exactly by poly.divide, and both are printed by poly.expr_text as
+    sympy prints them.  h^k divides f, as h is a factor of f's part of
+    multiplicity k; a quotient that failed would be printed as 0 and left
+    unverified.
     """
-    from .resolution import qq_poly, resolve_germ
+    from .resolution import resolve_germ
     k = f.multiplicity
     res = resolve_germ(f)
     value = resolution_lct(res).value
@@ -225,11 +229,10 @@ def check_mult_bounds(f: CurveGerm) -> MultBoundsVerdict:
     if value == Fraction(1, k):
         for comp in res.components:
             if comp.multiplicity == k and comp.mult_at_origin == 1:
-                h = qq_poly(dict(comp.coeffs))
-                quot, rem = qq_poly(f.terms()).div(h ** k)
-                verified = rem.is_zero and quot.eval((0, 0)) != 0
+                quot = poly.divide(f.terms(), poly.power(dict(comp.coeffs), k))
+                verified = quot is not None and (0, 0) in quot
                 equality = EqualityCase(comp.label,
-                                        str(quot.as_expr()), verified)
+                                        poly.expr_text(quot or {}, "xy"), verified)
                 break
     return MultBoundsVerdict(k, value, Fraction(1, k) <= value,
                              value <= Fraction(2, k), equality)

@@ -1,5 +1,5 @@
-"""Square-free certificates and multiple roots modulo P = 2^61 - 1, and a
-proof of irreducibility for quadratics and cubics.
+"""Square-free certificates and multiple roots modulo P = 2^61 - 1, and
+proofs of irreducibility over QQ.
 
 A univariate h over QQ whose residues mod P exist, whose top coefficient
 survives and whose reduction is square-free over GF(P) is square-free over
@@ -33,8 +33,14 @@ reconstruction (see BOUND), a top coefficient that vanishes mod P, and
 roots equal only mod P, whose lift divides r too few times or leaves a rest
 that is not certified.
 
-irreducible proves a quadratic irreducible over QQ by its discriminant and
-a cubic by a small prime at which it has no root.
+irreducible proves a quadratic irreducible over QQ by its discriminant, a
+cubic by a small prime at which it has no root, and any degree by the
+factor degrees modulo small primes (distinct-degree factorization), which no
+proper factor over QQ fits at all of them.  irreducible_xy proves a
+bivariate polynomial irreducible by one univariate specialisation that keeps
+its degree (Hilbert's irreducibility theorem, used one-sidedly).
+multiple_roots accepts only the quadratic and cubic factors, which give the
+own fields (see numfield).
 
 A bivariate integer polynomial f is certified by specialising: f(x, t) and
 f(s, y), for the fixed point POINT = (s, t), reduced mod P.  A repeated
@@ -80,40 +86,43 @@ def residues(coeffs: Sequence) -> Optional[list[int]]:
     return h
 
 
-def _derivative(h: list[int]) -> list[int]:
-    return [k * c % P for k, c in enumerate(h)][1:]
+def _derivative(h: list[int], p: int = P) -> list[int]:
+    d = [k * c % p for k, c in enumerate(h)][1:]
+    while d and not d[-1]:
+        d.pop()
+    return d
 
 
-def _rem(a: list[int], b: list[int]) -> list[int]:
-    """a mod b over GF(P), b with a nonzero top coefficient; no trailing
+def _rem(a: list[int], b: list[int], p: int = P) -> list[int]:
+    """a mod b over GF(p), b with a nonzero top coefficient; no trailing
     zeros in the result."""
     a = list(a)
-    inv = pow(b[-1], -1, P)
+    inv = pow(b[-1], -1, p)
     while len(a) >= len(b):
-        q, shift = a[-1] * inv % P, len(a) - len(b)
+        q, shift = a[-1] * inv % p, len(a) - len(b)
         for k in range(len(b) - 1):
-            a[shift + k] = (a[shift + k] - q * b[k]) % P
+            a[shift + k] = (a[shift + k] - q * b[k]) % p
         a.pop()
         while a and not a[-1]:
             a.pop()
     return a
 
 
-def _quo(a: list[int], b: list[int]) -> list[int]:
-    """a / b over GF(P), for b dividing a with a nonzero top coefficient."""
+def _quo(a: list[int], b: list[int], p: int = P) -> list[int]:
+    """a / b over GF(p), for b dividing a with a nonzero top coefficient."""
     a, q = list(a), [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, P)
+    inv = pow(b[-1], -1, p)
     for shift in reversed(range(len(q))):
-        c = q[shift] = a[shift + len(b) - 1] * inv % P
+        c = q[shift] = a[shift + len(b) - 1] * inv % p
         for k, bk in enumerate(b):
-            a[shift + k] = (a[shift + k] - c * bk) % P
+            a[shift + k] = (a[shift + k] - c * bk) % p
     return q
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """A gcd over GF(P) of a nonzero a and any b, not made monic."""
+def _gcd(a: list[int], b: list[int], p: int = P) -> list[int]:
+    """A gcd over GF(p) of a nonzero a and any b, not made monic."""
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, _rem(a, b, p)
     return a
 
 
@@ -251,35 +260,134 @@ def multiple_roots(r: Sequence[int]) -> Optional[tuple[list, list]]:
     if len(factors[0]) == 2:
         found = zero + [(m, d, k) for m, (k, d) in zip(powers, factors)]
         return [Fraction(-k, d) for _m, d, k in sorted(found)], []
-    if not irreducible(factors[0]):
+    if len(factors[0]) > 4 or not irreducible(factors[0]):
         return None
     return [Fraction(0)] * len(zero), factors
 
 
-#: the primes at which a cubic is searched for a root
+#: the primes whose factorization patterns prove a polynomial irreducible
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
+def _times(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b over GF(p), for nonzero a and b and a prime p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return [c % p for c in out]
+
+
+def _factor_degrees(g: list[int], p: int) -> int:
+    """The degrees of the products of the irreducible factors over GF(p) of a
+    square-free g, as a mask: bit e is set when some product has degree e.
+    By distinct-degree factorization, once the factors of degree below k are
+    divided out, gcd(g, v^(p^k) - v) is the product of those of degree k
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14)."""
+    sums, k, w = 1, 0, [0, 1]
+    while len(g) - 1 >= 2 * (k + 1):
+        k += 1
+        power, e, w = w, p, [1]          # w = v^(p^k) mod g
+        while e:
+            if e & 1:
+                w = _rem(_times(w, power, p), g, p)
+            e >>= 1
+            power = _rem(_times(power, power, p), g, p)
+        u = w + [0] * (2 - len(w))
+        u[1] = (u[1] - 1) % p
+        while u and not u[-1]:
+            u.pop()
+        c = _gcd(g, u, p)
+        if len(c) > 1:
+            for _ in range((len(c) - 1) // k):
+                sums |= sums << k
+            g = _quo(g, c, p)
+            w = _rem(w, g, p)
+    if len(g) > 1:
+        sums |= sums << (len(g) - 1)
+    return sums
+
+
 def irreducible(s: Sequence) -> Optional[bool]:
-    """Is s over QQ (constant term first) irreducible over QQ?  A quadratic
-    is, exactly when its discriminant is not a square.  A cubic is when it
-    has no rational root, and that is proven by a small prime p not
-    dividing its top coefficient at which it has no root: the denominator
-    of a rational root divides the top coefficient, so the root exists
-    modulo p.  (P itself cannot serve, since 2, for one, is a cube mod P.)
-    None for any other degree, and for a cubic with a root modulo each of
-    SMALL_PRIMES."""
+    """Is s over QQ (constant term first, degree 1 or more) irreducible over
+    QQ?  A linear s is; a quadratic is exactly when its discriminant is not
+    a square.  Beyond that, each of SMALL_PRIMES that divides neither the
+    top coefficient nor the discriminant of s gives the degrees of its
+    factors modulo that prime: a factor of degree e over QQ reduces to a
+    product of those, so e is the degree of some product of them at every
+    such prime.  s is irreducible when no e between 0 and its degree is
+    left at all of them (for a cubic: a prime at which it has no root).
+    One-sided: None when some e is left after every prime, as for
+    v^4 - 10*v^2 + 1, which is irreducible but reducible modulo every prime.
+    (P itself cannot serve, since 2, for one, is a cube mod P.)"""
     S = _integral(s)
-    if len(S) == 3:
+    d = len(S) - 1
+    if d == 1:
+        return True
+    if d == 2:
         c, b, a = S
         disc = b * b - 4 * a * c
         return disc < 0 or isqrt(disc) ** 2 != disc
-    if len(S) == 4:
-        for p in SMALL_PRIMES:
-            if S[3] % p and all((((S[3] * x + S[2]) * x + S[1]) * x + S[0]) % p
-                                for x in range(p)):
+    left = (1 << d) - 2                 # the degrees 1 .. d - 1
+    for p in SMALL_PRIMES:
+        if d == 3 and S[3] % p:         # no root: its pattern is (3)
+            if all((((S[3] * x + S[2]) * x + S[1]) * x + S[0]) % p
+                   for x in range(p)):
                 return True
+        elif S[-1] % p:
+            g = [c % p for c in S]
+            if len(_gcd(g, _derivative(g, p), p)) == 1:
+                left &= _factor_degrees(g, p)
+                if not left:
+                    return True
+    return None
+
+
+#: the values at which irreducible_xy specialises the variable of larger degree
+SPECIAL_VALUES = (1, -1, 2, -2, 3)
+
+
+def irreducible_xy(terms: dict) -> Optional[bool]:
+    """Is the integer polynomial h = sum c * x^i * y^j ({(i, j): c}),
+    primitive over ZZ, of positive degree and divisible by neither x nor y,
+    irreducible over QQ?  True when proven, None otherwise.
+
+    Read h in v, the variable of smaller positive degree d, over ZZ[u].  Its
+    coefficients have no common factor when their gcd modulo P is 1 and the
+    top one keeps its degree there, as a common factor's top coefficient
+    divides that one's.  Then a factorization of h has v-degree in each
+    factor, and at a u0 where the top coefficient survives, h(u0, v) keeps
+    degree d and factors with it.  So h is irreducible when d is 1, or when
+    h(u0, v) is proven irreducible (see irreducible) at one of
+    SPECIAL_VALUES: Hilbert's irreducibility theorem, used one-sidedly
+    (Cohen, A Course in Computational Algebraic Number Theory, 3.5)."""
+    degrees = [max(e[k] for e in terms) for k in (0, 1)]
+    v = 0 if 0 < degrees[0] <= degrees[1] or not degrees[1] else 1
+    d = degrees[v]
+    rows = [[0] * (degrees[1 - v] + 1) for _ in range(d + 1)]
+    for e, c in terms.items():
+        rows[e[v]][e[1 - v]] = c
+    while not rows[d][-1]:
+        rows[d].pop()
+    g = [c % P for c in rows[d]]
+    if not g[-1]:
+        return None
+    for row in rows:
+        if len(g) == 1:
+            break
+        row = [c % P for c in row]
+        while row and not row[-1]:
+            row.pop()
+        g = _gcd(g, row)
+    if len(g) > 1:
+        return None
+    if d == 1:
+        return True
+    for u0 in SPECIAL_VALUES:
+        s = [sum(c * u0 ** k for k, c in enumerate(row)) for row in rows]
+        if s[-1] and irreducible(s):
+            return True
     return None
 
 

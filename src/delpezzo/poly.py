@@ -19,6 +19,8 @@ product, and each of the k - 1 steps of a k-th power, is also charged to the
 parse's budget of MAX_TERM_PRODUCTS.  `rational` reads a single constant of
 the grammar; every number the toolkit takes as text goes through it, and
 every other rational through `exact`, which refuses floats and text.
+`divide` is exact division, and `expr_text` prints a polynomial as sympy
+prints it, for the labels and certificates that `lct` reports.
 """
 
 from __future__ import annotations
@@ -95,6 +97,58 @@ def evaluate(p: Poly, point: Sequence[Fraction]) -> Fraction:
 def diff(p: Poly, k: int) -> Poly:
     """The partial derivative of p by its k-th variable."""
     return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in p.items() if e[k]}
+
+
+def divide(f: Poly, g: Poly) -> Optional[Poly]:
+    """f / g when the nonzero g divides f, else None.
+
+    Each step divides the lex-leading term of the rest by g's.  When g
+    divides f, the quotient's degree in each variable is f's less g's, so a
+    step outside those degrees, or a leading term that g's does not divide,
+    proves that g does not; the steps are bounded by the same degrees.
+    """
+    lead = max(g)
+    top = [max(e[k] for e in f) - lead[k] for k in range(len(lead))]
+    rest, quotient = dict(f), {}
+    while rest:
+        e = max(rest)
+        q = tuple(a - b for a, b in zip(e, lead))
+        if not all(0 <= a <= t for a, t in zip(q, top)):
+            return None
+        c = quotient[q] = Fraction(rest[e], g[lead])
+        for eg, cg in g.items():
+            m = tuple(a + b for a, b in zip(q, eg))
+            r = rest.get(m, 0) - c * cg
+            if r:
+                rest[m] = r
+            else:
+                del rest[m]
+    return quotient
+
+
+def expr_text(p: Poly, names: Sequence[str]) -> str:
+    """p as sympy prints its expression, str(Poly(p).as_expr()): the terms in
+    lex order, highest first, each c*m, m/d or c*m/d with ** for powers,
+    joined by their signs; 0 for the zero polynomial.  Like sympy, it puts
+    a positive constant c first in c - a*v**k, a > 0, for one variable v."""
+    order = sorted(p, reverse=True)
+    if len(order) == 2 and not any(order[1]) and p[order[1]] > 0 \
+            and p[order[0]] < 0 and sum(map(bool, order[0])) == 1:
+        order.reverse()
+    out = []
+    for e in order:
+        c = p[e]
+        n, d = abs(c.numerator), c.denominator
+        m = "*".join(name if k == 1 else f"{name}**{k}"
+                     for name, k in zip(names, e) if k)
+        text = (m if n == 1 else f"{n}*{m}") if m else str(n)
+        if d != 1:
+            text += f"/{d}"
+        out.append(("- " if c < 0 else "+ ") + text)
+    if not out:
+        return "0"
+    text = " ".join(out)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def monomial(expo: Sequence[int], names: Sequence[str]) -> str:

@@ -60,23 +60,28 @@ Sites over QQ (K is _RATIONALS) hold primitive integer polynomials, as a
 site matters only up to a nonzero constant (see _translate_y), and every
 site reads its line as one dense list (see _restriction).  Over QQ both
 questions are first put modulo the prime P = 2^61 - 1 (see modp).  A germ
-certified square-free there is its own one part of multiplicity 1, and
-sympy's sqf_list does not run.  At a site over QQ, modp.multiple_roots
-reduces the line once and proves its multiple roots, in the order sympy's
-factor_list would give, when they are rational, or when besides the root 0
-they are the roots of one irreducible factor of degree 2 or 3, which gives
-the own field.  What modp does not prove, sympy's factor_list decides (see
-_factor_gcd).
+certified square-free there is its own one part of multiplicity 1, and so
+is the rest h of a germ x^a * y^b * h whose h is certified: its parts are
+then known by multiplicity, and sympy's sqf_list does not run.  The axes
+are irreducible, and modp.irreducible_xy proves the rest of a part
+irreducible where an output reads its factors (see Component).  Labels are
+printed by poly.expr_text, as sympy prints them.  At a site over QQ,
+modp.multiple_roots reduces the line once and proves its multiple roots, in
+the order sympy's factor_list would give, when they are rational, or when
+besides the root 0 they are the roots of one irreducible factor of degree 2
+or 3, which gives the own field.  What modp does not prove, sympy's
+factor_list decides (see _factor_gcd).
 
 So sympy is imported, on first use and never with this module, only for:
-sqf_list of a germ that is not certified reduced; factor_list of the parts
-an output reads (see Component); a site that modp or Euclid leaves
-undecided (a rational root modp does not prove, a factor of degree 4 or
-more, several irreducible factors, roots over K beyond one linear factor)
-and the sites under it; printing a site over a number field; and component
-labels.  A germ that needs none of these, such as y^2 - x^3,
-(2*y - 3*x)^2 - x^3 or (y^2 - 2*x^2)^2 - x^5 with its sites at the roots
-of v^2 - 2, is resolved without it.
+sqf_list of a germ that is not certified reduced after its axis factors are
+divided out, such as (y^2 - x^3)^2*(x + y); factor_list of a part that an
+output reads and whose rest modp does not prove irreducible; a site that
+modp or Euclid leaves undecided (a rational root modp does not prove, a
+factor of degree 4 or more, several irreducible factors, roots over K
+beyond one linear factor) and the sites under it; and printing a site over
+a number field.  A germ that needs none of these, such as y^2 - x^3,
+x^2*y^3 - y^5, (2*y - 3*x)^2 - x^3 or (y^2 - 2*x^2)^2 - x^5 with its sites
+at the roots of v^2 - 2, is resolved without it.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ from math import comb, gcd, isqrt, lcm
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Optional
 
-from . import modp
+from . import modp, poly
 from .germs import CurveGerm
 
 if TYPE_CHECKING:
@@ -185,6 +190,9 @@ class Component:
     normally).  Every other part stays whole: one that misses the origin, or
     one of order 1 there (a single smooth branch times a unit, with that
     branch's tangent), or one that cannot pass the normal-crossings test.
+    The factors are the axes x and y that divide p_i, and the rest once modp
+    proves it irreducible; sympy's factor_list splits any other rest (see
+    _factors).
     """
 
     coeffs: tuple[tuple[tuple[int, int], int], ...]
@@ -193,8 +201,9 @@ class Component:
 
     @property
     def label(self) -> str:
-        """The factor as sympy prints it, built only when asked for."""
-        return str(qq_poly(dict(self.coeffs)).as_expr())
+        """The factor as sympy prints it (see poly.expr_text), built only
+        when asked for."""
+        return poly.expr_text(dict(self.coeffs), "xy")
 
     @property
     def through_origin(self) -> bool:
@@ -562,35 +571,87 @@ def _primitive(terms: dict) -> dict:
     return {e: terms[e] // g for e in sorted(terms)}
 
 
+def _axes(terms: dict) -> tuple[int, int, dict]:
+    """(a, b, h) with terms = x^a * y^b * h, h divisible by neither x nor y."""
+    a = min(i for i, _j in terms)
+    b = min(j for _i, j in terms)
+    return a, b, {(i - a, j - b): c for (i, j), c in terms.items()}
+
+
+def _square_free_parts(ints: dict) -> list[tuple[dict, int]]:
+    """The parts (p_i, i) of ints = c * prod p_i^i, as sympy's sqf_list gives
+    them: by multiplicity, each primitive with a positive lex-leading
+    coefficient (see _primitive).
+
+    ints certified square-free modulo P (see modp) is its own one part.  Else
+    ints = x^a * y^b * h (see _axes), and when h is certified, h is
+    square-free and prime to x and y, so the parts are h times the axes of
+    multiplicity 1, then x and y at multiplicities a and b, as the one part
+    x*y when a = b.  Only otherwise does sympy's sqf_list run.
+    """
+    if modp.certifies_xy(ints):
+        return [(_primitive(ints), 1)]
+    a, b, h = _axes(ints)
+    if (a or b) and modp.certifies_xy(h):
+        one = {(i + (a == 1), j + (b == 1)): c for (i, j), c in h.items()}
+        parts = [] if len(h) == 1 and 1 not in (a, b) else [(_primitive(one), 1)]
+        return parts + [({(int(a == m), int(b == m)): 1}, m)
+                        for m in sorted({a, b} - {0, 1})]
+    return [(_int_terms(part), i) for part, i in _zz_poly(ints).sqf_list()[1]]
+
+
+def _dense_key(terms: dict) -> tuple:
+    """sympy's _sort_factors key of a factor of multiplicity 1, less the
+    multiplicity: deg_x + 1, then the dense rep, the rows in x from the top,
+    each its y coefficients from the top."""
+    top = max(i for i, _j in terms)
+    rows = [[] for _ in range(top + 1)]
+    for (i, j), c in terms.items():
+        row = rows[top - i]
+        row += [0] * (j + 1 - len(row))
+        row[j] = c
+    return len(rows), [row[::-1] for row in rows]
+
+
+def _factors(t: dict) -> list[dict]:
+    """The irreducible factors over ZZ of a square-free part t, in sympy's
+    factor_list order: x and y where they divide t, and the rest h (see
+    _axes) once modp.irreducible_xy proves it irreducible, sorted by
+    _dense_key.  A rest it does not prove goes to sympy's factor_list."""
+    a, b, h = _axes(t)
+    pieces = [{(1, 0): 1}] * a + [{(0, 1): 1}] * b
+    if len(h) > 1:
+        if not modp.irreducible_xy(h):
+            return [_int_terms(q) for q, _ in _zz_poly(t).factor_list()[1]]
+        pieces.append(h)
+    return sorted(pieces, key=_dense_key)
+
+
 def _components_of(f: CurveGerm) -> tuple[Component, ...]:
     """The components of f, which also seed the root site of the engine.
 
     f = c * prod p_i^i is the square-free decomposition, computed over ZZ
     after clearing denominators (over QQ sympy converts to ZZ inside every
-    gcd).  When f is certified square-free mod P (see modp) it is its own
-    one part p_1, normalised as sympy normalises it; only otherwise does
-    sympy's sqf_list run.  By Gauss's lemma a repeated factor of f over QQ
-    is one over ZZ, and the certificate excludes those.  A part p_i is
-    factored only where an output reads its irreducible factors (see
-    Component); the factors of one part keep sympy's factor_list order,
-    which is their order within multiplicity i in the factorization of f.
+    gcd), by _square_free_parts: from certificates mod P (see modp) when f,
+    or f less its axis factors x^a * y^b, is certified square-free, and by
+    sympy's sqf_list otherwise.  By Gauss's lemma a repeated factor of f
+    over QQ is one over ZZ, and the certificate excludes those.  A part p_i
+    is factored only where an output reads its irreducible factors (see
+    Component), by _factors; the factors of one part keep sympy's
+    factor_list order, which is their order within multiplicity i in the
+    factorization of f.
     """
     terms = f.terms()
     scale = lcm(*(c.denominator for c in terms.values()))
     ints = {e: int(c * scale) for e, c in terms.items()}
-    if modp.certifies_xy(ints):
-        parts = [(_primitive(ints), 1)]
-    else:
-        parts = [(_int_terms(part), i)
-                 for part, i in _zz_poly(ints).sqf_list()[1]]
+    parts = _square_free_parts(ints)
     reduced_order = sum(_order(t) for t, _i in parts)
     out = []
     for t, i in parts:
         order = _order(t)
         split = order and (i >= 2 or f.multiplicity == 1 or (
             order == reduced_order == 2 and _splits_transversally(t)))
-        pieces = [_int_terms(q) for q, _ in _zz_poly(t).factor_list()[1]] \
-            if split else [t]
+        pieces = _factors(t) if split else [t]
         out += [Component(tuple(piece.items()), i, _order(piece))
                 for piece in pieces]
     return tuple(out)

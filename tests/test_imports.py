@@ -214,7 +214,14 @@ LCT_LOADS = [
     # the second centre is irrational over QQ(sqrt2): its site moves to
     # sympy's copy of the own field
     ("((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13", "1/4", True),
-    # a germ that is not reduced goes through sympy's sqf_list
+    # not reduced, but an axis monomial times a rest certified square-free:
+    # the parts y^3 and x^2*(...) are known without sympy's sqf_list
+    ("x^2*y^3 - y^5", "1/3", False),
+    # 3*x^4*(1 - x^3*y): the witness is the component x, and the equality
+    # certificate divides by x^4 and prints its cofactor without sympy
+    ("3*x^4 - 3*x^7*y", "1/4", False),
+    # not reduced, and its repeated factor is no axis: the parts of a carried
+    # product are not built yet, so sympy's sqf_list splits it
     ("(y^2 - x^3)^2*(x + y)", "5/14", True),
     # the first line has double roots at 1 and at +-sqrt2, a rational root
     # beside an irrational factor, which modp proves neither way: sympy's
@@ -228,6 +235,57 @@ def test_lct_loads_sympy_on_first_use():
         out, line = _delpezzo("lct", germ)
         assert f"lct = {value} (blowup, exact;" in out, germ
         assert line == f"sympy loaded: {loaded}", germ
+
+
+def test_the_axis_witness_is_printed_without_sympy():
+    out, line = _delpezzo("lct", "3*x^4 - 3*x^7*y")
+    assert "(blowup, exact; component x with multiplicity 4)" in out
+    assert line == "sympy loaded: False"
+
+
+# check_lemma52 on a smooth h at k = 1 and on the cusp at k = 2: the
+# composites x^2*y*h and x^4*y^2*(y^2 - x^3) are axis monomials times a
+# certified rest
+LEMMA52_PROBE = """
+import sys
+from delpezzo.germs import parse_germ
+from delpezzo.lct import check_lemma52
+print(check_lemma52(1, parse_germ("x + y - x*y^2")))
+print(check_lemma52(2, parse_germ("y^2 - x^3")))
+print("sympy" in sys.modules)
+"""
+
+
+def test_lemma52_is_sympy_free():
+    proc = _python("-c", LEMMA52_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "c0(x^3*y + x^2*y^2 - x^3*y^3) = 1/2 > 1/3",
+        "c0(x^4*y^4 - x^7*y^2) = 1/4 > 1/6",
+        "False"]
+
+
+# the three thresholds of every germ of the corpus's rational rounds, drawn as
+# the benchmark's lct-rational rounds draw them
+CORPUS_PROBE = """
+import random, sys
+import resolution_corpus as corpus
+from delpezzo.lct import blowup_lct, check_mult_bounds, newton_lct
+rng = random.Random(corpus.SEED)
+germs = [f for _ in range(corpus.RATIONAL_ROUNDS)
+         for f in corpus._rational_round(rng)]
+for f in germs:
+    newton_lct(f), blowup_lct(f), check_mult_bounds(f)
+print(len(germs), "sympy" in sys.modules)
+"""
+
+
+def test_rational_rounds_are_sympy_free():
+    tests = str(Path(__file__).resolve().parent)
+    proc = _python("-c", f"import sys; sys.path.insert(0, {tests!r})\n"
+                   + CORPUS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "420 False\n"
 
 
 # -- the package namespace ---------------------------------------------------
@@ -350,7 +408,7 @@ def _private_reads(path: Path) -> set:
 
 def test_modules_share_only_these_private_names():
     # none: a helper that another module reads belongs in its module's public
-    # interface, as `resolution.qq_poly` does, and `constraints` reads system
+    # interface, as `modp.irreducible_xy` does, and `constraints` reads system
     # text through `poly.parse` alone
     package = Path(delpezzo.__file__).resolve().parent
     crossings = {path.stem: reads for path in sorted(package.glob("*.py"))

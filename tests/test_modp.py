@@ -401,3 +401,66 @@ def test_work_modulo_p_is_counted(monkeypatch, text, step, residues, gcds):
     else:
         newton_lct(f)
     assert counts == {"residues": residues, "_gcd": gcds}
+
+
+# -- irreducibility beyond the cubic, and of bivariate polynomials ---------------
+
+def _times(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _univariate(rng, degree: int) -> list:
+    q = [rng.randint(-5, 5) for _ in range(degree)]
+    return q + [rng.choice((-3, -2, -1, 1, 2, 3))]
+
+
+def test_irreducible_beyond_the_cubic_agrees_with_sympy():
+    # degrees 4 to 8; a third are products of two factors of degree 2 or
+    # more, which have no root modulo many primes, yet are never proven
+    rng = random.Random(20261020)
+    answers = {}
+    for _ in range(400):
+        degree = rng.randint(4, 8)
+        if rng.random() < 1 / 3:
+            low = rng.randint(2, degree - 2)
+            q = _times(_univariate(rng, low), _univariate(rng, degree - low))
+        else:
+            q = _univariate(rng, degree)
+        key = modp.irreducible(q), Poly(q[::-1], V, domain=QQ).is_irreducible
+        answers[key] = answers.get(key, 0) + 1
+    # (proven, irreducible): every irreducible q is proven, and no reducible
+    # one
+    assert answers == {(True, True): 212, (None, False): 188}
+    # (v^2 + 1) * (v^2 + 2) has no rational root, nor a root modulo 5
+    assert modp.irreducible(_times([1, 0, 1], [2, 0, 1])) is None
+
+
+def _with_constant(rng) -> dict:
+    terms = {(0, 0): rng.choice((-3, -2, -1, 1, 2, 3))}
+    while len(terms) < rng.randint(2, 5):
+        terms[rng.randint(0, 4), rng.randint(0, 4)] = rng.choice((-3, -2, -1, 1, 2))
+    return terms
+
+
+def test_irreducible_xy_agrees_with_sympy():
+    # primitive polynomials with a constant term, so prime to both axes; a
+    # third are products of two such
+    rng = random.Random(20261021)
+    answers = {}
+    for _ in range(400):
+        h = _zz(_with_constant(rng))
+        if rng.random() < 1 / 3:
+            h = h * _zz(_with_constant(rng))
+        h = h.primitive()[1]
+        if h.is_ground:
+            continue
+        key = (modp.irreducible_xy({e: int(c) for e, c in h.as_dict().items()}),
+               h.is_irreducible)
+        answers[key] = answers.get(key, 0) + 1
+    # (proven, irreducible): no reducible h is proven irreducible, and one
+    # irreducible h is left undecided
+    assert answers == {(True, True): 268, (None, True): 1, (None, False): 131}

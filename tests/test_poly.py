@@ -1,4 +1,5 @@
-"""The shared polynomial core: helpers, budgets, and no code evaluation."""
+"""The shared polynomial core: helpers, budgets, no code evaluation, and the
+printer and exact division against sympy."""
 
 import pathlib
 import random
@@ -270,3 +271,60 @@ def test_monomial_path_reaches_each_budget_exactly():
     assert poly.parse("x^32*y^32", ("x", "y"), 64) == {(32, 32): 1}
     # 4,095 + 4,095 + 1,810 = 10,000 term products, one power step each
     assert poly.parse("1^4096 + 1^4096 + 1^1811", ("x", "y"), 64) == {(0, 0): 3}
+
+
+# -- the printer and exact division, against sympy --------------------------------
+
+def _rational_poly(rng) -> dict:
+    """A rational polynomial in x, y: unit, negative and fractional
+    coefficients; a tenth are constants, a third have no constant term, and
+    a tenth are c - a*v^k, which sympy prints constant first."""
+    shape = rng.random()
+    coeff = lambda: Fraction(rng.choice((1, -1, 2, -3, 5, -12, 100)),
+                             rng.choice((1, 1, 1, 2, 3, 7)))
+    if shape < 0.1:
+        return {(0, 0): coeff()}
+    if shape < 0.2:
+        k = rng.randint(1, 4)
+        return {(0, 0): coeff(), rng.choice(((k, 0), (0, k))): coeff()}
+    terms = {(rng.randint(0, 4), rng.randint(0, 4)): coeff()
+             for _ in range(rng.randint(1, 6))}
+    if shape < 0.55:
+        terms.pop((0, 0), None)
+    return terms or {(1, 0): coeff()}
+
+
+def _sympy(p: dict):
+    from sympy import QQ, Poly, symbols
+    return Poly.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.items()},
+                          *symbols("x y"), domain=QQ)
+
+
+def test_expr_text_prints_as_sympy_does():
+    rng = random.Random(20261020)
+    firsts = set()
+    for _ in range(1000):
+        p = _rational_poly(rng)
+        text = poly.expr_text(p, "xy")
+        assert text == str(_sympy(p).as_expr()), p
+        firsts.add(text[0].isdigit())
+    assert firsts == {True, False}
+    assert poly.expr_text({}, "xy") == "0"
+
+
+def test_divide_agrees_with_sympy():
+    rng = random.Random(20261021)
+    exact = 0
+    for _ in range(1000):
+        f, g = _rational_poly(rng), _rational_poly(rng)
+        assert poly.divide(poly.mul(f, g), g) == f
+        quotient, remainder = _sympy(f).div(_sympy(g))
+        got = poly.divide(f, g)
+        if remainder.is_zero:
+            exact += 1
+            assert got == {e: Fraction(int(c.numerator), int(c.denominator))
+                           for e, c in quotient.as_dict().items()}
+        else:
+            assert got is None, (f, g)
+    # g is a constant, or divides f by chance
+    assert exact == 98
