@@ -26,12 +26,13 @@ square-free over QQ, and so is the product of the f, which reduces to s:
 the repeated irreducible factors of r are those of the f, and their product
 is the square-free part of gcd(r, r').  multiple_roots answers with the
 roots of the linear factors, or with s when irreducible proves it
-irreducible.  What is left goes to the caller's sympy path: a nonzero
+irreducible; each such factor gives the caller an own field (see
+numfield).  What is left goes to the caller's sympy path: a nonzero
 rational root beside an irrational one, more than two of them, several
-irreducible factors or one of degree 4 or more, a number beyond rational
-reconstruction (see BOUND), a top coefficient that vanishes mod P, and
-roots equal only mod P, whose lift divides r too few times or leaves a rest
-that is not certified.
+irreducible factors or one that irreducible does not prove, a number
+beyond rational reconstruction (see BOUND), a top coefficient that vanishes
+mod P, and roots equal only mod P, whose lift divides r too few times or
+leaves a rest that is not certified.
 
 irreducible proves a quadratic irreducible over QQ by its discriminant, a
 cubic by a small prime at which it has no root, and any degree by the
@@ -39,8 +40,6 @@ factor degrees modulo small primes (distinct-degree factorization), which no
 proper factor over QQ fits at all of them.  irreducible_xy proves a
 bivariate polynomial irreducible by one univariate specialisation that keeps
 its degree (Hilbert's irreducibility theorem, used one-sidedly).
-multiple_roots accepts only the quadratic and cubic factors, which give the
-own fields (see numfield).
 
 A bivariate integer polynomial f is certified by specialising: f(x, t) and
 f(s, y), for the fixed point POINT = (s, t), reduced mod P.  A repeated
@@ -260,7 +259,7 @@ def multiple_roots(r: Sequence[int]) -> Optional[tuple[list, list]]:
     if len(factors[0]) == 2:
         found = zero + [(m, d, k) for m, (k, d) in zip(powers, factors)]
         return [Fraction(-k, d) for _m, d, k in sorted(found)], []
-    if len(factors[0]) > 4 or not irreducible(factors[0]):
+    if not irreducible(factors[0]):
         return None
     return [Fraction(0)] * len(zero), factors
 

@@ -37,17 +37,18 @@ handled by extending K; conjugate points yield identical (a, b) data, so one
 representative per irreducible factor is blown up and the cluster shares a
 single node.
 
-K is always QQ or an absolute algebraic extension QQ(theta), built from the
-irreducible polynomial in hand, so no minimal polynomial is recomputed.
-One chain per field finds those roots.  Over QQ: modp, whose one irreducible
-factor of degree 2 or 3 gives the engine's own field (numfield), then
-sympy.  Over a NumberField K: Euclid's gcd(r, r'), which decides r when it
-is constant or a power of one linear factor besides the root 0, then a
-switch of the site and the sites under it to sympy's copy of K (see
-_sympy_copy), whose power basis is K's.  Over sympy's fields: sympy, which
-flattens towers back to absolute fields with Trager's square-free norm (see
-_extend_field).  A site over an own field is printed by sympy, in that
-copy, only when an output reads it (see ResolutionNode.site).
+K is always QQ or an absolute algebraic extension QQ(theta), the engine's
+own numfield.NumberField, built from the irreducible polynomial in hand, so
+no minimal polynomial is recomputed.  A line is decided by modp over QQ,
+whose one proven irreducible factor gives a NumberField, and by Euclid's
+gcd(r, r') over a NumberField K, which decides r when it is constant or a
+power of one linear factor besides the root 0.  sympy's factor_list decides
+what they leave, in sympy's copy of K, whose power basis is K's (see
+_sympy_copy), and its factors are read back into K.  A factor of degree 2
+or more over K != QQ gives a tower, flattened to an absolute NumberField by
+Trager's square-free norm (see _extend_field).  A site over a NumberField
+is printed by sympy, in its copy of K, only when an output reads it (see
+ResolutionNode.site).
 
 resolve_germ resolves each live germ once.  A germ's resolution depends on
 the germ alone, so the Resolution it returns is kept, keyed by the
@@ -64,24 +65,24 @@ certified square-free there is its own one part of multiplicity 1, and so
 is the rest h of a germ x^a * y^b * h whose h is certified: its parts are
 then known by multiplicity, and sympy's sqf_list does not run.  The axes
 are irreducible, and modp.irreducible_xy proves the rest of a part
-irreducible where an output reads its factors (see Component).  Labels are
-printed by poly.expr_text, as sympy prints them.  At a site over QQ,
-modp.multiple_roots reduces the line once and proves its multiple roots, in
-the order sympy's factor_list would give, when they are rational, or when
-besides the root 0 they are the roots of one irreducible factor of degree 2
-or 3, which gives the own field.  What modp does not prove, sympy's
-factor_list decides (see _factor_gcd).
+irreducible where an output reads its factors (see Component).  Labels, and
+the steps of sites over QQ, are printed by poly.expr_text, as sympy prints
+them.  At a site over QQ, modp.multiple_roots reduces the line once and
+proves its multiple roots, in the order sympy's factor_list would give,
+when they are rational, or when besides the root 0 they are the roots of
+one irreducible factor, which gives the own field.  What modp does not
+prove, sympy's factor_list decides (see _factor_gcd).
 
 So sympy is imported, on first use and never with this module, only for:
 sqf_list of a germ that is not certified reduced after its axis factors are
 divided out, such as (y^2 - x^3)^2*(x + y); factor_list of a part that an
-output reads and whose rest modp does not prove irreducible; a site that
-modp or Euclid leaves undecided (a rational root modp does not prove, a
-factor of degree 4 or more, several irreducible factors, roots over K
-beyond one linear factor) and the sites under it; and printing a site over
-a number field.  A germ that needs none of these, such as y^2 - x^3,
-x^2*y^3 - y^5, (2*y - 3*x)^2 - x^3 or (y^2 - 2*x^2)^2 - x^5 with its sites
-at the roots of v^2 - 2, is resolved without it.
+output reads and whose rest modp does not prove irreducible; factor_list of
+a line that modp or Euclid leaves undecided (a rational root modp does not
+prove, several irreducible factors, roots over K beyond one linear
+factor); the square-free norm of a tower; and printing a site over a
+number field.  A germ that needs none of these, such as y^2 - x^3,
+x^2*y^3 - y^5, (2*y - 3*x)^2 - x^3, (y^2 - 2*x^2)^2 - x^5 with its sites
+at the roots of v^2 - 2, or (y^4 - 2*x^4)^2 - x^9, is resolved without it.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import modp, poly
 from .germs import CurveGerm
@@ -153,7 +154,7 @@ class ResolutionNode:
     a: int
     b: int
     parents: tuple["ResolutionNode", ...]
-    #: the site's steps: text, or a cached call that prints one with sympy
+    #: the site's steps: text, or a cached call that prints one
     _path: tuple
 
     @property
@@ -225,8 +226,8 @@ class Resolution:
 # -- germ dictionaries over a field K --------------------------------------
 
 #: K at a site over QQ, whose polynomial is a primitive integer one: the few
-#: attributes of sympy's domain API that the engine reads.  Sites over a
-#: number field take sympy's AlgebraicField.
+#: attributes of a field that the engine reads.  Sites over a number field
+#: take a numfield.NumberField.
 _RATIONALS = SimpleNamespace(is_QQ=True, zero=0, one=1)
 
 
@@ -288,27 +289,19 @@ def _mul(a: list, b: list) -> list:
     return out
 
 
-def _multiple_roots(comps: list, K) -> Optional[tuple[list, list]]:
+def _multiple_roots(comps: list, K) -> tuple[list, list]:
     """For r the product of the components' restrictions p(0, v) to the new
     line: the roots of the linear factors of the monic gcd(r, r') over K,
-    and its other irreducible factors (see _factor_gcd).  Over QQ,
-    modp.multiple_roots decides r where it proves the answer, and sympy the
-    rest.  Over a NumberField, _roots_over decides r or returns None."""
+    and its other irreducible factors.  modp.multiple_roots over QQ, or
+    _roots_over over a NumberField, decides r where it proves the answer,
+    and sympy the rest (see _factor_gcd)."""
     r = functools.reduce(_mul, (_restriction(p, K) for p, _i in comps))
     if K.is_QQ:
-        if (found := modp.multiple_roots(r)) is not None:
-            return found
+        found = modp.multiple_roots(r)
     else:
-        from .numfield import NumberField
-        if type(K) is NumberField:
-            roots = _roots_over(K, r)
-            return None if roots is None else (roots, [])
-    from sympy import QQ, Poly
-    roots, factors = _factor_gcd(
-        Poly(r[::-1], _symbols("v"), domain=QQ if K.is_QQ else K))
-    if K.is_QQ:
-        roots = [Fraction(int(c.numerator), int(c.denominator)) for c in roots]
-    return roots, factors
+        roots = _roots_over(K, r)
+        found = None if roots is None else (roots, [])
+    return _factor_gcd(r, K) if found is None else found
 
 
 def _roots_over(K: NumberField, r: list) -> Optional[list]:
@@ -332,109 +325,110 @@ def _roots_over(K: NumberField, r: list) -> Optional[list]:
     return roots
 
 
-def _factor_gcd(r: Poly) -> tuple[list, list]:
-    """The irreducible factors of the monic gcd(r, r') in sympy's
-    factor_list order, which lists the linear ones first: the roots of those,
-    and the rest."""
-    factors = [q for q, _m in r.gcd(r.diff(_symbols("v"))).factor_list()[1]]
-    return ([_linear_root(q) for q in factors if q.degree() == 1],
-            [q for q in factors if q.degree() > 1])
-
-
-def _map_coeffs(g: dict, phi: Callable) -> dict:
-    out = {}
-    for e, c in g.items():
-        v = phi(c)
-        if v:
-            out[e] = v
-    return out
+def _factor_gcd(r: list, K) -> tuple[list, list]:
+    """The irreducible factors of the monic gcd(r, r') over K, by sympy's
+    factor_list in sympy's copy of K, in its order, which lists the linear
+    ones first: the roots of those, and the rest, read back into K (over QQ
+    as primitive integer lists, see _primitive_ints)."""
+    from sympy import Poly
+    domain, into, back = _sympy_copy(K)
+    r = Poly([into(c) for c in reversed(r)], _symbols("v"), domain=domain)
+    factors = [q for q, _m in r.gcd(r.diff()).factor_list()[1]]
+    roots = [back(-c0 / c1) for c1, c0 in
+             (q.rep.to_list() for q in factors if q.degree() == 1)]
+    rest = [_primitive_ints(q) if K.is_QQ
+            else [back(c) for c in reversed(q.rep.to_list())]
+            for q in factors if q.degree() > 1]
+    return roots, rest
 
 
 # -- field towers ------------------------------------------------------------
 
-def _linear_root(factor: Poly):
-    c1, c0 = factor.rep.to_list()
-    return -c0 / c1
+def _extend_field(K, q: list):
+    """Adjoin a root of q (constant term first), which must be irreducible
+    over K.
 
-
-def _extend_field(K, q):
-    """Adjoin a root of q, which must be irreducible over K.
-
-    Returns (K2, phi, gamma) with phi an embedding K -> K2 and gamma in K2 a
-    root of phi(q).  A q that modp has proven irreducible over QQ, a list of
-    ints, gives a NumberField, with gamma its generator.  Otherwise q is a
-    sympy Poly and K2 is sympy's.  Over QQ, q is scaled to the primitive integer form with
-    positive leading coefficient that sympy's minimal_polynomial returns, so
-    K2 = QQ.algebraic_field((q, root)), its modulus and gamma = K2.unit equal
-    sympy's own QQ.algebraic_field(root), with no minimal-polynomial search.
-    A tower over K = QQ(alpha) is flattened by Trager's square-free norm:
-    r = Norm(g) for g(v) = q(v - s*alpha) is square-free, hence irreducible
-    over QQ; K2 = QQ(delta) for a root delta of r, alpha maps to the single
-    root of gcd(minpoly_alpha(t), g(delta) with alpha read as t), and
-    gamma = delta - s*alpha.
+    Returns (K2, phi, gamma): a NumberField K2, the embedding phi: K -> K2
+    and gamma in K2 a root of phi(q).  Over QQ, q is a primitive integer
+    list with positive top coefficient, and gamma is the generator of
+    K2 = QQ(gamma).  A tower over K = QQ(alpha), q a list of K's elements,
+    is flattened by Trager's square-free norm, which sympy computes in its
+    copy of K: r = Norm(g) for g(v) = q(v - s*alpha) is square-free, hence
+    irreducible over QQ; K2 = QQ(delta) for a root delta of r, alpha maps to
+    the single root of gcd(minpoly_alpha(t), g(delta) with alpha read as t),
+    and gamma = delta - s*alpha.  Its sympy copy is built at once, from r
+    in the variable z, in which its sites are printed (see _sympy_copy).
     """
-    if type(q) is list:
-        from .numfield import NumberField
+    from .numfield import NumberField, monic_gcd
+    if K.is_QQ:
         K2 = NumberField(q)
         return K2, K2.convert, K2.unit
-    from sympy import QQ, CRootOf, Poly
+    from sympy import QQ, Poly
     from sympy.polys.sqfreetools import dup_sqf_norm
-    if K.is_QQ:
-        q = q.monic().clear_denoms()[1]     # primitive over ZZ, LC > 0
-        K2 = QQ.algebraic_field((q, CRootOf(q.as_expr(), 0)))
-        return (K2, lambda c: K2.convert_from(QQ(c.numerator, c.denominator), QQ),
-                K2.unit)
-
-    s, g, r = dup_sqf_norm(q.rep.to_list(), K)
-    K2, _, delta = _extend_field(_RATIONALS, Poly(r, _symbols("z"), domain=QQ))
-
-    def in_t(c):   # c in K (or alpha's minpoly) with alpha written as t
-        return Poly([K2.convert(cc) for cc in c.to_list()], _symbols("t"), domain=K2)
-
-    g_delta = in_t(K.zero)
+    domain, into, back = _sympy_copy(K)
+    s, g, r = dup_sqf_norm([into(c) for c in reversed(q)], domain)
+    r = _primitive_ints(Poly(r, _symbols("z"), domain=QQ))
+    K2 = NumberField(r)
+    _sympy_copy(K2, "z")
+    delta, g_delta = K2.unit, [K2.zero] * K.n   # g(delta) in t, constant first
     for c in g:
-        g_delta = g_delta.mul_ground(delta) + in_t(c)
-    common = in_t(K.mod).gcd(g_delta)
-    assert common.degree() == 1, "the norm of g is square-free"
-    alpha2 = _linear_root(common)
+        g_delta = [a * delta + K2.convert(b) for a, b in zip(g_delta, back(c).c)]
+    common = monic_gcd([K2.convert(c) for c in K.q], g_delta)
+    assert len(common) == 2, "the norm of g is square-free"
+    alpha2 = -common[0]
 
     def phi(c):
         acc = K2.zero
-        for cc in c.to_list():
+        for cc in reversed(c.c):
             acc = acc * alpha2 + K2.convert(cc)
         return acc
-    return K2, phi, delta - K2.convert(s) * alpha2
+    return K2, phi, delta - alpha2 * s
+
+
+def _primitive_ints(q: Poly) -> list[int]:
+    """A sympy Poly over QQ as the primitive integer list with positive top
+    coefficient, constant term first, that q.monic().clear_denoms() gives."""
+    return [int(c) for c in reversed(q.monic().clear_denoms()[1].rep.to_list())]
+
+
+def _rational(c):
+    """A sympy rational as an int, or as a Fraction when it is none."""
+    n, d = int(c.numerator), int(c.denominator)
+    return n if d == 1 else Fraction(n, d)
 
 
 # -- the engine ---------------------------------------------------------------
 
-#: sympy's copy of each NumberField whose sites an output has printed, as
-#: _extend_field returns it: (K2, phi, gamma)
-_sympy_fields: "weakref.WeakKeyDictionary[NumberField, tuple]" = \
+#: sympy's copy of each NumberField that sympy has factored over or printed,
+#: and of each flattened field (see _extend_field)
+_sympy_fields: "weakref.WeakKeyDictionary[NumberField, object]" = \
     weakref.WeakKeyDictionary()
 
 
-def _sympy_copy(K: NumberField):
-    """sympy's AlgebraicField for K, which _extend_field builds from K's
-    polynomial and root as the sympy path builds it, and the map from K into
-    it: both fields use the power basis of that root."""
-    copy = _sympy_fields.get(K)
-    if copy is None:
-        copy = _sympy_fields[K] = _extend_field(_RATIONALS, _qq_univariate(K.q))
-    K2, phi, gamma = copy
+def _sympy_copy(K, name: str = "v"):
+    """(domain, into, back): sympy's copy of K with the maps from K's
+    elements into it and back.  The copy of QQ is sympy's QQ, read back as
+    ints and Fractions.  The copy of a NumberField is built once, from K's
+    polynomial q in the variable name and the root theta = CRootOf(q, 0):
+    its modulus and unit equal those of sympy's own
+    QQ.algebraic_field(theta), with no minimal-polynomial search, and it
+    uses the power basis of that root, as K does."""
+    from sympy import QQ, CRootOf, Poly
+    if K.is_QQ:
+        return QQ, lambda c: QQ(c.numerator, c.denominator), _rational
+    from .numfield import Number
+    domain = _sympy_fields.get(K)
+    if domain is None:
+        q = Poly(K.q[::-1], _symbols(name), domain=QQ)
+        domain = _sympy_fields[K] = QQ.algebraic_field((q, CRootOf(q.as_expr(), 0)))
 
-    def convert(v0):
-        value = K2.zero
-        for c in reversed(v0.c):
-            value = value * gamma + phi(c)
-        return value
-    return K2, convert
+    def into(a):
+        return domain([QQ(c.numerator, c.denominator) for c in reversed(a.c)])
 
-
-def _qq_univariate(q: list) -> Poly:
-    """An integer list, constant term first, as a sympy Poly in v over QQ."""
-    from sympy import QQ, Poly
-    return Poly(q[::-1], _symbols("v"), domain=QQ)
+    def back(a):
+        c = [_rational(cc) for cc in reversed(a.to_list())]
+        return Number(K, tuple(c + [0] * (K.n - len(c))))
+    return domain, into, back
 
 
 def _site(path: tuple) -> str:
@@ -442,25 +436,31 @@ def _site(path: tuple) -> str:
 
 
 def _at_y(K, v0):
-    """The step of a site at y = v0: its text, or over a NumberField a call
-    that prints it with sympy (see ResolutionNode._path)."""
+    """The step of a site at y = v0: its text over QQ, over a NumberField a
+    call that prints it with sympy (see ResolutionNode._path)."""
     if K.is_QQ:
         return f"chart A at y={v0}"
-    from .numfield import NumberField
-    if type(K) is not NumberField:
-        return f"chart A at y={K.to_sympy(v0)}"
 
     def render():
-        K2, convert = _sympy_copy(K)
-        return f"chart A at y={K2.to_sympy(convert(v0))}"
+        domain, into, _back = _sympy_copy(K)
+        return f"chart A at y={domain.to_sympy(into(v0))}"
     return functools.cache(render)
 
 
-def _at_root(q):
-    """The step of a site at a root of q, likewise."""
-    if type(q) is not list:
-        return f"chart A at root of {q.as_expr()}"
-    return functools.cache(lambda: f"chart A at root of {_qq_univariate(q).as_expr()}")
+def _at_root(K, q: list):
+    """The step of a site at a root of q over K, a call that prints q as
+    sympy does: over QQ by poly.expr_text, else with sympy in its copy of K."""
+    if K.is_QQ:
+        terms = {(k,): c for k, c in enumerate(q) if c}
+        return functools.cache(
+            lambda: f"chart A at root of {poly.expr_text(terms, 'v')}")
+
+    def render():
+        from sympy import Poly
+        domain, into, _back = _sympy_copy(K)
+        q_k = Poly([into(c) for c in reversed(q)], _symbols("v"), domain=domain)
+        return f"chart A at root of {q_k.as_expr()}"
+    return functools.cache(render)
 
 
 class _Engine:
@@ -491,12 +491,7 @@ class _Engine:
 
         # chart A: bad points along the new exceptional line {x = 0}
         origin_needed = ya is not None
-        found = _multiple_roots(comps_a, K)
-        if found is None:   # a NumberField site moves to sympy's copy of K
-            K, convert = _sympy_copy(K)
-            comps_a = [(_map_coeffs(p, convert), i) for p, i in comps_a]
-            found = _multiple_roots(comps_a, K)
-        roots, factors = found
+        roots, factors = _multiple_roots(comps_a, K)
         for v0 in roots:
             if v0 == K.zero:
                 origin_needed = True
@@ -506,8 +501,8 @@ class _Engine:
         for q in factors:
             K2, phi, gamma = _extend_field(K, q)
             self.process(
-                [(_translate_y(_map_coeffs(p, phi), K2, gamma), i)
-                 for p, i in comps_a], K2, node, None, where + (_at_root(q),))
+                [(_translate_y({e: phi(c) for e, c in p.items()}, K2, gamma), i)
+                 for p, i in comps_a], K2, node, None, where + (_at_root(K, q),))
         if origin_needed:
             self.process(comps_a, K, node, ya, where + ("chart A origin",))
 
@@ -527,13 +522,6 @@ class _Engine:
         if len(lines) > 2 or (len(lines) == 2 and lines[0][0] * lines[1][1]
                               == lines[0][1] * lines[1][0]):
             self.blow_up(comps, K, xa, ya, where)
-
-
-def qq_poly(terms: dict) -> Poly:
-    """A rational exponent dict as a sympy Poly in x, y over QQ."""
-    from sympy import QQ, Poly
-    return Poly.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items()},
-                          *_symbols("x y"), domain=QQ)
 
 
 def _zz_poly(terms: dict) -> Poly:
@@ -666,10 +654,10 @@ _resolved: "weakref.WeakKeyDictionary[CurveGerm, Resolution]" = \
 def resolve_germ(f: CurveGerm) -> Resolution:
     """Resolve until the total transform is SNC near the origin fiber.
 
-    The engine runs once per live germ, each site on the chain of its field
-    (see the module docstring); a later call on f, or on a germ equal to it,
-    returns the same Resolution.  The budget means the same either way: it
-    is checked on every call, and a kept resolution that needed more
+    The engine runs once per live germ, each site over QQ or an own number
+    field (see the module docstring); a later call on f, or on a germ equal
+    to it, returns the same Resolution.  The budget means the same either
+    way: it is checked on every call, and a kept resolution that needed more
     blow-ups than it allows raises DepthExceededError, as the engine does.
     A run that raises keeps nothing.
     """

@@ -1,10 +1,12 @@
-"""A step-by-step reading of `poly.parse`'s grammar, the oracle for `poly.parse`.
+"""Oracles for the polynomial layer: a step-by-step reading of `poly.parse`'s
+grammar, and the bridge from exponent dicts to sympy.
 
 Every monomial goes through `poly.mul` of one-term dicts with Fraction
 coefficients, and a power is a loop of products, each charged one step of
 the term-product budget and checked against the bit cap once computed.
 `poly.parse` must return the same dict, or raise the same message, on every
-text.
+text.  `qq_poly` hands a rational exponent dict to sympy, whose algebra the
+tests compare the library's answers with.
 """
 
 from __future__ import annotations
@@ -130,3 +132,11 @@ def _degree(p: Poly) -> int:
 def _bits(p: Poly) -> int:
     return max((max(c.numerator.bit_length(), c.denominator.bit_length())
                 for c in p.values()), default=0)
+
+
+def qq_poly(terms: dict):
+    """A rational exponent dict as a sympy Poly in x, y over QQ."""
+    import sympy
+    return sympy.Poly.from_dict(
+        {e: sympy.QQ(c.numerator, c.denominator) for e, c in terms.items()},
+        *sympy.symbols("x y"), domain=sympy.QQ)

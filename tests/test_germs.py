@@ -10,7 +10,7 @@ from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
 
 from delpezzo.germs import (MAX_GERM_DEGREE, CurveGerm, GermParseError,
                             InvalidGermError, parse_germ)
-from delpezzo.resolution import qq_poly
+from poly_oracle import qq_poly
 
 exponents = st.tuples(st.integers(min_value=0, max_value=6),
                       st.integers(min_value=0, max_value=6)).filter(

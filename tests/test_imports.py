@@ -211,9 +211,12 @@ LCT_LOADS = [
     # (y^2 - 3*x^2)^3 - x^7 after (x, y) -> (x + y, x + 2*y): a triple
     # point at the roots of v^2 - 2*v - 2
     ("((x + 2*y)^2 - 3*(x + y)^2)^3 - (x + y)^7", "1/3", False),
-    # the second centre is irrational over QQ(sqrt2): its site moves to
-    # sympy's copy of the own field
+    # the second centre is irrational over QQ(sqrt2): sympy factors its
+    # line; the sites stay on numfield
     ("((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13", "1/4", True),
+    # the first blow-up meets the curve at the roots of v^4 - 2, which modp
+    # proves irreducible: an own field of degree 4
+    ("(y^4 - 2*x^4)^2 - x^9", "1/4", False),
     # not reduced, but an axis monomial times a rest certified square-free:
     # the parts y^3 and x^2*(...) are known without sympy's sqf_list
     ("x^2*y^3 - y^5", "1/3", False),
@@ -235,6 +238,30 @@ def test_lct_loads_sympy_on_first_use():
         out, line = _delpezzo("lct", germ)
         assert f"lct = {value} (blowup, exact;" in out, germ
         assert line == f"sympy loaded: {loaded}", germ
+
+
+# every node's site of two germs resolved over QQ(sqrt2) and QQ(2^(1/3)):
+# their steps are over QQ, printed by poly.expr_text
+SITES_PROBE = """
+import sys
+from delpezzo.germs import parse_germ
+from delpezzo.resolution import resolve_germ
+for text in ("(y^2 - 2*x^2)^2 - x^5", "(y^3 - 2*x^3)^2 - x^7"):
+    for node in resolve_germ(parse_germ(text)).nodes:
+        print(node.site)
+print("sympy" in sys.modules)
+"""
+
+
+def test_sites_at_roots_over_qq_are_printed_without_sympy():
+    proc = _python("-c", SITES_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "origin", "origin / chart A at root of v**2 - 2",
+        "origin / chart A at root of v**2 - 2 / chart B origin",
+        "origin", "origin / chart A at root of v**3 - 2",
+        "origin / chart A at root of v**3 - 2 / chart B origin",
+        "False"]
 
 
 def test_the_axis_witness_is_printed_without_sympy():

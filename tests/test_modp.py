@@ -439,6 +439,41 @@ def test_irreducible_beyond_the_cubic_agrees_with_sympy():
     assert modp.irreducible(_times([1, 0, 1], [2, 0, 1])) is None
 
 
+def test_the_cubic_rule_is_the_factor_degree_test():
+    # modp.irreducible proves a cubic by a prime at which it has no root, a
+    # shortcut for the factor degrees: a cubic with no root mod p is
+    # irreducible there, hence square-free, with the factor degrees (3),
+    # and a cubic with a root has a factor of degree 1.  So both tests
+    # answer at the same primes, up to the first that proves the cubic.  A
+    # fifth of the cubics are (b*v - a) times a quadratic, and a fifth have
+    # a top coefficient with small prime factors
+    rng = random.Random(20261021)
+    answers = {True: 0, None: 0}
+    for _ in range(5000):
+        kind = rng.random()
+        if kind < 0.2:
+            q = _times([rng.randint(-5, 5), rng.randint(1, 4)], _univariate(rng, 2))
+        else:
+            q = _univariate(rng, 3)
+            if kind < 0.4:
+                q[3] = rng.choice((-1, 1)) * rng.choice((2, 6, 30, 210, 2310))
+        proven = None
+        for p in modp.SMALL_PRIMES:
+            if q[3] % p:
+                g = [c % p for c in q]
+                no_root = all((((g[3] * x + g[2]) * x + g[1]) * x + g[0]) % p
+                              for x in range(p))
+                square_free = len(modp._gcd(g, modp._derivative(g, p), p)) == 1
+                assert no_root == (square_free and modp._factor_degrees(g, p)
+                                   == 0b1001), (q, p)
+                if no_root:
+                    proven = True
+                    break
+        assert modp.irreducible(q) == proven, q
+        answers[proven] += 1
+    assert answers[True] >= 2500 and answers[None] >= 1200
+
+
 def _with_constant(rng) -> dict:
     terms = {(0, 0): rng.choice((-3, -2, -1, 1, 2, 3))}
     while len(terms) < rng.randint(2, 5):

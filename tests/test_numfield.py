@@ -1,8 +1,8 @@
 """The engine's own number fields: their arithmetic and Euclid's gcd against
 sympy's AlgebraicField, the square-free test and the irreducibility proof of
-modp against sympy's is_sqf and factor_list, and resolutions that must not
-depend on whether a germ's conjugate centres are resolved over the own fields
-or on sympy's alone.
+modp against sympy's is_sqf and factor_list, resolutions that must not
+depend on whether modp or sympy's factor_list decides a line, and every site
+of the corpus over QQ or an own field.
 """
 
 import random
@@ -12,8 +12,8 @@ from math import gcd
 
 import pytest
 from sympy import QQ, CRootOf, Poly, symbols
-from sympy.polys.domains import AlgebraicField
 
+import resolution_corpus
 from delpezzo import modp, resolution
 from delpezzo.germs import parse_germ
 from delpezzo.lct import check_mult_bounds, newton_lct, resolution_lct
@@ -251,7 +251,7 @@ def test_irreducible_multiple_factor():
         assert modp.multiple_roots(_ints(_expand(factors))) is None
 
 
-# -- the own fields against sympy's alone ----------------------------------------
+# -- modp's decisions against sympy's factor_list ---------------------------------
 
 # (p, k, substituted) of (y^p - d*x^p)^k - x^(p*k + 1), as the corpus draws them
 CONJUGATE_FAMILIES = [(2, 1, False), (2, 1, True), (3, 1, False), (3, 1, True),
@@ -275,10 +275,12 @@ def _report(f):
 
 
 def _trace(m):
-    """Record, through the monkeypatch context m, every _Engine built and the
-    type of K at every blow-up, in order."""
-    engines, fields = [], []
+    """Record, through the monkeypatch context m, every _Engine built, the
+    type of K at every blow-up, in order, and the degree of K at every line
+    that sympy's factor_list decides."""
+    engines, fields, lines = [], [], []
     init, blow_up = resolution._Engine.__init__, resolution._Engine.blow_up
+    factor_gcd = resolution._factor_gcd
 
     def built(self, limit):
         engines.append(self)
@@ -288,24 +290,29 @@ def _trace(m):
         fields.append(type(K))
         return blow_up(self, comps, K, *args)
 
+    def factored(r, K):
+        lines.append(1 if K.is_QQ else K.n)
+        return factor_gcd(r, K)
+
     m.setattr(resolution._Engine, "__init__", built)
     m.setattr(resolution._Engine, "blow_up", typed)
-    return engines, fields
+    m.setattr(resolution, "_factor_gcd", factored)
+    return engines, fields, lines
 
 
 def _both_ways(monkeypatch, f):
     """_report(f) as the engine resolves it, and with modp's multiple roots
-    declined, so that no own field is built and every centre is left to
-    sympy, the irrational ones to sympy's fields; each with the number of
-    engines built and the type of K at every blow-up."""
+    declined, so that sympy's factor_list decides every line over QQ and its
+    factors give the own fields; each with the number of engines built, the
+    type of K at every blow-up and the lines sympy decided (see _trace)."""
     out = []
     for sympy_only in (False, True):
         with monkeypatch.context() as m:
-            engines, fields = _trace(m)
+            engines, fields, lines = _trace(m)
             m.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
             if sympy_only:
                 m.setattr(modp, "multiple_roots", lambda r: None)
-            out.append((_report(f), len(engines), fields))
+            out.append((_report(f), len(engines), fields, lines))
     return out
 
 
@@ -318,14 +325,18 @@ def test_own_fields_agree_with_the_rerun(monkeypatch, p, k, substituted):
         f = parse_germ(f"(y^{p} - {d}*x^{p})^{k} - x^{p * k + 1}")
         if substituted:
             f = f.compose_linear(*rng.choice(MATRICES))
-        (own, own_engines, own_fields), (sympy_only, engines, fields) = \
-            _both_ways(monkeypatch, f)
+        (own, own_engines, own_fields, own_lines), \
+            (sympy_only, engines, fields, lines) = _both_ways(monkeypatch, f)
         assert own == sympy_only, str(f)
         assert own_engines == engines == 1, str(f)
-        # k = 1 has no irrational centre, k >= 2 a quadratic or cubic one
-        assert NumberField not in fields, str(f)
+        # both runs blow up over the same fields: k = 1 has no irrational
+        # centre, k >= 2 a quadratic or cubic one, an own field either way
+        assert own_fields == fields, str(f)
         assert (NumberField in own_fields) == (k > 1), str(f)
         assert ("chart A at root of" in str(own[0])) == (k > 1)
+        # modp decides every line over QQ, Euclid every one over the own
+        # field; the rerun leaves each line over QQ to sympy
+        assert own_lines == [] and lines and set(lines) == {1}, str(f)
 
 
 # a tangent at y = theta along the second line, over QQ(theta) for
@@ -335,11 +346,12 @@ def test_own_fields_agree_with_the_rerun(monkeypatch, p, k, substituted):
 @pytest.mark.parametrize("matrix", [(1, 0, 0, 1), (1, 1, 1, 2)])
 def test_own_field_roots_agree_with_the_rerun(monkeypatch, text, matrix):
     f = parse_germ(text).compose_linear(*matrix)
-    (own, own_engines, own_fields), (sympy_only, engines, fields) = \
-        _both_ways(monkeypatch, f)
+    (own, own_engines, own_fields, own_lines), \
+        (sympy_only, engines, fields, lines) = _both_ways(monkeypatch, f)
     assert own == sympy_only
     assert (own_engines, engines) == (1, 1)
-    assert NumberField in own_fields and NumberField not in fields
+    assert NumberField in own_fields and own_fields == fields
+    assert own_lines == [] and set(lines) == {1}
     if matrix == (1, 0, 0, 1):
         assert "chart A at y=CRootOf(" in str(own[0])
 
@@ -353,31 +365,62 @@ def test_own_field_roots_agree_with_the_rerun(monkeypatch, text, matrix):
 def test_components_meeting_at_an_own_field_site_agree_with_sympy(
         monkeypatch, text, matrix):
     f = parse_germ(text).compose_linear(*matrix)
-    (own, _, own_fields), (sympy_only, _, fields) = _both_ways(monkeypatch, f)
+    (own, _, own_fields, own_lines), (sympy_only, _, fields, lines) = \
+        _both_ways(monkeypatch, f)
     assert own == sympy_only
-    assert own_fields == [type(resolution._RATIONALS), NumberField]
-    assert NumberField not in fields
+    assert own_fields == fields == [type(resolution._RATIONALS), NumberField]
+    assert own_lines == [] and lines == [1]
     assert len(own[1]) == 2 and "chart A at root of" in str(own[0])
 
 
-def test_a_tower_moves_to_sympys_copy_of_the_own_field(monkeypatch):
+def test_a_tower_is_flattened_into_an_own_field(monkeypatch):
     # the three-level tower over QQ(sqrt2): its second centre, a root of
-    # v^2 - 3/8 over QQ(sqrt2), is found in sympy's copy of the own field,
-    # within the one engine run, and every later blow-up is over sympy's
-    # flattened fields
+    # v^2 - 3/8 over QQ(sqrt2), is found by sympy's factor_list in its copy
+    # of the own field, within the one engine run; the tower is flattened
+    # into an own field of degree 4, over which Euclid decides every later
+    # line
     f = parse_germ("(((y^2 - 2*x^2)^2 - 3*x^6)^2 - 5*x^13)^2 - x^27")
-    (own, engines, fields), (sympy_only, *_) = _both_ways(monkeypatch, f)
+    (own, engines, fields, lines), (sympy_only, *_, rerun_lines) = \
+        _both_ways(monkeypatch, f)
     assert engines == 1
-    assert fields == [type(resolution._RATIONALS), NumberField] \
-        + [AlgebraicField] * 3
+    assert fields == [type(resolution._RATIONALS)] + [NumberField] * 4
+    assert lines == [2] and rerun_lines == [1, 2]
     assert own == sympy_only
     assert "root of v**2 - 2 / chart A at root of v**2 - 3/8" in str(own[0])
+    # the site at y = 5/96 is printed in the sympy copy that the flattened
+    # field registered
+    assert "chart B origin / chart A at y=5/96" in str(own[0])
+
+
+def test_every_corpus_site_is_over_qq_or_an_own_field(monkeypatch):
+    # no site holds sympy's AlgebraicField: the towers, and the lines that
+    # sympy's factor_list decides, stay on numfield
+    fields = []
+    process = resolution._Engine.process
+
+    def recorded(self, comps, K, *args):
+        fields.append(K)
+        return process(self, comps, K, *args)
+
+    monkeypatch.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(resolution._Engine, "process", recorded)
+    factor_gcd, factored = resolution._factor_gcd, []
+    monkeypatch.setattr(resolution, "_factor_gcd",
+                        lambda r, K: factored.append(K) or factor_gcd(r, K))
+    for f in resolution_corpus.corpus():
+        resolve_germ(f)
+    assert all(K is resolution._RATIONALS or type(K) is NumberField
+               for K in fields)
+    # the corpus reaches fields of degree 2, 3 and 4, and sympy decides
+    # lines over QQ and over an own field
+    assert {K.n for K in fields if type(K) is NumberField} >= {2, 3, 4}
+    assert any(K.is_QQ for K in factored) and not all(K.is_QQ for K in factored)
 
 
 def test_an_exhausted_budget_in_an_own_field_is_not_rerun(monkeypatch):
     monkeypatch.setattr(resolution, "_resolved", weakref.WeakKeyDictionary())
     monkeypatch.setenv("DELPEZZO_MAX_BLOWUPS", "1")
-    engines, fields = _trace(monkeypatch)
+    engines, fields, _lines = _trace(monkeypatch)
     with pytest.raises(DepthExceededError, match="budget of 1"):
         resolve_germ(parse_germ("(y^2 - 2*x^2)^2 - x^5"))
     # the second blow-up, at a root of v^2 - 2, exhausted it, in the one

@@ -26,6 +26,7 @@ from delpezzo.numfield import NumberField
 from delpezzo.resolution import (BlowupBudgetSettingError, DepthExceededError,
                                  resolve_germ)
 from germgen import random_germ
+from poly_oracle import qq_poly
 
 _X, _Y = sympy.symbols("x y")
 
@@ -47,8 +48,8 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
     # sympy sqf_part and gcd over the site's field K are the oracle: every
     # site's components are square-free and pairwise coprime, every one the
     # engine blows up on passes through the point, and a site over QQ holds
-    # primitive integer polynomials.  A site over the engine's own number
-    # field is read in sympy's copy of that field
+    # primitive integer polynomials.  Every other site is over the engine's
+    # own number field, and is read in sympy's copy of that field
     sites, blown, own = [], [], []
     process, blow_up = resolution._Engine.process, resolution._Engine.blow_up
 
@@ -61,13 +62,15 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
             # a copy: from_dict converts the values of the dict it is given
             polys = [Poly.from_dict(dict(p), _X, _Y, domain=QQ)
                      for p, _i in comps]
-        elif type(K) is NumberField:
-            own.append(site)
-            K2, convert = resolution._sympy_copy(K)
-            polys = [Poly.from_dict({e: convert(c) for e, c in p.items()},
-                                    _X, _Y, domain=K2) for p, _i in comps]
         else:
-            polys = [Poly.from_dict(p, _X, _Y, domain=K) for p, _i in comps]
+            assert type(K) is NumberField, site
+            own.append(K.n)
+            domain, into, _back = resolution._sympy_copy(K)
+            polys = [Poly.from_dict({e: into(c) for e, c in p.items()},
+                                    _X, _Y, domain=domain) for p, _i in comps]
+            if K.n > 3:
+                _check_specialised(polys, site)
+                polys = []
         for k, p in enumerate(polys):
             assert p.sqf_part().monic() == p.monic(), site
             assert all(p.gcd(q).is_ground for q in polys[k + 1:]), site
@@ -89,13 +92,36 @@ def test_carried_components_are_square_free_and_coprime(monkeypatch, memo):
     germs += [f ** 2 for f in germs[-40:]]
     # translated by y = 3/2 in chart A: 4 * ((2*y)^2 - x) has content 4
     germs.append(parse_germ("(2*y - 3*x)^2 - x^3"))
+    # two towers of the resolution corpus, whose sites over the flattened
+    # fields (degree 4) are read in the sympy copies those fields
+    # registered; its three-level tower and its substituted tower are left
+    # out, as sympy's univariate gcds take some 50 s on each
+    germs += [parse_germ(NESTED_GERM), parse_germ(NESTED_CUSP)]
     results = {f: resolve_germ(f) for f in germs}   # equal germs resolve once
     # the hooks saw every distinct germ's root site and every blow-up
     assert sites.count("origin") == len(results)
     assert len(blown) == sum(res.blowups for res in results.values())
     assert len(sites) > len(germs)
     assert any("at root of" in where for where in sites)
-    assert own
+    assert set(own) == {2, 4}
+
+
+def _check_specialised(polys, site):
+    """The components' square-free and coprime test by specialisation, for
+    fields where sympy's bivariate sqf_part takes a minute or more a site.  A
+    repeated or common factor has positive degree in x or y, say y; at
+    x = 7/3 it keeps that degree once each component keeps its degree in y,
+    and it divides the specialised components, which sympy's univariate
+    gcds then show."""
+    for gen, other, value in ((_Y, _X, QQ(7, 3)), (_X, _Y, QQ(-5, 4))):
+        specialised = []
+        for p in polys:
+            if p.degree(gen) > 0:
+                s = p.eval(other, value)
+                assert s.degree() == p.degree(gen) and s.is_sqf, site
+                specialised.append(s)
+        for k, s in enumerate(specialised):
+            assert all(s.gcd(t).is_ground for t in specialised[k + 1:]), site
 
 
 # (a, b, parent indices, site) per node, in creation order
@@ -395,28 +421,46 @@ def test_translate_y_agrees_with_substitute(field):
     ("v**2 - 3/8 - sqrt(2)/8", 0),
 ])
 def test_extend_field_flattens_a_tower(q, shift):
+    # over the own field K = QQ(alpha), alpha^2 = 2, with sqrt(2) read as
+    # alpha: q's coefficients are Numbers of K
     from sympy.polys.sqfreetools import dup_sqf_norm
-    v = sympy.Symbol("v")
-    K = QQ.algebraic_field(sympy.sqrt(2))
-    q = Poly(sympy.sympify(q), v, domain=K)
-    assert dup_sqf_norm(q.rep.to_list(), K)[0] == shift
+    v, a = sympy.symbols("v a")
+    K = NumberField([-2, 0, 1])
+    rows = Poly(sympy.sympify(q).subs(sympy.sqrt(2), a), v, a, domain=QQ)
+    q = [K.zero] * 3
+    for (i, j), c in rows.as_dict().items():
+        q[i] = q[i] + (K.unit if j else K.one) * Fraction(c.p, c.q)
+    domain, into, back = resolution._sympy_copy(K)
+    assert dup_sqf_norm([into(c) for c in reversed(q)], domain)[0] == shift
     K2, phi, gamma = resolution._extend_field(K, q)
-    assert K2.ext.minpoly.as_poly().degree() == 4
-    # phi sends alpha to a root of its minimal polynomial, and gamma is a
-    # root of phi(q)
+    assert type(K2) is NumberField and K2.n == 4
+    # phi sends alpha to a root of its minimal polynomial, keeps sums and
+    # products, and gamma is a root of phi(q)
     alpha = phi(K.unit)
     assert alpha * alpha == K2.convert(2)
+    b = K.convert(Fraction(-3, 5)) + K.unit * 7
+    assert phi(b * q[0]) == phi(b) * phi(q[0])
+    assert phi(b + q[0]) == phi(b) + phi(q[0])
     value = K2.zero
-    for c in q.rep.to_list():
+    for c in reversed(q):
         value = value * gamma + phi(c)
     assert value == K2.zero
+    # K2 registered sympy's copy of it, built from the norm in z, whose
+    # unit is K2's generator
+    domain2, into2, back2 = resolution._sympy_copy(K2)
+    text = str(domain2.to_sympy(into2(K2.unit)))
+    assert text.startswith("CRootOf(") and "z**4" in text
+    assert back2(into2(gamma)) == gamma
 
 
 def _irreducible_corpus():
-    """Polynomials irreducible over QQ: 200 seeded ones of degree 2 to 4
-    with rational coefficients (denominators, non-unit and negative leading
-    coefficients), then the norms r of the two flattened towers above."""
-    from sympy.polys.sqfreetools import dup_sqf_norm
+    """Polynomials in v irreducible over QQ: 200 seeded ones of degree 2 to
+    4 with rational coefficients (denominators, non-unit and negative
+    leading coefficients).  The norms of the flattened towers are left to
+    the test above, which reads them in the copies their fields register in
+    z: sympy caches a CRootOf by a polynomial that forgets its variable, so
+    building one of them in v here would change how the corpus prints
+    them."""
     v = sympy.Symbol("v")
     rng = random.Random(20261018)
     corpus = []
@@ -427,29 +471,33 @@ def _irreducible_corpus():
             q = Poly(coeffs, v, domain=QQ)
             if q.is_irreducible:
                 corpus.append(q)
-    K = QQ.algebraic_field(sympy.sqrt(2))
-    for text in ("v**2 - 3/8", "v**2 - 3/8 - sqrt(2)/8"):
-        q = Poly(sympy.sympify(text), v, domain=K)
-        r = dup_sqf_norm(q.rep.to_list(), K)[2]
-        corpus.append(Poly(r, sympy.Symbol("z"), domain=QQ))
     return corpus
 
 
 def test_extend_field_over_qq_is_sympys_own_field():
     # the oracle: sympy builds the field from the root, searching for its
-    # minimal polynomial, and expresses the root in it
+    # minimal polynomial, and expresses the root in it.  The own field built
+    # from q's primitive integer form has sympy's copy equal to that field,
+    # and the maps into it and back send the generator to the root
     corpus = _irreducible_corpus()
     assert any(q.LC() < 0 for q in corpus)
     assert any(q.LC().denominator > 1 for q in corpus)
     assert {q.degree() for q in corpus} == {2, 3, 4}
     for q in corpus:
+        ints = resolution._primitive_ints(q)
+        assert math.gcd(*ints) == 1 and ints[-1] > 0, q
+        assert Poly(ints[::-1], q.gen, domain=QQ).monic() == q.monic(), q
         root = sympy.CRootOf(q.as_expr(), 0)
         K = QQ.algebraic_field(root)
-        K2, phi, gamma = resolution._extend_field(QQ, q)
-        assert K2 == K, q
-        assert K2.mod == K.mod, q
-        assert gamma == K.from_sympy(root), q
-        assert phi(QQ(3, 4)) == K.convert(QQ(3, 4))
+        K2, phi, gamma = resolution._extend_field(resolution._RATIONALS, ints)
+        assert type(K2) is NumberField and K2.q == tuple(ints), q
+        domain, into, back = resolution._sympy_copy(K2)
+        assert domain == K, q
+        assert domain.mod == K.mod, q
+        assert into(gamma) == K.from_sympy(root), q
+        assert into(phi(Fraction(3, 4))) == K.convert(QQ(3, 4))
+        assert back(into(gamma * gamma + phi(Fraction(3, 4)))) \
+            == gamma * gamma + phi(Fraction(3, 4))
 
 
 def test_resolution_runs_no_minimal_polynomial_search(monkeypatch, memo):
@@ -477,7 +525,7 @@ def test_resolution_runs_no_minimal_polynomial_search(monkeypatch, memo):
 def _full_components(f):
     """The oracle: every irreducible QQ factor of f, in factor_list order, as
     a primitive integer polynomial."""
-    _c, factors = resolution.qq_poly(f.terms()).factor_list()
+    _c, factors = qq_poly(f.terms()).factor_list()
     out = []
     for q, mult in factors:
         primitive = q.clear_denoms(convert=True)[1].primitive()[1]
@@ -493,7 +541,7 @@ def _bivariate_face_is_square_free(f, face):
              if w1 * i + w2 * j == face.level}
     i0 = min(i for i, _ in terms)
     j0 = min(j for _, j in terms)
-    bivariate = resolution.qq_poly(
+    bivariate = qq_poly(
         {(i - i0, j - j0): c for (i, j), c in terms.items()})
     return all(mult == 1 for _, mult in bivariate.sqf_list()[1])
 
@@ -529,7 +577,7 @@ def _split_corpus():
 def _product(components, weighted):
     out = Poly(1, _X, _Y, domain=QQ)
     for comp in components:
-        out *= resolution.qq_poly(dict(comp.coeffs)) ** \
+        out *= qq_poly(dict(comp.coeffs)) ** \
             (comp.multiplicity if weighted else 1)
     return out.monic()
 
@@ -588,7 +636,7 @@ def test_only_parts_an_output_reads_are_factored(monkeypatch, memo, text,
     f = parse_germ(text)
     # a reduced germ is certified square-free modulo a prime, so sympy's
     # bivariate square-free split runs only on a germ that is not reduced
-    decompositions = 0 if resolution.qq_poly(f.terms()).is_sqf else 1
+    decompositions = 0 if qq_poly(f.terms()).is_sqf else 1
     factored = []
     monkeypatch.setattr(resolution, "_factors",
                         lambda t, split=resolution._factors:
