@@ -12,27 +12,27 @@ and every caller then falls back to sympy.
 
 Every answer beyond "square-free" has one proof.  The integer polynomial r
 is reduced once, and the square-free part s = g / gcd(g, g') of
-g = gcd(r~, r~') is lifted by rational reconstruction (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 5).  Two lifts are tried in turn: one
-linear factor d*v - n per root when s has one or two roots mod P, then s
-itself, made monic, reconstructed coefficient by coefficient and scaled to a
-primitive integer polynomial.  A lift holds when each of its factors f
-divides r at least twice, by exact division over ZZ, which for a primitive
-f is division over QQ by Gauss's lemma.  One factor that does proves r not
-square-free (square_free).  multiple_roots also asks the rest, r divided by
-each f^m with m as large as it goes, to be certified square-free as above;
-its top coefficient survives, as it divides r's.  Then the rest is
-square-free over QQ, and so is the product of the f, which reduces to s:
-the repeated irreducible factors of r are those of the f, and their product
-is the square-free part of gcd(r, r').  multiple_roots answers with the
-roots of the linear factors, or with s when irreducible proves it
-irreducible; each such factor gives the caller an own field (see
-numfield).  What is left goes to the caller's sympy path: a nonzero
-rational root beside an irrational one, more than two of them, several
-irreducible factors or one that irreducible does not prove, a number
-beyond rational reconstruction (see BOUND), a top coefficient that vanishes
-mod P, and roots equal only mod P, whose lift divides r too few times or
-leaves a rest that is not certified.
+g = gcd(r~, r~') is lifted once by rational reconstruction (von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 5): made monic, reconstructed
+coefficient by coefficient and scaled to a primitive integer polynomial q.
+When q is linear, or a quadratic whose discriminant is a square, it is split
+over QQ into its factors d*v - n; else q is the one factor.  The lift holds
+when each of its factors f divides r at least twice, by exact division over
+ZZ, which for a primitive f is division over QQ by Gauss's lemma.  One
+factor that does proves r not square-free (square_free).  multiple_roots
+also asks the rest, r divided by each f^m with m as large as it goes, to be
+certified square-free as above; its top coefficient survives, as it divides
+r's.  Then the rest is square-free over QQ, and so is q, which reduces to s
+up to a unit: the repeated irreducible factors of r are those of q, and q is
+the square-free part of gcd(r, r').  multiple_roots answers with the roots
+of the linear factors, or with q when irreducible proves it irreducible;
+each such factor gives the caller an own field (see numfield).  What is
+left goes to the caller's sympy path: a nonzero rational root beside an
+irrational one, more than two of them, several irreducible factors or one
+that irreducible does not prove, a number beyond rational reconstruction
+(see BOUND), among them the sum or product of two tall rational roots, a
+top coefficient that vanishes mod P, and roots equal only mod P, whose lift
+divides r too few times or leaves a rest that is not certified.
 
 irreducible proves a quadratic irreducible over QQ by its discriminant, a
 cubic by a small prime at which it has no root, and any degree by the
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 P = (1 << 61) - 1
 
@@ -131,23 +131,6 @@ def is_squarefree(h: list[int]) -> bool:
     return len(_gcd(h, _derivative(h))) == 1
 
 
-def _roots(s: list[int]) -> Optional[list[int]]:
-    """The roots in GF(P) of a square-free s of degree 1 or 2, or None when
-    s has higher degree or no root there."""
-    if len(s) > 3:
-        return None
-    inv = pow(s[-1], -1, P)
-    if len(s) == 2:
-        return [-s[0] * inv % P]
-    c, b = s[0] * inv % P, s[1] * inv % P      # s made monic
-    disc = (b * b - 4 * c) % P
-    w = pow(disc, (P + 1) // 4, P)      # a square root, as P = 3 mod 4
-    if w * w % P != disc:
-        return None
-    half = (P + 1) // 2
-    return [(w - b) * half % P, (-w - b) * half % P]
-
-
 def _reconstruct(x: int) -> Optional[Fraction]:
     """The fraction n/d with n = x*d mod P, |n| <= BOUND and 0 < d <= BOUND,
     by the half-extended Euclidean algorithm, or None when there is none."""
@@ -192,20 +175,23 @@ def _integral(h: Sequence) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in h]
 
 
-def _lifts(s: list[int]) -> Iterator[list[list[int]]]:
-    """The candidate lifts of s over GF(P) to primitive integer factors, in
-    order: one d*v - n per root n/d when s has one or two roots mod P, then
-    s itself, made monic and reconstructed coefficient by coefficient."""
-    roots = _roots(s)
-    if roots is not None:
-        lifted = [_reconstruct(x) for x in roots]
-        if None not in lifted:
-            yield [[-x.numerator, x.denominator] for x in lifted]
-    if len(s) > 2:
-        inv = pow(s[-1], -1, P)
-        S = [_reconstruct(c * inv % P) for c in s]
-        if None not in S:
-            yield [_integral(S)]     # monic: primitive, top > 0
+def _lift(s: list[int]) -> Optional[list[list[int]]]:
+    """The lift of s over GF(P) to primitive integer factors: s made monic,
+    reconstructed coefficient by coefficient and scaled to a primitive q,
+    split into its factors d*v - n when q is linear or a quadratic with a
+    square discriminant; None when a coefficient has no reconstruction."""
+    inv = pow(s[-1], -1, P)
+    S = [_reconstruct(c * inv % P) for c in s]
+    if None in S:
+        return None
+    q = _integral(S)                # monic: primitive, top > 0
+    if len(q) == 3:
+        c, b, a = q
+        disc = b * b - 4 * a * c
+        if disc > 0 and (w := isqrt(disc)) ** 2 == disc:
+            return [[-x.numerator, x.denominator] for x in
+                    (Fraction(-b + w, 2 * a), Fraction(-b - w, 2 * a))]
+    return [q]
 
 
 def _square_free_part(h: list[int]) -> list[int]:
@@ -224,10 +210,9 @@ def square_free(h: Sequence) -> Optional[bool]:
     s = _square_free_part(H)
     if len(s) == 1:
         return True
-    r = _integral(h)
-    for factors in _lifts(s):
-        if any(_power(r, q)[0] >= 2 for q in factors):
-            return False
+    r, factors = _integral(h), _lift(s)
+    if factors and any(_power(r, q)[0] >= 2 for q in factors):
+        return False
     return None
 
 
@@ -247,14 +232,14 @@ def multiple_roots(r: Sequence[int]) -> Optional[tuple[list, list]]:
     s = _square_free_part(h)
     if len(s) == 1:
         return [Fraction(0)] * len(zero), []
-    for factors in _lifts(s):
-        rest, powers = r, []
-        for q in factors:
-            m, rest = _power(rest, q)
-            powers.append(m)
-        if min(powers) >= 2 and is_squarefree([c % P for c in rest]):
-            break
-    else:
+    factors = _lift(s)
+    if factors is None:
+        return None
+    rest, powers = r, []
+    for q in factors:
+        m, rest = _power(rest, q)
+        powers.append(m)
+    if min(powers) < 2 or not is_squarefree([c % P for c in rest]):
         return None
     if len(factors[0]) == 2:
         found = zero + [(m, d, k) for m, (k, d) in zip(powers, factors)]
@@ -291,8 +276,8 @@ def _factor_degrees(g: list[int], p: int) -> int:
         while e:
             if e & 1:
                 w = _rem(_times(w, power, p), g, p)
-            e >>= 1
-            power = _rem(_times(power, power, p), g, p)
+            if e := e >> 1:
+                power = _rem(_times(power, power, p), g, p)
         u = w + [0] * (2 - len(w))
         u[1] = (u[1] - 1) % p
         while u and not u[-1]:

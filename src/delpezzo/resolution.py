@@ -61,17 +61,17 @@ Sites over QQ (K is _RATIONALS) hold primitive integer polynomials, as a
 site matters only up to a nonzero constant (see _translate_y), and every
 site reads its line as one dense list (see _restriction).  Over QQ both
 questions are first put modulo the prime P = 2^61 - 1 (see modp).  A germ
-certified square-free there is its own one part of multiplicity 1, and so
-is the rest h of a germ x^a * y^b * h whose h is certified: its parts are
-then known by multiplicity, and sympy's sqf_list does not run.  The axes
-are irreducible, and modp.irreducible_xy proves the rest of a part
-irreducible where an output reads its factors (see Component).  Labels, and
-the steps of sites over QQ, are printed by poly.expr_text, as sympy prints
-them.  At a site over QQ, modp.multiple_roots reduces the line once and
-proves its multiple roots, in the order sympy's factor_list would give,
-when they are rational, or when besides the root 0 they are the roots of
-one irreducible factor, which gives the own field.  What modp does not
-prove, sympy's factor_list decides (see _factor_gcd).
+x^a * y^b * h whose rest h is certified square-free there has its parts
+known by multiplicity (the germ itself, once, when a, b <= 1), and sympy's
+sqf_list does not run.  The axes are irreducible, and modp.irreducible_xy
+proves the rest of a part irreducible where an output reads its factors (see
+Component).  Labels, and the steps of sites over QQ, are printed by
+poly.expr_text, as sympy prints them.  At a site over QQ,
+modp.multiple_roots reduces the line once and proves its multiple roots, in
+the order sympy's factor_list would give, when they are rational, or when
+besides the root 0 they are the roots of one irreducible factor, which gives
+the own field.  What modp does not prove, sympy's factor_list decides (see
+_factor_gcd).
 
 So sympy is imported, on first use and never with this module, only for:
 sqf_list of a germ that is not certified reduced after its axis factors are
@@ -412,15 +412,20 @@ def _sympy_copy(K, name: str = "v"):
     polynomial q in the variable name and the root theta = CRootOf(q, 0):
     its modulus and unit equal those of sympy's own
     QQ.algebraic_field(theta), with no minimal-polynomial search, and it
-    uses the power basis of that root, as K does."""
-    from sympy import QQ, CRootOf, Poly
+    uses the power basis of that root, as K does.  theta is built as
+    CRootOf builds it but over QQ, apart in sympy's cache from any root that
+    CRootOf builds over ZZ from q in another variable."""
+    from sympy import QQ, CRootOf, Poly, PurePoly
+    from sympy.polys.polyroots import preprocess_roots
     if K.is_QQ:
         return QQ, lambda c: QQ(c.numerator, c.denominator), _rational
     from .numfield import Number
     domain = _sympy_fields.get(K)
     if domain is None:
         q = Poly(K.q[::-1], _symbols(name), domain=QQ)
-        domain = _sympy_fields[K] = QQ.algebraic_field((q, CRootOf(q.as_expr(), 0)))
+        scale, p = preprocess_roots(PurePoly(q))
+        root = scale * CRootOf._new(p.to_field(), 0)
+        domain = _sympy_fields[K] = QQ.algebraic_field((q, root))
 
     def into(a):
         return domain([QQ(c.numerator, c.denominator) for c in reversed(a.c)])
@@ -571,16 +576,14 @@ def _square_free_parts(ints: dict) -> list[tuple[dict, int]]:
     them: by multiplicity, each primitive with a positive lex-leading
     coefficient (see _primitive).
 
-    ints certified square-free modulo P (see modp) is its own one part.  Else
-    ints = x^a * y^b * h (see _axes), and when h is certified, h is
-    square-free and prime to x and y, so the parts are h times the axes of
-    multiplicity 1, then x and y at multiplicities a and b, as the one part
-    x*y when a = b.  Only otherwise does sympy's sqf_list run.
+    ints = x^a * y^b * h (see _axes), and when h is certified square-free
+    modulo P (see modp), h is square-free and prime to x and y, so the parts
+    are h times the axes of multiplicity 1, then x and y at multiplicities a
+    and b, as the one part x*y when a = b (so ints itself when a, b <= 1).
+    Only otherwise does sympy's sqf_list run.
     """
-    if modp.certifies_xy(ints):
-        return [(_primitive(ints), 1)]
     a, b, h = _axes(ints)
-    if (a or b) and modp.certifies_xy(h):
+    if modp.certifies_xy(h):
         one = {(i + (a == 1), j + (b == 1)): c for (i, j), c in h.items()}
         parts = [] if len(h) == 1 and 1 not in (a, b) else [(_primitive(one), 1)]
         return parts + [({(int(a == m), int(b == m)): 1}, m)
@@ -620,14 +623,13 @@ def _components_of(f: CurveGerm) -> tuple[Component, ...]:
 
     f = c * prod p_i^i is the square-free decomposition, computed over ZZ
     after clearing denominators (over QQ sympy converts to ZZ inside every
-    gcd), by _square_free_parts: from certificates mod P (see modp) when f,
-    or f less its axis factors x^a * y^b, is certified square-free, and by
-    sympy's sqf_list otherwise.  By Gauss's lemma a repeated factor of f
-    over QQ is one over ZZ, and the certificate excludes those.  A part p_i
-    is factored only where an output reads its irreducible factors (see
-    Component), by _factors; the factors of one part keep sympy's
-    factor_list order, which is their order within multiplicity i in the
-    factorization of f.
+    gcd), by _square_free_parts: from a certificate mod P (see modp) when f
+    less its axis factors x^a * y^b is certified square-free, and by sympy's
+    sqf_list otherwise.  By Gauss's lemma a repeated factor of f over QQ is
+    one over ZZ, and the certificate excludes those.  A part p_i is factored
+    only where an output reads its irreducible factors (see Component), by
+    _factors; the factors of one part keep sympy's factor_list order, which
+    is their order within multiplicity i in the factorization of f.
     """
     terms = f.terms()
     scale = lcm(*(c.denominator for c in terms.values()))

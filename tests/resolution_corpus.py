@@ -127,7 +127,8 @@ STRUCTURED = [
     # over QQ(theta), 2*theta^2 = 1
     "((x + 2*y)^2 - 2*(x + y)^2 - 4*(x + y)^3)^2 - (x + y)^7",
     # the two-level tower, likewise substituted: its second centre is
-    # irrational over the own field, whose site moves to sympy's copy of it
+    # irrational over the own field, sympy factors that line, and the tower
+    # is flattened into one own field
     "(((x + 2*y)^2 - 2*(x + y)^2)^2 - 3*(x + y)^6)^2 - (x + y)^13",
 ]
 

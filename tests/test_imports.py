@@ -202,6 +202,9 @@ def test_newton_loads_sympy_only_when_the_certificate_fails(germ, loaded):
 LCT_LOADS = [
     ("y^2 - x^3", "5/6", False),
     ("(2*y - 3*x)^2 - x^3", "5/6", False),
+    # two rational double roots, 1 and 3/2, on the first line: split from
+    # one lift without sympy
+    ("((y - x)*(2*y - 3*x))^2 - x^5", "1/2", False),
     # fractional coefficients, with a site at y = 5/7
     ("(7*y - 5*x)^3 - x^4/11", "7/12", False),
     # the first blow-up meets the curve at the roots of v^2 - 2

@@ -366,13 +366,63 @@ def test_a_tall_root_is_left_to_sympy():
     assert _sympy_multiple_roots(r) == ([Fraction(n, d)], [])
 
 
+def test_two_rational_double_roots_split_from_one_lift():
+    # the lift of s = (v - 1)(v - 3/2) is 2*v^2 - 5*v + 3, whose
+    # discriminant 1 is a square: it splits into v - 1 and 2*v - 3
+    r = _integral(_expand([([Fraction(-1), Fraction(1)], 2),
+                           ([Fraction(-3), Fraction(2)], 2)]))
+    assert modp.multiple_roots(r) == _sympy_multiple_roots(r) \
+        == ([1, Fraction(3, 2)], [])
+    # two double roots, each within BOUND, whose product is not: the lift's
+    # constant term is beyond rational reconstruction, so sympy decides
+    n1, n2 = 1_000_000_007, 998_244_353
+    assert max(n1, n2) <= modp.BOUND < n1 * n2
+    r = _integral(_expand([([Fraction(-n1), Fraction(1)], 2),
+                           ([Fraction(-n2), Fraction(1)], 2),
+                           ([Fraction(1), Fraction(1)], 1)]))
+    assert modp.multiple_roots(r) is None
+    assert _sympy_multiple_roots(r) == ([n1, n2], [])
+
+
+def _tall_root(rng) -> list:
+    """d*v - n for a root n/d whose numerator has 16 to 40 bits and whose
+    denominator has at most as many."""
+    bits = rng.randint(16, 40)
+    n = rng.choice((-1, 1)) * rng.randrange(1 << (bits - 1), 1 << bits)
+    d = rng.randint(1, 1 << rng.randint(0, bits))
+    return [Fraction(-n), Fraction(d)]
+
+
+def test_tall_rational_roots_agree_with_sympy_or_are_left_to_it():
+    # products of one to three (d*v - n)^k, k = 1..3, with 16- to 40-bit
+    # roots, a third of them times an irreducible quadratic to the power 1
+    # or 2, made integral: every line decided here is decided as sympy does
+    rng = random.Random(20261021)
+    decided = undecided = 0
+    for _ in range(2000):
+        factors = [(_tall_root(rng), rng.choice((1, 2, 2, 3)))
+                   for _ in range(rng.randint(1, 3))]
+        if rng.random() < 1 / 3:
+            factors.append((_irreducible(rng, 2), rng.choice((1, 2))))
+        r = _integral(_expand(factors))
+        got = modp.multiple_roots(r)
+        if got is None:
+            undecided += 1
+        else:
+            decided += 1
+            assert got == _sympy_multiple_roots(r), factors
+    # 682 of the 2,000 are decided here; the others hold a root, or a sum
+    # or product of two roots, beyond BOUND, or more than one lift proves
+    assert (decided, undecided) == (682, 1318)
+
+
 # -- the work modulo P, counted ------------------------------------------------
 
 # Calls to modp.residues and modp._gcd, from a fresh memo.  resolve_germ makes
 # 2 _gcd calls in certifies_xy on a germ it certifies, and on each line over
 # QQ one reduction (residues) and one _gcd for g = gcd(r~, r~'), plus one for
-# gcd(g, g') when g is not constant, plus one for the rest's certificate for
-# each lift whose factors all divide r twice.  newton_lct makes one residues
+# gcd(g, g') when g is not constant, plus one for the rest's certificate when
+# the lift's factors all divide r twice.  newton_lct makes one residues
 # and one _gcd per face (square_free), plus one for gcd(g, g') when g is not
 # constant, up to the first face that is not square-free.
 @pytest.mark.parametrize("text, step, residues, gcds", [

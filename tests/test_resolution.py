@@ -453,14 +453,25 @@ def test_extend_field_flattens_a_tower(q, shift):
     assert back2(into2(gamma)) == gamma
 
 
+def test_site_text_does_not_depend_on_roots_built_before(memo):
+    # sympy caches a CRootOf by a polynomial that forgets its variable.  With
+    # that cache emptied and the root of the tower's norm built in v first,
+    # the tower's site over its flattened field still prints in z
+    from sympy.core.cache import clear_cache
+    clear_cache()
+    v = sympy.Symbol("v")
+    sympy.CRootOf(64 * v**4 - 304 * v**2 + 169, 0)
+    site = resolve_germ(parse_germ(NESTED_CUSP)).nodes[3].site
+    assert "CRootOf(64*z**4 - 304*z**2 + 169, 0)" in site
+    assert "v**4" not in site
+
+
 def _irreducible_corpus():
     """Polynomials in v irreducible over QQ: 200 seeded ones of degree 2 to
     4 with rational coefficients (denominators, non-unit and negative
-    leading coefficients).  The norms of the flattened towers are left to
-    the test above, which reads them in the copies their fields register in
-    z: sympy caches a CRootOf by a polynomial that forgets its variable, so
-    building one of them in v here would change how the corpus prints
-    them."""
+    leading coefficients), then the norms of the two flattened towers
+    above, in z as the engine reads them."""
+    from sympy.polys.sqfreetools import dup_sqf_norm
     v = sympy.Symbol("v")
     rng = random.Random(20261018)
     corpus = []
@@ -471,14 +482,20 @@ def _irreducible_corpus():
             q = Poly(coeffs, v, domain=QQ)
             if q.is_irreducible:
                 corpus.append(q)
+    K = QQ.algebraic_field(sympy.sqrt(2))
+    for text in ("v**2 - 3/8", "v**2 - 3/8 - sqrt(2)/8"):
+        q = Poly(sympy.sympify(text), v, domain=K)
+        r = dup_sqf_norm(q.rep.to_list(), K)[2]
+        corpus.append(Poly(r, sympy.Symbol("z"), domain=QQ))
     return corpus
 
 
 def test_extend_field_over_qq_is_sympys_own_field():
     # the oracle: sympy builds the field from the root, searching for its
     # minimal polynomial, and expresses the root in it.  The own field built
-    # from q's primitive integer form has sympy's copy equal to that field,
-    # and the maps into it and back send the generator to the root
+    # from q's primitive integer form has sympy's copy, built in q's
+    # variable, equal to that field, and the maps into it and back send the
+    # generator to the root
     corpus = _irreducible_corpus()
     assert any(q.LC() < 0 for q in corpus)
     assert any(q.LC().denominator > 1 for q in corpus)
@@ -491,7 +508,7 @@ def test_extend_field_over_qq_is_sympys_own_field():
         K = QQ.algebraic_field(root)
         K2, phi, gamma = resolution._extend_field(resolution._RATIONALS, ints)
         assert type(K2) is NumberField and K2.q == tuple(ints), q
-        domain, into, back = resolution._sympy_copy(K2)
+        domain, into, back = resolution._sympy_copy(K2, q.gen.name)
         assert domain == K, q
         assert domain.mod == K.mod, q
         assert into(gamma) == K.from_sympy(root), q
@@ -711,6 +728,15 @@ def test_parts_and_factors_of_the_corpus_match_sympy(fallbacks):
     # parts are factored without sympy
     assert sum(p for p, _n in proven) == 700
     assert sum(n for _p, n in proven) == 984
+
+
+@pytest.mark.parametrize("text", [
+    "x*y", "x*y + y^3", "x^2*y + x*y^2", "y^2 - x^3"])
+def test_axis_exponents_at_most_one_match_sympy(fallbacks, text):
+    # x^a * y^b * h with a, b <= 1 and h certified: the germ is its own one
+    # part, and each factor comes without sympy
+    assert _against_sympy(_integer_terms(parse_germ(text)), fallbacks) \
+        == (True, 1)
 
 
 def _with_constant(rng):
