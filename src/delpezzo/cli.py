@@ -49,10 +49,21 @@ _PARSER = _Parser(prog="delpezzo", description="Exact tools for lines, "
 _SUBPARSERS = _PARSER.add_subparsers(dest="command", metavar="COMMAND")
 #: command name -> (build, text); `parse` reads the options `build` takes
 COMMANDS = {}
+#: command name -> its options that take a value
+_VALUED = {}
 
 
 def parse(argv):
-    """The command `argv` runs, and the options its build function takes."""
+    """The command `argv` runs, and the options its build function takes.
+    An option that takes a value reads the next word, even `-1/2`, as it."""
+    words, valued = iter(argv[1:]), _VALUED.get(argv[0] if argv else None, ())
+    argv = list(argv[:1])
+    for word in words:
+        if word == "--":
+            valued = ()
+        elif word in valued and (value := next(words, None)) is not None:
+            word = f"{word}={value}"   # how argparse takes a value like -1/2
+        argv.append(word)
     namespace, extra = _PARSER.parse_known_args(argv)
     options = vars(namespace)
     name = options.pop("command")
@@ -119,7 +130,9 @@ def _command(name, text, *arguments, **settings):
         parser = _SUBPARSERS.add_parser(name, help=build.__doc__,
                                         description=build.__doc__, **settings)
         for *flags, options in arguments:  # the flags or name, then the settings
-            parser.add_argument(*flags, **options)
+            action = parser.add_argument(*flags, **options)
+            if action.nargs is None:  # positionals have no option strings
+                _VALUED.setdefault(name, set()).update(action.option_strings)
         parser.add_argument("--json", action="store_true", dest="as_json", help="Emit JSON.")
         COMMANDS[name] = build, text
         return build

@@ -369,8 +369,11 @@ def _nodal_shapes() -> tuple[tuple, ...]:
     for (la, ca), (lb, cb) in itertools.combinations(lines.items(), 2):
         meet = lb in graph[la]
         if meet:
-            shapes.append(((la, lb), _scan_line_pair,
-                           ((la, ca), (lb, cb), 2 * MINUS_K - 3 * (ca + cb))))
+            # -2K - 3(C1 + C2) has degree 0: as -K is nef and C is the one
+            # curve of degree 0, it is effective iff it is k*C with k >= 0
+            scaled = 2 * MINUS_K - 3 * (ca + cb)
+            shapes.append(((la, lb), _scan_line_pair, ((la, ca), (lb, cb),
+                           scaled.a >= 0 and scaled == scaled.a * C)))
         na, nb = graph[la].get("C", 0), graph[lb].get("C", 0)
         if (na and nb) or ((na or nb) and meet):  # connected
             shapes.append((("C", la, lb), _scan_node_plus_pair,
@@ -432,8 +435,8 @@ def _scan_node_plus_line(m, lam, q, forced, target, line, n) -> ScanRecord:
                       f"each; impossible for every nu >= {q}")
 
 
-def _scan_line_pair(m, lam, q, forced, target, a, b, scaled) -> ScanRecord:
-    # at even m the residual is (m/2) * scaled, scaled = -2K - 3(C1 + C2)
+def _scan_line_pair(m, lam, q, forced, target, a, b, effective) -> ScanRecord:
+    # at even m the residual is (m/2)(-2K - 3(C1 + C2)), effective or not
     (la, ca), (lb, cb) = a, b
     if forced.denominator != 1:
         cand = _decompose(m, lam, ((la, ca, q), (lb, cb, q)), target)
@@ -442,20 +445,13 @@ def _scan_line_pair(m, lam, q, forced, target, a, b, scaled) -> ScanRecord:
                           f"3m/2 = {forced}, not an integer")
     mu = int(forced)
     cand = _decompose(m, lam, ((la, ca, mu), (lb, cb, mu)), target)
-    if not _nodal_effective(scaled):
+    if not effective:
         return ScanRecord(cand, RESIDUAL_NOT_EFFECTIVE,
                           f"Omega = -{m}K - {mu}*({la}+{lb}) = "
                           f"{cand.residual} is not effective")
     # Z = mu*(C1 + C2) + Omega is -mK by construction, so every line sees
     # L.Z = m: no intersection test is left to fail
     return ScanRecord(cand, None, "all line intersections consistent")
-
-
-@functools.cache
-def _nodal_effective(d: DivisorClass) -> bool:
-    # F.d >= 0 does not change under positive scaling, so one answer serves
-    # every even m; asked only there, so that odd m never loads linalg
-    return is_effective(d, SurfaceModel.NODAL)
 
 
 def _scan_node_plus_pair(m, lam, q, forced, target, a, b, s) -> ScanRecord:

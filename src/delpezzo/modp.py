@@ -10,29 +10,31 @@ can grow under reduction, deg g~ = deg g >= 1.  The test is one-sided: a
 reduction that is not square-free, or a degree that drops, proves nothing,
 and every caller then falls back to sympy.
 
-Every answer beyond "square-free" has one proof.  The integer polynomial r
-is reduced once, and the square-free part s = g / gcd(g, g') of
-g = gcd(r~, r~') is lifted once by rational reconstruction (von zur Gathen
-and Gerhard, Modern Computer Algebra, ch. 5): made monic, reconstructed
-coefficient by coefficient and scaled to a primitive integer polynomial q.
-When q is linear, or a quadratic whose discriminant is a square, it is split
-over QQ into its factors d*v - n; else q is the one factor.  The lift holds
-when each of its factors f divides r at least twice, by exact division over
-ZZ, which for a primitive f is division over QQ by Gauss's lemma.  One
-factor that does proves r not square-free (square_free).  multiple_roots
-also asks the rest, r divided by each f^m with m as large as it goes, to be
-certified square-free as above; its top coefficient survives, as it divides
-r's.  Then the rest is square-free over QQ, and so is q, which reduces to s
-up to a unit: the repeated irreducible factors of r are those of q, and q is
-the square-free part of gcd(r, r').  multiple_roots answers with the roots
-of the linear factors, or with q when irreducible proves it irreducible;
-each such factor gives the caller an own field (see numfield).  What is
-left goes to the caller's sympy path: a nonzero rational root beside an
-irrational one, more than two of them, several irreducible factors or one
-that irreducible does not prove, a number beyond rational reconstruction
-(see BOUND), among them the sum or product of two tall rational roots, a
-top coefficient that vanishes mod P, and roots equal only mod P, whose lift
-divides r too few times or leaves a rest that is not certified.
+Every answer beyond "square-free" has one proof.  The integer polynomial r,
+with nonzero constant and top coefficients (as a Newton face, and a line
+that the resolution has divided by v^low), is reduced once, and the
+square-free part s = g / gcd(g, g') of g = gcd(r~, r~') is lifted once by
+rational reconstruction (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 5): made monic, reconstructed coefficient by coefficient and
+scaled to a primitive integer polynomial q.  When q is linear, or a
+quadratic whose discriminant is a square, it is split over QQ into its
+factors d*v - n; else q is the one factor.  The lift holds when each of its
+factors f divides r at least twice, by exact division over ZZ, which for a
+primitive f is division over QQ by Gauss's lemma.  One factor that does
+proves r not square-free (square_free).  multiple_roots also asks the rest,
+r divided by each f^m with m as large as it goes, to be certified
+square-free as above; its top coefficient survives, as it divides r's.  Then
+the rest is square-free over QQ, and so is q, which reduces to s up to a
+unit: the repeated irreducible factors of r are those of q, and q is the
+square-free part of gcd(r, r').  multiple_roots answers with the roots of
+the linear factors, or with q when irreducible proves it irreducible; each
+such factor gives the caller an own field (see numfield).  What is left goes
+to the caller's sympy path: a rational root beside an irrational one, more
+than two of them, several irreducible factors or one that irreducible does
+not prove, a number beyond rational reconstruction (see BOUND), among them
+the sum or product of two tall rational roots, a top coefficient that
+vanishes mod P, and roots equal only mod P, whose lift divides r too few
+times or leaves a rest that is not certified.
 
 irreducible proves a quadratic irreducible over QQ by its discriminant, a
 cubic by a small prime at which it has no root, and any degree by the
@@ -217,21 +219,18 @@ def square_free(h: Sequence) -> Optional[bool]:
 
 
 def multiple_roots(r: Sequence[int]) -> Optional[tuple[list, list]]:
-    """The roots of the linear factors of gcd(r, r') over QQ, for a nonzero
-    integer r (constant term first), and its one other irreducible factor if
-    any, as sympy's factor_list gives them: the linear factors d*v - n by
-    multiplicity, then d, then -n, the other as a primitive integer
-    polynomial with positive top coefficient.  None when that is not proven
-    here (see the module docstring)."""
-    low = next(k for k, c in enumerate(r) if c)
-    zero = [(low, 1, 0)] if low >= 2 else []     # (multiplicity, d, -n)
-    r = r[low:]
+    """The roots of the linear factors of gcd(r, r') over QQ, for an integer
+    r (constant term first) with r(0) != 0, and its one other irreducible
+    factor if any, as sympy's factor_list gives them: the linear factors
+    d*v - n by multiplicity, then d, then -n, the other as a primitive
+    integer polynomial with positive top coefficient.  None when that is not
+    proven here (see the module docstring)."""
     h = residues(r)
     if h is None:
         return None
     s = _square_free_part(h)
     if len(s) == 1:
-        return [Fraction(0)] * len(zero), []
+        return [], []
     factors = _lift(s)
     if factors is None:
         return None
@@ -242,11 +241,11 @@ def multiple_roots(r: Sequence[int]) -> Optional[tuple[list, list]]:
     if min(powers) < 2 or not is_squarefree([c % P for c in rest]):
         return None
     if len(factors[0]) == 2:
-        found = zero + [(m, d, k) for m, (k, d) in zip(powers, factors)]
-        return [Fraction(-k, d) for _m, d, k in sorted(found)], []
+        found = sorted((m, d, k) for m, (k, d) in zip(powers, factors))
+        return [Fraction(-k, d) for _m, d, k in found], []
     if not irreducible(factors[0]):
         return None
-    return [Fraction(0)] * len(zero), factors
+    return [], factors
 
 
 #: the primes whose factorization patterns prove a polynomial irreducible

@@ -29,20 +29,21 @@ One normal-crossings rule decides every site, the root included: blow up
 unless the components and exceptional axes through the point are at most
 two smooth branches with distinct tangents.  Points needing further
 blow-ups are located along the new exceptional line only: multiple roots of
-the product r of the components' restrictions to that line (tangency,
-singular point, or several branches), plus the chart origins when a triple
-intersection with an old axis occurs.  Those roots come from the monic
-gcd(r, r'), so no constant factor of r shows.  Roots that are irrational are
-handled by extending K; conjugate points yield identical (a, b) data, so one
-representative per irreducible factor is blown up and the cluster shares a
-single node.
+the product v^low * r, r(0) != 0, of the components' restrictions to that
+line (tangency, singular point, or several branches), plus the chart origins
+when a triple intersection with an old axis occurs.  The origin v = 0 is
+read once, off low (a multiple root when low >= 2), and the other roots come
+from the monic gcd(r, r'), so no constant factor of r shows.  Roots that are
+irrational are handled by extending K; conjugate points yield identical
+(a, b) data, so one representative per irreducible factor is blown up and
+the cluster shares a single node.
 
 K is always QQ or an absolute algebraic extension QQ(theta), the engine's
 own numfield.NumberField, built from the irreducible polynomial in hand, so
 no minimal polynomial is recomputed.  A line is decided by modp over QQ,
 whose one proven irreducible factor gives a NumberField, and by Euclid's
 gcd(r, r') over a NumberField K, which decides r when it is constant or a
-power of one linear factor besides the root 0.  sympy's factor_list decides
+power of one linear factor.  sympy's factor_list decides
 what they leave, in sympy's copy of K, whose power basis is K's (see
 _sympy_copy), and its factors are read back into K.  A factor of degree 2
 or more over K != QQ gives a tower, flattened to an absolute NumberField by
@@ -69,9 +70,8 @@ Component).  Labels, and the steps of sites over QQ, are printed by
 poly.expr_text, as sympy prints them.  At a site over QQ,
 modp.multiple_roots reduces the line once and proves its multiple roots, in
 the order sympy's factor_list would give, when they are rational, or when
-besides the root 0 they are the roots of one irreducible factor, which gives
-the own field.  What modp does not prove, sympy's factor_list decides (see
-_factor_gcd).
+they are the roots of one irreducible factor, which gives the own field.
+What modp does not prove, sympy's factor_list decides (see _factor_gcd).
 
 So sympy is imported, on first use and never with this module, only for:
 sqf_list of a germ that is not certified reduced after its axis factors are
@@ -289,47 +289,42 @@ def _mul(a: list, b: list) -> list:
     return out
 
 
-def _multiple_roots(comps: list, K) -> tuple[list, list]:
-    """For r the product of the components' restrictions p(0, v) to the new
-    line: the roots of the linear factors of the monic gcd(r, r') over K,
-    and its other irreducible factors.  modp.multiple_roots over QQ, or
-    _roots_over over a NumberField, decides r where it proves the answer,
+def _multiple_roots(comps: list, K) -> tuple[bool, list, list]:
+    """For v^low * r the product of the components' restrictions p(0, v) to
+    the new line, r(0) != 0: whether the origin v = 0 is a multiple root,
+    low >= 2, then the roots of the linear factors of the monic gcd(r, r')
+    over K, and its other irreducible factors.  modp.multiple_roots over QQ,
+    or _roots_over over a NumberField, decides r where it proves the answer,
     and sympy the rest (see _factor_gcd)."""
     r = functools.reduce(_mul, (_restriction(p, K) for p, _i in comps))
-    if K.is_QQ:
-        found = modp.multiple_roots(r)
-    else:
-        roots = _roots_over(K, r)
-        found = None if roots is None else (roots, [])
-    return _factor_gcd(r, K) if found is None else found
-
-
-def _roots_over(K: NumberField, r: list) -> Optional[list]:
-    """The roots of the linear factors of the monic gcd(r, r') over K, when
-    that gcd is v^a * (v - b)^c: the root 0 is read off r's low
-    coefficients, and b off the gcd of the rest and its derivative.
-    Anything else gives None."""
-    from .numfield import monic_gcd
     low = next(k for k, c in enumerate(r) if c)
-    roots = [K.zero] if low >= 2 else []
     r = r[low:]
+    found = modp.multiple_roots(r) if K.is_QQ else _roots_over(K, r)
+    return (low >= 2, *(found or _factor_gcd(r, K)))
+
+
+def _roots_over(K: NumberField, r: list) -> Optional[tuple[list, list]]:
+    """The roots of the linear factors of the monic gcd(r, r') over K, for r
+    with r(0) != 0, and no other factor, when that gcd is 1 or (v - b)^c: b
+    is read off its second coefficient.  Anything else gives None."""
+    from .numfield import monic_gcd
     g = monic_gcd(r, [k * c for k, c in enumerate(r)][1:])
     e = len(g) - 1
-    if e:
-        root, power = g[e - 1] * Fraction(-1, e), K.one
-        for k in reversed(range(e)):            # g = (v - root)^e?
-            power = power * -root
-            if g[k] != comb(e, k) * power:
-                return None
-        roots.append(root)
-    return roots
+    if not e:
+        return [], []
+    root, power = g[e - 1] * Fraction(-1, e), K.one
+    for k in reversed(range(e)):                # g = (v - root)^e?
+        power = power * -root
+        if g[k] != comb(e, k) * power:
+            return None
+    return [root], []
 
 
 def _factor_gcd(r: list, K) -> tuple[list, list]:
-    """The irreducible factors of the monic gcd(r, r') over K, by sympy's
-    factor_list in sympy's copy of K, in its order, which lists the linear
-    ones first: the roots of those, and the rest, read back into K (over QQ
-    as primitive integer lists, see _primitive_ints)."""
+    """The irreducible factors of the monic gcd(r, r') over K, r(0) != 0, by
+    sympy's factor_list in sympy's copy of K, in its order, which lists the
+    linear ones first: the roots of those, and the rest, read back into K
+    (over QQ as primitive integer lists, see _primitive_ints)."""
     from sympy import Poly
     domain, into, back = _sympy_copy(K)
     r = Poly([into(c) for c in reversed(r)], _symbols("v"), domain=domain)
@@ -495,12 +490,8 @@ class _Engine:
         self.process(comps_b, K, xa, node, where + ("chart B origin",))
 
         # chart A: bad points along the new exceptional line {x = 0}
-        origin_needed = ya is not None
-        roots, factors = _multiple_roots(comps_a, K)
+        origin, roots, factors = _multiple_roots(comps_a, K)
         for v0 in roots:
-            if v0 == K.zero:
-                origin_needed = True
-                continue
             self.process([(_translate_y(p, K, v0), i) for p, i in comps_a],
                          K, node, None, where + (_at_y(K, v0),))
         for q in factors:
@@ -508,7 +499,7 @@ class _Engine:
             self.process(
                 [(_translate_y({e: phi(c) for e, c in p.items()}, K2, gamma), i)
                  for p, i in comps_a], K2, node, None, where + (_at_root(K, q),))
-        if origin_needed:
+        if origin or ya is not None:
             self.process(comps_a, K, node, ya, where + ("chart A origin",))
 
     def process(self, comps: list, K, xa: Optional[ResolutionNode],

@@ -178,6 +178,8 @@ def test_lct_depth_budget_exit_code(monkeypatch):
     (["lct", "y^2 - x^3", "x"], "unrecognized arguments: x"),
     (["lines", "--bogus"], "--bogus"),
     (["--bogus"], "--bogus"),
+    # an option that takes a value still needs a word after it
+    (["lct", "--method"], "argument --method: expected one argument"),
 ])
 def test_usage_errors_exit_ex_usage(args, message):
     # 64 (EX_USAGE), apart from the 2 of an exhausted blow-up budget
@@ -640,6 +642,14 @@ PINNED_RUNS = {
         (0, "b7b0ebd8ae7460c81d2b00a36e4c72fe49e478b095cc0465bec83bd4ea15a855"),
     'lct -h':
         (1, "9d6679f8379294cd80fe5e7144da77af97e5b1beafdbdbf0b349b644a2524330"),
+    # an option that takes a value reads the next word as it, even one that
+    # starts with '-', as the click command line did
+    'eckardt --cubic {cubic} --point -1,0,0,0':
+        (0, "4d964081e7138fc1bf2278c78cac7934f93b54bb550f320cb33823aafbaae486"),
+    'verify --lemma 3.1 --m 4 --lambda -1/2':
+        (1, "16c0b587816c34ec008876e97b566b634b4bd6a729bfbecaa21956463f86eb1d"),
+    'verify --lemma --json --m 2':
+        (1, "fcd15b96691d9d4554120333b5531d933d140636c8f3f53c24e0537fcce45cbf"),
     'lines -h':
         (64, "dd262ec4e8732fb8c624bf07db9af5fe1c57873ce28867def3c10a6b7462c28c"),
     "lct '((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13'":

@@ -106,21 +106,22 @@ def test_lct_loads_the_number_fields_only_where_it_meets_one():
 
 
 def test_verify_loads_no_threshold_code():
-    # nor the plane configurations, which only alpha1_report reads
+    # nor the plane configurations, which only alpha1_report reads, nor
+    # linalg: the nodal line pairs are decided without the cone facets
     loaded = _modules_loaded("verify", "--lemma", "5.1", "--m", "4")
-    assert loaded == {"lattice", "lemma_verify", "linalg", "poly"}
+    assert loaded == {"lattice", "lemma_verify", "poly"}
 
 
 def test_geometry_commands_load_no_fourier_motzkin(tmp_path):
-    # the kernels and the cone facets come from linalg, not the FM solver;
-    # odd m tests no effectivity, so it needs no linalg either
+    # the kernels come from linalg, not the FM solver; no scan, even m or
+    # odd, reaches linalg's cone facets
     path = tmp_path / "generic.cfg"
     path.write_text(GENERIC_CONFIG)
     for args, expected in (
             (("eckardt", "--config", str(path)),
              {"lattice", "linalg", "plane_config", "poly"}),
             (("verify", "--lemma", "5.1", "--m", "4"),
-             {"lattice", "lemma_verify", "linalg", "poly"}),
+             {"lattice", "lemma_verify", "poly"}),
             (("verify", "--lemma", "5.1", "--m", "5"),
              {"lattice", "lemma_verify", "poly"}),
             (("alpha", "--config", str(path)),

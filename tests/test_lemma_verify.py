@@ -5,6 +5,7 @@ enumeration (which supports are even considered) and the order of the
 rejection tests, so any change to either shows up as a count diff.
 """
 
+import functools
 import hashlib
 import json
 import time
@@ -235,12 +236,15 @@ def test_canonical_survivor_is_the_lattice_identity_with_its_six_lines(m):
 @pytest.mark.parametrize("m", range(2, 17, 2))
 def test_the_node_alone_survivor_asks_no_effectivity_test(monkeypatch, m):
     # Omega = (m/2)(sum of the six adjacent lines) is a sum of curves: the
-    # lattice identity makes it effective, and the six lines are its witness
+    # lattice identity makes it effective, and the six lines are its witness.
+    # No other nodal shape asks either: the line pairs are decided by the
+    # degree-0 argument as the shape table is built, here afresh.
     def refuse(*args):
         raise AssertionError("is_effective called")
 
-    lemma51_scan(2)  # the line pairs ask it once per pair, on an m-free class
     monkeypatch.setattr(lemma_verify, "is_effective", refuse)
+    monkeypatch.setattr(lemma_verify, "_nodal_shapes", functools.cache(
+        lemma_verify._nodal_shapes.__wrapped__))
     (rec,) = lemma51_scan(m).survivors
     assert rec.candidate.residual_support == tuple(
         (lab, Q(m, 2)) for lab in ("E1", "E2", "E3", "L45", "L46", "L56"))
@@ -281,8 +285,9 @@ def test_records_come_in_canonical_order(lam):
 
 @pytest.mark.parametrize("m", range(2, 41, 2))
 def test_line_pairs_are_refuted_exactly_when_their_residual_is_not_effective(m):
-    # the scan asks is_effective once per pair on an m-free multiple of the
-    # residual; here every even m asks it of the residual itself
+    # the scan decides each pair once by the degree-0 argument (the residual
+    # is (m/2)(-2K - 3(C1 + C2)), effective iff a multiple k >= 0 of C); here
+    # every even m asks is_effective, the cone facets, of the residual itself
     pairs = [r for r in lemma51_scan(m).records
              if len(r.candidate.parts) == 2
              and all(lab != "C" for lab, _, _ in r.candidate.parts)]

@@ -146,15 +146,18 @@ def test_the_line_test_falls_back_when_the_degree_drops(kind):
     assert modp.multiple_roots(_line(comps)) is None
     # sympy finds the double root -1/a
     assert resolution._multiple_roots(comps, resolution._RATIONALS) \
-        == ([-1 / a], [])
+        == (False, [-1 / a], [])
 
 
 def test_the_line_test_certifies_distinct_roots():
     comps = [({(0, 0): 3, (0, 1): 1}, 2),
              ({(0, 0): 2, (0, 1): 1, (1, 1): 1}, 1),
              ({(0, 1): -1, (1, 0): 5}, 1)]
-    assert modp.multiple_roots(_line(comps)) == ([], [])
-    assert resolution._multiple_roots(comps, resolution._RATIONALS) == ([], [])
+    # the simple root 0 of the last restriction -v is no multiple root
+    r = _line(comps)
+    assert r[0] == 0 and modp.multiple_roots(r[1:]) == ([], [])
+    assert resolution._multiple_roots(comps, resolution._RATIONALS) \
+        == (False, [], [])
 
 
 @pytest.mark.parametrize("kind", TWINS)
@@ -281,7 +284,8 @@ def test_roots_equal_mod_p_only_are_not_multiple_roots():
     assert modp.multiple_roots(r) is None
     assert _sympy_multiple_roots(r) == ([], [])
     comps = [({(0, 0): -1, (0, 1): 1}, 1), ({(0, 0): -1 - P, (0, 1): 1}, 1)]
-    assert resolution._multiple_roots(comps, resolution._RATIONALS) == ([], [])
+    assert resolution._multiple_roots(comps, resolution._RATIONALS) \
+        == (False, [], [])
     # 1 is proven double, but the cofactor (v - 1 - P)^2 is no square-free
     # certificate, so sympy finds the second double root
     r = _integral(_expand([(one, 2), (other, 2)]))
@@ -309,21 +313,26 @@ def test_a_triple_root_and_three_double_roots():
                            ([Fraction(5), Fraction(1)], 1)]))
     assert modp.multiple_roots(r) == _sympy_multiple_roots(r) == ([2], [])
     # sympy orders by the multiplicity in gcd(r, r') first: the double root
-    # -1/3 comes before the triple root 2, and the double root 0 before both
+    # -1/3 comes before the triple root 2
     r = _integral(_expand([([Fraction(-2), Fraction(1)], 3),
                            ([Fraction(1), Fraction(3)], 2),
                            ([Fraction(-3), Fraction(0), Fraction(1)], 1)]))
     assert modp.multiple_roots(r) == _sympy_multiple_roots(r) \
         == ([Fraction(-1, 3), 2], [])
+    # the double root 0 is read off the line, and modp is asked the rest
     r = _integral(_expand([(v, 2), ([Fraction(-2), Fraction(1)], 3)]))
-    assert modp.multiple_roots(r) == _sympy_multiple_roots(r) == ([0, 2], [])
+    assert _sympy_multiple_roots(r) == ([0, 2], [])
+    assert modp.multiple_roots(r[2:]) == ([2], [])
+    comps = [({(0, j): c for j, c in enumerate(r) if c}, 1)]
+    assert resolution._multiple_roots(comps, resolution._RATIONALS) \
+        == (True, [2], [])
     # three distinct double roots: a square-free part of degree 3 is left to
     # sympy
     r = _integral(_expand([([Fraction(-k), Fraction(1)], 2) for k in (1, 2, 3)]))
     assert modp.multiple_roots(r) is None
     comps = [({(0, j): c for j, c in enumerate(r) if c}, 1)]
     assert resolution._multiple_roots(comps, resolution._RATIONALS) \
-        == ([3, 2, 1], [])
+        == (False, [3, 2, 1], [])
 
 
 def _resolved_both_ways(monkeypatch, text):

@@ -8,7 +8,7 @@ of the corpus over QQ or an own field.
 import random
 import weakref
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from sympy import QQ, CRootOf, Poly, symbols
@@ -236,10 +236,13 @@ def test_irreducible_multiple_factor():
     # -7*(2*v^2 - 3)^2: primitive with a positive top coefficient
     r = [-7 * c for c in _ints(_expand([([Fraction(-3), 0, Fraction(2)], 2)]))]
     assert modp.multiple_roots(r) == ([], [[-3, 0, 2]])
-    # v^3 * (v^3 - 2)^2: the root 0 beside the factor
+    # v^3 * (v^3 - 2)^2: the root 0 is read off the line, beside the factor
     r = _ints(_expand([([0, Fraction(1)], 3),
                        ([Fraction(-2), 0, 0, Fraction(1)], 2)]))
-    assert modp.multiple_roots(r) == ([0], [[-2, 0, 0, 1]])
+    assert modp.multiple_roots(r[3:]) == ([], [[-2, 0, 0, 1]])
+    comps = [({(0, j): c for j, c in enumerate(r) if c}, 1)]
+    assert resolution._multiple_roots(comps, resolution._RATIONALS) \
+        == (True, [], [[-2, 0, 0, 1]])
     # a rational double root has no other factor
     r = _ints(_expand([([Fraction(-3), Fraction(1)], 2)]))
     assert modp.multiple_roots(r) == ([3], [])
@@ -249,6 +252,69 @@ def test_irreducible_multiple_factor():
                     [([Fraction(-2), 0, Fraction(1)], 2),
                      ([Fraction(-3), Fraction(1)], 2)]):
         assert modp.multiple_roots(_ints(_expand(factors))) is None
+
+
+def _line_over(r, domain, image):
+    """sympy's factor_list of gcd(r, r') over domain, r's coefficients mapped
+    by image: whether v divides the gcd, then the roots of its other linear
+    factors and its other factors made monic, in sympy's order."""
+    p = Poly([image(c) for c in reversed(r)], V, domain=domain)
+    origin, roots, rest = False, [], []
+    for q, _m in p.gcd(p.diff()).factor_list()[1]:
+        c = q.monic().rep.to_list()
+        if c == [domain.one, domain.zero]:
+            origin = True
+        elif len(c) == 2:
+            roots.append(-c[1])
+        else:
+            rest.append(c)
+    return origin, roots, rest
+
+
+@pytest.mark.parametrize("over", ["QQ", "QQ(sqrt2)"])
+def test_the_origin_is_read_off_the_line_once(monkeypatch, over):
+    # seeded lines v^k * s, k = 0..3, s a product of nonzero linear factors
+    # to the power 1..3 and of quadratics irreducible over QQ to the power 1
+    # or 2, made integral over QQ: the origin is reported iff k >= 2, and the
+    # other roots and factors are sympy's, in its order
+    rng = random.Random(20261025)
+    if over == "QQ":
+        K, domain, convert = resolution._RATIONALS, QQ, Fraction
+
+        def image(c):
+            return QQ(c.numerator, c.denominator)
+    else:
+        K, domain, image = next(_fields(rng))
+        convert = K.convert
+    factor_gcd, factored = resolution._factor_gcd, []
+    monkeypatch.setattr(resolution, "_factor_gcd",
+                        lambda r, K: factored.append(r) or factor_gcd(r, K))
+    for k in range(4):
+        for _ in range(40):
+            s = [convert(1)]
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.6:
+                    c = _fraction(rng) if over == "QQ" else _element(rng, K)
+                    q, power = [-c if c else convert(1), convert(1)], 3
+                else:
+                    q, power = [convert(c) for c in _irreducible(rng, 2)], 2
+                for _ in range(rng.randint(1, power)):
+                    s = resolution._mul(s, q)
+            r = [K.zero] * k + s
+            if over == "QQ":
+                scale = lcm(*(c.denominator for c in s))
+                r = [int(c * scale) for c in r]
+            comps = [({(0, j): c for j, c in enumerate(r) if c}, 1)]
+            origin, roots, rest = resolution._multiple_roots(comps, K)
+            monic = [Poly([image(c) for c in reversed(q)], V, domain=domain)
+                     .monic().rep.to_list() for q in rest]
+            assert origin == (k >= 2)
+            assert (origin, [image(c) for c in roots], monic) \
+                == _line_over(r, domain, image), (k, s)
+    # sympy decides 36 of the 160 lines over QQ and 86 over QQ(sqrt2), each
+    # without its factor v; modp or Euclid decides the others
+    assert len(factored) == {"QQ": 36, "QQ(sqrt2)": 86}[over]
+    assert all(q[0] for q in factored)
 
 
 # -- modp's decisions against sympy's factor_list ---------------------------------
