@@ -18,8 +18,8 @@ from typing import Mapping, Union
 
 from . import poly
 
-#: largest total degree the parser expands; every germ in the tests, demos
-#: and benchmark has degree at most 9
+#: largest total degree the parser expands; the tests reach it with
+#: x^63*y + y^64, and the three-level tower of their corpus has degree 27
 MAX_GERM_DEGREE = 64
 
 

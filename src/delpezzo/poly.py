@@ -9,7 +9,12 @@ the helpers never mutate their arguments.  `parse` reads the grammar
 
 where INTEGER is a run of ASCII digits, `/` divides by a nonzero constant
 only and `^` takes a non-negative integer literal only.  Nothing in the text
-is evaluated as code.  Every product and power is checked against the
+is evaluated as code.  A flat sum of terms [signs] INTEGER['/' INTEGER] and
+[signs] [INTEGER['/' INTEGER] '*'] NAME['^' INTEGER]('*' NAME['^' INTEGER])*,
+as germ texts and constraint sides are written, is read in one pass, one
+match per term.  Any other text, and a flat sum near one of the caps below,
+is read by the recursive grammar.  Both give the same dict, or raise the
+same message.  Every product and power the grammar reads is checked against the
 caller's degree cap before it is computed.  Every product is checked against
 MAX_COEFF_BITS before it is computed.  A power of several terms is a loop of
 products, each step checked once computed; a power of one term is one `**`,
@@ -42,6 +47,11 @@ MAX_COEFF_BITS = 4096
 MAX_TERM_PRODUCTS = 10_000
 
 _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|(\S))")
+#: a term of a flat sum: its signs, an INTEGER['/' INTEGER] coefficient, the
+#: '*' after it and its '*'-joined factors NAME['^' INTEGER]
+_FLAT_TERM_RE = re.compile(
+    r"\s*([-+][-+\s]*)?(?:([0-9]+)\s*(?:/\s*([0-9]+)\s*)?(\*)?)?"
+    r"((?:\s*{0}\s*\*)*\s*{0})?\s*".format(r"[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*[0-9]+)?"))
 
 
 class PolyParseError(ValueError):
@@ -170,8 +180,74 @@ def parse(text: str, names: Sequence[str], max_degree: int,
     non-constant, a product or power over the degree or bit budget, and a
     parse that needs more than MAX_TERM_PRODUCTS term products.
     """
-    p = _parse(_lex(text), names, max_degree, constants)
+    p = _flat(text, names, max_degree, constants)
+    if p is None:
+        p = _parse(_lex(text), names, max_degree, constants)
     return {e: c if type(c) is Fraction else Fraction(c) for e, c in p.items()}
+
+
+def _flat(text: str, names: Sequence[str], max_degree: int,
+          constants: Optional[Mapping[str, Fraction]] = None) -> Optional[Poly]:
+    """`parse` of a flat sum, one match per term, with int coefficients where
+    no `/` made a Fraction; None for any other text.
+
+    It is None too where a term comes near a cap, so that `_parse` reads it
+    or raises its message: a degree over max_degree, an upper bound on a
+    product's coefficient bits over MAX_COEFF_BITS or on the term products
+    over MAX_TERM_PRODUCTS, a division by zero, an unknown name, and a
+    literal `int` or a constant `exact` refuses.
+    """
+    _, _, index = _units(tuple(names))
+    constants = constants or {}
+    out: dict = {}
+    pos = work = 0
+    while True:
+        signs, num, den, star, factors = (m := _FLAT_TERM_RE.match(text, pos)).groups()
+        # INTEGER['/' INTEGER] alone or with a '*' before factors, or factors
+        # alone; every term after the first with a sign
+        if not (num or factors) or (star is None) == bool(num and factors) \
+                or (pos and not signs):
+            return None
+        try:
+            c = int(num) if num else 1
+            bits = c.bit_length()
+            if den:
+                if not (d := int(den)):
+                    return None
+                bits += d.bit_length()
+                c = Fraction(c, d)
+            expo = [0] * len(names)
+            work -= not num         # the term's first factor costs no product
+            for factor in factors.split("*") if factors else ():
+                name, _, k = factor.partition("^")
+                name, k = name.strip(), int(k) if k else 1
+                work += max(k, 1)       # a product and a k-th power's k - 1 steps
+                if name in constants:       # a constant hides a variable, as in `atom`
+                    v = exact(constants[name])
+                    bits += k * _bit_length(v) + 1
+                    if bits > MAX_COEFF_BITS:
+                        return None
+                    c *= v ** k
+                elif name in index:
+                    expo[index[name]] += k
+                    bits += 1
+                else:
+                    return None
+        except (TypeError, ValueError):     # from `int` or `exact`
+            return None
+        if sum(expo) > max_degree or bits > MAX_COEFF_BITS:
+            return None
+        if signs and signs.count("-") % 2:
+            c = -c
+        if c:
+            e = tuple(expo)
+            out[e] = out[e] + c if e in out else c
+        pos = m.end()
+        if pos == len(text):
+            break
+    if work > MAX_TERM_PRODUCTS:
+        return None
+    return {e: c for e, c in out.items() if c}
 
 
 def _lex(text: str) -> list:
@@ -202,7 +278,7 @@ def _parse(tokens: list, names: Sequence[str], max_degree: int,
     """
     tokens = [None] + tokens[::-1]   # popped from the end; None marks the end
     constants = constants or {}
-    zero, units = _units(tuple(names))
+    zero, units, _ = _units(tuple(names))
     work = 0
 
     def take():
@@ -344,10 +420,12 @@ def rational(text: str) -> Fraction:
 
 
 @lru_cache(maxsize=64)
-def _units(names: tuple[str, ...]) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
-    """The zero exponent over `names` and each name's unit exponent."""
+def _units(names: tuple[str, ...]) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]],
+                                            dict[str, int]]:
+    """The zero exponent over `names`, each name's unit exponent and its index."""
     return (0,) * len(names), {name: tuple(int(j == i) for j in range(len(names)))
-                               for i, name in enumerate(names)}
+                               for i, name in enumerate(names)}, \
+        {name: i for i, name in enumerate(names)}
 
 
 def _poly(p) -> Poly:

@@ -624,7 +624,7 @@ def _components_of(f: CurveGerm) -> tuple[Component, ...]:
     """
     terms = f.terms()
     scale = lcm(*(c.denominator for c in terms.values()))
-    ints = {e: int(c * scale) for e, c in terms.items()}
+    ints = {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
     parts = _square_free_parts(ints)
     reduced_order = sum(_order(t) for t, _i in parts)
     out = []

@@ -668,6 +668,10 @@ PINNED_RUNS = {
         (0, "04d4679b5f59afdee8c884f51187280fddc6c9dbd5a45d04e9d8e80daa71f75d"),
     "lct '3/4*x^2*y^3 - y^5/2 + 2^3*x^7' --json":
         (0, "edc67e00dd5218b8ace0010be7c32c5b8a0b9463abfb5442b02aa020a248ea1a"),
+    "lct ' 3/2*y ^ 2 -  x^3'":
+        (0, "defb14205170a8a9ae5c961b25e15b2661f26093d1aef85d54d79ddbad39b5ae"),
+    "lct ' 3/2*y ^ 2 -  x^3' --json":
+        (0, "6a3e02ab43e0c9a2b3218b838723ec1722025468793980a432ab615497f6b54e"),
     'verify --lemma 3.1 --m 4':
         (0, "aa253ac259d85217182b7dfeaa9c3a12d1775f1ee372d9808bd73e41e27b3fdc"),
     'verify --lemma 3.1 --m 4 --json':

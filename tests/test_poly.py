@@ -12,9 +12,12 @@ from hypothesis import given, strategies as st
 
 import delpezzo
 from delpezzo import poly
+from delpezzo.constraints import (NODAL_SUBCASES, encode_case2, encode_case3, encode_nodal,
+                                  parse_system)
 from delpezzo.germs import parse_germ
 from germgen import random_germ
 import poly_oracle
+import resolution_corpus
 
 SRC = pathlib.Path(delpezzo.__file__).parent
 
@@ -167,6 +170,13 @@ def test_bit_cap_stops_a_power_at_the_step_that_exceeds_it():
     assert time.perf_counter() - start < 0.5
 
 
+def test_a_flat_power_of_a_constant_is_refused_before_it_is_computed():
+    start = time.perf_counter()
+    with pytest.raises(poly.PolyParseError, match="cap of 4096 bits"):
+        poly.parse("x - k^99999999*x", ("x",), 64, {"k": Fraction(3, 2)})
+    assert time.perf_counter() - start < 0.5
+
+
 def test_term_product_budget_counts_each_step_of_a_power():
     assert len(poly.parse("(1+x+y)^24", ("x", "y"), 64)) == 325   # 7,797 products
     with pytest.raises(poly.PolyParseError, match="term products"):
@@ -240,6 +250,53 @@ def _budget_text(rng):
     ])
 
 
+def _flat_text(rng):
+    """A seeded flat sum of 1-20 terms, as the one-pass reader takes them,
+    with whitespace around every operator; now and then a zero literal, an
+    exponent past a cap, a division by zero or an ending that leaves the
+    text to the recursive parser."""
+    def gap():
+        return rng.choice(["", "", "", " ", "  ", "\t"])
+
+    def factor():
+        name = rng.choice("xyxyxyxk")
+        r = rng.random()
+        if r < 0.4:
+            return name
+        k = rng.choice([65, 4097]) if r < 0.41 else rng.choice([0, 1, 2, 3, 5])
+        return f"{name}{gap()}^{gap()}{k}"
+
+    def term():
+        factors = [factor() for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+        r = rng.random()
+        coeff = rng.choice(["0", "00", "1", "2", "6", "12", "345"]) if r < 0.6 or not factors \
+            else ""
+        if coeff and r < 0.3:
+            coeff += f"{gap()}/{gap()}" + ("0" if r < 0.01 else rng.choice("12367"))
+        return f"{gap()}*{gap()}".join(filter(None, [coeff] + factors))
+
+    text = rng.choice(["", "", "", "-", "+", "--", "+-"]) + gap() + term()
+    for _ in range(rng.randint(0, 19)):
+        sign = rng.choice(["+", "-", "+", "-", "+-", "--", "- -", "-+"])
+        text += f"{gap()}{sign}{gap()}{term()}"
+    r = rng.random()
+    if r < 0.1:
+        text += rng.choice(["^3", "^y", " +", " -", "*", "/", "^"])
+    elif r < 0.12:
+        text = "2^3*" + text
+    return text + gap()
+
+
+#: texts at the one-pass reader's edges, each read under every choice of
+#: names and constants below; k is both a variable and a constant there, and
+#: the constant wins
+FLAT_EDGES = ["0", " 0 ", "-0", "00", "0/5", "6/6*k", "k^2*x - k", "x - - y", "+-x + -- y",
+              " + x", "x^0", "x^65", "x^4097", "k^4097", "0*x^65", "3/0*x", "1/0", "x^2^3",
+              "x^y", "2^3*x", "x +", "x*", "3/", "2x", "x y", "x**2", "1e5*x", "k*0.5",
+              # 4,095 and 4,096 bits, times x (1 bit) and alone; over the digit limit
+              f"{2 ** 4094}*x", f"{2 ** 4095}*x", f"x - {2 ** 4095}", "1" * 5000]
+
+
 def _outcome(parser, text, names, max_degree, constants):
     try:
         return parser(text, names, max_degree, constants)
@@ -247,22 +304,56 @@ def _outcome(parser, text, names, max_degree, constants):
         return f"PolyParseError: {exc}"
 
 
+NAMES = [(("x", "y"), 64), (("x", "y"), 3), (("y", "x"), 64), (("x",), 64),
+         (("x", "y", "k"), 64)]
+CONSTANTS = [None, {"k": Fraction(3, 2)}, {"k": 4}]
+
+
 def test_parse_agrees_with_the_recursive_oracle():
     rng = random.Random(20261019)
     texts = [_grammar_text(rng) for _ in range(2000)] + [_budget_text(rng) for _ in range(100)]
+    cases = [(text, *rng.choice(NAMES), rng.choice(CONSTANTS)) for text in texts]
+    # k is a name in most flat sums, often both a variable and a constant
+    flat = [(_flat_text(rng), *rng.choice([(("x", "y", "k"), 64), (("y", "x", "k"), 64),
+                                           (("x", "y"), 64)]), rng.choice(CONSTANTS))
+            for _ in range(3000)]
+    edges = [(text, names, max_degree, constants) for text in FLAT_EDGES
+             for names, max_degree in NAMES for constants in CONSTANTS]
     refused = 0
-    for text in texts:
-        names, max_degree = rng.choice([(("x", "y"), 64), (("x", "y"), 3), (("y", "x"), 64),
-                                        (("x",), 64), (("x", "y", "k"), 64)])
-        constants = rng.choice([None, {"k": Fraction(3, 2)}, {"k": 4}])
-        got = _outcome(poly.parse, text, names, max_degree, constants)
-        assert got == _outcome(poly_oracle.parse, text, names, max_degree, constants), text
+    for case in cases + flat + edges:
+        got = _outcome(poly.parse, *case)
+        expected = _outcome(poly_oracle.parse, *case)
+        # the same dict, its order included, or the same message
+        assert got == expected and list(got) == list(expected), case
         if isinstance(got, str):
             refused += 1
         else:
-            assert all(type(c) is Fraction for c in got.values()), text
-    # both outcomes are well represented
-    assert min(refused, len(texts) - refused) > 500
+            assert all(type(c) is Fraction for c in got.values()), case
+    # both outcomes are well represented, and most flat sums are read in one pass
+    assert min(refused, len(cases + flat + edges) - refused) > 500
+    assert sum(poly._flat(*case) is not None for case in flat) > len(flat) / 2
+
+
+def test_workload_texts_are_read_in_one_pass(monkeypatch):
+    # the germ texts of the lct commands and the constraint sides of the case
+    # systems are flat sums; none of them reaches the recursive parser
+    germs = resolution_corpus.corpus()
+
+    def refuse(*args):
+        raise AssertionError("read by the recursive parser")
+
+    monkeypatch.setattr(poly, "_parse", refuse)
+    for f in germs:
+        assert parse_germ(str(f)) == f
+    for m in range(2, 31):
+        systems = [encode_case2(m), encode_case3(m)] + \
+            [encode_nodal(m, subcase) for subcase in (None, *NODAL_SUBCASES)]
+        for system in systems:
+            text = "\n".join(map(str, system.constraints))
+            assert [(con.coeffs, con.rel, con.rhs) for con in parse_system(text).constraints] \
+                == [(con.coeffs, con.rel, con.rhs) for con in system.constraints], text
+    assert parse_system("0 <= 1\n").constraints[0].coeffs == {}
+    assert poly.rational(" -3/4 ") == Fraction(-3, 4)
 
 
 def test_monomial_path_reaches_each_budget_exactly():
